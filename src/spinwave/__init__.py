@@ -17,15 +17,16 @@ from .spectrum import (DispersionPoint, GapScalingFit, PhasePoint, critical_g2,
                        phase_boundary_cases, zone_minimum)
 from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
                           QuadratureSpec, covariance_dense, covariance_infinite,
-                          covariance_pbc_fft, excitation_density)
-from .entanglement import (BlockRegion, SymplecticSpectrum, TwoSiteParams, block_entropy,
-                           entropy_vs_L, eof_symmetric, reduce_block, symplectic_spectrum,
-                           two_site_params)
+                          covariance_pbc_fft, covariances_for, excitation_density,
+                          resolve_engine)
+from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
+                           TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
+                           reduce_block, symplectic_spectrum, two_site_params)
 from .oracle import (HarmonicPrediction, SpinSystemSpec, TwoSiteSolution, eof_fock_series,
                      exact_two_site, harmonic_two_site_prediction, symplectic_bruteforce,
                      validation_battery)
-from .scan import (DerivativeEstimate, FitResult, PeakResult, SweepRow, SweepSpec,
-                   area_law_fit, derivative_zeta, finite_size_peak, sweep_g)
+from .scan import (DerivativeEstimate, FitResult, PeakResult, area_law_fit, derivative_zeta,
+                   finite_size_peak)
 from .config import ConfigError, RunConfig, config_digest, parse_config, serialize_config
 
 __version__ = "0.1.0"
@@ -37,13 +38,15 @@ __all__ = [
     "critical_g_equal", "dispersion", "dispersion_value", "energy_gap",
     "gap_scaling_exponent", "phase_boundary_cases", "zone_minimum",
     "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "QuadratureSpec",
-    "covariance_dense", "covariance_infinite", "covariance_pbc_fft", "excitation_density",
-    "BlockRegion", "SymplecticSpectrum", "TwoSiteParams", "block_entropy", "entropy_vs_L",
-    "eof_symmetric", "reduce_block", "symplectic_spectrum", "two_site_params",
+    "covariance_dense", "covariance_infinite", "covariance_pbc_fft", "covariances_for",
+    "excitation_density", "resolve_engine",
+    "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
+    "block_entropy", "entropy_vs_L", "eof_symmetric", "reduce_block", "symplectic_spectrum",
+    "two_site_params",
     "HarmonicPrediction", "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series",
     "exact_two_site", "harmonic_two_site_prediction", "symplectic_bruteforce",
     "validation_battery",
-    "DerivativeEstimate", "FitResult", "PeakResult", "SweepRow", "SweepSpec",
-    "area_law_fit", "derivative_zeta", "finite_size_peak", "sweep_g",
+    "DerivativeEstimate", "FitResult", "PeakResult", "area_law_fit", "derivative_zeta",
+    "finite_size_peak",
     "ConfigError", "RunConfig", "config_digest", "parse_config", "serialize_config",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
-from .groundstate import (QuadratureConvergenceError, QuadratureSpec,
-                          covariance_infinite, covariance_pbc_fft)
-from .entanglement import entropy_vs_L, two_site_params
-from .model import CouplingParams, LatticeSpec, StabilityError, build_potential
+from .groundstate import (CorrelationTable, QuadratureConvergenceError, QuadratureSpec,
+                          covariances_for, resolve_engine)
+from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
+from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
-from .scan import SweepSpec, derivative_zeta, finite_size_peak, sweep_g
+from .scan import derivative_zeta, finite_size_peak
 from .spectrum import critical_g2, critical_g_equal, energy_gap
 
 SUBCOMMANDS = ("phase-diagram", "gap-scan", "covariance", "entropy-scan", "two-site",
@@ -137,39 +136,20 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 
 def cmd_covariance(cfg: RunConfig) -> int:
-    params = _params(cfg)
-    engine = cfg.engine
-    if engine == "auto":
-        engine = "infinite" if cfg.infinite else "fft"
-    if engine == "infinite":
-        d = range(cfg.max_displacement + 1)
-        table = covariance_infinite(params, [(i, j) for i in d for j in d], quad=_quad(cfg))
-        displacements = [(i, j) for i in d for j in d]
-    elif engine == "fft":
-        lattice = _lattice(cfg)
-        if lattice.infinite or lattice.boundary != "periodic":
-            raise ConfigError("engine=fft needs a finite periodic lattice")
-        table = covariance_pbc_fft(lattice, params)
-        M = lattice.side
-        displacements = [(i, j) for i in range(M) for j in range(M)]
-    elif engine == "dense":
-        lattice = _lattice(cfg)
-        if lattice.infinite or lattice.boundary != "periodic":
-            raise ConfigError("a displacement table needs translation invariance; "
-                              "use a periodic lattice or engine=infinite")
-        from .groundstate import covariance_dense
-
-        cov = covariance_dense(build_potential(lattice, params))
-        M = lattice.side
-        displacements = [(i, j) for i in range(M) for j in range(M)]
+    lattice = _lattice(cfg)
+    engine = resolve_engine(lattice, cfg.engine)
+    if engine == "dense" and lattice.boundary != "periodic":
+        raise ConfigError("a displacement table needs translation invariance; "
+                          "use a periodic lattice or engine=infinite")
+    cov = covariances_for(_params(cfg), lattice, engine, cfg.max_displacement, _quad(cfg))
+    if isinstance(cov, CorrelationTable):
+        d = range(cov.max_displacement + 1)
+        rows = [[dx, dy, cov.qq_at(dx, dy), cov.pp_at(dx, dy)] for dx in d for dy in d]
+    else:
+        d = range(lattice.side)
         rows = [[dx, dy, float(cov.Q[0, lattice.site_index(dx, dy)]),
                  float(cov.P[0, lattice.site_index(dx, dy)])]
-                for dx, dy in displacements]
-        _write(cfg, ["dx", "dy", "qq", "pp"], rows)
-        return 0
-    else:
-        raise ConfigError(f"covariance does not support engine={engine}")
-    rows = [[dx, dy, table.qq_at(dx, dy), table.pp_at(dx, dy)] for dx, dy in displacements]
+                for dx in d for dy in d]
     _write(cfg, ["dx", "dy", "qq", "pp"], rows)
     return 0
 
@@ -181,12 +161,11 @@ def cmd_entropy_scan(cfg: RunConfig) -> int:
         if params.g1 >= gc:
             raise StabilityError(f"beyond critical coupling g_c = {gc:.5f} "
                                  f"(requested g = {params.g1:g})")
-    engine = None if cfg.engine == "auto" else cfg.engine
-    curve = entropy_vs_L(params, _lattice(cfg), cfg.block_sizes, mode=cfg.entropy_mode,
+    lattice = _lattice(cfg)
+    engine = resolve_engine(lattice, cfg.engine)
+    curve = entropy_vs_L(params, lattice, cfg.block_sizes, mode=cfg.entropy_mode,
                          engine=engine, quad=_quad(cfg), pairing_tol=cfg.pairing_tol)
-    engine_label = engine or ("infinite" if cfg.infinite else
-                              "fft" if cfg.boundary == "periodic" else "dense")
-    rows = [[L, E, cfg.entropy_mode, engine_label] for L, E in curve]
+    rows = [[L, E, cfg.entropy_mode, engine] for L, E in curve]
     _write(cfg, ["L", "entropy_bits", "mode", "engine"], rows)
     return 0
 
@@ -195,14 +174,14 @@ _PAIR_CLASSES = (("nn", (1, 0)), ("diagonal", (1, 1)), ("distance2", (2, 0)))
 
 
 def cmd_two_site(cfg: RunConfig) -> int:
-    from .entanglement import _covariances_for
-
     lattice = _lattice(cfg)
-    engine = None if cfg.engine == "auto" else cfg.engine
+    if not lattice.infinite and lattice.boundary == "open" and lattice.side < 5:
+        raise ConfigError("two-site on an open lattice needs side >= 5: "
+                          "the pairs reach two sites right of the center")
     rows = []
     for g in _g_grid(cfg):
         try:
-            cov = _covariances_for(_params(cfg, g1=g, g2=g), lattice, engine, 2, _quad(cfg))
+            cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, cfg.engine, 2, _quad(cfg))
             if lattice.infinite:
                 anchor = (0, 0)
             else:
@@ -211,30 +190,35 @@ def cmd_two_site(cfg: RunConfig) -> int:
             for label, (dx, dy) in _PAIR_CLASSES:
                 two = two_site_params(cov, anchor, (anchor[0] + dx, anchor[1] + dy))
                 rows.append([g, label, two.n, two.c, two.zeta, two.eof, two.separable, None])
-        except (StabilityError, QuadratureConvergenceError, ValueError) as exc:
+        except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
             for label, _ in _PAIR_CLASSES:
                 rows.append([g, label] + [float("nan")] * 4 + [None, str(exc)])
     _write(cfg, ["g", "distance_class", "n", "c", "zeta", "eof", "separable", "error"], rows)
     return 0
 
 
-def cmd_derivative_scan(cfg: RunConfig) -> int:
-    lattice = _lattice(cfg)
-    params = _params(cfg)
+_DERIVATIVE_COLUMNS = ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"]
+
+
+def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
+    params, quad = _params(cfg), _quad(cfg)
     rows = []
     for g in _g_grid(cfg):
         try:
-            est = derivative_zeta(params, lattice, g, h=cfg.derivative_step, quad=_quad(cfg))
+            est = derivative_zeta(params, lattice, g, h=cfg.derivative_step, quad=quad)
             rows.append([g, est.raw, est.richardson, None])
         except (StabilityError, QuadratureConvergenceError) as exc:
             rows.append([g, float("nan"), float("nan"), str(exc)])
-    _write(cfg, ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"], rows)
+    return rows
+
+
+def cmd_derivative_scan(cfg: RunConfig) -> int:
+    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, _lattice(cfg)))
     return 0
 
 
 def cmd_finite_size(cfg: RunConfig) -> int:
-    peaks = finite_size_peak(_params(cfg), cfg.m_list, _g_grid(cfg),
-                             h=cfg.derivative_step, workers=cfg.workers)
+    peaks = finite_size_peak(_params(cfg), cfg.m_list, _g_grid(cfg), h=cfg.derivative_step)
     rows = [[p.side, p.peak_abs_derivative, p.g_at_peak] for p in peaks]
     _write(cfg, ["M", "peak_abs_derivative", "g_at_peak"], rows)
     return 0
@@ -279,24 +263,10 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
 
 def cmd_reproduce_fig3(cfg: RunConfig) -> int:
     cfg = _paper_config(cfg)
-    params = _params(cfg)
-    grid = _g_grid(cfg)
-    columns = ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"]
-
-    def scan_rows(spec: LatticeSpec):
-        rows = []
-        for g in grid:
-            try:
-                est = derivative_zeta(params, spec, g, h=cfg.derivative_step, quad=_quad(cfg))
-                rows.append([g, est.raw, est.richardson, None])
-            except (StabilityError, QuadratureConvergenceError) as exc:
-                rows.append([g, float("nan"), float("nan"), str(exc)])
-        return rows
-
-    _write(cfg, columns, scan_rows(LatticeSpec.infinite_lattice()),
+    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, LatticeSpec.infinite_lattice()),
            path=_artifact_path(cfg, "fig3_infinite"))
     for M in cfg.m_list:
-        _write(cfg, columns, scan_rows(LatticeSpec.periodic(M)),
+        _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, LatticeSpec.periodic(M)),
                path=_artifact_path(cfg, f"fig3_m{M}"))
     return 0
 
@@ -327,8 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entanglement structure of a 2D harmonic lattice of coupled oscillators")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="path to a 'key = value' config file")
-    parser.add_argument("--workers", type=int,
-                        help="worker pool size (fallback: SPINWAVE_WORKERS)")
     parser.add_argument("--output", help="output path for single-table commands ('-' = stdout)")
     parser.add_argument("--out-dir", help="directory for multi-file recipes")
     parser.add_argument("--format", choices=("csv", "json"))
@@ -341,13 +309,6 @@ def main(argv=None) -> int:
         text = Path(args.config).read_text() if args.config else ""
         cfg = parse_config(text)
         overrides = {}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        elif os.environ.get("SPINWAVE_WORKERS"):
-            try:
-                overrides["workers"] = int(os.environ["SPINWAVE_WORKERS"])
-            except ValueError:
-                raise ConfigError("SPINWAVE_WORKERS must be an integer") from None
         if args.output is not None:
             overrides["output"] = args.output
         if args.out_dir is not None:
@@ -355,8 +316,6 @@ def main(argv=None) -> int:
         if args.format is not None:
             overrides["format"] = args.format
         if overrides:
-            if "workers" in overrides and overrides["workers"] < 1:
-                raise ConfigError("workers must be >= 1")
             cfg = replace(cfg, **overrides)
         return dispatch(args.subcommand, cfg)
     except ConfigError as exc:

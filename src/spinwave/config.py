@@ -9,6 +9,7 @@ with ``repr`` (shortest form that parses back to the same value).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .model import LatticeSpec
@@ -51,8 +52,7 @@ class RunConfig:
     quad_base: int = 64
     quad_rel_tol: float = 1e-10
     quad_max_doublings: int = 8
-    # execution and output
-    workers: int = 1
+    # output
     output: str = "-"
     out_dir: str = "."
     format: str = "csv"
@@ -73,8 +73,15 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     return items
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_float_or_auto(raw: str):
-    return "auto" if raw == "auto" else float(raw)
+    return "auto" if raw == "auto" else _parse_float(raw)
 
 
 _CHOICES = {
@@ -84,21 +91,13 @@ _CHOICES = {
     "format": ("csv", "json"),
 }
 
-_PARSERS = {
-    float: float,
-    int: int,
-    bool: _parse_bool,
-    str: str,
-}
-
-
 def _field_parser(f):
     if f.name == "g_max":
         return _parse_float_or_auto
     if f.type in ("tuple[int, ...]",):
         return _parse_int_tuple
     if f.type in ("float",):
-        return float
+        return _parse_float
     if f.type in ("int",):
         return int
     if f.type in ("bool",):
@@ -107,7 +106,7 @@ def _field_parser(f):
 
 
 _POSITIVE = {"omega", "kappa", "pairing_tol", "derivative_step", "quad_rel_tol"}
-_AT_LEAST_ONE = {"n_atoms", "g_samples", "phase_g1_samples", "workers", "quad_max_doublings"}
+_AT_LEAST_ONE = {"n_atoms", "g_samples", "phase_g1_samples", "quad_max_doublings"}
 _NON_NEGATIVE = {"g1", "g2", "g_min", "phase_g1_min", "max_displacement"}
 
 
@@ -171,6 +170,11 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             LatticeSpec(side=cfg.side, boundary=cfg.boundary)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    if cfg.engine == "fft" and (cfg.infinite or cfg.boundary != "periodic"):
+        raise ConfigError("engine = fft needs a finite periodic lattice "
+                          "(boundary = periodic, infinite = false)")
+    if cfg.engine == "dense" and cfg.infinite:
+        raise ConfigError("engine = dense needs a finite lattice (infinite = false)")
     if cfg.g_max != "auto" and cfg.g_max < cfg.g_min:
         raise ConfigError("g_max must be >= g_min")
     if cfg.phase_g1_max < cfg.phase_g1_min:
@@ -192,9 +196,9 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Where results land (and how many workers computed them) does not change
-# the numbers, so those fields stay out of the digest.
-_NON_PHYSICS_FIELDS = {"workers", "output", "out_dir", "format"}
+# Where and how results land does not change the numbers, so those fields
+# stay out of the digest.
+_NON_PHYSICS_FIELDS = {"output", "out_dir", "format"}
 
 
 def config_digest(cfg: RunConfig) -> str:

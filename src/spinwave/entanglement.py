@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import (CorrelationTable, CovariancePair, QuadratureSpec,
-                          covariance_dense, covariance_infinite, covariance_pbc_fft)
-from .model import CouplingParams, LatticeSpec, build_potential
+from .groundstate import CorrelationTable, CovariancePair, QuadratureSpec, covariances_for
+from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
 DEFAULT_PAIRING_TOL = 1e-8
@@ -61,14 +60,10 @@ def _submatrices(cov, sites) -> tuple[np.ndarray, np.ndarray]:
         idx = [spec.site_index(x, y) for x, y in sites]
         return cov.Q[np.ix_(idx, idx)].copy(), cov.P[np.ix_(idx, idx)].copy()
     if isinstance(cov, CorrelationTable):
-        n = len(sites)
-        Q = np.empty((n, n))
-        P = np.empty((n, n))
-        for a, (xa, ya) in enumerate(sites):
-            for b, (xb, yb) in enumerate(sites):
-                Q[a, b] = cov.qq_at(xa - xb, ya - yb)
-                P[a, b] = cov.pp_at(xa - xb, ya - yb)
-        return Q, P
+        xy = np.asarray(sites, dtype=int)
+        index = cov.displacement_index(xy[:, None, 0] - xy[None, :, 0],
+                                       xy[:, None, 1] - xy[None, :, 1])
+        return cov.qq[index], cov.pp[index]
     raise TypeError(f"unsupported covariance container: {type(cov).__name__}")
 
 
@@ -168,22 +163,6 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
     raise ValueError(f"unknown entropy mode {mode!r}")
 
 
-def _covariances_for(params: CouplingParams, spec: LatticeSpec, engine: str | None,
-                     max_displacement: int, quad: QuadratureSpec | None):
-    engine = engine or ("infinite" if spec.infinite else
-                        "fft" if spec.boundary == "periodic" else "dense")
-    if engine == "dense":
-        if spec.infinite:
-            raise ValueError("dense engine needs a finite lattice")
-        return covariance_dense(build_potential(spec, params))
-    if engine == "fft":
-        return covariance_pbc_fft(spec, params)
-    if engine == "infinite":
-        d = range(max_displacement + 1)
-        return covariance_infinite(params, [(i, j) for i in d for j in d], quad=quad)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
                  mode: str = "degenerate_once", engine: str | None = None,
                  quad: QuadratureSpec | None = None,
@@ -194,7 +173,7 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
         raise ValueError("L_list must be strictly increasing")
     if not spec.infinite and L_list[-1] > spec.side:
         raise ValueError("largest block exceeds the lattice")
-    cov = _covariances_for(params, spec, engine, L_list[-1] - 1, quad)
+    cov = covariances_for(params, spec, engine, L_list[-1] - 1, quad)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
     out = []
     for L in L_list:
@@ -202,6 +181,10 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
         QL, PL = _submatrices(cov, region.sites())
         out.append((L, block_entropy(symplectic_spectrum(QL, PL), mode, pairing_tol)))
     return out
+
+
+class AsymmetricPairError(ValueError):
+    """The two sites of a pair have unequal on-site moments."""
 
 
 @dataclass(frozen=True)
@@ -248,7 +231,7 @@ def two_site_params(cov, site_i, site_j, sym_rel_tol: float = 1e-6) -> TwoSitePa
     pii, pjj, pij = P[0, 0], P[1, 1], P[0, 1]
     for a, b, label in ((qii, qjj, "<q^2>"), ((pii), (pjj), "<p^2>")):
         if abs(a - b) > sym_rel_tol * max(abs(a), abs(b)):
-            raise ValueError(
+            raise AsymmetricPairError(
                 f"asymmetric pair: on-site {label} differ by more than {sym_rel_tol:g} "
                 "(relative); center the pair in the lattice")
     n = 2.0 * (qii * pii * qjj * pjj) ** 0.25

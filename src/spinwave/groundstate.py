@@ -12,7 +12,8 @@ and vanishing first moments.  Three interchangeable engines compute them:
 
 The periodic/infinite engines return correlations as a function of the
 displacement only (translation invariance); the dense engine returns the full
-matrices.
+matrices.  ``covariances_for`` is the one place that picks the engine for a
+lattice.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, PotentialMatrix, StabilityError
+from .model import (CRITICAL_GUARD, CouplingParams, LatticeSpec, PotentialMatrix, StabilityError,
+                    build_potential)
 from .spectrum import dispersion_grid, dispersion_value, zone_minimum
 
 
@@ -53,20 +55,26 @@ class CorrelationTable:
     params: CouplingParams
     side: int | None = None  # periodic tables only
 
-    def _lookup(self, table: np.ndarray, dx: int, dy: int) -> float:
+    def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
+        """Table indices of the displacements (dx, dy), integers or integer
+        arrays of one shape: modulo M for periodic tables, (|dx|, |dy|) for
+        infinite ones, which refuse displacements beyond their extent."""
         if self.kind == "periodic":
-            return float(table[dx % self.side, dy % self.side])
-        dx, dy = abs(dx), abs(dy)
-        if dx >= table.shape[0] or dy >= table.shape[1]:
-            raise ValueError(f"displacement ({dx}, {dy}) not in table "
-                             f"(extent {table.shape[0] - 1})")
-        return float(table[dx, dy])
+            return np.mod(dx, self.side), np.mod(dy, self.side)
+        dx, dy = np.abs(dx), np.abs(dy)
+        extent = self.qq.shape[0]
+        outside = np.ravel((dx >= extent) | (dy >= extent))
+        if outside.any():
+            first = int(np.argmax(outside))
+            raise ValueError(f"displacement ({np.ravel(dx)[first]}, {np.ravel(dy)[first]}) "
+                             f"not in table (extent {extent - 1})")
+        return dx, dy
 
     def qq_at(self, dx: int, dy: int) -> float:
-        return self._lookup(self.qq, dx, dy)
+        return float(self.qq[self.displacement_index(dx, dy)])
 
     def pp_at(self, dx: int, dy: int) -> float:
-        return self._lookup(self.pp, dx, dy)
+        return float(self.pp[self.displacement_index(dx, dy)])
 
     @property
     def max_displacement(self) -> int:
@@ -214,6 +222,35 @@ def covariance_infinite(params: CouplingParams, displacements,
         last=cur, previous=prev)
 
 
+def resolve_engine(spec: LatticeSpec, engine: str | None = None) -> str:
+    """The engine a request runs on.  ``None`` or ``"auto"`` picks the
+    lattice's own: zone quadrature for the infinite lattice, FFT for a
+    periodic one, dense eigendecomposition for an open one."""
+    if engine in (None, "auto"):
+        return "infinite" if spec.infinite else "fft" if spec.boundary == "periodic" else "dense"
+    if engine not in ("dense", "fft", "infinite"):
+        raise ValueError(f"unknown engine {engine!r}")
+    return engine
+
+
+def covariances_for(params: CouplingParams, spec: LatticeSpec, engine: str | None = None,
+                    max_displacement: int = 0, quad: QuadratureSpec | None = None):
+    """Ground-state covariances of ``spec`` on the resolved engine.
+
+    Returns a CovariancePair (dense) or a CorrelationTable (fft, infinite);
+    an infinite table covers displacements up to ``max_displacement`` in
+    each component.
+    """
+    engine = resolve_engine(spec, engine)
+    if engine == "dense":
+        if spec.infinite:
+            raise ValueError("dense engine needs a finite lattice")
+        return covariance_dense(build_potential(spec, params))
+    if engine == "fft":
+        return covariance_pbc_fft(spec, params)
+    return covariance_infinite(params, [(max_displacement, max_displacement)], quad=quad)
+
+
 def excitation_density(params: CouplingParams, spec: LatticeSpec,
                        quad: QuadratureSpec | None = None) -> float:
     """Mean excitation number per atom, (omega <q^2> + <p^2>/omega - 1) / (2N).
@@ -221,16 +258,10 @@ def excitation_density(params: CouplingParams, spec: LatticeSpec,
     Small values validate the low-excitation reduction.  Open lattices use
     the center site's moments (they vary with position there).
     """
-    if spec.infinite:
-        table = covariance_infinite(params, [(0, 0)], quad=quad)
-        q2, p2 = table.qq_at(0, 0), table.pp_at(0, 0)
-    elif spec.boundary == "periodic":
-        table = covariance_pbc_fft(spec, params)
-        q2, p2 = table.qq_at(0, 0), table.pp_at(0, 0)
+    cov = covariances_for(params, spec, quad=quad)
+    if isinstance(cov, CorrelationTable):
+        q2, p2 = cov.qq_at(0, 0), cov.pp_at(0, 0)
     else:
-        from .model import build_potential
-
-        cov = covariance_dense(build_potential(spec, params))
         c = spec.site_index(spec.side // 2, spec.side // 2)
         q2, p2 = float(cov.Q[c, c]), float(cov.P[c, c])
     n_exc = (params.omega * q2 + p2 / params.omega - 1.0) / 2.0

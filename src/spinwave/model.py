@@ -40,6 +40,8 @@ class CouplingParams:
     kappa: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega, self.kappa, self.n_atoms, self.g1, self.g2])):
+            raise ValueError("omega, kappa, n_atoms, g1 and g2 must be finite")
         if not (self.omega > 0 and self.kappa > 0):
             raise ValueError("omega and kappa must be positive")
         if self.n_atoms < 1:

@@ -1,53 +1,18 @@
-"""Parameter sweeps, area-law regression and two-site derivative analysis.
+"""Area-law regression and two-site derivative analysis.
 
-Everything here is deterministic: rows are keyed by the sample index, so
-parallel and serial execution produce identical tables, and repeated runs
-with the same inputs produce identical bytes downstream.
+Everything here is deterministic: repeated runs with the same inputs
+produce identical bytes downstream.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import (BlockRegion, _covariances_for, _submatrices, block_entropy,
-                           symplectic_spectrum, two_site_params)
-from .groundstate import QuadratureSpec
+from .entanglement import two_site_params
+from .groundstate import QuadratureSpec, covariances_for
 from .model import CouplingParams, LatticeSpec, StabilityError
-from .spectrum import energy_gap
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep over the equal-coupling line g1 = g2 = g."""
-
-    base_params: CouplingParams
-    g_values: tuple[float, ...]
-    lattice: LatticeSpec
-    block_sizes: tuple[int, ...] = (2, 4, 8)
-    engine: str | None = None
-    entropy_mode: str = "degenerate_once"
-    pairing_tol: float = 1e-8
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    workers: int = 1
-
-    def __post_init__(self):
-        if not self.g_values:
-            raise ValueError("empty sample set")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    g: float
-    gap: float
-    entropies: tuple[float, ...]  # one per block size
-    zeta1: float
-    eof1: float
-    error: str | None = None
 
 
 def _at_coupling(params: CouplingParams, g: float) -> CouplingParams:
@@ -61,37 +26,6 @@ def _center_pair(spec: LatticeSpec) -> tuple[tuple[int, int], tuple[int, int]]:
         return (0, 0), (1, 0)
     c = spec.side // 2
     return (c, c), (c + 1, c)
-
-
-def _sweep_row(spec: SweepSpec, g: float) -> SweepRow:
-    nan = float("nan")
-    try:
-        params = _at_coupling(spec.base_params, g)
-        gap = energy_gap(params, spec.lattice)
-        max_d = max(max(spec.block_sizes) - 1, 2)
-        cov = _covariances_for(params, spec.lattice, spec.engine, max_d, spec.quad)
-        lattice_side = spec.lattice.side if not spec.lattice.infinite else max(spec.block_sizes)
-        entropies = []
-        for L in spec.block_sizes:
-            sites = BlockRegion.centered(L, lattice_side).sites()
-            QL, PL = _submatrices(cov, sites)
-            entropies.append(block_entropy(symplectic_spectrum(QL, PL),
-                                           spec.entropy_mode, spec.pairing_tol))
-        site_i, site_j = _center_pair(spec.lattice)
-        two = two_site_params(cov, site_i, site_j)
-        return SweepRow(g=g, gap=gap, entropies=tuple(entropies),
-                        zeta1=two.zeta, eof1=two.eof)
-    except (StabilityError, ValueError, RuntimeError) as exc:
-        return SweepRow(g=g, gap=nan, entropies=(nan,) * len(spec.block_sizes),
-                        zeta1=nan, eof1=nan, error=str(exc))
-
-
-def sweep_g(spec: SweepSpec) -> list[SweepRow]:
-    """One row per sample; failures are recorded in-row, never fatal."""
-    if spec.workers == 1:
-        return [_sweep_row(spec, g) for g in spec.g_values]
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(lambda g: _sweep_row(spec, g), spec.g_values))
 
 
 @dataclass(frozen=True)
@@ -117,7 +51,7 @@ def area_law_fit(curve) -> FitResult:
 
 
 def _zeta1(params: CouplingParams, spec: LatticeSpec, quad: QuadratureSpec) -> float:
-    cov = _covariances_for(params, spec, None, 1, quad)
+    cov = covariances_for(params, spec, max_displacement=1, quad=quad)
     site_i, site_j = _center_pair(spec)
     return two_site_params(cov, site_i, site_j).zeta
 
@@ -160,8 +94,8 @@ class PeakResult:
     g_at_peak: float
 
 
-def finite_size_peak(params: CouplingParams, M_list, g_grid, h: float = 1e-4,
-                     workers: int = 1) -> list[PeakResult]:
+def finite_size_peak(params: CouplingParams, M_list, g_grid,
+                     h: float = 1e-4) -> list[PeakResult]:
     """Peak |d zeta_1 / d g| over the grid for each odd lattice size.
 
     The pair is the horizontally adjacent one at the lattice center; odd
@@ -173,17 +107,13 @@ def finite_size_peak(params: CouplingParams, M_list, g_grid, h: float = 1e-4,
             raise ValueError(f"lattice sizes must be odd and >= 5, got {M}")
     g_grid = [float(g) for g in g_grid]
     quad = QuadratureSpec()
-
-    def peak_for(M: int) -> PeakResult:
+    peaks = []
+    for M in M_list:
         spec = LatticeSpec.periodic(M)
         best_val, best_g = -1.0, g_grid[0]
         for g in g_grid:
             est = derivative_zeta(params, spec, g, h=h, quad=quad)
             if abs(est.richardson) > best_val:
                 best_val, best_g = abs(est.richardson), g
-        return PeakResult(side=M, peak_abs_derivative=best_val, g_at_peak=best_g)
-
-    if workers == 1:
-        return [peak_for(M) for M in M_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(peak_for, M_list))
+        peaks.append(PeakResult(side=M, peak_abs_derivative=best_val, g_at_peak=best_g))
+    return peaks

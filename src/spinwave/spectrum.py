@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import DIAGONAL_FACTOR, CouplingParams, LatticeSpec, StabilityError, build_potential
 
@@ -61,33 +60,24 @@ def dispersion_grid_min(params: CouplingParams, side: int) -> float:
     return float(np.min(dispersion_grid(params, side)))
 
 
-# For g1, g2 >= 0 the zone minimum always sits on the corner set below: v is
-# linear in cos kx at fixed cos ky (and vice versa), so extrema lie at
-# cos k = +-1 in each direction and (0, 0) is never the minimum.
+# v is bilinear in (cos kx, cos ky), so its minimum over the zone is a corner
+# value.  For g1, g2 >= 0 the (0, 0) corner is never below the others, which
+# leaves the set below; ties go to the first entry.
 _CANDIDATES = ((np.pi, np.pi), (0.0, np.pi), (np.pi, 0.0))
 
 
 def zone_minimum(params: CouplingParams) -> tuple[float, tuple[float, float]]:
-    """Minimum of v(k) over the full continuous zone and its minimizer.
-
-    Analytic candidates first; a Nelder-Mead polish guards against parameter
-    regimes where the minimum might migrate off the corner set.
-    """
-    best_k = min(_CANDIDATES, key=lambda k: dispersion_value(params, *k))
-    best_v = float(dispersion_value(params, *best_k))
-    res = minimize(lambda k: float(dispersion_value(params, k[0], k[1])), x0=np.array(best_k),
-                   method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-12})
-    if res.fun < best_v:
-        best_v = float(res.fun)
-        best_k = (float(res.x[0]), float(res.x[1]))
-    return best_v, best_k
+    """Minimum of v(k) over the full continuous zone and the wavevector where it sits."""
+    values = [float(dispersion_value(params, kx, ky)) for kx, ky in _CANDIDATES]
+    best = int(np.argmin(values))
+    return values[best], _CANDIDATES[best]
 
 
 def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
     """Lowest excitation energy sqrt(min v).
 
-    Infinite mode minimizes over the continuous zone, finite periodic over
-    the discrete grid, finite open over the dense eigenvalues of V.
+    Infinite mode takes the minimum over the continuous zone, finite
+    periodic over the discrete grid, finite open over the dense eigenvalues of V.
     """
     if spec.infinite:
         vmin, _ = zone_minimum(params)

@@ -167,10 +167,56 @@ def test_cli_oracle_check(tmp_path):
     assert len(report["checks"]) == 4
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SPINWAVE_WORKERS", "2")
-    assert main(["gap-scan", "--config", str(small_cfg(tmp_path))]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("SPINWAVE_WORKERS", "many")
-    assert main(["gap-scan", "--config", str(small_cfg(tmp_path))]) == 2
-    assert "SPINWAVE_WORKERS" in capsys.readouterr().err
+@pytest.mark.parametrize("line, key", [("g1 = nan", "g1"), ("omega = inf", "omega"),
+                                       ("g2 = -inf", "g2"), ("g_max = nan", "g_max")])
+def test_cli_non_finite_is_config_error(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"side = 8\nblock_sizes = 2\n{line}\n")
+    assert main(["entropy-scan", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad value for '{key}' (line 3): must be finite")
+
+
+@pytest.mark.parametrize("subcommand", ["entropy-scan", "two-site"])
+@pytest.mark.parametrize("text", ["engine = fft\nboundary = open\nside = 6\n",
+                                  "engine = fft\ninfinite = true\n",
+                                  "engine = dense\ninfinite = true\n"])
+def test_cli_engine_lattice_mismatch_is_config_error(tmp_path, capsys, subcommand, text):
+    cfg = tmp_path / "mismatch.cfg"
+    cfg.write_text(text + "block_sizes = 2\ng_samples = 1\n")
+    assert main([subcommand, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: engine = ")
+
+
+def test_cli_two_site_asymmetric_pair_in_row(tmp_path, capsys):
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text("boundary = open\nside = 6\ng_samples = 1\n")
+    assert main(["two-site", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    assert len(rows) == 3 and all("asymmetric pair" in row for row in rows)
+
+
+def test_cli_two_site_open_lattice_too_small(tmp_path, capsys):
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text("boundary = open\nside = 4\ng_samples = 1\n")
+    assert main(["two-site", "--config", str(cfg)]) == 2
+    assert "side >= 5" in capsys.readouterr().err
+
+
+def test_cli_two_site_keeps_bugs_out_of_rows(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr("spinwave.cli.two_site_params", broken)
+    with pytest.raises(ValueError, match="programming error"):
+        main(["two-site", "--config", str(small_cfg(tmp_path))])
+
+
+def test_cli_scans_record_failures_in_row(tmp_path, capsys):
+    cfg = small_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("g_max = 1.4", "g_max = 1.8"))
+    for subcommand in ("gap-scan", "derivative-scan"):
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(rows) == 3
+        assert rows[0].endswith(",") and ",nan," in rows[2] and "critical" in rows[2]

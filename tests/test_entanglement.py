@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from spinwave import (BlockRegion, LatticeSpec, SymplecticSpectrum, block_entropy,
-                      build_potential, covariance_dense, covariance_infinite,
-                      covariance_pbc_fft, entropy_vs_L, eof_fock_series, eof_symmetric,
-                      reduce_block, symplectic_spectrum, two_site_params)
+from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, LatticeSpec,
+                      SymplecticSpectrum, block_entropy, build_potential, covariance_dense,
+                      covariance_infinite, covariance_pbc_fft, entropy_vs_L, eof_fock_series,
+                      eof_symmetric, reduce_block, symplectic_spectrum, two_site_params,
+                      zone_minimum)
+from spinwave.entanglement import _submatrices
 
 from conftest import full_matrices, params_at
 
@@ -191,8 +194,9 @@ def test_separability_of_longer_pairs(paper_params):
 
 def test_two_site_asymmetric_open_pair_rejected():
     cov = covariance_dense(build_potential(LatticeSpec.open_boundary(6), params_at(1.2)))
-    with pytest.raises(ValueError, match="center"):
+    with pytest.raises(AsymmetricPairError, match="center"):
         two_site_params(cov, (0, 0), (1, 0))
+    assert issubclass(AsymmetricPairError, ValueError)
 
 
 def test_zeta1_finite_to_infinite_convergence(paper_params):
@@ -240,3 +244,51 @@ def test_block_region_centered():
     assert len(region.sites()) == 9
     with pytest.raises(ValueError):
         BlockRegion(0, 0, 0)
+
+
+@st.composite
+def periodic_case(draw):
+    """Stable couplings, a side 3..9 and distinct sites, some outside [0, M)."""
+    p = params_at(draw(st.floats(0.0, 2.0)), g2=draw(st.floats(0.0, 2.0)))
+    assume(zone_minimum(p)[0] > 1e-3 * p.on_site)
+    M = draw(st.integers(3, 9))
+    cells = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)),
+                          min_size=1, max_size=M * M, unique=True))
+    wraps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=len(cells), max_size=len(cells)))
+    sites = [(x + M * wx, y + M * wy) for (x, y), (wx, wy) in zip(cells, wraps)]
+    return p, M, sites
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_case())
+def test_table_blocks_match_dense_submatrices(case):
+    p, M, sites = case
+    spec = LatticeSpec.periodic(M)
+    QL, PL = _submatrices(covariance_pbc_fft(spec, p), sites)
+    cov = covariance_dense(build_potential(spec, p))
+    idx = [spec.site_index(x, y) for x, y in sites]
+    assert np.max(np.abs(QL - cov.Q[np.ix_(idx, idx)])) <= 1e-10
+    assert np.max(np.abs(PL - cov.P[np.ix_(idx, idx)])) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(extent=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       sites=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                      min_size=1, max_size=12, unique=True))
+def test_infinite_table_blocks_match_lookups(extent, seed, sites):
+    rng = np.random.default_rng(seed)
+    table = CorrelationTable(qq=rng.standard_normal((extent, extent)),
+                             pp=rng.standard_normal((extent, extent)),
+                             kind="infinite", engine="infinite", params=params_at(1.0))
+    reach = max(max(abs(xa - xb), abs(ya - yb)) for xa, ya in sites for xb, yb in sites)
+    if reach >= extent:
+        with pytest.raises(ValueError, match="not in table"):
+            _submatrices(table, sites)
+        return
+    QL, PL = _submatrices(table, sites)
+    for a, (xa, ya) in enumerate(sites):
+        for b, (xb, yb) in enumerate(sites):
+            dx, dy = abs(xa - xb), abs(ya - yb)
+            assert QL[a, b] == table.qq_at(xa - xb, ya - yb) == table.qq[dx, dy]
+            assert PL[a, b] == table.pp_at(xa - xb, ya - yb) == table.pp[dx, dy]

@@ -151,6 +151,9 @@ def test_param_validation():
         CouplingParams(omega=1.0, kappa=1.0, n_atoms=0, g1=0.0, g2=0.0)
     with pytest.raises(ValueError):
         CouplingParams(omega=1.0, kappa=1.0, n_atoms=10, g1=-0.5, g2=0.0)
+    for bad in ({"g1": float("nan")}, {"g2": float("inf")}, {"omega": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingParams(**{"omega": 1.0, "n_atoms": 10, "g1": 0.0, "g2": 0.0, **bad})
 
 
 def test_regime_diagnostic():

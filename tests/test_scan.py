@@ -1,48 +1,10 @@
 import numpy as np
 import pytest
 
-from spinwave import (LatticeSpec, StabilityError, SweepSpec, area_law_fit, critical_g_equal,
-                      derivative_zeta, finite_size_peak, sweep_g)
+from spinwave import (LatticeSpec, StabilityError, area_law_fit, critical_g_equal,
+                      derivative_zeta, finite_size_peak)
 
 from conftest import params_at
-
-
-def make_sweep(g_values, workers=1, side=8, block_sizes=(2, 3)):
-    return SweepSpec(base_params=params_at(0.0), g_values=tuple(g_values),
-                     lattice=LatticeSpec.periodic(side), block_sizes=block_sizes,
-                     workers=workers)
-
-
-def test_sweep_decoupled_row():
-    rows = sweep_g(make_sweep([0.0]))
-    row = rows[0]
-    assert row.error is None
-    assert row.gap == pytest.approx(1500.0, rel=1e-12)
-    assert all(abs(E) < 1e-12 for E in row.entropies)
-    assert row.zeta1 == pytest.approx(1.0, abs=1e-12)
-    assert row.eof1 == 0.0
-
-
-def test_sweep_deterministic_and_parallel_identical():
-    gs = [0.5, 1.0, 1.4, 1.6]
-    serial = sweep_g(make_sweep(gs, workers=1))
-    again = sweep_g(make_sweep(gs, workers=1))
-    parallel = sweep_g(make_sweep(gs, workers=4))
-    assert serial == again
-    assert serial == parallel
-
-
-def test_sweep_records_failures_in_row():
-    gc = critical_g_equal(params_at(0.0))
-    rows = sweep_g(make_sweep([1.0, 1.1 * gc]))
-    assert rows[0].error is None
-    assert rows[1].error is not None and "critical" in rows[1].error
-    assert np.isnan(rows[1].gap)
-
-
-def test_sweep_empty_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        make_sweep([])
 
 
 def test_area_law_fit_exact_line():
@@ -111,9 +73,3 @@ def test_finite_size_peak_validation():
     with pytest.raises(ValueError, match="odd"):
         finite_size_peak(params_at(0.0), [3], [1.0, 1.2])
 
-
-def test_finite_size_peak_parallel_matches_serial():
-    grid = np.linspace(1.2, 1.6, 4)
-    serial = finite_size_peak(params_at(0.0), [5, 7], grid, workers=1)
-    parallel = finite_size_peak(params_at(0.0), [5, 7], grid, workers=2)
-    assert serial == parallel

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -177,3 +182,16 @@ def test_gap_scaling_window_validation():
         gap_scaling_exponent(params_at(0.0), (0.9 * gc, 1.01 * gc), 5)
     with pytest.raises(ValueError, match="2 samples"):
         gap_scaling_exponent(params_at(0.0), (0.5 * gc, 0.9 * gc), 1)
+
+
+def test_zone_minimum_needs_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [e for e in [os.environ.get("PYTHONPATH")] if e]))
+    code = ("import sys, spinwave\n"
+            "p = spinwave.CouplingParams(omega=500.0, n_atoms=1000, g1=1.5, g2=1.5)\n"
+            "spinwave.zone_minimum(p)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

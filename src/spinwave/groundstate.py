@@ -143,6 +143,8 @@ class QuadratureSpec:
             raise ValueError("quadrature needs at least 16 points per dimension")
         if self.max_doublings < 1:
             raise ValueError("max_doublings must be >= 1")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -161,19 +163,32 @@ class QuadratureConvergenceError(RuntimeError):
 
 def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     # cos(k.r) factorizes as cos(kx dx) cos(ky dy) on the sign-symmetric grid
-    # (the odd sin terms cancel), so each table is two small matmuls.
+    # (the odd sin terms cancel), so each table is two small matmuls.  v is
+    # even in kx and in ky, so only the quadrant i >= n // 2 of the grid is
+    # summed: weight 2 per row and column, except the k = 0 row and column
+    # that odd n puts on the grid, which have no mirror and keep weight 1.
     k = -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    k = k[n // 2:]
+    w = np.full(k.size, 2.0)
+    if n % 2:
+        w[0] = 1.0
     d = np.arange(dmax + 1)
-    cx = np.cos(np.outer(d, k))
+    # cos(kx+ky) + cos(kx-ky) = 2 cos kx cos ky makes v affine in cos ky at
+    # fixed kx: v = a + b cos ky, with a and b read off the ky = 0 and ky = pi
+    # values of each column, so dispersion_value stays the one formula for v.
+    ends = dispersion_value(params, k[:, None], np.array([[0.0, np.pi]]))
+    a = 0.5 * (ends[:, 0] + ends[:, 1])
+    b = 0.5 * (ends[:, 0] - ends[:, 1])
+    cx = w * np.cos(np.outer(d, k))
     qq = np.zeros((dmax + 1, dmax + 1))
     pp = np.zeros_like(qq)
-    chunk = max(16, (2 ** 22) // n)
-    for s in range(0, n, chunk):
+    chunk = max(16, (2 ** 22) // k.size)
+    for s in range(0, k.size, chunk):
         ky = k[s:s + chunk]
-        v = dispersion_value(params, k[:, None], ky[None, :])
+        v = a[:, None] + b[:, None] * np.cos(ky)[None, :]
         vmin = float(np.min(v))
         _guard_softness(vmin, params.on_site)
-        cy = np.cos(np.outer(d, ky))
+        cy = w[s:s + chunk] * np.cos(np.outer(d, ky))
         qq += (cx @ (v ** -0.5)) @ cy.T
         pp += (cx @ (v ** 0.5)) @ cy.T
     return qq / (2.0 * n * n), pp / (2.0 * n * n)

@@ -5,6 +5,7 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError, QuadratureSpec,
                       StabilityError, build_potential, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, critical_g_equal,
                       dispersion_value, excitation_density)
+from spinwave.groundstate import _zone_tables
 
 from conftest import full_matrices, params_at
 
@@ -64,6 +65,23 @@ def test_infinite_matches_fft_at_large_m():
             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
             a, b = table_inf.pp_at(dx, dy), table_fft.pp_at(dx, dy)
             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("n", [16, 17, 33, 64])
+@pytest.mark.parametrize("g1, g2", [(0.0, 0.0), (1.25, 1.25), (1.7, 0.2), (0.0, 1.0)])
+def test_zone_tables_match_full_grid_sum(n, g1, g2):
+    # brute force: every point of the half-shifted n x n grid, v straight
+    # from dispersion_value; odd n puts k = 0 on the grid (unmirrored)
+    p = params_at(g1, g2=g2)
+    k = -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    v = dispersion_value(p, k[:, None], k[None, :])
+    c = np.cos(np.outer(np.arange(6), k))
+    want_q = c @ (v ** -0.5) @ c.T / (2.0 * n * n)
+    want_p = c @ (v ** 0.5) @ c.T / (2.0 * n * n)
+    qq, pp = _zone_tables(p, 5, n)
+    assert qq.shape == pp.shape == (6, 6)
+    assert np.max(np.abs(qq - want_q)) <= 1e-13 * want_q[0, 0]
+    assert np.max(np.abs(pp - want_p)) <= 1e-13 * want_p[0, 0]
 
 
 def test_infinite_decoupled_closed_form():
@@ -185,3 +203,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(base_points=8)
     with pytest.raises(ValueError):
         QuadratureSpec(max_doublings=0)
+    for bad in (float("nan"), 0.0, -1.0, float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=bad)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from spinwave import (LatticeSpec, StabilityError, critical_g2, critical_g2_numeric,
-                      critical_g_equal, dispersion, dispersion_value, energy_gap,
-                      gap_scaling_exponent, phase_boundary_cases, zone_minimum)
+from spinwave import (CouplingParams, LatticeSpec, StabilityError, critical_g2,
+                      critical_g2_numeric, critical_g_equal, dispersion, dispersion_value,
+                      energy_gap, gap_scaling_exponent, phase_boundary_cases, zone_minimum)
 
 from conftest import params_at
 
@@ -195,3 +196,27 @@ def test_zone_minimum_needs_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(kx=st.floats(-np.pi, np.pi), ky=st.floats(-np.pi, np.pi),
+       g1=st.floats(0.0, 2.5), g2=st.floats(0.0, 2.5),
+       omega=st.floats(1.0, 2000.0), n_atoms=st.integers(1, 5000))
+def test_dispersion_matches_mpmath(kx, ky, g1, g2, omega, n_atoms):
+    # v from its definition at 40 digits (kappa = 1), against dispersion_value
+    # and against the a + b cos ky form the zone quadrature rebuilds from the
+    # ky = 0 and ky = pi samples; both within 4 eps of the term scale S
+    mpmath = pytest.importorskip("mpmath")
+    p = CouplingParams(omega=omega, n_atoms=n_atoms, g1=g1, g2=g2)
+    assume(zone_minimum(p)[0] > 0)
+    with mpmath.workdps(40):
+        w, n, x, y = (mpmath.mpf(t) for t in (omega, n_atoms, kx, ky))
+        bracket = (g1 * mpmath.cos(x) + g2 * mpmath.cos(y)
+                   + mpmath.mpf(2) ** -1.5 * g2 * (mpmath.cos(x + y) + mpmath.cos(x - y)))
+        exact = float(w * (w + 4 * n) + 2 * n * w * bracket)
+    scale = p.on_site + 2.0 * n_atoms * omega * (g1 + g2 + SQRT2 * g2)
+    tol = 4.0 * np.finfo(float).eps * scale
+    assert abs(float(dispersion_value(p, kx, ky)) - exact) <= tol
+    at_zero, at_pi = dispersion_value(p, kx, np.array([0.0, np.pi]))
+    rebuilt = 0.5 * (at_zero + at_pi) + 0.5 * (at_zero - at_pi) * np.cos(ky)
+    assert abs(rebuilt - exact) <= tol

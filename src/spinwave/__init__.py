@@ -10,10 +10,9 @@ behavior.
 """
 
 from .model import (CouplingParams, LatticeSpec, PotentialMatrix, StabilityError,
-                    StabilityReport, build_potential, neighbor_couplings, stability_check)
-from .spectrum import (DispersionPoint, GapScalingFit, PhasePoint, critical_g2,
-                       critical_g2_numeric, critical_g_equal, dispersion,
-                       dispersion_value, energy_gap, gap_scaling_exponent,
+                    build_potential, neighbor_couplings)
+from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numeric,
+                       critical_g_equal, dispersion_value, energy_gap, gap_scaling_exponent,
                        phase_boundary_cases, zone_minimum)
 from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
                           QuadratureSpec, covariance_dense, covariance_infinite,
@@ -21,7 +20,7 @@ from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenc
                           resolve_engine)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
-                           reduce_block, symplectic_spectrum, two_site_params)
+                           symplectic_spectrum, two_site_params)
 from .oracle import (HarmonicPrediction, SpinSystemSpec, TwoSiteSolution, eof_fock_series,
                      exact_two_site, harmonic_two_site_prediction, symplectic_bruteforce,
                      validation_battery)
@@ -32,17 +31,16 @@ from .config import ConfigError, RunConfig, config_digest, parse_config, seriali
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingParams", "LatticeSpec", "PotentialMatrix", "StabilityError", "StabilityReport",
-    "build_potential", "neighbor_couplings", "stability_check",
-    "DispersionPoint", "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric",
-    "critical_g_equal", "dispersion", "dispersion_value", "energy_gap",
-    "gap_scaling_exponent", "phase_boundary_cases", "zone_minimum",
+    "CouplingParams", "LatticeSpec", "PotentialMatrix", "StabilityError", "build_potential",
+    "neighbor_couplings",
+    "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric", "critical_g_equal",
+    "dispersion_value", "energy_gap", "gap_scaling_exponent", "phase_boundary_cases",
+    "zone_minimum",
     "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "QuadratureSpec",
     "covariance_dense", "covariance_infinite", "covariance_pbc_fft", "covariances_for",
     "excitation_density", "resolve_engine",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
-    "block_entropy", "entropy_vs_L", "eof_symmetric", "reduce_block", "symplectic_spectrum",
-    "two_site_params",
+    "block_entropy", "entropy_vs_L", "eof_symmetric", "symplectic_spectrum", "two_site_params",
     "HarmonicPrediction", "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series",
     "exact_two_site", "harmonic_two_site_prediction", "symplectic_bruteforce",
     "validation_battery",

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
-from .groundstate import (CorrelationTable, QuadratureConvergenceError, QuadratureSpec,
-                          covariances_for, resolve_engine)
+from .groundstate import (QuadratureConvergenceError, QuadratureSpec, covariances_for,
+                          resolve_engine)
 from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
 from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
@@ -142,16 +142,22 @@ def cmd_covariance(cfg: RunConfig) -> int:
         raise ConfigError("a displacement table needs translation invariance; "
                           "use a periodic lattice or engine=infinite")
     cov = covariances_for(_params(cfg), lattice, engine, cfg.max_displacement, _quad(cfg))
-    if isinstance(cov, CorrelationTable):
-        d = range(cov.max_displacement + 1)
-        rows = [[dx, dy, cov.qq_at(dx, dy), cov.pp_at(dx, dy)] for dx in d for dy in d]
-    else:
-        d = range(lattice.side)
-        rows = [[dx, dy, float(cov.Q[0, lattice.site_index(dx, dy)]),
-                 float(cov.P[0, lattice.site_index(dx, dy)])]
-                for dx in d for dy in d]
+    d = range(cfg.max_displacement + 1 if engine == "infinite" else lattice.side)
+    rows = []
+    for dx in d:
+        # column 0 of a block headed by the origin reads the entry at r (row 0
+        # would read -r); a block per dx keeps side 80 at 81 sites, not 6400
+        head = [(0, 0)] if dx else []
+        Q, P = cov.block(head + [(dx, dy) for dy in d])
+        rows += [[dx, dy, float(Q[len(head) + dy, 0]), float(P[len(head) + dy, 0])] for dy in d]
     _write(cfg, ["dx", "dy", "qq", "pp"], rows)
     return 0
+
+
+def _check_blocks_fit(cfg: RunConfig, lattice: LatticeSpec) -> None:
+    if not lattice.infinite and cfg.block_sizes[-1] > lattice.side:
+        raise ConfigError(f"'block_sizes' entry {cfg.block_sizes[-1]} exceeds the "
+                          f"lattice side {lattice.side}")
 
 
 def cmd_entropy_scan(cfg: RunConfig) -> int:
@@ -162,6 +168,7 @@ def cmd_entropy_scan(cfg: RunConfig) -> int:
             raise StabilityError(f"beyond critical coupling g_c = {gc:.5f} "
                                  f"(requested g = {params.g1:g})")
     lattice = _lattice(cfg)
+    _check_blocks_fit(cfg, lattice)
     engine = resolve_engine(lattice, cfg.engine)
     curve = entropy_vs_L(params, lattice, cfg.block_sizes, mode=cfg.entropy_mode,
                          engine=engine, quad=_quad(cfg), pairing_tol=cfg.pairing_tol)
@@ -207,7 +214,7 @@ def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
         try:
             est = derivative_zeta(params, lattice, g, h=cfg.derivative_step, quad=quad)
             rows.append([g, est.raw, est.richardson, None])
-        except (StabilityError, QuadratureConvergenceError) as exc:
+        except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
             rows.append([g, float("nan"), float("nan"), str(exc)])
     return rows
 
@@ -218,6 +225,9 @@ def cmd_derivative_scan(cfg: RunConfig) -> int:
 
 
 def cmd_finite_size(cfg: RunConfig) -> int:
+    if any(M < 5 or M % 2 == 0 for M in cfg.m_list):
+        raise ConfigError(f"'m_list' entries must be odd and >= 5, got "
+                          f"{','.join(map(str, cfg.m_list))}")
     peaks = finite_size_peak(_params(cfg), cfg.m_list, _g_grid(cfg), h=cfg.derivative_step)
     rows = [[p.side, p.peak_abs_derivative, p.g_at_peak] for p in peaks]
     _write(cfg, ["M", "peak_abs_derivative", "g_at_peak"], rows)
@@ -246,6 +256,7 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
     couplings = [("g1.25", 1.25), ("g1.5", 1.5),
                  ("near_critical", gc * (1.0 - NEAR_CRITICAL_OFFSET))]
     lattice = LatticeSpec.periodic(80)
+    _check_blocks_fit(cfg, lattice)
     columns = ["L", "entropy_bits", "mode", "engine"]
     for label, g in couplings:
         p = _params(cfg, g1=g, g2=g)
@@ -262,6 +273,9 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce_fig3(cfg: RunConfig) -> int:
+    if cfg.m_list[0] < 3:
+        raise ConfigError(f"'m_list' entries must be >= 3 (periodic lattices), got "
+                          f"{','.join(map(str, cfg.m_list))}")
     cfg = _paper_config(cfg)
     _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, LatticeSpec.infinite_lattice()),
            path=_artifact_path(cfg, "fig3_infinite"))

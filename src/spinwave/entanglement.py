@@ -1,6 +1,7 @@
 """Block entropies and two-site entanglement of the Gaussian ground state.
 
-A reduced block keeps the rows/columns of Q and P on its sites.  Its
+A reduced block keeps the rows/columns of Q and P on its sites; every
+covariance container hands them out as ``cov.block(sites)``.  Its
 symplectic eigenvalues are nu_i = sqrt(eig(4 Q_L P_L)); the factor 4 makes
 the decoupled vacuum give nu = 1, the purity bound.  The block entropy in
 bits is
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import CorrelationTable, CovariancePair, QuadratureSpec, covariances_for
+from .groundstate import QuadratureSpec, covariances_for
 from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
@@ -50,39 +51,6 @@ class BlockRegion:
         return [(self.x0 + i, self.y0 + j) for j in range(L) for i in range(L)]
 
 
-def _submatrices(cov, sites) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(cov, CovariancePair):
-        spec = cov.spec
-        if spec.boundary == "open":
-            for x, y in sites:
-                if not (0 <= x < spec.side and 0 <= y < spec.side):
-                    raise ValueError(f"site ({x}, {y}) outside the open lattice")
-        idx = [spec.site_index(x, y) for x, y in sites]
-        return cov.Q[np.ix_(idx, idx)].copy(), cov.P[np.ix_(idx, idx)].copy()
-    if isinstance(cov, CorrelationTable):
-        xy = np.asarray(sites, dtype=int)
-        index = cov.displacement_index(xy[:, None, 0] - xy[None, :, 0],
-                                       xy[:, None, 1] - xy[None, :, 1])
-        return cov.qq[index], cov.pp[index]
-    raise TypeError(f"unsupported covariance container: {type(cov).__name__}")
-
-
-def reduce_block(cov, region: BlockRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Principal submatrices (Q_L, P_L) on the region's sites.
-
-    Accepts a CovariancePair (any boundary) or a CorrelationTable; periodic
-    regions wrap, open regions must fit inside the lattice.
-    """
-    if isinstance(cov, CovariancePair) and not cov.spec.infinite:
-        M = cov.spec.side
-        if region.side_length > M:
-            raise ValueError("block larger than the lattice")
-    if isinstance(cov, CorrelationTable) and cov.kind == "periodic":
-        if region.side_length > cov.side:
-            raise ValueError("block larger than the lattice")
-    return _submatrices(cov, region.sites())
-
-
 @dataclass(frozen=True)
 class SymplecticSpectrum:
     """Symplectic eigenvalues, sorted descending, clamped to >= 1."""
@@ -92,8 +60,12 @@ class SymplecticSpectrum:
     def __post_init__(self):
         self.values.flags.writeable = False
 
-    def __len__(self):
-        return len(self.values)
+    @classmethod
+    def from_values(cls, raw: np.ndarray) -> "SymplecticSpectrum":
+        """Sorted, clamped spectrum; refuses values below 1 beyond the slack."""
+        if np.min(raw) < 1.0 - UNCERTAINTY_SLACK:
+            raise ValueError(f"uncertainty violation: symplectic eigenvalue {np.min(raw):.12g} < 1")
+        return cls(values=np.sort(np.maximum(raw, 1.0))[::-1])
 
     def grouped(self, rel_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[float, int]]:
         """(value, multiplicity) with values merged at relative tolerance."""
@@ -104,12 +76,6 @@ class SymplecticSpectrum:
             else:
                 groups.append([v])
         return [(g[0], len(g)) for g in groups]
-
-
-def _spectrum_from_values(raw: np.ndarray) -> SymplecticSpectrum:
-    if np.min(raw) < 1.0 - UNCERTAINTY_SLACK:
-        raise ValueError(f"uncertainty violation: symplectic eigenvalue {np.min(raw):.12g} < 1")
-    return SymplecticSpectrum(values=np.sort(np.maximum(raw, 1.0))[::-1])
 
 
 def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
@@ -131,7 +97,7 @@ def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
     S = (U * np.sqrt(w)) @ U.T
     prod = 4.0 * S @ P_L @ S
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
-    return _spectrum_from_values(np.sqrt(np.clip(ev, 0.0, None)))
+    return SymplecticSpectrum.from_values(np.sqrt(np.clip(ev, 0.0, None)))
 
 
 def _entropy_terms(nu: np.ndarray) -> np.ndarray:
@@ -178,8 +144,8 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
     out = []
     for L in L_list:
         region = BlockRegion.centered(L, lattice_side)
-        QL, PL = _submatrices(cov, region.sites())
-        out.append((L, block_entropy(symplectic_spectrum(QL, PL), mode, pairing_tol)))
+        spectrum = symplectic_spectrum(*cov.block(region.sites()))
+        out.append((L, block_entropy(spectrum, mode, pairing_tol)))
     return out
 
 
@@ -216,7 +182,8 @@ def eof_symmetric(zeta: float) -> float:
 
 
 def two_site_params(cov, site_i, site_j, sym_rel_tol: float = 1e-6) -> TwoSiteParams:
-    """Entanglement parameters of the pair (site_i, site_j), given as (x, y).
+    """Entanglement parameters of the pair (site_i, site_j), given as (x, y),
+    which must be two different lattice sites.
 
     The pair must be symmetric: equal on-site moments within ``sym_rel_tol``
     (automatic for periodic/infinite engines).  If the q and p cross
@@ -224,9 +191,7 @@ def two_site_params(cov, site_i, site_j, sym_rel_tol: float = 1e-6) -> TwoSitePa
     form; c is recorded as 0 and the anomaly flagged, which keeps the
     separability verdict conservative.
     """
-    if tuple(site_i) == tuple(site_j):
-        raise ValueError("two-site parameters need two distinct sites")
-    (Q, P) = _submatrices(cov, [tuple(site_i), tuple(site_j)])
+    Q, P = cov.block([site_i, site_j])
     qii, qjj, qij = Q[0, 0], Q[1, 1], Q[0, 1]
     pii, pjj, pij = P[0, 0], P[1, 1], P[0, 1]
     for a, b, label in ((qii, qjj, "<q^2>"), ((pii), (pjj), "<p^2>")):

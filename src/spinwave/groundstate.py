@@ -12,8 +12,9 @@ and vanishing first moments.  Three interchangeable engines compute them:
 
 The periodic/infinite engines return correlations as a function of the
 displacement only (translation invariance); the dense engine returns the full
-matrices.  ``covariances_for`` is the one place that picks the engine for a
-lattice.
+matrices.  Either container answers ``block(sites)`` with the principal
+submatrices (Q_L, P_L) on a list of sites, and ``covariances_for`` is the one
+place that picks the engine for a lattice.
 """
 
 from __future__ import annotations
@@ -33,9 +34,16 @@ class CovariancePair:
 
     Q: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
-    engine: str
     spec: LatticeSpec
-    params: CouplingParams
+
+    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Principal submatrices (Q_L, P_L) on the sites (x, y): periodic
+        lattices wrap, open ones refuse sites off the lattice, and no lattice
+        site may be named twice."""
+        idx = [self.spec.site_index(x, y) for x, y in sites]
+        if len(set(idx)) < len(idx):
+            raise ValueError("block names one lattice site twice")
+        return self.Q[np.ix_(idx, idx)], self.P[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -51,18 +59,15 @@ class CorrelationTable:
     qq: np.ndarray = field(repr=False)
     pp: np.ndarray = field(repr=False)
     kind: str
-    engine: str
-    params: CouplingParams
-    side: int | None = None  # periodic tables only
 
     def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
         """Table indices of the displacements (dx, dy), integers or integer
         arrays of one shape: modulo M for periodic tables, (|dx|, |dy|) for
         infinite ones, which refuse displacements beyond their extent."""
-        if self.kind == "periodic":
-            return np.mod(dx, self.side), np.mod(dy, self.side)
-        dx, dy = np.abs(dx), np.abs(dy)
         extent = self.qq.shape[0]
+        if self.kind == "periodic":
+            return np.mod(dx, extent), np.mod(dy, extent)
+        dx, dy = np.abs(dx), np.abs(dy)
         outside = np.ravel((dx >= extent) | (dy >= extent))
         if outside.any():
             first = int(np.argmax(outside))
@@ -76,11 +81,16 @@ class CorrelationTable:
     def pp_at(self, dx: int, dy: int) -> float:
         return float(self.pp[self.displacement_index(dx, dy)])
 
-    @property
-    def max_displacement(self) -> int:
-        if self.kind == "periodic":
-            return self.side - 1
-        return self.qq.shape[0] - 1
+    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Principal submatrices (Q_L, P_L) on the sites (x, y), read from the
+        table by pairwise displacement; no lattice site may be named twice."""
+        xy = np.asarray(sites, dtype=int)
+        index = self.displacement_index(xy[:, None, 0] - xy[None, :, 0],
+                                        xy[:, None, 1] - xy[None, :, 1])
+        # only a site named twice puts displacement index (0, 0) off the diagonal
+        if np.count_nonzero(index[0] | index[1]) < len(xy) * (len(xy) - 1):
+            raise ValueError("block names one lattice site twice")
+        return self.qq[index], self.pp[index]
 
 
 def _guard_softness(vmin: float, on_site: float) -> None:
@@ -102,7 +112,7 @@ def covariance_dense(V: PotentialMatrix) -> CovariancePair:
     P = 0.5 * (P + P.T)
     Q.flags.writeable = False
     P.flags.writeable = False
-    return CovariancePair(Q=Q, P=P, engine="dense", spec=V.spec, params=V.params)
+    return CovariancePair(Q=Q, P=P, spec=V.spec)
 
 
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
@@ -120,8 +130,7 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     pp = 0.5 * np.real(np.fft.ifft2(v ** 0.5))
     qq.flags.writeable = False
     pp.flags.writeable = False
-    return CorrelationTable(qq=qq, pp=pp, kind="periodic", engine="fft",
-                            params=params, side=spec.side)
+    return CorrelationTable(qq=qq, pp=pp, kind="periodic")
 
 
 @dataclass(frozen=True)
@@ -228,8 +237,7 @@ def covariance_infinite(params: CouplingParams, displacements,
             qq, pp = cur
             qq.flags.writeable = False
             pp.flags.writeable = False
-            return CorrelationTable(qq=qq, pp=pp, kind="infinite", engine="infinite",
-                                    params=params)
+            return CorrelationTable(qq=qq, pp=pp, kind="infinite")
         prev = cur
     raise QuadratureConvergenceError(
         f"zone quadrature did not converge to {quad.rel_tol:g} within "
@@ -273,11 +281,7 @@ def excitation_density(params: CouplingParams, spec: LatticeSpec,
     Small values validate the low-excitation reduction.  Open lattices use
     the center site's moments (they vary with position there).
     """
-    cov = covariances_for(params, spec, quad=quad)
-    if isinstance(cov, CorrelationTable):
-        q2, p2 = cov.qq_at(0, 0), cov.pp_at(0, 0)
-    else:
-        c = spec.site_index(spec.side // 2, spec.side // 2)
-        q2, p2 = float(cov.Q[c, c]), float(cov.P[c, c])
-    n_exc = (params.omega * q2 + p2 / params.omega - 1.0) / 2.0
+    c = 0 if spec.infinite else spec.side // 2
+    Q, P = covariances_for(params, spec, quad=quad).block([(c, c)])
+    n_exc = (params.omega * float(Q[0, 0]) + float(P[0, 0]) / params.omega - 1.0) / 2.0
     return n_exc / params.n_atoms

@@ -8,7 +8,6 @@ the four diagonal neighbors with 2^(-3/2) g2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +57,6 @@ class CouplingParams:
     def coupling_scale(self) -> float:
         """N * omega, the prefactor of every off-diagonal potential entry."""
         return self.n_atoms * self.omega
-
-    @property
-    def omega_of_order_kappa_n(self) -> bool:
-        """Diagnostic: is omega within a decade of kappa*N?  The harmonic
-        reduction is derived in that regime; this is recorded, not enforced."""
-        ratio = self.omega / (self.kappa * self.n_atoms)
-        return 0.1 <= ratio <= 10.0
 
 
 @dataclass(frozen=True)
@@ -158,22 +150,6 @@ class PotentialMatrix:
     spec: LatticeSpec
     params: CouplingParams
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def triplets(self) -> list[tuple[int, int, float]]:
-        """Nonzero entries of the upper triangle (incl. diagonal) as (row, col, value)."""
-        rows, cols = np.nonzero(np.triu(self.matrix))
-        return [(int(r), int(c), float(self.matrix[r, c])) for r, c in zip(rows, cols)]
-
-    def write_triplets_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            for r, c, v in self.triplets():
-                writer.writerow([r, c, repr(v)])
-
 
 def build_potential(spec: LatticeSpec, params: CouplingParams) -> PotentialMatrix:
     """Assemble the dense potential matrix V.
@@ -193,24 +169,3 @@ def build_potential(spec: LatticeSpec, params: CouplingParams) -> PotentialMatri
         V[j, i] += params.coupling_scale * strength
     V.flags.writeable = False
     return PotentialMatrix(matrix=V, spec=spec, params=params)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    min_eigenvalue: float
-
-
-def stability_check(V: PotentialMatrix) -> StabilityReport:
-    """Stable iff the smallest eigenvalue of V is positive.
-
-    Periodic lattices use the exact circulant eigenvalues (the dispersion on
-    the discrete wavevector grid) instead of a dense eigensolve.
-    """
-    if V.spec.boundary == "periodic":
-        from .spectrum import dispersion_grid_min
-
-        min_eig = dispersion_grid_min(V.params, V.spec.side)
-    else:
-        min_eig = float(np.linalg.eigvalsh(V.matrix)[0])
-    return StabilityReport(stable=min_eig > 0.0, min_eigenvalue=min_eig)

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import SymplecticSpectrum, _spectrum_from_values, eof_symmetric
-from .model import StabilityError
+from .entanglement import SymplecticSpectrum, eof_symmetric, symplectic_spectrum
+from .groundstate import covariance_pbc_fft
+from .model import CouplingParams, LatticeSpec, StabilityError
+from .spectrum import dispersion_value
 
 MAX_HILBERT_DIM = 4096
 
@@ -35,16 +37,13 @@ class SpinSystemSpec:
     omega: float
     kappa: float
     g: float
-    n_sites: int = 2
     pair_coefficient: str = "full"
 
     def __post_init__(self):
-        if self.n_sites != 2:
-            raise ValueError("only the two-site system is supported")
         if self.pair_coefficient not in ("full", "half"):
             raise ValueError("pair_coefficient must be 'full' or 'half'")
-        if (self.n_atoms + 1) ** self.n_sites > MAX_HILBERT_DIM:
-            raise ValueError(f"Hilbert dimension {(self.n_atoms + 1) ** self.n_sites} "
+        if (self.n_atoms + 1) ** 2 > MAX_HILBERT_DIM:
+            raise ValueError(f"Hilbert dimension {(self.n_atoms + 1) ** 2} "
                              f"exceeds the dense bound {MAX_HILBERT_DIM}")
 
     @property
@@ -130,7 +129,7 @@ def symplectic_bruteforce(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectru
     gamma = 2.0 * np.block([[Q_L, zero], [zero, P_L]])
     J = np.block([[zero, np.eye(n)], [-np.eye(n), zero]])
     moduli = np.sort(np.abs(np.linalg.eigvals(1j * J @ gamma)))[::-1]
-    return _spectrum_from_values(moduli[::2])
+    return SymplecticSpectrum.from_values(moduli[::2])
 
 
 def eof_fock_series(squeezing: float, tail: float = 1e-18) -> float:
@@ -141,9 +140,9 @@ def eof_fock_series(squeezing: float, tail: float = 1e-18) -> float:
     Gaussian-machinery-free oracle for :func:`eof_symmetric` at
     zeta = exp(-2 r).
     """
-    if squeezing <= 0:
-        return 0.0
     t2 = np.tanh(squeezing) ** 2
+    if squeezing <= 0 or t2 == 0.0:  # tanh(r)^2 underflows below r ~ 1e-154
+        return 0.0
     nmax = max(10, int(np.ceil(np.log(tail) / np.log(t2))))
     p = (1.0 - t2) * t2 ** np.arange(nmax)
     p = p[p > 0]
@@ -152,11 +151,6 @@ def eof_fock_series(squeezing: float, tail: float = 1e-18) -> float:
 
 def validation_battery(seed: int = 20240831) -> dict:
     """Run the full cross-validation battery; returns a JSON-friendly report."""
-    from .groundstate import covariance_pbc_fft
-    from .entanglement import symplectic_spectrum
-    from .model import CouplingParams, LatticeSpec
-    from .spectrum import dispersion_value
-
     checks = []
 
     # (a) exact vs harmonic two-site gap, error shrinking with N
@@ -202,9 +196,7 @@ def validation_battery(seed: int = 20240831) -> dict:
         n_sub = int(rng.integers(2, 7))
         flat = rng.choice(M * M, size=n_sub, replace=False)
         sites = [(int(s % M), int(s // M)) for s in flat]
-        from .entanglement import _submatrices
-
-        Q, P = _submatrices(table, sites)
+        Q, P = table.block(sites)
         nu_main = symplectic_spectrum(Q, P).values
         nu_brute = symplectic_bruteforce(Q, P).values
         worst = max(worst, float(np.max(np.abs(nu_main - nu_brute))))

@@ -36,28 +36,10 @@ def dispersion_value(params: CouplingParams, kx, ky):
                            params.g1, params.g2, kx, ky)
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    kx: float
-    ky: float
-    v_k: float
-    omega_k: float | None  # defined only where v_k >= 0
-
-
-def dispersion(params: CouplingParams, kx: float, ky: float) -> DispersionPoint:
-    v = float(dispersion_value(params, kx, ky))
-    return DispersionPoint(kx=float(kx), ky=float(ky), v_k=v,
-                           omega_k=float(np.sqrt(v)) if v >= 0 else None)
-
-
 def dispersion_grid(params: CouplingParams, side: int) -> np.ndarray:
     """v(k) on the discrete wavevector grid k = 2 pi (m, n) / M of a periodic lattice."""
     k = 2.0 * np.pi * np.arange(side) / side
     return dispersion_value(params, k[:, None], k[None, :])
-
-
-def dispersion_grid_min(params: CouplingParams, side: int) -> float:
-    return float(np.min(dispersion_grid(params, side)))
 
 
 # v is bilinear in (cos kx, cos ky), so its minimum over the zone is a corner
@@ -82,7 +64,7 @@ def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
     if spec.infinite:
         vmin, _ = zone_minimum(params)
     elif spec.boundary == "periodic":
-        vmin = dispersion_grid_min(params, spec.side)
+        vmin = float(np.min(dispersion_grid(params, spec.side)))
     else:
         vmin = float(np.linalg.eigvalsh(build_potential(spec, params).matrix)[0])
     if vmin < 0:
@@ -118,8 +100,7 @@ class PhasePoint:
     min_wavevector: tuple[float, float]
 
 
-def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10,
-                        bracket: tuple[float, float] | None = None) -> float:
+def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10) -> float:
     """g2 closing the gap, by bisection on the corner values of v(k).
 
     The gap only ever closes at (pi, pi) or (0, pi), and the minimum of v
@@ -128,11 +109,14 @@ def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10,
     strictly decreasing in g2, so the root is unique.  Where g1 alone
     already closes the gap (g1 above the pure-horizontal critical value) the
     boundary continues at negative g2, marking the closing of the same
-    corner mode.  Tolerance is absolute in units of kappa.
+    corner mode.  Tolerance is absolute in units of kappa.  Per 2 N omega the
+    corners are a -+ g1 - (1 -+ 2^(-1/2)) g2 with a = (omega/N + 4 kappa)/2 > 0,
+    so the root lies in (-g1 / (1 - 2^(-1/2)), a + g1), inside the bracket.
     """
     if g1 < 0:
         raise ValueError("g1 must be >= 0")
-    lo, hi = bracket if bracket is not None else (-10.0 * params.kappa, 10.0 * params.kappa)
+    lo = -10.0 * params.kappa - 4.0 * g1
+    hi = 10.0 * params.kappa + params.omega / params.n_atoms + g1
 
     def corner_min(g2):
         return min(float(_dispersion_raw(params.omega, params.kappa, params.n_atoms,

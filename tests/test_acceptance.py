@@ -102,9 +102,9 @@ def test_acceptance_04_purity_and_uncertainty(paper_params):
         purity_dev = float(np.max(np.abs(full.values - 1.0)))
         block_ok = True
         for L in range(1, 7):
-            from spinwave import BlockRegion, reduce_block
+            from spinwave import BlockRegion
 
-            QL, PL = reduce_block(table, BlockRegion.centered(L, 12))
+            QL, PL = table.block(BlockRegion.centered(L, 12).sites())
             nu = symplectic_spectrum(QL, PL)  # construction enforces nu >= 1 - 1e-9
             block_ok &= bool(np.all(nu.values >= 1.0 - 1e-9))
         ok = purity_dev < 1e-9 and block_ok

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinwave import ConfigError, RunConfig, config_digest, parse_config, serialize_config
 from spinwave.cli import main
@@ -53,6 +54,46 @@ def test_round_trip_identity():
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
     assert parse_config(serialize_config(RunConfig())) == RunConfig()
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+INCREASING = st.lists(st.integers(1, 500), min_size=1, max_size=6, unique=True).map(
+    lambda v: tuple(sorted(v)))
+PATHS = st.text(alphabet="abcxyz019._/-", min_size=1, max_size=12)
+
+
+@st.composite
+def run_configs(draw):
+    """Every field drawn from its valid range, consistent across fields."""
+    infinite = draw(st.booleans())
+    boundary = draw(st.sampled_from(["periodic", "open"]))
+    engines = ["auto", "infinite"]
+    if not infinite:
+        engines += ["dense"] + (["fft"] if boundary == "periodic" else [])
+    g_min = draw(NON_NEGATIVE)
+    phase_g1_min = draw(NON_NEGATIVE)
+    return RunConfig(
+        omega=draw(POSITIVE), kappa=draw(POSITIVE), n_atoms=draw(st.integers(1, 10 ** 6)),
+        g1=draw(NON_NEGATIVE), g2=draw(NON_NEGATIVE),
+        side=draw(st.integers(3 if boundary == "periodic" else 2, 1000)), boundary=boundary,
+        infinite=infinite, engine=draw(st.sampled_from(engines)),
+        entropy_mode=draw(st.sampled_from(["degenerate_once", "count_all"])),
+        pairing_tol=draw(POSITIVE), block_sizes=draw(INCREASING), g_min=g_min,
+        g_max=draw(st.just("auto") | st.floats(min_value=g_min, allow_infinity=False)),
+        g_samples=draw(st.integers(1, 10 ** 4)), derivative_step=draw(POSITIVE),
+        m_list=draw(INCREASING), phase_g1_min=phase_g1_min,
+        phase_g1_max=draw(st.floats(min_value=phase_g1_min, allow_infinity=False)),
+        phase_g1_samples=draw(st.integers(1, 10 ** 4)),
+        max_displacement=draw(st.integers(0, 100)), quad_base=draw(st.integers(16, 4096)),
+        quad_rel_tol=draw(POSITIVE), quad_max_doublings=draw(st.integers(1, 20)),
+        output=draw(PATHS), out_dir=draw(PATHS), format=draw(st.sampled_from(["csv", "json"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_round_trip_generated_configs(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_digest_tracks_content():
@@ -220,3 +261,44 @@ def test_cli_scans_record_failures_in_row(tmp_path, capsys):
         rows = capsys.readouterr().out.strip().splitlines()[2:]
         assert len(rows) == 3
         assert rows[0].endswith(",") and ",nan," in rows[2] and "critical" in rows[2]
+
+
+@pytest.mark.parametrize("subcommand, text, key", [
+    ("finite-size", "m_list = 4,6\n", "m_list"),
+    ("reproduce-fig3", "m_list = 2,5\n", "m_list"),
+    ("entropy-scan", "side = 8\nblock_sizes = 2,9\n", "block_sizes"),
+    ("reproduce-fig2", "block_sizes = 2,81\n", "block_sizes"),
+])
+def test_cli_lattice_size_keys_are_config_errors(tmp_path, capsys, subcommand, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([subcommand, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{key}'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_block_sizes_checked_only_where_used(tmp_path, capsys):
+    # default block_sizes reach 20; a side-12 lattice still serves two-site
+    cfg = tmp_path / "side12.cfg"
+    cfg.write_text("side = 12\ng_samples = 1\n")
+    assert main(["two-site", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2 + 3
+
+
+def test_cli_derivative_scan_asymmetric_pair_in_row(tmp_path, capsys):
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text("side = 14\nboundary = open\ng_min = 1.7\ng_max = 1.73\ng_samples = 2\n")
+    assert main(["derivative-scan", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    assert len(rows) == 2 and all(",nan,nan,asymmetric pair" in row for row in rows)
+
+
+@pytest.mark.parametrize("text", ["phase_g1_max = 100\n", "n_atoms = 10\n"])
+def test_cli_phase_diagram_bracket_holds_root(tmp_path, capsys, text):
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(text + "phase_g1_samples = 4\n")
+    assert main(["phase-diagram", "--config", str(cfg)]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert len(rows) == 4
+    assert all(abs(float(closed) - float(numeric)) < 1e-6 for _, closed, numeric, _ in rows)

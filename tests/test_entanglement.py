@@ -5,9 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, LatticeSpec,
                       SymplecticSpectrum, block_entropy, build_potential, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, entropy_vs_L, eof_fock_series,
-                      eof_symmetric, reduce_block, symplectic_spectrum, two_site_params,
-                      zone_minimum)
-from spinwave.entanglement import _submatrices
+                      eof_symmetric, symplectic_spectrum, two_site_params, zone_minimum)
 
 from conftest import full_matrices, params_at
 
@@ -19,24 +17,24 @@ def spectrum_of(values):
 def test_reduce_block_whole_and_single(paper_params):
     spec = LatticeSpec.periodic(4)
     cov = covariance_dense(build_potential(spec, paper_params))
-    Q, P = reduce_block(cov, BlockRegion(0, 0, 4))
+    Q, P = cov.block(BlockRegion(0, 0, 4).sites())
     assert np.allclose(Q, cov.Q) and np.allclose(P, cov.P)
-    q1, p1 = reduce_block(cov, BlockRegion(1, 2, 1))
+    q1, p1 = cov.block(BlockRegion(1, 2, 1).sites())
     assert q1.shape == (1, 1)
     assert q1[0, 0] == pytest.approx(cov.Q[spec.site_index(1, 2), spec.site_index(1, 2)])
 
 
 def test_reduce_block_decoupled_diagonal():
     cov = covariance_dense(build_potential(LatticeSpec.open_boundary(4), params_at(0.0)))
-    Q, P = reduce_block(cov, BlockRegion(1, 1, 2))
+    Q, P = cov.block(BlockRegion(1, 1, 2).sites())
     assert np.allclose(Q, np.eye(4) / 3000.0, rtol=1e-13)
     assert np.allclose(P, 750.0 * np.eye(4), rtol=1e-13)
 
 
 def test_reduce_block_periodic_wrap_translation_invariant(paper_params):
     table = covariance_pbc_fft(LatticeSpec.periodic(5), paper_params)
-    centered = reduce_block(table, BlockRegion(1, 1, 3))
-    wrapped = reduce_block(table, BlockRegion(4, 4, 3))  # crosses the boundary
+    centered = table.block(BlockRegion(1, 1, 3).sites())
+    wrapped = table.block(BlockRegion(4, 4, 3).sites())  # crosses the boundary
     e1 = block_entropy(symplectic_spectrum(*centered), "count_all")
     e2 = block_entropy(symplectic_spectrum(*wrapped), "count_all")
     assert e1 == pytest.approx(e2, abs=1e-12)
@@ -44,8 +42,8 @@ def test_reduce_block_periodic_wrap_translation_invariant(paper_params):
 
 def test_block_larger_than_lattice_rejected(paper_params):
     table = covariance_pbc_fft(LatticeSpec.periodic(4), paper_params)
-    with pytest.raises(ValueError, match="larger"):
-        reduce_block(table, BlockRegion(0, 0, 5))
+    with pytest.raises(ValueError, match="twice"):
+        table.block(BlockRegion(0, 0, 5).sites())
 
 
 def test_whole_system_spectrum_is_ones(paper_params):
@@ -59,7 +57,7 @@ def test_single_site_values(paper_params):
     nu0 = symplectic_spectrum(np.array([[1.0 / 3000.0]]), np.array([[750.0]]))
     assert nu0.values[0] == pytest.approx(1.0, abs=1e-14)
     table = covariance_pbc_fft(LatticeSpec.periodic(8), paper_params)
-    Q, P = reduce_block(table, BlockRegion(0, 0, 1))
+    Q, P = table.block(BlockRegion(0, 0, 1).sites())
     assert symplectic_spectrum(Q, P).values[0] > 1.0
 
 
@@ -121,7 +119,7 @@ def test_complement_duality_small(paper_params):
 
 def test_entropy_permutation_invariant(paper_params):
     table = covariance_pbc_fft(LatticeSpec.periodic(6), paper_params)
-    Q, P = reduce_block(table, BlockRegion(0, 0, 2))
+    Q, P = table.block(BlockRegion(0, 0, 2).sites())
     perm = [2, 0, 3, 1]
     e1 = block_entropy(symplectic_spectrum(Q, P), "count_all")
     e2 = block_entropy(symplectic_spectrum(Q[np.ix_(perm, perm)], P[np.ix_(perm, perm)]),
@@ -157,8 +155,15 @@ def test_two_site_decoupled_boundary():
 
 def test_two_site_identical_sites_rejected(paper_params):
     table = covariance_pbc_fft(LatticeSpec.periodic(8), paper_params)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="twice"):
         two_site_params(table, (1, 1), (1, 1))
+    # (4, 0) wraps onto (0, 0) on a 4 x 4 torus: one site, not a pair
+    small = covariance_pbc_fft(LatticeSpec.periodic(4), paper_params)
+    with pytest.raises(ValueError, match="twice"):
+        two_site_params(small, (0, 0), (4, 0))
+    dense = covariance_dense(build_potential(LatticeSpec.periodic(4), paper_params))
+    with pytest.raises(ValueError, match="twice"):
+        two_site_params(dense, (0, 0), (4, 0))
 
 
 def test_zeta1_decreasing_below_minimum():
@@ -247,11 +252,11 @@ def test_block_region_centered():
 
 
 @st.composite
-def periodic_case(draw):
-    """Stable couplings, a side 3..9 and distinct sites, some outside [0, M)."""
+def periodic_case(draw, max_side=9):
+    """Stable couplings, a side 3..max_side and distinct sites, some outside [0, M)."""
     p = params_at(draw(st.floats(0.0, 2.0)), g2=draw(st.floats(0.0, 2.0)))
     assume(zone_minimum(p)[0] > 1e-3 * p.on_site)
-    M = draw(st.integers(3, 9))
+    M = draw(st.integers(3, max_side))
     cells = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)),
                           min_size=1, max_size=M * M, unique=True))
     wraps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
@@ -265,7 +270,7 @@ def periodic_case(draw):
 def test_table_blocks_match_dense_submatrices(case):
     p, M, sites = case
     spec = LatticeSpec.periodic(M)
-    QL, PL = _submatrices(covariance_pbc_fft(spec, p), sites)
+    QL, PL = covariance_pbc_fft(spec, p).block(sites)
     cov = covariance_dense(build_potential(spec, p))
     idx = [spec.site_index(x, y) for x, y in sites]
     assert np.max(np.abs(QL - cov.Q[np.ix_(idx, idx)])) <= 1e-10
@@ -279,16 +284,55 @@ def test_table_blocks_match_dense_submatrices(case):
 def test_infinite_table_blocks_match_lookups(extent, seed, sites):
     rng = np.random.default_rng(seed)
     table = CorrelationTable(qq=rng.standard_normal((extent, extent)),
-                             pp=rng.standard_normal((extent, extent)),
-                             kind="infinite", engine="infinite", params=params_at(1.0))
+                             pp=rng.standard_normal((extent, extent)), kind="infinite")
     reach = max(max(abs(xa - xb), abs(ya - yb)) for xa, ya in sites for xb, yb in sites)
     if reach >= extent:
         with pytest.raises(ValueError, match="not in table"):
-            _submatrices(table, sites)
+            table.block(sites)
         return
-    QL, PL = _submatrices(table, sites)
+    QL, PL = table.block(sites)
     for a, (xa, ya) in enumerate(sites):
         for b, (xb, yb) in enumerate(sites):
             dx, dy = abs(xa - xb), abs(ya - yb)
             assert QL[a, b] == table.qq_at(xa - xb, ya - yb) == table.qq[dx, dy]
             assert PL[a, b] == table.pp_at(xa - xb, ya - yb) == table.pp[dx, dy]
+
+
+@settings(max_examples=30, deadline=None)
+@given(periodic_case(max_side=6))
+def test_whole_lattice_block_is_pure(case):
+    p, M, _ = case
+    table = covariance_pbc_fft(LatticeSpec.periodic(M), p)
+    nu = symplectic_spectrum(*table.block([(x, y) for y in range(M) for x in range(M)]))
+    assert np.max(np.abs(nu.values - 1.0)) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(periodic_case(max_side=6))
+def test_block_and_complement_share_entropy(case):
+    p, M, sites = case
+    inside = {(x % M, y % M) for x, y in sites}
+    rest = [(x, y) for y in range(M) for x in range(M) if (x, y) not in inside]
+    assume(rest)
+    table = covariance_pbc_fft(LatticeSpec.periodic(M), p)
+    e_in = block_entropy(symplectic_spectrum(*table.block(sites)), "count_all")
+    e_out = block_entropy(symplectic_spectrum(*table.block(rest)), "count_all")
+    assert e_in == pytest.approx(e_out, abs=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(periodic_case(max_side=6), st.integers(0, 99), st.integers(-2, 2), st.integers(-2, 2))
+def test_block_refuses_a_site_named_twice(case, pick, wx, wy):
+    p, M, sites = case
+    x, y = sites[pick % len(sites)]
+    named_twice = sites + [(x + M * wx, y + M * wy)]
+    spec = LatticeSpec.periodic(M)
+    for cov in (covariance_pbc_fft(spec, p), covariance_dense(build_potential(spec, p))):
+        with pytest.raises(ValueError, match="twice"):
+            cov.block(named_twice)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 3.0, exclude_min=True))
+def test_eof_closed_form_matches_fock_series(r):
+    assert eof_symmetric(float(np.exp(-2 * r))) == pytest.approx(eof_fock_series(r), abs=1e-10)

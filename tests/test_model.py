@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinwave import (CouplingParams, LatticeSpec, build_potential, neighbor_couplings,
-                      stability_check, critical_g_equal)
+from spinwave import (CouplingParams, LatticeSpec, StabilityError, build_potential,
+                      critical_g_equal, energy_gap, neighbor_couplings)
 
 from conftest import params_at
 
@@ -121,27 +121,13 @@ def test_row_sparsity(paper_params):
 
 
 def test_stability_check_reports():
-    report = stability_check(build_potential(LatticeSpec.periodic(6), params_at(0.0)))
-    assert report.stable and report.min_eigenvalue == pytest.approx(2.25e6, rel=1e-14)
+    # energy_gap is the stability check: sqrt of the smallest eigenvalue of V,
+    # refused with StabilityError once that eigenvalue is negative
+    assert energy_gap(params_at(0.0), LatticeSpec.periodic(6)) == pytest.approx(1500.0, rel=1e-14)
     gc = critical_g_equal(params_at(0.0))
-    assert stability_check(build_potential(LatticeSpec.periodic(40), params_at(0.999 * gc))).stable
-    hot = stability_check(build_potential(LatticeSpec.periodic(40), params_at(1.01 * gc)))
-    assert not hot.stable and hot.min_eigenvalue < 0
-
-
-def test_triplets_reconstruct(paper_params, tmp_path):
-    spec = LatticeSpec.open_boundary(3)
-    V = build_potential(spec, paper_params)
-    rebuilt = np.zeros((9, 9))
-    for r, c, val in V.triplets():
-        rebuilt[r, c] = val
-        rebuilt[c, r] = val
-    assert np.array_equal(rebuilt, V.matrix)
-    out = tmp_path / "triplets.csv"
-    V.write_triplets_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) == 1 + len(V.triplets())
+    assert energy_gap(params_at(0.999 * gc), LatticeSpec.periodic(40)) > 0
+    with pytest.raises(StabilityError, match="beyond critical"):
+        energy_gap(params_at(1.01 * gc), LatticeSpec.periodic(40))
 
 
 def test_param_validation():
@@ -154,9 +140,3 @@ def test_param_validation():
     for bad in ({"g1": float("nan")}, {"g2": float("inf")}, {"omega": float("inf")}):
         with pytest.raises(ValueError, match="finite"):
             CouplingParams(**{"omega": 1.0, "n_atoms": 10, "g1": 0.0, "g2": 0.0, **bad})
-
-
-def test_regime_diagnostic():
-    assert params_at(1.0).omega_of_order_kappa_n  # omega = 500, kappa N = 1000
-    small = CouplingParams(omega=1.0, kappa=1.0, n_atoms=1000, g1=0.0, g2=0.0)
-    assert not small.omega_of_order_kappa_n

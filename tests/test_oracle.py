@@ -3,7 +3,7 @@ import pytest
 
 from spinwave import (LatticeSpec, SpinSystemSpec, StabilityError, covariance_pbc_fft,
                       eof_fock_series, exact_two_site, harmonic_two_site_prediction,
-                      reduce_block, symplectic_bruteforce, symplectic_spectrum,
+                      symplectic_bruteforce, symplectic_spectrum,
                       validation_battery, BlockRegion)
 from spinwave.oracle import angular_momentum_ops
 
@@ -99,7 +99,7 @@ def test_bruteforce_vacuum_and_pure_system(paper_params):
 
 def test_bruteforce_matches_congruence_route(paper_params):
     table = covariance_pbc_fft(LatticeSpec.periodic(5), paper_params)
-    Q, P = reduce_block(table, BlockRegion(1, 1, 2))
+    Q, P = table.block(BlockRegion(1, 1, 2).sites())
     main = symplectic_spectrum(Q, P).values
     brute = symplectic_bruteforce(Q, P).values
     assert np.max(np.abs(main - brute)) < 1e-9

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinwave import (CouplingParams, LatticeSpec, StabilityError, critical_g2,
-                      critical_g2_numeric, critical_g_equal, dispersion, dispersion_value,
+                      critical_g2_numeric, critical_g_equal, dispersion_value,
                       energy_gap, gap_scaling_exponent, phase_boundary_cases, zone_minimum)
 
 from conftest import params_at
@@ -21,18 +21,18 @@ def test_dispersion_decoupled_flat():
     rng = np.random.default_rng(0)
     p = params_at(0.0)
     for kx, ky in rng.uniform(-np.pi, np.pi, size=(20, 2)):
-        assert dispersion(p, kx, ky).v_k == pytest.approx(ON_SITE, rel=1e-15)
+        assert dispersion_value(p, kx, ky) == pytest.approx(ON_SITE, rel=1e-15)
 
 
 def test_dispersion_vanishes_at_critical_corner():
     gc = critical_g_equal(params_at(0.0))
-    v = dispersion(params_at(gc), np.pi, np.pi).v_k
+    v = dispersion_value(params_at(gc), np.pi, np.pi)
     assert abs(v) < 1e-6 * ON_SITE
 
 
 def test_dispersion_gap_identity_value():
     # v(pi,pi) at g = 1.5 equals omega N (4 - sqrt2)(g_c - g) = 7.5e5 (sqrt2 - 1)
-    v = dispersion(params_at(1.5), np.pi, np.pi).v_k
+    v = dispersion_value(params_at(1.5), np.pi, np.pi)
     assert v == pytest.approx(7.5e5 * (SQRT2 - 1.0), rel=1e-12)
 
 
@@ -127,8 +127,13 @@ def test_critical_g2_selects_consistent_case():
 
 def test_closed_form_matches_bisection_on_grid():
     p = params_at(0.0)
-    for g1 in np.linspace(0.0, 3.0, 7):
+    for g1 in [*np.linspace(0.0, 3.0, 7), 100.0]:
         point = critical_g2(p, float(g1))
+        assert abs(point.g2_closed_form - point.g2_numeric) < 1e-6
+    # omega / N = 50 puts the g1 = 0 root near 15.8 kappa
+    wide = params_at(0.0, omega=500.0, n_atoms=10)
+    for g1 in (0.0, 3.0, 100.0):
+        point = critical_g2(wide, g1)
         assert abs(point.g2_closed_form - point.g2_numeric) < 1e-6
 
 

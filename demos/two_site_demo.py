@@ -19,7 +19,7 @@ def params(g):
 gc = critical_g_equal(params(0.0))
 print(f"{'g':>6} {'zeta_nn':>10} {'zeta_diag':>10} {'zeta_(2,0)':>10}")
 for g in (1.25, 1.4, 1.5, 1.6, 1.7, 1.73):
-    table = covariance_infinite(params(g), [(i, j) for i in range(3) for j in range(3)])
+    table = covariance_infinite(params(g), 2)
     nn = two_site_params(table, (0, 0), (1, 0))
     diag = two_site_params(table, (0, 0), (1, 1))
     far = two_site_params(table, (0, 0), (2, 0))

@@ -9,8 +9,7 @@ their area-law scaling, and two-site entanglement with its critical
 behavior.
 """
 
-from .model import (CouplingParams, LatticeSpec, PotentialMatrix, StabilityError,
-                    build_potential, neighbor_couplings)
+from .model import CouplingParams, LatticeSpec, StabilityError, build_potential
 from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numeric,
                        critical_g_equal, dispersion_value, energy_gap, gap_scaling_exponent,
                        phase_boundary_cases, zone_minimum)
@@ -31,8 +30,7 @@ from .config import ConfigError, RunConfig, config_digest, parse_config, seriali
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingParams", "LatticeSpec", "PotentialMatrix", "StabilityError", "build_potential",
-    "neighbor_couplings",
+    "CouplingParams", "LatticeSpec", "StabilityError", "build_potential",
     "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric", "critical_g_equal",
     "dispersion_value", "energy_gap", "gap_scaling_exponent", "phase_boundary_cases",
     "zone_minimum",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,6 @@ from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
 from .scan import derivative_zeta, finite_size_peak
 from .spectrum import critical_g2, critical_g_equal, energy_gap
-
-SUBCOMMANDS = ("phase-diagram", "gap-scan", "covariance", "entropy-scan", "two-site",
-               "derivative-scan", "finite-size", "oracle-check",
-               "reproduce-fig2", "reproduce-fig3")
 
 PAPER_OMEGA = 500.0
 PAPER_N_ATOMS = 1000
@@ -79,17 +75,9 @@ def _cell(value) -> str:
     return text
 
 
-def _config_as_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
 def _render(cfg: RunConfig, columns, rows) -> str:
     if cfg.format == "json":
-        doc = {"config": _config_as_dict(cfg), "columns": list(columns),
+        doc = {"config": asdict(cfg), "columns": list(columns),
                "rows": [list(r) for r in rows]}
         return json.dumps(doc, indent=1) + "\n"
     lines = [f"# config sha256:{config_digest(cfg)}", ",".join(columns)]
@@ -97,13 +85,15 @@ def _render(cfg: RunConfig, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(cfg: RunConfig, columns, rows, path=None) -> None:
-    text = _render(cfg, columns, rows)
-    target = cfg.output if path is None else path
+def _emit(text: str, target) -> None:
     if target == "-":
         sys.stdout.write(text)
     else:
         Path(target).write_text(text)
+
+
+def _write(cfg: RunConfig, columns, rows, path=None) -> None:
+    _emit(_render(cfg, columns, rows), cfg.output if path is None else path)
 
 
 def _artifact_path(cfg: RunConfig, stem: str) -> Path:
@@ -185,17 +175,16 @@ def cmd_two_site(cfg: RunConfig) -> int:
     if not lattice.infinite and lattice.boundary == "open" and lattice.side < 5:
         raise ConfigError("two-site on an open lattice needs side >= 5: "
                           "the pairs reach two sites right of the center")
+    if not lattice.infinite and lattice.boundary == "periodic" and lattice.side < 4:
+        raise ConfigError("two-site on a periodic lattice needs 'side' >= 4: below that "
+                          "the distance-2 pair wraps onto a nearest neighbor")
     rows = []
     for g in _g_grid(cfg):
         try:
             cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, cfg.engine, 2, _quad(cfg))
-            if lattice.infinite:
-                anchor = (0, 0)
-            else:
-                c = lattice.side // 2
-                anchor = (c, c)
+            x, y = lattice.center
             for label, (dx, dy) in _PAIR_CLASSES:
-                two = two_site_params(cov, anchor, (anchor[0] + dx, anchor[1] + dy))
+                two = two_site_params(cov, (x, y), (x + dx, y + dy))
                 rows.append([g, label, two.n, two.c, two.zeta, two.eof, two.separable, None])
         except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
             for label, _ in _PAIR_CLASSES:
@@ -207,10 +196,18 @@ def cmd_two_site(cfg: RunConfig) -> int:
 _DERIVATIVE_COLUMNS = ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"]
 
 
+def _stencil_grid(cfg: RunConfig) -> list[float]:
+    # the derivative stencil reaches g - derivative_step, which must stay a coupling
+    if cfg.derivative_step > cfg.g_min:
+        raise ConfigError(f"'derivative_step' {cfg.derivative_step!r} exceeds 'g_min' "
+                          f"{cfg.g_min!r}: the stencil would reach a negative coupling")
+    return _g_grid(cfg)
+
+
 def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
     params, quad = _params(cfg), _quad(cfg)
     rows = []
-    for g in _g_grid(cfg):
+    for g in _stencil_grid(cfg):
         try:
             est = derivative_zeta(params, lattice, g, h=cfg.derivative_step, quad=quad)
             rows.append([g, est.raw, est.richardson, None])
@@ -228,7 +225,7 @@ def cmd_finite_size(cfg: RunConfig) -> int:
     if any(M < 5 or M % 2 == 0 for M in cfg.m_list):
         raise ConfigError(f"'m_list' entries must be odd and >= 5, got "
                           f"{','.join(map(str, cfg.m_list))}")
-    peaks = finite_size_peak(_params(cfg), cfg.m_list, _g_grid(cfg), h=cfg.derivative_step)
+    peaks = finite_size_peak(_params(cfg), cfg.m_list, _stencil_grid(cfg), h=cfg.derivative_step)
     rows = [[p.side, p.peak_abs_derivative, p.g_at_peak] for p in peaks]
     _write(cfg, ["M", "peak_abs_derivative", "g_at_peak"], rows)
     return 0
@@ -236,11 +233,7 @@ def cmd_finite_size(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     report = validation_battery()
-    text = json.dumps(report, indent=1) + "\n"
-    if cfg.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(cfg.output).write_text(text)
+    _emit(json.dumps(report, indent=1) + "\n", cfg.output)
     return 0 if report["all_passed"] else 1
 
 
@@ -299,17 +292,11 @@ _HANDLERS = {
 }
 
 
-def dispatch(subcommand: str, cfg: RunConfig) -> int:
-    if subcommand not in _HANDLERS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-    return _HANDLERS[subcommand](cfg)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinwave",
         description="Entanglement structure of a 2D harmonic lattice of coupled oscillators")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(_HANDLERS))
     parser.add_argument("--config", help="path to a 'key = value' config file")
     parser.add_argument("--output", help="output path for single-table commands ('-' = stdout)")
     parser.add_argument("--out-dir", help="directory for multi-file recipes")
@@ -331,11 +318,8 @@ def main(argv=None) -> int:
             overrides["format"] = args.format
         if overrides:
             cfg = replace(cfg, **overrides)
-        return dispatch(args.subcommand, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        return _HANDLERS[args.subcommand](cfg)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (StabilityError, QuadratureConvergenceError) as exc:

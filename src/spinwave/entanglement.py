@@ -27,6 +27,8 @@ from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
 DEFAULT_PAIRING_TOL = 1e-8
+# relative agreement required of the on-site moments of a two-site pair
+PAIR_SYMMETRY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -181,11 +183,11 @@ def eof_symmetric(zeta: float) -> float:
     return float(val)
 
 
-def two_site_params(cov, site_i, site_j, sym_rel_tol: float = 1e-6) -> TwoSiteParams:
+def two_site_params(cov, site_i, site_j) -> TwoSiteParams:
     """Entanglement parameters of the pair (site_i, site_j), given as (x, y),
     which must be two different lattice sites.
 
-    The pair must be symmetric: equal on-site moments within ``sym_rel_tol``
+    The pair must be symmetric: equal on-site moments within PAIR_SYMMETRY_TOL
     (automatic for periodic/infinite engines).  If the q and p cross
     correlations share a sign, the state is outside the symmetric normal
     form; c is recorded as 0 and the anomaly flagged, which keeps the
@@ -195,9 +197,9 @@ def two_site_params(cov, site_i, site_j, sym_rel_tol: float = 1e-6) -> TwoSitePa
     qii, qjj, qij = Q[0, 0], Q[1, 1], Q[0, 1]
     pii, pjj, pij = P[0, 0], P[1, 1], P[0, 1]
     for a, b, label in ((qii, qjj, "<q^2>"), ((pii), (pjj), "<p^2>")):
-        if abs(a - b) > sym_rel_tol * max(abs(a), abs(b)):
+        if abs(a - b) > PAIR_SYMMETRY_TOL * max(abs(a), abs(b)):
             raise AsymmetricPairError(
-                f"asymmetric pair: on-site {label} differ by more than {sym_rel_tol:g} "
+                f"asymmetric pair: on-site {label} differ by more than {PAIR_SYMMETRY_TOL:g} "
                 "(relative); center the pair in the lattice")
     n = 2.0 * (qii * pii * qjj * pjj) ** 0.25
     prod = qij * pij

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (CRITICAL_GUARD, CouplingParams, LatticeSpec, PotentialMatrix, StabilityError,
-                    build_potential)
+from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, StabilityError, build_potential
 from .spectrum import dispersion_grid, dispersion_value, zone_minimum
 
 
@@ -102,17 +101,17 @@ def _guard_softness(vmin: float, on_site: float) -> None:
             f"{vmin / on_site:.3g}); matrix square roots are unreliable here")
 
 
-def covariance_dense(V: PotentialMatrix) -> CovariancePair:
+def covariance_dense(spec: LatticeSpec, params: CouplingParams) -> CovariancePair:
     """Q = V^(-1/2)/2 and P = V^(1/2)/2 by symmetric eigendecomposition."""
-    w, U = np.linalg.eigh(V.matrix)
-    _guard_softness(float(w[0]), V.params.on_site)
+    w, U = np.linalg.eigh(build_potential(spec, params))
+    _guard_softness(float(w[0]), params.on_site)
     Q = (U * (w ** -0.5)) @ U.T / 2.0
     P = (U * (w ** 0.5)) @ U.T / 2.0
     Q = 0.5 * (Q + Q.T)
     P = 0.5 * (P + P.T)
     Q.flags.writeable = False
     P.flags.writeable = False
-    return CovariancePair(Q=Q, P=P, spec=V.spec)
+    return CovariancePair(Q=Q, P=P, spec=spec)
 
 
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
@@ -203,19 +202,17 @@ def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray,
     return qq / (2.0 * n * n), pp / (2.0 * n * n)
 
 
-def covariance_infinite(params: CouplingParams, displacements,
+def covariance_infinite(params: CouplingParams, dmax: int,
                         quad: QuadratureSpec | None = None) -> CorrelationTable:
     """Infinite-lattice correlations by zone quadrature:
 
         <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k
 
-    ``displacements`` is an iterable of (dx, dy); the returned table covers
-    the full quadrant up to the largest requested component.
+    The returned table covers the quadrant 0 <= |dx|, |dy| <= ``dmax``.
     """
+    if dmax < 0:
+        raise ValueError(f"dmax must be >= 0, got {dmax}")
     quad = quad or QuadratureSpec()
-    dmax = 0
-    for dx, dy in displacements:
-        dmax = max(dmax, abs(int(dx)), abs(int(dy)))
     vmin, _ = zone_minimum(params)
     _guard_softness(vmin, params.on_site)
 
@@ -266,12 +263,10 @@ def covariances_for(params: CouplingParams, spec: LatticeSpec, engine: str | Non
     """
     engine = resolve_engine(spec, engine)
     if engine == "dense":
-        if spec.infinite:
-            raise ValueError("dense engine needs a finite lattice")
-        return covariance_dense(build_potential(spec, params))
+        return covariance_dense(spec, params)
     if engine == "fft":
         return covariance_pbc_fft(spec, params)
-    return covariance_infinite(params, [(max_displacement, max_displacement)], quad=quad)
+    return covariance_infinite(params, max_displacement, quad=quad)
 
 
 def excitation_density(params: CouplingParams, spec: LatticeSpec,
@@ -281,7 +276,6 @@ def excitation_density(params: CouplingParams, spec: LatticeSpec,
     Small values validate the low-excitation reduction.  Open lattices use
     the center site's moments (they vary with position there).
     """
-    c = 0 if spec.infinite else spec.side // 2
-    Q, P = covariances_for(params, spec, quad=quad).block([(c, c)])
+    Q, P = covariances_for(params, spec, quad=quad).block([spec.center])
     n_exc = (params.omega * float(Q[0, 0]) + float(P[0, 0]) / params.omega - 1.0) / 2.0
     return n_exc / params.n_atoms

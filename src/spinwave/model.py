@@ -8,7 +8,7 @@ the four diagonal neighbors with 2^(-3/2) g2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,10 +100,10 @@ class LatticeSpec:
         return cls(side=None, boundary="periodic", infinite=True)
 
     @property
-    def n_sites(self) -> int:
-        if self.infinite:
-            raise ValueError("infinite lattice has no site count")
-        return self.side * self.side
+    def center(self) -> tuple[int, int]:
+        """Anchor site of single-site and pair quantities: the origin of the
+        infinite lattice, (M // 2, M // 2) on a finite one."""
+        return (0, 0) if self.infinite else (self.side // 2, self.side // 2)
 
     def site_index(self, x: int, y: int) -> int:
         M = self.side
@@ -114,45 +114,8 @@ class LatticeSpec:
         return y * M + x
 
 
-# Positive-direction offsets generate each unordered pair exactly once.
-_OFFSETS = ((1, 0, "g1"), (0, 1, "g2"), (1, 1, "diag"), (1, -1, "diag"))
-
-
-def neighbor_couplings(spec: LatticeSpec, params: CouplingParams) -> list[tuple[int, int, float]]:
-    """Enumerate interacting site pairs as (i, j, strength) with i < j.
-
-    Horizontal neighbors carry g1, vertical g2 and diagonal 2^(-3/2) g2;
-    periodic wrapping applies iff the boundary is periodic.
-    """
-    if spec.infinite:
-        raise ValueError("neighbor enumeration requires a finite lattice")
-    strengths = {"g1": params.g1, "g2": params.g2, "diag": DIAGONAL_FACTOR * params.g2}
-    M = spec.side
-    pairs = []
-    for y in range(M):
-        for x in range(M):
-            i = spec.site_index(x, y)
-            for dx, dy, kind in _OFFSETS:
-                x2, y2 = x + dx, y + dy
-                if spec.boundary == "open" and not (0 <= x2 < M and 0 <= y2 < M):
-                    continue
-                j = spec.site_index(x2, y2)
-                a, b = (i, j) if i < j else (j, i)
-                pairs.append((a, b, strengths[kind]))
-    return pairs
-
-
-@dataclass(frozen=True)
-class PotentialMatrix:
-    """Symmetric M^2 x M^2 potential of the quadratic form, with provenance."""
-
-    matrix: np.ndarray = field(repr=False)
-    spec: LatticeSpec
-    params: CouplingParams
-
-
-def build_potential(spec: LatticeSpec, params: CouplingParams) -> PotentialMatrix:
-    """Assemble the dense potential matrix V.
+def build_potential(spec: LatticeSpec, params: CouplingParams) -> np.ndarray:
+    """Assemble the dense, read-only potential matrix V.
 
     V_ii = omega (omega + 4 kappa N); V_ij = N omega g^(ij) for interacting
     pairs.  The pair convention is fixed so that the quadratic form
@@ -161,11 +124,21 @@ def build_potential(spec: LatticeSpec, params: CouplingParams) -> PotentialMatri
     """
     if spec.infinite:
         raise ValueError("infinite lattice has no finite potential matrix; use the dispersion")
-    n = spec.n_sites
-    V = np.zeros((n, n))
+    M = spec.side
+    # The positive-direction offsets (1, 0), (0, 1), (1, 1), (1, -1) reach
+    # every unordered neighbor pair exactly once (side >= 3 if periodic).
+    dx = np.array([[1], [0], [1], [1]])
+    dy = np.array([[0], [1], [1], [-1]])
+    diagonal = DIAGONAL_FACTOR * params.g2
+    strength = params.coupling_scale * np.array([[params.g1], [params.g2], [diagonal], [diagonal]])
+    site = np.arange(M * M)
+    y, x = np.divmod(site, M)
+    x2, y2 = x + dx, y + dy
+    keep = (spec.boundary == "periodic") | ((0 <= x2) & (x2 < M) & (0 <= y2) & (y2 < M))
+    i = np.broadcast_to(site, keep.shape)[keep]
+    j = ((y2 % M) * M + x2 % M)[keep]
+    V = np.zeros((M * M, M * M))
     np.fill_diagonal(V, params.on_site)
-    for i, j, strength in neighbor_couplings(spec, params):
-        V[i, j] += params.coupling_scale * strength
-        V[j, i] += params.coupling_scale * strength
+    V[i, j] = V[j, i] = np.broadcast_to(strength, keep.shape)[keep]
     V.flags.writeable = False
-    return PotentialMatrix(matrix=V, spec=spec, params=params)
+    return V

@@ -19,15 +19,6 @@ def _at_coupling(params: CouplingParams, g: float) -> CouplingParams:
     return replace(params, g1=g, g2=g)
 
 
-def _center_pair(spec: LatticeSpec) -> tuple[tuple[int, int], tuple[int, int]]:
-    # Horizontally adjacent pair at the lattice center; for periodic and
-    # infinite lattices any pair is equivalent by translation invariance.
-    if spec.infinite:
-        return (0, 0), (1, 0)
-    c = spec.side // 2
-    return (c, c), (c + 1, c)
-
-
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -52,8 +43,10 @@ def area_law_fit(curve) -> FitResult:
 
 def _zeta1(params: CouplingParams, spec: LatticeSpec, quad: QuadratureSpec) -> float:
     cov = covariances_for(params, spec, max_displacement=1, quad=quad)
-    site_i, site_j = _center_pair(spec)
-    return two_site_params(cov, site_i, site_j).zeta
+    # the horizontally adjacent pair at the lattice center; for periodic and
+    # infinite lattices any pair is equivalent by translation invariance
+    x, y = spec.center
+    return two_site_params(cov, (x, y), (x + 1, y)).zeta
 
 
 @dataclass(frozen=True)

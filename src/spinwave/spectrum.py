@@ -20,6 +20,8 @@ import numpy as np
 from .model import DIAGONAL_FACTOR, CouplingParams, LatticeSpec, StabilityError, build_potential
 
 SQRT2 = np.sqrt(2.0)
+# absolute bisection tolerance of the numerical phase boundary, in units of kappa
+BISECTION_TOL = 1e-10
 
 
 def _dispersion_raw(omega, kappa, n_atoms, g1, g2, kx, ky):
@@ -66,7 +68,7 @@ def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
     elif spec.boundary == "periodic":
         vmin = float(np.min(dispersion_grid(params, spec.side)))
     else:
-        vmin = float(np.linalg.eigvalsh(build_potential(spec, params).matrix)[0])
+        vmin = float(np.linalg.eigvalsh(build_potential(spec, params))[0])
     if vmin < 0:
         raise StabilityError(f"instability: beyond critical coupling (min v = {vmin:.6g})")
     return float(np.sqrt(vmin))
@@ -100,7 +102,7 @@ class PhasePoint:
     min_wavevector: tuple[float, float]
 
 
-def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10) -> float:
+def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
     """g2 closing the gap, by bisection on the corner values of v(k).
 
     The gap only ever closes at (pi, pi) or (0, pi), and the minimum of v
@@ -109,7 +111,7 @@ def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10) -
     strictly decreasing in g2, so the root is unique.  Where g1 alone
     already closes the gap (g1 above the pure-horizontal critical value) the
     boundary continues at negative g2, marking the closing of the same
-    corner mode.  Tolerance is absolute in units of kappa.  Per 2 N omega the
+    corner mode.  The root is bisected to BISECTION_TOL.  Per 2 N omega the
     corners are a -+ g1 - (1 -+ 2^(-1/2)) g2 with a = (omega/N + 4 kappa)/2 > 0,
     so the root lies in (-g1 / (1 - 2^(-1/2)), a + g1), inside the bracket.
     """
@@ -125,7 +127,7 @@ def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10) -
 
     if corner_min(lo) <= 0 or corner_min(hi) > 0:
         raise ValueError(f"bracket [{lo}, {hi}] does not straddle the boundary")
-    while hi - lo > tol * params.kappa:
+    while hi - lo > BISECTION_TOL * params.kappa:
         mid = 0.5 * (lo + hi)
         if corner_min(mid) > 0:
             lo = mid
@@ -134,7 +136,7 @@ def critical_g2_numeric(params: CouplingParams, g1: float, tol: float = 1e-10) -
     return 0.5 * (lo + hi)
 
 
-def critical_g2(params: CouplingParams, g1: float, numeric_tol: float = 1e-10) -> PhasePoint:
+def critical_g2(params: CouplingParams, g1: float) -> PhasePoint:
     """Phase boundary point above a given g1: closed form, branch and the
     independently bisected numerical root."""
     if g1 < 0:
@@ -148,7 +150,7 @@ def critical_g2(params: CouplingParams, g1: float, numeric_tol: float = 1e-10) -
         g2c, branch, kmin = above, "above", (0.0, np.pi)
     else:
         g2c, branch, kmin = degenerate, "degenerate", (np.pi, np.pi)
-    numeric = critical_g2_numeric(params, g1, tol=numeric_tol)
+    numeric = critical_g2_numeric(params, g1)
     return PhasePoint(g1=float(g1), g2_closed_form=float(g2c), g2_numeric=float(numeric),
                       branch=branch, min_wavevector=kmin)
 

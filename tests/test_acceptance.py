@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from spinwave import (CouplingParams, LatticeSpec, QuadratureSpec, area_law_fit,
-                      block_entropy, build_potential, covariance_dense,
+                      block_entropy, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, critical_g2,
                       critical_g_equal, derivative_zeta, dispersion_value, entropy_vs_L,
                       excitation_density, finite_size_peak, gap_scaling_exponent,
@@ -114,7 +114,7 @@ def test_acceptance_04_purity_and_uncertainty(paper_params):
 def test_acceptance_05_complement_duality():
     with budget(5, 30.0):
         spec = LatticeSpec.open_boundary(8)
-        cov = covariance_dense(build_potential(spec, params_at(1.2)))
+        cov = covariance_dense(spec, params_at(1.2))
         from spinwave import BlockRegion
 
         inside = BlockRegion.centered(3, 8).sites()
@@ -137,13 +137,13 @@ def test_acceptance_06_engine_equivalence():
         for M in (4, 5, 6, 8):
             for g in (0.5, 1.25, 1.7):
                 spec = LatticeSpec.periodic(M)
-                cov = covariance_dense(build_potential(spec, params_at(g)))
+                cov = covariance_dense(spec, params_at(g))
                 Qf, Pf = full_matrices(covariance_pbc_fft(spec, params_at(g)), M)
                 worst_dense_fft = max(worst_dense_fft,
                                       float(np.max(np.abs(cov.Q - Qf))),
                                       float(np.max(np.abs(cov.P - Pf))))
         p = params_at(1.25)
-        inf = covariance_infinite(p, [(i, j) for i in range(4) for j in range(4)])
+        inf = covariance_infinite(p, 3)
         fft = covariance_pbc_fft(LatticeSpec.periodic(160), p)
         worst_rel = 0.0
         for dx in range(4):
@@ -194,8 +194,7 @@ def test_acceptance_07_area_law():
 
 
 def _zeta_classes(g, quad=None):
-    table = covariance_infinite(params_at(g), [(i, j) for i in range(3) for j in range(3)],
-                                quad=quad)
+    table = covariance_infinite(params_at(g), 2, quad=quad)
     return (two_site_params(table, (0, 0), (1, 0)),
             two_site_params(table, (0, 0), (1, 1)),
             two_site_params(table, (0, 0), (2, 0)))

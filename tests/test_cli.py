@@ -263,11 +263,21 @@ def test_cli_scans_record_failures_in_row(tmp_path, capsys):
         assert rows[0].endswith(",") and ",nan," in rows[2] and "critical" in rows[2]
 
 
+# the stencil point g_min - derivative_step would be a negative coupling
+STEP_BEYOND_G_MIN = ("side = 8\ng_min = 0.1\ng_max = 0.1\ng_samples = 1\n"
+                     "derivative_step = 0.5\nm_list = 5\n")
+
+
 @pytest.mark.parametrize("subcommand, text, key", [
     ("finite-size", "m_list = 4,6\n", "m_list"),
     ("reproduce-fig3", "m_list = 2,5\n", "m_list"),
     ("entropy-scan", "side = 8\nblock_sizes = 2,9\n", "block_sizes"),
     ("reproduce-fig2", "block_sizes = 2,81\n", "block_sizes"),
+    # the distance-2 pair of a periodic side-3 lattice wraps onto a nearest neighbor
+    ("two-site", "side = 3\ng_samples = 1\n", "side"),
+    ("derivative-scan", STEP_BEYOND_G_MIN, "derivative_step"),
+    ("finite-size", STEP_BEYOND_G_MIN, "derivative_step"),
+    ("reproduce-fig3", STEP_BEYOND_G_MIN, "derivative_step"),
 ])
 def test_cli_lattice_size_keys_are_config_errors(tmp_path, capsys, subcommand, text, key):
     cfg = tmp_path / "bad.cfg"

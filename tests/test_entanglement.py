@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, LatticeSpec,
-                      SymplecticSpectrum, block_entropy, build_potential, covariance_dense,
+                      SymplecticSpectrum, block_entropy, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, entropy_vs_L, eof_fock_series,
                       eof_symmetric, symplectic_spectrum, two_site_params, zone_minimum)
 
@@ -16,7 +16,7 @@ def spectrum_of(values):
 
 def test_reduce_block_whole_and_single(paper_params):
     spec = LatticeSpec.periodic(4)
-    cov = covariance_dense(build_potential(spec, paper_params))
+    cov = covariance_dense(spec, paper_params)
     Q, P = cov.block(BlockRegion(0, 0, 4).sites())
     assert np.allclose(Q, cov.Q) and np.allclose(P, cov.P)
     q1, p1 = cov.block(BlockRegion(1, 2, 1).sites())
@@ -25,7 +25,7 @@ def test_reduce_block_whole_and_single(paper_params):
 
 
 def test_reduce_block_decoupled_diagonal():
-    cov = covariance_dense(build_potential(LatticeSpec.open_boundary(4), params_at(0.0)))
+    cov = covariance_dense(LatticeSpec.open_boundary(4), params_at(0.0))
     Q, P = cov.block(BlockRegion(1, 1, 2).sites())
     assert np.allclose(Q, np.eye(4) / 3000.0, rtol=1e-13)
     assert np.allclose(P, 750.0 * np.eye(4), rtol=1e-13)
@@ -106,7 +106,7 @@ def test_entropy_vs_L_validation(paper_params):
 def test_complement_duality_small(paper_params):
     # pure global state: block and complement share every nu > 1
     spec = LatticeSpec.open_boundary(6)
-    cov = covariance_dense(build_potential(spec, params_at(1.2)))
+    cov = covariance_dense(spec, params_at(1.2))
     inside = BlockRegion(2, 2, 2).sites()
     idx_in = [spec.site_index(x, y) for x, y in inside]
     idx_out = [k for k in range(36) if k not in idx_in]
@@ -132,7 +132,7 @@ def test_row_decoupled_additivity():
     # chains, so an L x L block carries L times the entropy of a 1 x L strip
     spec = LatticeSpec.periodic(5)
     p = params_at(0.8, g2=0.0)
-    cov = covariance_dense(build_potential(spec, p))
+    cov = covariance_dense(spec, p)
     for L in (2, 3):
         a = (5 - L) // 2
         block = [spec.site_index(a + i, a + j) for j in range(L) for i in range(L)]
@@ -161,7 +161,7 @@ def test_two_site_identical_sites_rejected(paper_params):
     small = covariance_pbc_fft(LatticeSpec.periodic(4), paper_params)
     with pytest.raises(ValueError, match="twice"):
         two_site_params(small, (0, 0), (4, 0))
-    dense = covariance_dense(build_potential(LatticeSpec.periodic(4), paper_params))
+    dense = covariance_dense(LatticeSpec.periodic(4), paper_params)
     with pytest.raises(ValueError, match="twice"):
         two_site_params(dense, (0, 0), (4, 0))
 
@@ -170,22 +170,20 @@ def test_zeta1_decreasing_below_minimum():
     # monotone decrease holds up to the interior minimum near g = 1.715
     zetas = []
     for g in (1.25, 1.4, 1.5, 1.6, 1.7):
-        table = covariance_infinite(params_at(g), [(0, 0), (1, 0)])
+        table = covariance_infinite(params_at(g), 1)
         zetas.append(two_site_params(table, (0, 0), (1, 0)).zeta)
     assert np.all(np.diff(zetas) < 0)
 
 
 def test_zeta1_reference_value(paper_params):
     # frozen cross-engine value at g = 1.5 (dense, fft and quadrature agree)
-    table = covariance_infinite(paper_params, [(0, 0), (1, 0)])
+    table = covariance_infinite(paper_params, 1)
     z = two_site_params(table, (0, 0), (1, 0)).zeta
     assert z == pytest.approx(0.877856520756, abs=1e-9)
 
 
 def test_separability_of_longer_pairs(paper_params):
-    dmax = 2
-    table = covariance_infinite(paper_params,
-                                [(i, j) for i in range(dmax + 1) for j in range(dmax + 1)])
+    table = covariance_infinite(paper_params, 2)
     nn = two_site_params(table, (0, 0), (1, 0))
     diag = two_site_params(table, (0, 0), (1, 1))
     far = two_site_params(table, (0, 0), (2, 0))
@@ -198,7 +196,7 @@ def test_separability_of_longer_pairs(paper_params):
 
 
 def test_two_site_asymmetric_open_pair_rejected():
-    cov = covariance_dense(build_potential(LatticeSpec.open_boundary(6), params_at(1.2)))
+    cov = covariance_dense(LatticeSpec.open_boundary(6), params_at(1.2))
     with pytest.raises(AsymmetricPairError, match="center"):
         two_site_params(cov, (0, 0), (1, 0))
     assert issubclass(AsymmetricPairError, ValueError)
@@ -206,14 +204,14 @@ def test_two_site_asymmetric_open_pair_rejected():
 
 def test_zeta1_finite_to_infinite_convergence(paper_params):
     # at g = 1.5 finite-size corrections are below machine precision by M = 20
-    ref = two_site_params(covariance_infinite(paper_params, [(0, 0), (1, 0)]),
+    ref = two_site_params(covariance_infinite(paper_params, 1),
                           (0, 0), (1, 0)).zeta
     for M in (20, 40, 80):
         table = covariance_pbc_fft(LatticeSpec.periodic(M), paper_params)
         assert abs(two_site_params(table, (0, 0), (1, 0)).zeta - ref) < 1e-9
     # closer to criticality the convergence trend is visible
     p = params_at(1.72)
-    ref = two_site_params(covariance_infinite(p, [(0, 0), (1, 0)]), (0, 0), (1, 0)).zeta
+    ref = two_site_params(covariance_infinite(p, 1), (0, 0), (1, 0)).zeta
     diffs = [abs(two_site_params(covariance_pbc_fft(LatticeSpec.periodic(M), p),
                                  (0, 0), (1, 0)).zeta - ref)
              for M in (10, 20, 40)]
@@ -271,7 +269,7 @@ def test_table_blocks_match_dense_submatrices(case):
     p, M, sites = case
     spec = LatticeSpec.periodic(M)
     QL, PL = covariance_pbc_fft(spec, p).block(sites)
-    cov = covariance_dense(build_potential(spec, p))
+    cov = covariance_dense(spec, p)
     idx = [spec.site_index(x, y) for x, y in sites]
     assert np.max(np.abs(QL - cov.Q[np.ix_(idx, idx)])) <= 1e-10
     assert np.max(np.abs(PL - cov.P[np.ix_(idx, idx)])) <= 1e-10
@@ -327,7 +325,7 @@ def test_block_refuses_a_site_named_twice(case, pick, wx, wy):
     x, y = sites[pick % len(sites)]
     named_twice = sites + [(x + M * wx, y + M * wy)]
     spec = LatticeSpec.periodic(M)
-    for cov in (covariance_pbc_fft(spec, p), covariance_dense(build_potential(spec, p))):
+    for cov in (covariance_pbc_fft(spec, p), covariance_dense(spec, p)):
         with pytest.raises(ValueError, match="twice"):
             cov.block(named_twice)
 

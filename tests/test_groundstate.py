@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinwave import (LatticeSpec, QuadratureConvergenceError, QuadratureSpec,
-                      StabilityError, build_potential, covariance_dense,
+                      StabilityError, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, critical_g_equal,
                       dispersion_value, excitation_density)
 from spinwave.groundstate import _zone_tables
@@ -11,20 +11,20 @@ from conftest import full_matrices, params_at
 
 
 def test_dense_decoupled_closed_form():
-    cov = covariance_dense(build_potential(LatticeSpec.open_boundary(3), params_at(0.0)))
+    cov = covariance_dense(LatticeSpec.open_boundary(3), params_at(0.0))
     assert np.allclose(cov.Q, np.eye(9) / 3000.0, rtol=1e-13, atol=0)
     assert np.allclose(cov.P, 750.0 * np.eye(9), rtol=1e-13, atol=0)
 
 
 def test_dense_purity_identity():
-    cov = covariance_dense(build_potential(LatticeSpec.periodic(4), params_at(1.25)))
+    cov = covariance_dense(LatticeSpec.periodic(4), params_at(1.25))
     eigs = np.linalg.eigvals(4.0 * cov.Q @ cov.P)
     assert np.max(np.abs(eigs - 1.0)) < 1e-10
 
 
 def test_dense_matches_fft_periodic(paper_params):
     spec = LatticeSpec.periodic(6)
-    cov = covariance_dense(build_potential(spec, paper_params))
+    cov = covariance_dense(spec, paper_params)
     table = covariance_pbc_fft(spec, paper_params)
     Qf, Pf = full_matrices(table, 6)
     assert np.max(np.abs(cov.Q - Qf)) < 1e-10
@@ -33,7 +33,7 @@ def test_dense_matches_fft_periodic(paper_params):
 
 def test_fft_onsite_equals_dense_diagonal(paper_params):
     spec = LatticeSpec.periodic(6)
-    cov = covariance_dense(build_potential(spec, paper_params))
+    cov = covariance_dense(spec, paper_params)
     table = covariance_pbc_fft(spec, paper_params)
     assert table.qq_at(0, 0) == pytest.approx(cov.Q[0, 0], rel=1e-12)
     assert table.pp_at(0, 0) == pytest.approx(cov.P[0, 0], rel=1e-12)
@@ -57,7 +57,7 @@ def test_fft_sum_rule(paper_params):
 
 def test_infinite_matches_fft_at_large_m():
     p = params_at(1.25)
-    table_inf = covariance_infinite(p, [(i, j) for i in range(4) for j in range(4)])
+    table_inf = covariance_infinite(p, 3)
     table_fft = covariance_pbc_fft(LatticeSpec.periodic(160), p)
     for dx in range(4):
         for dy in range(4):
@@ -85,14 +85,14 @@ def test_zone_tables_match_full_grid_sum(n, g1, g2):
 
 
 def test_infinite_decoupled_closed_form():
-    table = covariance_infinite(params_at(0.0), [(0, 0), (1, 0)])
+    table = covariance_infinite(params_at(0.0), 1)
     assert table.qq_at(0, 0) == pytest.approx(1.0 / 3000.0, rel=1e-12)
     assert abs(table.qq_at(1, 0)) < 1e-18
 
 
 def test_infinite_near_critical_converges_at_default_tol():
     gc = critical_g_equal(params_at(0.0))
-    table = covariance_infinite(params_at(gc * (1.0 - 1e-4)), [(0, 0), (1, 0)])
+    table = covariance_infinite(params_at(gc * (1.0 - 1e-4)), 1)
     assert table.qq_at(0, 0) == pytest.approx(5.257723859600e-4, rel=1e-9)
 
 
@@ -100,7 +100,7 @@ def test_infinite_nonconvergence_error_carries_estimates():
     gc = critical_g_equal(params_at(0.0))
     quad = QuadratureSpec(base_points=64, rel_tol=1e-10, max_doublings=3)
     with pytest.raises(QuadratureConvergenceError) as err:
-        covariance_infinite(params_at(gc * (1.0 - 1e-9)), [(0, 0)], quad=quad)
+        covariance_infinite(params_at(gc * (1.0 - 1e-9)), 0, quad=quad)
     assert err.value.last[0].shape == (1, 1)
     assert err.value.previous[0].shape == (1, 1)
 
@@ -108,7 +108,7 @@ def test_infinite_nonconvergence_error_carries_estimates():
 def test_near_critical_guard_refuses():
     gc = critical_g_equal(params_at(0.0))
     with pytest.raises(StabilityError, match="criticality"):
-        covariance_infinite(params_at(gc * (1.0 - 1e-13)), [(0, 0)])
+        covariance_infinite(params_at(gc * (1.0 - 1e-13)), 0)
 
 
 def test_beyond_critical_raises_everywhere():
@@ -117,9 +117,9 @@ def test_beyond_critical_raises_everywhere():
     with pytest.raises(StabilityError):
         covariance_pbc_fft(LatticeSpec.periodic(40), hot)
     with pytest.raises(StabilityError):
-        covariance_dense(build_potential(LatticeSpec.periodic(40), hot))
+        covariance_dense(LatticeSpec.periodic(40), hot)
     with pytest.raises(StabilityError):
-        covariance_infinite(hot, [(0, 0)])
+        covariance_infinite(hot, 0)
 
 
 def test_engine_agreement_grid():
@@ -128,7 +128,7 @@ def test_engine_agreement_grid():
         for g in (0.5, 1.25, 1.7):
             spec = LatticeSpec.periodic(M)
             p = params_at(g)
-            cov = covariance_dense(build_potential(spec, p))
+            cov = covariance_dense(spec, p)
             Qf, Pf = full_matrices(covariance_pbc_fft(spec, p), M)
             worst = max(worst, float(np.max(np.abs(cov.Q - Qf))),
                         float(np.max(np.abs(cov.P - Pf))))
@@ -140,7 +140,7 @@ def test_positivity_cholesky():
     for _ in range(10):
         g1, g2 = rng.uniform(0.0, 1.2, size=2)
         p = params_at(float(g1), g2=float(g2))
-        cov = covariance_dense(build_potential(LatticeSpec.periodic(4), p))
+        cov = covariance_dense(LatticeSpec.periodic(4), p)
         np.linalg.cholesky(cov.Q)
         np.linalg.cholesky(cov.P)
 
@@ -154,7 +154,7 @@ def test_pure_state_via_fft_table(paper_params):
 def test_nearest_correlation_grows_toward_critical():
     vals = []
     for g in (0.5, 1.0, 1.4, 1.7):
-        table = covariance_infinite(params_at(g), [(1, 0)])
+        table = covariance_infinite(params_at(g), 1)
         vals.append(abs(table.qq_at(1, 0)))
     assert np.all(np.diff(vals) > 0)
 
@@ -162,21 +162,26 @@ def test_nearest_correlation_grows_toward_critical():
 def test_finite_size_error_shrinks_with_m():
     # at g = 1.72 the correlation length is a few sites, so halving is visible
     p = params_at(1.72)
-    ref = covariance_infinite(p, [(1, 0)]).qq_at(1, 0)
+    ref = covariance_infinite(p, 1).qq_at(1, 0)
     diffs = [abs(covariance_pbc_fft(LatticeSpec.periodic(M), p).qq_at(1, 0) - ref)
              for M in (10, 20, 40)]
     assert diffs[1] < 0.5 * diffs[0]
     assert diffs[2] < 0.5 * diffs[1]
     # at g = 1.25 the correlation length is under a site: M = 40 is converged
     p = params_at(1.25)
-    ref = covariance_infinite(p, [(1, 0)]).qq_at(1, 0)
+    ref = covariance_infinite(p, 1).qq_at(1, 0)
     assert abs(covariance_pbc_fft(LatticeSpec.periodic(40), p).qq_at(1, 0) - ref) < 1e-12
 
 
 def test_table_missing_displacement_named():
-    table = covariance_infinite(params_at(1.0), [(i, j) for i in range(3) for j in range(3)])
+    table = covariance_infinite(params_at(1.0), 2)
     with pytest.raises(ValueError, match=r"\(5, 0\)"):
         table.qq_at(5, 0)
+
+
+def test_infinite_refuses_negative_extent():
+    with pytest.raises(ValueError, match="dmax"):
+        covariance_infinite(params_at(1.0), -1)
 
 
 def test_excitation_density_values(paper_params):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinwave import (CouplingParams, LatticeSpec, StabilityError, build_potential,
-                      critical_g_equal, energy_gap, neighbor_couplings)
+                      critical_g_equal, energy_gap)
 
 from conftest import params_at
 
@@ -30,29 +30,50 @@ def brute_force_pairs(M, periodic):
     return pairs
 
 
+def potential_from_pairs(M, periodic, p):
+    """V assembled from the brute-force pair list, entry by entry."""
+    strength = {"h": p.g1, "v": p.g2, "d": DIAG * p.g2}
+    V = p.on_site * np.eye(M * M)
+    for (a, b), kind in brute_force_pairs(M, periodic).items():
+        V[a, b] = V[b, a] = p.coupling_scale * strength[kind]
+    return V
+
+
+@pytest.mark.parametrize("side, periodic",
+                         [(M, False) for M in range(2, 7)] + [(M, True) for M in range(3, 7)])
+def test_potential_matches_brute_force(side, periodic):
+    spec = LatticeSpec(side=side, boundary="periodic" if periodic else "open")
+    for p in (params_at(1.0), params_at(0.7, g2=1.3), params_at(1.6, g2=0.0)):
+        assert np.array_equal(build_potential(spec, p), potential_from_pairs(side, periodic, p))
+
+
+def coupled_pairs(spec):
+    return np.count_nonzero(np.triu(build_potential(spec, params_at(1.0)), 1))
+
+
 def test_pair_count_2x2_open():
-    pairs = neighbor_couplings(LatticeSpec.open_boundary(2), params_at(1.0))
-    assert len(pairs) == 6
-    strengths = sorted(s for _, _, s in pairs)
-    assert strengths == sorted([1.0, 1.0, 1.0, 1.0, DIAG, DIAG])
+    assert coupled_pairs(LatticeSpec.open_boundary(2)) == 6
 
 
 def test_pair_count_3x3_periodic_matches_brute_force():
-    spec = LatticeSpec.periodic(3)
-    got = neighbor_couplings(spec, params_at(1.0))
-    assert len(got) == 36  # 9 sites * 8 neighbors / 2
-    expected = brute_force_pairs(3, periodic=True)
-    assert {(i, j) for i, j, _ in got} == set(expected)
-    kind_strength = {"h": 1.0, "v": 1.0, "d": DIAG}
-    for i, j, s in got:
-        assert s == pytest.approx(kind_strength[expected[(i, j)]])
+    assert coupled_pairs(LatticeSpec.periodic(3)) == 36  # 9 sites * 8 neighbors / 2
+    assert len(brute_force_pairs(3, periodic=True)) == 36
 
 
 def test_pair_count_3x3_open():
-    got = neighbor_couplings(LatticeSpec.open_boundary(3), params_at(1.0))
-    assert len(got) == 20  # 12 horizontal+vertical, 8 diagonal
-    expected = brute_force_pairs(3, periodic=False)
-    assert {(i, j) for i, j, _ in got} == set(expected)
+    assert coupled_pairs(LatticeSpec.open_boundary(3)) == 20  # 12 horizontal+vertical, 8 diagonal
+
+
+def test_lattice_center():
+    assert LatticeSpec.infinite_lattice().center == (0, 0)
+    assert LatticeSpec.periodic(8).center == (4, 4)
+    assert LatticeSpec.open_boundary(9).center == (4, 4)
+    assert LatticeSpec.open_boundary(2).center == (1, 1)
+
+
+def test_potential_refuses_infinite_lattice():
+    with pytest.raises(ValueError, match="infinite lattice"):
+        build_potential(LatticeSpec.infinite_lattice(), params_at(1.0))
 
 
 def test_periodic_side_two_rejected():
@@ -62,14 +83,14 @@ def test_periodic_side_two_rejected():
 
 def test_potential_decoupled_is_scaled_identity():
     V = build_potential(LatticeSpec.open_boundary(3), params_at(0.0))
-    assert np.array_equal(V.matrix, 2.25e6 * np.eye(9))
+    assert np.array_equal(V, 2.25e6 * np.eye(9))
 
 
 def test_potential_entry_values():
     # g2 = 1: vertical entry N omega g2 = 5e5, diagonal 5e5 * 2^(-3/2)
     p = CouplingParams(omega=500.0, kappa=1.0, n_atoms=1000, g1=0.0, g2=1.0)
     spec = LatticeSpec.open_boundary(3)
-    V = build_potential(spec, p).matrix
+    V = build_potential(spec, p)
     vert = V[spec.site_index(0, 0), spec.site_index(0, 1)]
     diag = V[spec.site_index(0, 0), spec.site_index(1, 1)]
     assert vert == pytest.approx(5.0e5, rel=1e-15)
@@ -80,20 +101,21 @@ def test_potential_entry_values():
 def test_potential_positive_definite_below_critical():
     gc = critical_g_equal(params_at(0.0))
     V = build_potential(LatticeSpec.open_boundary(4), params_at(0.99 * gc))
-    assert np.linalg.eigvalsh(V.matrix)[0] > 0
+    assert np.linalg.eigvalsh(V)[0] > 0
 
 
 def test_potential_symmetric_and_deterministic(paper_params):
     spec = LatticeSpec.periodic(5)
-    V1 = build_potential(spec, paper_params).matrix
-    V2 = build_potential(spec, paper_params).matrix
+    V1 = build_potential(spec, paper_params)
+    V2 = build_potential(spec, paper_params)
     assert np.array_equal(V1, V1.T)
     assert np.array_equal(V1, V2)
+    assert not V1.flags.writeable
 
 
 def test_translation_invariance_periodic(paper_params):
     spec = LatticeSpec.periodic(5)
-    V = build_potential(spec, paper_params).matrix
+    V = build_potential(spec, paper_params)
     # entries depend only on the displacement mod M
     by_displacement = {}
     M = 5
@@ -106,16 +128,16 @@ def test_translation_invariance_periodic(paper_params):
 
 def test_reflection_invariance(paper_params):
     spec = LatticeSpec.periodic(4)
-    V = build_potential(spec, paper_params).matrix
+    V = build_potential(spec, paper_params)
     perm = [spec.site_index(3 - (i % 4), i // 4) for i in range(16)]
     assert np.array_equal(V[np.ix_(perm, perm)], V)
 
 
 def test_row_sparsity(paper_params):
-    V = build_potential(LatticeSpec.periodic(5), paper_params).matrix
+    V = build_potential(LatticeSpec.periodic(5), paper_params)
     off_diag_counts = (V != 0).sum(axis=1) - 1
     assert np.all(off_diag_counts == 8)
-    V_open = build_potential(LatticeSpec.open_boundary(5), paper_params).matrix
+    V_open = build_potential(LatticeSpec.open_boundary(5), paper_params)
     counts_open = (V_open != 0).sum(axis=1) - 1
     assert counts_open.max() == 8 and counts_open.min() == 3  # corners
 

@@ -29,12 +29,11 @@ for g in (1.25, 1.5):
     print(f"  linear fit: E = {fit.slope:.4f} L + {fit.intercept:+.4f}, "
           f"max residual {fit.max_rel_residual:.2%}\n")
 
-# eleven-digit approach to the critical point: the cone in v^(-1/2) limits
-# uniform quadrature grids, so run at the achievable tolerance
+# eleven-digit approach to the critical point, at the default quadrature
+# tolerance
 near = gc * (1 - 1e-11)
-quad = QuadratureSpec(rel_tol=5e-3)
 curve = entropy_vs_L(params(near), LatticeSpec.infinite_lattice(), Ls,
-                     mode="count_all", quad=quad)
+                     mode="count_all", quad=QuadratureSpec())
 fit = area_law_fit(curve)
 print(f"g = g_c (1 - 1e-11), infinite lattice:")
 for L, E in curve:

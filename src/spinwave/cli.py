@@ -27,12 +27,6 @@ from .spectrum import critical_g2, critical_g_equal, energy_gap
 
 PAPER_OMEGA = 500.0
 PAPER_N_ATOMS = 1000
-# The conical kink in v^(-1/2) limits uniform grids very close to g_c: the
-# per-entry doubling error decays only like the grid spacing there, reaching
-# ~3e-3 at n = 16384 for displacements up to (19, 19).  The figure recipes
-# run their near-critical curve at this achievable tolerance; block
-# entropies move by < 1e-4 relative between the last two grid levels.
-NEAR_CRITICAL_QUAD_TOL = 5e-3
 NEAR_CRITICAL_OFFSET = 1e-11
 
 
@@ -253,12 +247,9 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
     columns = ["L", "entropy_bits", "mode", "engine"]
     for label, g in couplings:
         p = _params(cfg, g1=g, g2=g)
-        quad = _quad(cfg)
-        if label == "near_critical":
-            quad = replace(quad, rel_tol=max(quad.rel_tol, NEAR_CRITICAL_QUAD_TOL))
         for engine, spec in (("fft", lattice), ("infinite", LatticeSpec.infinite_lattice())):
             curve = entropy_vs_L(p, spec, cfg.block_sizes, mode=cfg.entropy_mode,
-                                 engine=engine, quad=quad, pairing_tol=cfg.pairing_tol)
+                                 engine=engine, quad=_quad(cfg), pairing_tol=cfg.pairing_tol)
             rows = [[L, E, cfg.entropy_mode, engine] for L, E in curve]
             stem = f"fig2_{'m80' if engine == 'fft' else 'infinite'}_{label}"
             _write(cfg, columns, rows, path=_artifact_path(cfg, stem))

@@ -89,13 +89,16 @@ def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
         Q_L = Q_L.reshape(1, 1)
         P_L = P_L.reshape(1, 1)
     for name, A in (("Q", Q_L), ("P", P_L)):
-        if not np.allclose(A, A.T, rtol=0, atol=1e-12 * np.max(np.abs(A))):
+        # written so that a NaN anywhere fails the comparison
+        if not np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A)):
             raise ValueError(f"{name} block is not symmetric")
     w, U = np.linalg.eigh(Q_L)
     if w[0] <= 0:
         raise ValueError("Q block is not positive-definite")
-    if np.linalg.eigvalsh(P_L)[0] <= 0:
-        raise ValueError("P block is not positive-definite")
+    try:
+        np.linalg.cholesky(P_L)
+    except np.linalg.LinAlgError:
+        raise ValueError("P block is not positive-definite") from None
     S = (U * np.sqrt(w)) @ U.T
     prod = 4.0 * S @ P_L @ S
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))

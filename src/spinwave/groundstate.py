@@ -134,12 +134,17 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Uniform product rule over the zone with adaptive grid doubling.
+    """Controls of the infinite-lattice quadrature; both of its routes refine
+    level by level until successive levels agree to ``rel_tol`` per entry,
+    refining at most ``max_doublings`` times.
 
-    The integrand is smooth and periodic away from criticality, so the
-    uniform rule converges spectrally; successive doublings must agree to
-    ``rel_tol`` per entry.  Sample points are offset by half a spacing so
-    that no node ever lands exactly on the dispersion minimum.
+    Away from criticality (softness min v / on-site at least
+    LEGENDRE_SOFTNESS) the route is a uniform product rule over the zone,
+    ``base_points`` per dimension doubled at each level.  The integrand is
+    smooth and periodic there, so the rule converges spectrally; sample
+    points are offset by half a spacing so that no node lands on the
+    dispersion minimum.  Closer to g_c the 1-D Legendre route halves a
+    tanh-sinh step instead, and ``base_points`` plays no part.
     """
 
     base_points: int = 64
@@ -156,17 +161,31 @@ class QuadratureSpec:
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Grid doubling did not reach the requested tolerance.
+    """Successive quadrature levels did not agree to the requested tolerance
+    within ``max_doublings`` refinements.
 
-    Carries the last two estimates; expected only for couplings within about
-    1e-8 (relative) of the critical point, where the integrable cone in
-    v^(-1/2) defeats uniform grids.
+    Carries the last two estimates.  At the default QuadratureSpec neither
+    route is expected to raise: the 2-D grid runs only where the softness is
+    at least LEGENDRE_SOFTNESS, and the 1-D route took four to seven of its
+    eight halvings at every softness tried down to the CRITICAL_GUARD
+    (tables up to dmax = 100).  A smaller ``max_doublings`` or a tighter
+    ``rel_tol`` can trigger it.
     """
 
     def __init__(self, message, last, previous):
         super().__init__(message)
         self.last = last
         self.previous = previous
+
+
+def _level_error(cur, prev) -> float:
+    """Largest per-entry relative change between two quadrature levels.
+
+    Entries below 1e-5 of the on-site value are measured against that floor
+    (they are exact-cancellation residue, e.g. every off-site correlation of
+    the decoupled lattice)."""
+    return max(float(np.max(np.abs(c - p) / np.maximum(np.abs(c), 1e-5 * np.max(np.abs(c)))))
+               for c, p in zip(cur, prev))
 
 
 def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +221,201 @@ def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray,
     return qq / (2.0 * n * n), pp / (2.0 * n * n)
 
 
+def _grid_tables(params: CouplingParams, dmax: int,
+                 quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-D route: uniform zone grids of base_points * 2^j points per
+    dimension, doubled until successive levels agree per entry."""
+    n = quad.base_points
+    prev = _zone_tables(params, dmax, n)
+    for _ in range(quad.max_doublings):
+        n *= 2
+        cur = _zone_tables(params, dmax, n)
+        err = _level_error(cur, prev)
+        if err < quad.rel_tol:
+            return cur
+        prev = cur
+    raise QuadratureConvergenceError(
+        f"zone quadrature did not converge to {quad.rel_tol:g} within "
+        f"{quad.max_doublings} doublings (n = {n}); last level error {err:.3g}",
+        last=cur, previous=prev)
+
+
+# Softness vmin / on_site below which covariance_infinite takes the 1-D
+# Legendre route.  Best-of-5 per-call times on the equal-coupling line, 1-D
+# route against 2-D grid at dmax 1 | dmax 19 (2-vCPU Xeon, numpy 2.4):
+#   softness 1e-2     1.5 vs 0.5 ms |  4.2 vs 1.0 ms
+#   softness 2.1e-3   2.9 vs 2.1 ms |  6.4 vs 2.4 ms   (fig3's softest point)
+#   softness 1e-3     1.7 vs 1.5 ms |  5.5 vs 9.2 ms
+#   softness 5e-4     1.8 vs 8.4 ms |  5.7 vs 8.5 ms
+#   softness 1e-4     1.8 vs 25 ms  |  8.3 vs 36 ms
+#   softness 1e-6     1.7 ms vs 1.9 s | 10 ms vs 2.2 s; below ~1e-7 the
+#                     grid stops converging
+# so the routes cross between 2e-3 and 5e-4.  The threshold takes the lower
+# end, which leaves every point where the grid measured faster on the grid.
+LEGENDRE_SOFTNESS = 5e-4
+# tanh-sinh nodes t = j h with |t| <= TANH_SINH_T (the truncated tail weighs
+# below pi exp(-pi sinh 3.5) ~ 1e-22); the first level has step 1/2
+TANH_SINH_T = 3.5
+TANH_SINH_H0 = 0.5
+# the forward Legendre recurrence amplifies roundoff by about exp(2 m eta);
+# it runs where 2 max(m_top, 4) eta stays below log(100) (the floor of 4
+# also keeps z k K - 2 E / k, the start Q_{1/2}, clear of cancellation)
+FORWARD_GROWTH = np.log(100.0)
+
+
+def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Toroidal functions Q_{m-1/2}(z) for m = 0..top (top >= 1) at z = 1 + zm1 > 1, as
+    rows of a (top + 1, len(zm1)) array, plus the modulus k = sqrt(2 / (z + 1))
+    and the complete elliptic integral E(k) of each z.
+
+    Q_{-1/2} = k K(k) and Q_{1/2} = z k K(k) - (2 / k) E(k), with K and E from
+    the AGM on the complementary modulus sqrt(zm1 / (z + 1)) (DLMF 19.8), so
+    nothing is lost to 1 - k near z = 1.  Higher orders follow the three-term
+    recurrence (m + 1/2) Q_{m+1/2} = 2 m z Q_{m-1/2} - (m - 1/2) Q_{m-3/2}:
+    forward where eta = arccosh z is small, elsewhere as backward ratios for
+    the minimal solution (Gil, Segura & Temme, J. Comput. Phys. 161, 204
+    (2000)), normalised by Q_{-1/2}.
+    """
+    z = 1.0 + zm1
+    k = np.sqrt(2.0 / (z + 1.0))
+    a, g = np.ones_like(zm1), np.sqrt(zm1 / (z + 1.0))
+    csum, weight = 0.5 * k * k, 1.0  # sum of 2^(n-1) c_n^2 (DLMF 19.8.6)
+    while np.any(a - g > 1e-15 * a):
+        c = 0.5 * (a - g)
+        a, g = 0.5 * (a + g), np.sqrt(a * g)
+        csum = csum + weight * c * c
+        weight *= 2.0
+    K = np.pi / (2.0 * a)
+    E = K * (1.0 - csum)
+    q = np.empty((top + 1, zm1.size))
+    q[0] = k * K
+    eta = np.log1p(zm1 + np.sqrt(zm1 * (zm1 + 2.0)))
+    forward = 2.0 * max(top, 4) * eta <= FORWARD_GROWTH
+    zf = z[forward]
+    qf = np.empty((top + 1, zf.size))
+    qf[0] = q[0, forward]
+    qf[1] = zf * qf[0] - 2.0 * E[forward] / k[forward]
+    for m in range(1, top):
+        qf[m + 1] = (2.0 * m * zf * qf[m] - (m - 0.5) * qf[m - 1]) / (m + 0.5)
+    q[:, forward] = qf
+    back = ~forward
+    if back.any():
+        zb, eb = z[back], eta[back]
+        # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
+        # far enough above top that the start error has decayed below 1e-17
+        start = top + int(np.ceil(39.0 / (2.0 * np.min(eb))))
+        r = np.exp(-eb)
+        ratios = np.empty((top, zb.size))
+        for m in range(start, 0, -1):
+            r = (m - 0.5) / (2.0 * m * zb - (m + 0.5) * r)
+            if m <= top:
+                ratios[m - 1] = r
+        q[1:, back] = q[0, back] * np.cumprod(ratios, axis=0)
+    return q, k, E
+
+
+def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of tanh-sinh level ``level`` on [0, pi]: kx, pi - kx (each
+    computed directly, so neither end loses digits) and the weights.  Level
+    0 has step TANH_SINH_H0; each later level holds only the new odd nodes
+    of the halved step, so the levels nest."""
+    h = TANH_SINH_H0 / 2 ** level
+    j = np.arange(-int(TANH_SINH_T / h), int(TANH_SINH_T / h) + 1)
+    if level:
+        j = j[j % 2 == 1]
+    t = j * h
+    u = 0.5 * np.pi * np.sinh(t)
+    kx = np.pi / (1.0 + np.exp(-2.0 * u))
+    rest = np.pi / (1.0 + np.exp(2.0 * u))
+    w = 0.25 * np.pi ** 2 * np.cosh(t) / np.cosh(u) ** 2
+    return kx, rest, w
+
+
+def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """cos(d x) for every integer d and node x, without the d-fold growth of
+    the rounding error of the product d * x: x splits into two 26-bit
+    halves (Veltkamp), whose products with d are exact, and the angle sum
+    is expanded."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    a, b = np.outer(d, hi), np.outer(d, x - hi)
+    return np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
+
+
+def _legendre_tables(params: CouplingParams, dmax: int,
+                     quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D route: at fixed kx, v = a + b cos ky with b = 2 N omega g2
+    (1 + cos kx / sqrt 2) and z = a / b >= 1, and Heine's integral (DLMF
+    14.19) gives the ky integrals in closed form,
+
+        J-_m = (1/2pi) int cos(m ky) v^(-1/2) dky = (-1)^m sqrt 2 / (pi sqrt b) Q_{m-1/2}(z)
+        J+_m = (1/2pi) int cos(m ky) v^(+1/2) dky = a J-_m + b (J-_{m+1} + J-_{|m-1|}) / 2,
+
+    the latter rewritten through the recurrence as (-1)^m sqrt 2 sqrt b
+    (Q_{m+1/2} - Q_{m-3/2}) / (4 pi m) for m >= 1 and sqrt 2 sqrt b (2 / k)
+    E(k) / pi for m = 0, free of the cancellation in a J-_m.  The kx integral
+    on [0, pi] is tanh-sinh (Takahashi & Mori, Publ. RIMS 9, 721 (1974)),
+    whose step is halved until successive levels agree per entry:
+
+        qq[dx, dy] = (1/2pi) int_0^pi cos(dx kx) J-_dy(kx) dkx.
+
+    z - 1 = v(kx, pi) / b comes without cancellation from v(kx, pi) =
+    Delta + 2 N omega |g1 - g2 / sqrt 2| X, with X = 2 sin^2((pi - kx) / 2)
+    and Delta = v(pi, pi) if g1 >= g2 / sqrt 2, else X = 2 sin^2(kx / 2) and
+    Delta = v(0, pi); Delta and the slope come from the float inputs in
+    40-digit decimal arithmetic.
+    """
+    # imported here, not at module level: only this route needs decimal,
+    # and importing it costs every CLI start a few milliseconds
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        omega, kappa, n_atoms, g1, g2 = (Decimal(x) for x in (
+            params.omega, params.kappa, params.n_atoms, params.g1, params.g2))
+        scale, root2 = 2 * n_atoms * omega, Decimal(2).sqrt()
+        tilt = g1 - g2 / root2
+        pipi = tilt >= 0
+        # v(pi, pi) on the first branch, v(0, pi) on the other
+        corner = -g1 - g2 + g2 / root2 if pipi else g1 - g2 - g2 / root2
+        delta = float(omega * (omega + 4 * kappa * n_atoms) + scale * corner)
+        slope = float(scale * abs(tilt))
+    bscale = 2.0 * params.coupling_scale * params.g2
+    d = np.arange(dmax + 1)
+    sums = [np.zeros((dmax + 1, dmax + 1)), np.zeros((dmax + 1, dmax + 1))]
+    prev = None
+    for level in range(quad.max_doublings + 1):
+        kx, rest, w = _tanh_sinh_level(level)
+        v_pi = delta + slope * 2.0 * np.sin(0.5 * (rest if pipi else kx)) ** 2
+        jm = np.zeros((dmax + 1, kx.size))
+        jp = np.zeros_like(jm)
+        if bscale <= 1e-17 * delta:
+            # b / a below 2e-17 (g2 = 0 makes it exact): v = a = v(kx, pi)
+            jm[0], jp[0] = v_pi ** -0.5, v_pi ** 0.5
+        else:
+            b = bscale * (1.0 + np.cos(kx) / np.sqrt(2.0))
+            q, k, E = _legendre_q(v_pi / b, dmax + 1)
+            sign = np.where(d % 2, -1.0, 1.0)[:, None]
+            c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
+            jm[:] = sign * c * q[:-1]
+            jp[0] = c * b * 2.0 * E / k
+            jp[1:] = sign[1:] * c * b * (q[2:] - q[:-2]) / (4.0 * d[1:, None])
+        cx = w * _cos_multiples(d, kx)
+        sums[0] += cx @ jm.T
+        sums[1] += cx @ jp.T
+        h = TANH_SINH_H0 / 2 ** level
+        cur = (sums[0] * (h / (2.0 * np.pi)), sums[1] * (h / (2.0 * np.pi)))
+        if prev is not None:
+            err = _level_error(cur, prev)
+            if err < quad.rel_tol:
+                return cur
+        prev = cur
+    raise QuadratureConvergenceError(
+        f"Legendre quadrature did not converge to {quad.rel_tol:g} within "
+        f"{quad.max_doublings} halvings (tanh-sinh step {h:g}); last level error {err:.3g}",
+        last=cur, previous=prev)
+
+
 def covariance_infinite(params: CouplingParams, dmax: int,
                         quad: QuadratureSpec | None = None) -> CorrelationTable:
     """Infinite-lattice correlations by zone quadrature:
@@ -209,37 +423,19 @@ def covariance_infinite(params: CouplingParams, dmax: int,
         <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k
 
     The returned table covers the quadrant 0 <= |dx|, |dy| <= ``dmax``.
+    Couplings whose softness min v / on-site is below LEGENDRE_SOFTNESS take
+    the 1-D Legendre route, the others the 2-D grid.
     """
     if dmax < 0:
         raise ValueError(f"dmax must be >= 0, got {dmax}")
     quad = quad or QuadratureSpec()
     vmin, _ = zone_minimum(params)
     _guard_softness(vmin, params.on_site)
-
-    n = quad.base_points
-    prev = _zone_tables(params, dmax, n)
-    for _ in range(quad.max_doublings):
-        n *= 2
-        cur = _zone_tables(params, dmax, n)
-        # per-entry relative agreement; entries below 1e-5 of the on-site
-        # value are measured against that floor (they are exact-cancellation
-        # residue, e.g. every off-site correlation of the decoupled lattice)
-        floor_q = 1e-5 * np.max(np.abs(cur[0]))
-        floor_p = 1e-5 * np.max(np.abs(cur[1]))
-        err = max(
-            float(np.max(np.abs(cur[0] - prev[0]) / np.maximum(np.abs(cur[0]), floor_q))),
-            float(np.max(np.abs(cur[1] - prev[1]) / np.maximum(np.abs(cur[1]), floor_p))),
-        )
-        if err < quad.rel_tol:
-            qq, pp = cur
-            qq.flags.writeable = False
-            pp.flags.writeable = False
-            return CorrelationTable(qq=qq, pp=pp, kind="infinite")
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"zone quadrature did not converge to {quad.rel_tol:g} within "
-        f"{quad.max_doublings} doublings (n = {n}); last level error {err:.3g}",
-        last=cur, previous=prev)
+    near = vmin < LEGENDRE_SOFTNESS * params.on_site
+    qq, pp = (_legendre_tables if near else _grid_tables)(params, dmax, quad)
+    qq.flags.writeable = False
+    pp.flags.writeable = False
+    return CorrelationTable(qq=qq, pp=pp, kind="infinite")
 
 
 def resolve_engine(spec: LatticeSpec, engine: str | None = None) -> str:

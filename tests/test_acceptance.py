@@ -177,12 +177,8 @@ def test_acceptance_07_area_law():
             details.append(f"finite-vs-infinite (L<=10) {match:.3%}")
             ok &= match < 0.01
         near = gc * (1.0 - 1e-11)
-        # conical-kink regime: per-entry doubling error ~3e-3 at n = 16384 for
-        # this displacement range; the entropy curve agrees to 5 digits
-        # between the last two grid levels
-        quad = QuadratureSpec(rel_tol=5e-3)
         curve = entropy_vs_L(params_at(near), LatticeSpec.infinite_lattice(), Ls,
-                             mode="count_all", quad=quad)
+                             mode="count_all", quad=QuadratureSpec())
         energies = [E for _, E in curve]
         fit = area_law_fit(curve)
         increasing = bool(np.all(np.diff(energies) > 0))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,6 +141,16 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_cli_entropy_scan_near_critical_infinite(tmp_path, capsys):
+    # g = g_c (1 - 1.5e-10): the 2-D zone grid gave up here after n = 16384
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text("infinite = true\ng1 = 1.7402829305\ng2 = 1.7402829305\n")
+    assert main(["entropy-scan", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    entropies = [float(row.split(",")[1]) for row in rows]
+    assert len(entropies) == 10 and all(np.diff(entropies) > 0)
 
 
 def test_cli_output_file_and_json(tmp_path):

@@ -66,6 +66,12 @@ def test_spectrum_rejects_bad_inputs():
         symplectic_spectrum(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
     with pytest.raises(ValueError, match="symmetric"):
         symplectic_spectrum(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+    with pytest.raises(ValueError, match="P block is not positive-definite"):
+        symplectic_spectrum(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for Q, P in ((np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)),
+                 (np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))):
+        with pytest.raises(ValueError, match="symmetric"):
+            symplectic_spectrum(Q, P)
 
 
 def test_spectrum_grouping():

@@ -5,7 +5,9 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError, QuadratureSpec,
                       StabilityError, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, critical_g_equal,
                       dispersion_value, excitation_density)
-from spinwave.groundstate import _zone_tables
+from spinwave import groundstate
+from spinwave.groundstate import (LEGENDRE_SOFTNESS, _grid_tables, _legendre_q,
+                                  _legendre_tables, _zone_tables)
 
 from conftest import full_matrices, params_at
 
@@ -97,12 +99,103 @@ def test_infinite_near_critical_converges_at_default_tol():
 
 
 def test_infinite_nonconvergence_error_carries_estimates():
+    # on the equal-coupling line the softness min v / on-site is 1 - g / g_c;
+    # one doubling (halving) is too few on either route
     gc = critical_g_equal(params_at(0.0))
-    quad = QuadratureSpec(base_points=64, rel_tol=1e-10, max_doublings=3)
-    with pytest.raises(QuadratureConvergenceError) as err:
-        covariance_infinite(params_at(gc * (1.0 - 1e-9)), 0, quad=quad)
-    assert err.value.last[0].shape == (1, 1)
-    assert err.value.previous[0].shape == (1, 1)
+    quad = QuadratureSpec(base_points=64, rel_tol=1e-10, max_doublings=1)
+    for softness, route in ((1e-3, "zone"), (1e-9, "Legendre")):
+        with pytest.raises(QuadratureConvergenceError, match=route) as err:
+            covariance_infinite(params_at(gc * (1.0 - softness)), 0, quad=quad)
+        assert err.value.last[0].shape == (1, 1)
+        assert err.value.previous[0].shape == (1, 1)
+
+
+def test_legendre_q_matches_mpmath():
+    # z - 1 from 1e-14 to 1e3 spans both AGM extremes, the forward recurrence
+    # (first three) and the backward ratios (last three) at top order 21
+    mp = pytest.importorskip("mpmath")
+    zm1 = np.array([1e-14, 1e-8, 1e-3, 0.5, 3.0, 1e3])
+    q, _, _ = _legendre_q(zm1, 21)
+    with mp.workdps(30):
+        for i, x in enumerate(zm1):
+            for m in range(22):
+                ref = mp.re(mp.legenq(m - mp.mpf(1) / 2, 0, 1 + mp.mpf(x), type=3))
+                assert abs(q[m, i] / ref - 1) < 2e-13, (x, m)
+
+
+def test_legendre_tables_match_mpmath_near_critical():
+    # fig2's near-critical coupling; the oracle does the same Heine reduction
+    # with mpmath's own legenq and tanh-sinh quad at 30 digits, and forms
+    # a = on-site + 2 N omega g1 cos kx and b at 50 digits, so z - 1 keeps
+    # ample digits without the branch forms the code uses
+    mp = pytest.importorskip("mpmath")
+    gc = critical_g_equal(params_at(0.0))
+    p = params_at(gc * (1.0 - 1e-11))
+    table = covariance_infinite(p, 19)
+    qq, pp = table.qq, table.pp
+    cache = {}
+
+    def j_minus(kx, m):
+        if (kx, m) not in cache:
+            with mp.workdps(50):
+                s = 2 * mp.mpf(p.coupling_scale)
+                b = s * p.g2 * (1 + mp.cos(kx) / mp.sqrt(2))
+                a = mp.mpf(p.on_site) + s * p.g1 * mp.cos(kx)
+            q = mp.re(mp.legenq(m - mp.mpf(1) / 2, 0, a / b, type=3))
+            cache[kx, m] = (a, b, (-1) ** m * mp.sqrt(2) / (mp.pi * mp.sqrt(b)) * q)
+        return cache[kx, m]
+
+    def j_plus0(kx):
+        a, b, j0 = j_minus(kx, 0)
+        return a * j0 + b * j_minus(kx, 1)[2]
+
+    with mp.workdps(30):
+        for table, dx, dy, f in ((qq, 0, 0, lambda k: j_minus(k, 0)[2]),
+                                 (qq, 1, 0, lambda k: j_minus(k, 0)[2]),
+                                 (qq, 19, 19, lambda k: j_minus(k, 19)[2]),
+                                 (pp, 0, 0, j_plus0), (pp, 1, 0, j_plus0)):
+            ref = mp.quad(lambda k: mp.cos(dx * k) * f(k), [0, mp.pi]) / (2 * mp.pi)
+            assert abs(table[dx, dy] / ref - 1) < 1e-12, (dx, dy)
+
+
+def _softness_cases(softness):
+    p0 = params_at(0.0)
+    scale, gc = 2.0 * p0.coupling_scale, critical_g_equal(p0)
+    top = p0.on_site * (1.0 - softness)
+    return {
+        "(pi, pi)": params_at(gc * (1.0 - softness)),
+        "(0, pi)": params_at(0.2, (top + scale * 0.2) / (scale * (1.0 + 2 ** -0.5))),
+        "g2 = 0": params_at(top / scale, 0.0),
+    }
+
+
+@pytest.mark.parametrize("softness", [1e-4, LEGENDRE_SOFTNESS])
+@pytest.mark.parametrize("case", ["(pi, pi)", "(0, pi)", "g2 = 0"])
+def test_routes_agree_near_the_threshold(case, softness):
+    p = _softness_cases(softness)[case]
+    quad = QuadratureSpec()
+    one_d, two_d = _legendre_tables(p, 12, quad), _grid_tables(p, 12, quad)
+    for a, b in zip(one_d, two_d):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("factor, route", [(2.0, "_grid_tables"), (0.5, "_legendre_tables")])
+def test_infinite_route_follows_softness(monkeypatch, factor, route):
+    calls = []
+
+    def spy(name):
+        real = getattr(groundstate, name)
+
+        def tables(*args):
+            calls.append(name)
+            return real(*args)
+        return tables
+
+    for name in ("_grid_tables", "_legendre_tables"):
+        monkeypatch.setattr(groundstate, name, spy(name))
+    for p in _softness_cases(factor * LEGENDRE_SOFTNESS).values():
+        covariance_infinite(p, 1)
+    assert calls == [route] * 3
 
 
 def test_near_critical_guard_refuses():

@@ -7,8 +7,7 @@ block boundary, not its volume, even very close to the transition.
 
 import numpy as np
 
-from spinwave import (CouplingParams, LatticeSpec, QuadratureSpec, area_law_fit,
-                      critical_g_equal, entropy_vs_L)
+from spinwave import CouplingParams, LatticeSpec, area_law_fit, critical_g_equal, entropy_vs_L
 
 
 def params(g):
@@ -29,11 +28,9 @@ for g in (1.25, 1.5):
     print(f"  linear fit: E = {fit.slope:.4f} L + {fit.intercept:+.4f}, "
           f"max residual {fit.max_rel_residual:.2%}\n")
 
-# eleven-digit approach to the critical point, at the default quadrature
-# tolerance
+# eleven-digit approach to the critical point
 near = gc * (1 - 1e-11)
-curve = entropy_vs_L(params(near), LatticeSpec.infinite_lattice(), Ls,
-                     mode="count_all", quad=QuadratureSpec())
+curve = entropy_vs_L(params(near), LatticeSpec.infinite_lattice(), Ls, mode="count_all")
 fit = area_law_fit(curve)
 print(f"g = g_c (1 - 1e-11), infinite lattice:")
 for L, E in curve:

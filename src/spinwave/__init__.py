@@ -14,9 +14,8 @@ from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numer
                        critical_g_equal, dispersion_value, energy_gap, gap_scaling_exponent,
                        phase_boundary_cases, zone_minimum)
 from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
-                          QuadratureSpec, covariance_dense, covariance_infinite,
-                          covariance_pbc_fft, covariances_for, excitation_density,
-                          resolve_engine)
+                          covariance_dense, covariance_infinite, covariance_pbc_fft,
+                          covariances_for, excitation_density, resolve_engine)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
                            symplectic_spectrum, two_site_params)
@@ -34,7 +33,7 @@ __all__ = [
     "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric", "critical_g_equal",
     "dispersion_value", "energy_gap", "gap_scaling_exponent", "phase_boundary_cases",
     "zone_minimum",
-    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "QuadratureSpec",
+    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError",
     "covariance_dense", "covariance_infinite", "covariance_pbc_fft", "covariances_for",
     "excitation_density", "resolve_engine",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
-from .groundstate import (QuadratureConvergenceError, QuadratureSpec, covariances_for,
-                          resolve_engine)
+from .groundstate import QuadratureConvergenceError, covariances_for, resolve_engine
 from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
 from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
@@ -40,11 +39,6 @@ def _lattice(cfg: RunConfig) -> LatticeSpec:
     if cfg.infinite:
         return LatticeSpec.infinite_lattice()
     return LatticeSpec(side=cfg.side, boundary=cfg.boundary)
-
-
-def _quad(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(base_points=cfg.quad_base, rel_tol=cfg.quad_rel_tol,
-                          max_doublings=cfg.quad_max_doublings)
 
 
 def _g_grid(cfg: RunConfig) -> list[float]:
@@ -125,7 +119,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
     if engine == "dense" and lattice.boundary != "periodic":
         raise ConfigError("a displacement table needs translation invariance; "
                           "use a periodic lattice or engine=infinite")
-    cov = covariances_for(_params(cfg), lattice, engine, cfg.max_displacement, _quad(cfg))
+    cov = covariances_for(_params(cfg), lattice, engine, cfg.max_displacement)
     d = range(cfg.max_displacement + 1 if engine == "infinite" else lattice.side)
     rows = []
     for dx in d:
@@ -155,7 +149,7 @@ def cmd_entropy_scan(cfg: RunConfig) -> int:
     _check_blocks_fit(cfg, lattice)
     engine = resolve_engine(lattice, cfg.engine)
     curve = entropy_vs_L(params, lattice, cfg.block_sizes, mode=cfg.entropy_mode,
-                         engine=engine, quad=_quad(cfg), pairing_tol=cfg.pairing_tol)
+                         engine=engine, pairing_tol=cfg.pairing_tol)
     rows = [[L, E, cfg.entropy_mode, engine] for L, E in curve]
     _write(cfg, ["L", "entropy_bits", "mode", "engine"], rows)
     return 0
@@ -175,7 +169,7 @@ def cmd_two_site(cfg: RunConfig) -> int:
     rows = []
     for g in _g_grid(cfg):
         try:
-            cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, cfg.engine, 2, _quad(cfg))
+            cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, cfg.engine, 2)
             x, y = lattice.center
             for label, (dx, dy) in _PAIR_CLASSES:
                 two = two_site_params(cov, (x, y), (x + dx, y + dy))
@@ -199,11 +193,11 @@ def _stencil_grid(cfg: RunConfig) -> list[float]:
 
 
 def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
-    params, quad = _params(cfg), _quad(cfg)
+    params = _params(cfg)
     rows = []
     for g in _stencil_grid(cfg):
         try:
-            est = derivative_zeta(params, lattice, g, h=cfg.derivative_step, quad=quad)
+            est = derivative_zeta(params, lattice, g, h=cfg.derivative_step)
             rows.append([g, est.raw, est.richardson, None])
         except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
             rows.append([g, float("nan"), float("nan"), str(exc)])
@@ -249,7 +243,7 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
         p = _params(cfg, g1=g, g2=g)
         for engine, spec in (("fft", lattice), ("infinite", LatticeSpec.infinite_lattice())):
             curve = entropy_vs_L(p, spec, cfg.block_sizes, mode=cfg.entropy_mode,
-                                 engine=engine, quad=_quad(cfg), pairing_tol=cfg.pairing_tol)
+                                 engine=engine, pairing_tol=cfg.pairing_tol)
             rows = [[L, E, cfg.entropy_mode, engine] for L, E in curve]
             stem = f"fig2_{'m80' if engine == 'fft' else 'infinite'}_{label}"
             _write(cfg, columns, rows, path=_artifact_path(cfg, stem))

@@ -48,10 +48,6 @@ class RunConfig:
     phase_g1_samples: int = 31
     # covariance dump extent (infinite engine)
     max_displacement: int = 6
-    # zone quadrature
-    quad_base: int = 64
-    quad_rel_tol: float = 1e-10
-    quad_max_doublings: int = 8
     # output
     output: str = "-"
     out_dir: str = "."
@@ -105,8 +101,8 @@ def _field_parser(f):
     return str
 
 
-_POSITIVE = {"omega", "kappa", "pairing_tol", "derivative_step", "quad_rel_tol"}
-_AT_LEAST_ONE = {"n_atoms", "g_samples", "phase_g1_samples", "quad_max_doublings"}
+_POSITIVE = {"omega", "kappa", "pairing_tol", "derivative_step"}
+_AT_LEAST_ONE = {"n_atoms", "g_samples", "phase_g1_samples"}
 _NON_NEGATIVE = {"g1", "g2", "g_min", "phase_g1_min", "max_displacement"}
 
 
@@ -129,8 +125,6 @@ def _check_constraints(name: str, value, line: int) -> None:
             fail("entries must be >= 1")
         if any(b <= a for a, b in zip(value, value[1:])):
             fail("entries must be strictly increasing")
-    if name == "quad_base" and value < 16:
-        fail("must be >= 16")
 
 
 def parse_config(text: str) -> RunConfig:

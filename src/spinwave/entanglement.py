@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groundstate import QuadratureSpec, covariances_for
+from .groundstate import covariances_for
 from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
@@ -136,7 +136,6 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
 
 def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
                  mode: str = "degenerate_once", engine: str | None = None,
-                 quad: QuadratureSpec | None = None,
                  pairing_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[int, float]]:
     """Entropy of centered L x L blocks for each L, engine chosen per spec."""
     L_list = [int(L) for L in L_list]
@@ -144,7 +143,7 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
         raise ValueError("L_list must be strictly increasing")
     if not spec.infinite and L_list[-1] > spec.side:
         raise ValueError("largest block exceeds the lattice")
-    cov = covariances_for(params, spec, engine, L_list[-1] - 1, quad)
+    cov = covariances_for(params, spec, engine, L_list[-1] - 1)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
     out = []
     for L in L_list:

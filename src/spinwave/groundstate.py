@@ -19,6 +19,7 @@ place that picks the engine for a lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +75,6 @@ class CorrelationTable:
                              f"not in table (extent {extent - 1})")
         return dx, dy
 
-    def qq_at(self, dx: int, dy: int) -> float:
-        return float(self.qq[self.displacement_index(dx, dy)])
-
-    def pp_at(self, dx: int, dy: int) -> float:
-        return float(self.pp[self.displacement_index(dx, dy)])
-
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
         """Principal submatrices (Q_L, P_L) on the sites (x, y), read from the
         table by pairwise displacement; no lattice site may be named twice."""
@@ -132,44 +127,27 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     return CorrelationTable(qq=qq, pp=pp, kind="periodic")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls of the infinite-lattice quadrature; both of its routes refine
-    level by level until successive levels agree to ``rel_tol`` per entry,
-    refining at most ``max_doublings`` times.
-
-    Away from criticality (softness min v / on-site at least
-    LEGENDRE_SOFTNESS) the route is a uniform product rule over the zone,
-    ``base_points`` per dimension doubled at each level.  The integrand is
-    smooth and periodic there, so the rule converges spectrally; sample
-    points are offset by half a spacing so that no node lands on the
-    dispersion minimum.  Closer to g_c the 1-D Legendre route halves a
-    tanh-sinh step instead, and ``base_points`` plays no part.
-    """
-
-    base_points: int = 64
-    rel_tol: float = 1e-10
-    max_doublings: int = 8
-
-    def __post_init__(self):
-        if self.base_points < 16:
-            raise ValueError("quadrature needs at least 16 points per dimension")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+# The infinite-lattice quadrature: each route refines level by level until
+# successive levels agree to QUAD_REL_TOL per entry, at most
+# QUAD_MAX_REFINEMENTS times; the 2-D grid starts at QUAD_BASE_POINTS per
+# dimension.  Entries below LEVEL_FLOOR of the largest one are held to
+# QUAD_REL_TOL * LEVEL_FLOOR = 64 eps (1.4e-14) of the largest entry instead:
+# level-to-level roundoff plateaus at 5e-15 to 7e-15 of it, so a lower floor
+# asks for agreement that roundoff alone can deny.
+QUAD_REL_TOL = 1e-10
+QUAD_MAX_REFINEMENTS = 8
+QUAD_BASE_POINTS = 64
+LEVEL_FLOOR = 64 * np.finfo(float).eps / QUAD_REL_TOL
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Successive quadrature levels did not agree to the requested tolerance
-    within ``max_doublings`` refinements.
+    """Successive quadrature levels did not agree to QUAD_REL_TOL within
+    QUAD_MAX_REFINEMENTS refinements.
 
-    Carries the last two estimates.  At the default QuadratureSpec neither
-    route is expected to raise: the 2-D grid runs only where the softness is
-    at least LEGENDRE_SOFTNESS, and the 1-D route took four to seven of its
-    eight halvings at every softness tried down to the CRITICAL_GUARD
-    (tables up to dmax = 100).  A smaller ``max_doublings`` or a tighter
-    ``rel_tol`` can trigger it.
+    Carries the last two estimates.  Neither route is expected to raise:
+    the 2-D grid runs only where the softness is at least LEGENDRE_SOFTNESS,
+    and the 1-D route took at most seven of its eight halvings at every
+    softness tried down to the CRITICAL_GUARD (tables up to dmax = 160).
     """
 
     def __init__(self, message, last, previous):
@@ -181,11 +159,27 @@ class QuadratureConvergenceError(RuntimeError):
 def _level_error(cur, prev) -> float:
     """Largest per-entry relative change between two quadrature levels.
 
-    Entries below 1e-5 of the on-site value are measured against that floor
-    (they are exact-cancellation residue, e.g. every off-site correlation of
-    the decoupled lattice)."""
-    return max(float(np.max(np.abs(c - p) / np.maximum(np.abs(c), 1e-5 * np.max(np.abs(c)))))
+    Entries below LEVEL_FLOOR of the largest one (the on-site value) are
+    measured against that floor; among them is exact-cancellation residue,
+    e.g. every off-site correlation of the decoupled lattice."""
+    return max(float(np.max(np.abs(c - p) / np.maximum(np.abs(c), LEVEL_FLOOR * np.max(np.abs(c)))))
                for c, p in zip(cur, prev))
+
+
+def _refine(levels) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (tables, resolution) estimates from a route's level generator
+    until two in a row agree to QUAD_REL_TOL per entry."""
+    prev, _ = next(levels)
+    for _ in range(QUAD_MAX_REFINEMENTS):
+        cur, resolution = next(levels)
+        err = _level_error(cur, prev)
+        if err < QUAD_REL_TOL:
+            return cur
+        prev = cur
+    raise QuadratureConvergenceError(
+        f"{resolution}: quadrature did not converge to {QUAD_REL_TOL:g} within "
+        f"{QUAD_MAX_REFINEMENTS} refinements; last level error {err:.3g}",
+        last=cur, previous=prev)
 
 
 def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,23 +215,16 @@ def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray,
     return qq / (2.0 * n * n), pp / (2.0 * n * n)
 
 
-def _grid_tables(params: CouplingParams, dmax: int,
-                 quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The 2-D route: uniform zone grids of base_points * 2^j points per
-    dimension, doubled until successive levels agree per entry."""
-    n = quad.base_points
-    prev = _zone_tables(params, dmax, n)
-    for _ in range(quad.max_doublings):
+def _grid_tables(params: CouplingParams, dmax: int):
+    """The 2-D route, level by level: uniform product rules of
+    QUAD_BASE_POINTS * 2^j points per dimension, offset by half a spacing so
+    that no node lands on the dispersion minimum.  The integrand is smooth
+    and periodic at the softness this route runs at, so the levels converge
+    spectrally."""
+    n = QUAD_BASE_POINTS
+    while True:
+        yield _zone_tables(params, dmax, n), f"zone grid n = {n}"
         n *= 2
-        cur = _zone_tables(params, dmax, n)
-        err = _level_error(cur, prev)
-        if err < quad.rel_tol:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"zone quadrature did not converge to {quad.rel_tol:g} within "
-        f"{quad.max_doublings} doublings (n = {n}); last level error {err:.3g}",
-        last=cur, previous=prev)
 
 
 # Softness vmin / on_site below which covariance_infinite takes the 1-D
@@ -342,11 +329,10 @@ def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
 
 
-def _legendre_tables(params: CouplingParams, dmax: int,
-                     quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D route: at fixed kx, v = a + b cos ky with b = 2 N omega g2
-    (1 + cos kx / sqrt 2) and z = a / b >= 1, and Heine's integral (DLMF
-    14.19) gives the ky integrals in closed form,
+def _legendre_tables(params: CouplingParams, dmax: int):
+    """The 1-D route, level by level: at fixed kx, v = a + b cos ky with
+    b = 2 N omega g2 (1 + cos kx / sqrt 2) and z = a / b >= 1, and Heine's
+    integral (DLMF 14.19) gives the ky integrals in closed form,
 
         J-_m = (1/2pi) int cos(m ky) v^(-1/2) dky = (-1)^m sqrt 2 / (pi sqrt b) Q_{m-1/2}(z)
         J+_m = (1/2pi) int cos(m ky) v^(+1/2) dky = a J-_m + b (J-_{m+1} + J-_{|m-1|}) / 2,
@@ -355,7 +341,7 @@ def _legendre_tables(params: CouplingParams, dmax: int,
     (Q_{m+1/2} - Q_{m-3/2}) / (4 pi m) for m >= 1 and sqrt 2 sqrt b (2 / k)
     E(k) / pi for m = 0, free of the cancellation in a J-_m.  The kx integral
     on [0, pi] is tanh-sinh (Takahashi & Mori, Publ. RIMS 9, 721 (1974)),
-    whose step is halved until successive levels agree per entry:
+    whose step halves from level to level:
 
         qq[dx, dy] = (1/2pi) int_0^pi cos(dx kx) J-_dy(kx) dkx.
 
@@ -383,8 +369,7 @@ def _legendre_tables(params: CouplingParams, dmax: int,
     bscale = 2.0 * params.coupling_scale * params.g2
     d = np.arange(dmax + 1)
     sums = [np.zeros((dmax + 1, dmax + 1)), np.zeros((dmax + 1, dmax + 1))]
-    prev = None
-    for level in range(quad.max_doublings + 1):
+    for level in itertools.count():
         kx, rest, w = _tanh_sinh_level(level)
         v_pi = delta + slope * 2.0 * np.sin(0.5 * (rest if pipi else kx)) ** 2
         jm = np.zeros((dmax + 1, kx.size))
@@ -404,35 +389,26 @@ def _legendre_tables(params: CouplingParams, dmax: int,
         sums[0] += cx @ jm.T
         sums[1] += cx @ jp.T
         h = TANH_SINH_H0 / 2 ** level
-        cur = (sums[0] * (h / (2.0 * np.pi)), sums[1] * (h / (2.0 * np.pi)))
-        if prev is not None:
-            err = _level_error(cur, prev)
-            if err < quad.rel_tol:
-                return cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"Legendre quadrature did not converge to {quad.rel_tol:g} within "
-        f"{quad.max_doublings} halvings (tanh-sinh step {h:g}); last level error {err:.3g}",
-        last=cur, previous=prev)
+        yield ((sums[0] * (h / (2.0 * np.pi)), sums[1] * (h / (2.0 * np.pi))),
+               f"Legendre tanh-sinh step {h:g}")
 
 
-def covariance_infinite(params: CouplingParams, dmax: int,
-                        quad: QuadratureSpec | None = None) -> CorrelationTable:
+def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
     """Infinite-lattice correlations by zone quadrature:
 
         <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k
 
     The returned table covers the quadrant 0 <= |dx|, |dy| <= ``dmax``.
     Couplings whose softness min v / on-site is below LEGENDRE_SOFTNESS take
-    the 1-D Legendre route, the others the 2-D grid.
+    the 1-D Legendre route, the others the 2-D grid; either refines until
+    successive levels agree to QUAD_REL_TOL per entry.
     """
     if dmax < 0:
         raise ValueError(f"dmax must be >= 0, got {dmax}")
-    quad = quad or QuadratureSpec()
     vmin, _ = zone_minimum(params)
     _guard_softness(vmin, params.on_site)
     near = vmin < LEGENDRE_SOFTNESS * params.on_site
-    qq, pp = (_legendre_tables if near else _grid_tables)(params, dmax, quad)
+    qq, pp = _refine((_legendre_tables if near else _grid_tables)(params, dmax))
     qq.flags.writeable = False
     pp.flags.writeable = False
     return CorrelationTable(qq=qq, pp=pp, kind="infinite")
@@ -450,7 +426,7 @@ def resolve_engine(spec: LatticeSpec, engine: str | None = None) -> str:
 
 
 def covariances_for(params: CouplingParams, spec: LatticeSpec, engine: str | None = None,
-                    max_displacement: int = 0, quad: QuadratureSpec | None = None):
+                    max_displacement: int = 0):
     """Ground-state covariances of ``spec`` on the resolved engine.
 
     Returns a CovariancePair (dense) or a CorrelationTable (fft, infinite);
@@ -462,16 +438,15 @@ def covariances_for(params: CouplingParams, spec: LatticeSpec, engine: str | Non
         return covariance_dense(spec, params)
     if engine == "fft":
         return covariance_pbc_fft(spec, params)
-    return covariance_infinite(params, max_displacement, quad=quad)
+    return covariance_infinite(params, max_displacement)
 
 
-def excitation_density(params: CouplingParams, spec: LatticeSpec,
-                       quad: QuadratureSpec | None = None) -> float:
+def excitation_density(params: CouplingParams, spec: LatticeSpec) -> float:
     """Mean excitation number per atom, (omega <q^2> + <p^2>/omega - 1) / (2N).
 
     Small values validate the low-excitation reduction.  Open lattices use
     the center site's moments (they vary with position there).
     """
-    Q, P = covariances_for(params, spec, quad=quad).block([spec.center])
+    Q, P = covariances_for(params, spec).block([spec.center])
     n_exc = (params.omega * float(Q[0, 0]) + float(P[0, 0]) / params.omega - 1.0) / 2.0
     return n_exc / params.n_atoms

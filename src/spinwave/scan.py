@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entanglement import two_site_params
-from .groundstate import QuadratureSpec, covariances_for
+from .groundstate import covariances_for
 from .model import CouplingParams, LatticeSpec, StabilityError
 
 
@@ -41,8 +41,8 @@ def area_law_fit(curve) -> FitResult:
                      max_rel_residual=residual, n_samples=len(Ls))
 
 
-def _zeta1(params: CouplingParams, spec: LatticeSpec, quad: QuadratureSpec) -> float:
-    cov = covariances_for(params, spec, max_displacement=1, quad=quad)
+def _zeta1(params: CouplingParams, spec: LatticeSpec) -> float:
+    cov = covariances_for(params, spec, max_displacement=1)
     # the horizontally adjacent pair at the lattice center; for periodic and
     # infinite lattices any pair is equivalent by translation invariance
     x, y = spec.center
@@ -58,7 +58,7 @@ class DerivativeEstimate:
 
 
 def derivative_zeta(params: CouplingParams, spec: LatticeSpec, g: float,
-                    h: float = 1e-4, quad: QuadratureSpec | None = None) -> DerivativeEstimate:
+                    h: float = 1e-4) -> DerivativeEstimate:
     """d zeta_1 / d g by central differences with one Richardson step.
 
     All four stencil points must be stable; instability propagates as an
@@ -66,11 +66,10 @@ def derivative_zeta(params: CouplingParams, spec: LatticeSpec, g: float,
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    quad = quad or QuadratureSpec()
 
     def z(gv):
         try:
-            return _zeta1(_at_coupling(params, gv), spec, quad)
+            return _zeta1(_at_coupling(params, gv), spec)
         except StabilityError as exc:
             raise StabilityError(f"stencil point g = {gv!r} unstable: {exc}") from exc
 
@@ -99,13 +98,12 @@ def finite_size_peak(params: CouplingParams, M_list, g_grid,
         if M < 5 or M % 2 == 0:
             raise ValueError(f"lattice sizes must be odd and >= 5, got {M}")
     g_grid = [float(g) for g in g_grid]
-    quad = QuadratureSpec()
     peaks = []
     for M in M_list:
         spec = LatticeSpec.periodic(M)
         best_val, best_g = -1.0, g_grid[0]
         for g in g_grid:
-            est = derivative_zeta(params, spec, g, h=h, quad=quad)
+            est = derivative_zeta(params, spec, g, h=h)
             if abs(est.richardson) > best_val:
                 best_val, best_g = abs(est.richardson), g
         peaks.append(PeakResult(side=M, peak_abs_derivative=best_val, g_at_peak=best_g))

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from spinwave import CouplingParams
@@ -17,13 +16,4 @@ def params_at(g, g2=None, omega=500.0, n_atoms=1000):
 
 def full_matrices(table, side):
     """Assemble full (Q, P) from a periodic correlation table, row-major sites."""
-    n = side * side
-    Q = np.empty((n, n))
-    P = np.empty((n, n))
-    for a in range(n):
-        xa, ya = a % side, a // side
-        for b in range(n):
-            xb, yb = b % side, b // side
-            Q[a, b] = table.qq_at(xa - xb, ya - yb)
-            P[a, b] = table.pp_at(xa - xb, ya - yb)
-    return Q, P
+    return table.block([(x, y) for y in range(side) for x in range(side)])

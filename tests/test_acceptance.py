@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from spinwave import (CouplingParams, LatticeSpec, QuadratureSpec, area_law_fit,
+from spinwave import (CouplingParams, LatticeSpec, area_law_fit,
                       block_entropy, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, critical_g2,
                       critical_g_equal, derivative_zeta, dispersion_value, entropy_vs_L,
@@ -148,9 +148,8 @@ def test_acceptance_06_engine_equivalence():
         worst_rel = 0.0
         for dx in range(4):
             for dy in range(4):
-                for get in ("qq_at", "pp_at"):
-                    a = getattr(inf, get)(dx, dy)
-                    b = getattr(fft, get)(dx, dy)
+                for get in ("qq", "pp"):
+                    a, b = getattr(inf, get)[dx, dy], getattr(fft, get)[dx, dy]
                     worst_rel = max(worst_rel, abs(a - b) / max(abs(a), abs(b)))
         ok = worst_dense_fft < 1e-10 and worst_rel < 1e-8
     report(6, ok, f"dense-vs-FFT max abs = {worst_dense_fft:.2e} (tol 1e-10); "
@@ -178,7 +177,7 @@ def test_acceptance_07_area_law():
             ok &= match < 0.01
         near = gc * (1.0 - 1e-11)
         curve = entropy_vs_L(params_at(near), LatticeSpec.infinite_lattice(), Ls,
-                             mode="count_all", quad=QuadratureSpec())
+                             mode="count_all")
         energies = [E for _, E in curve]
         fit = area_law_fit(curve)
         increasing = bool(np.all(np.diff(energies) > 0))
@@ -189,8 +188,8 @@ def test_acceptance_07_area_law():
     report(7, ok, "; ".join(details))
 
 
-def _zeta_classes(g, quad=None):
-    table = covariance_infinite(params_at(g), 2, quad=quad)
+def _zeta_classes(g):
+    table = covariance_infinite(params_at(g), 2)
     return (two_site_params(table, (0, 0), (1, 0)),
             two_site_params(table, (0, 0), (1, 1)),
             two_site_params(table, (0, 0), (2, 0)))

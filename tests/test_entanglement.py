@@ -298,8 +298,9 @@ def test_infinite_table_blocks_match_lookups(extent, seed, sites):
     for a, (xa, ya) in enumerate(sites):
         for b, (xb, yb) in enumerate(sites):
             dx, dy = abs(xa - xb), abs(ya - yb)
-            assert QL[a, b] == table.qq_at(xa - xb, ya - yb) == table.qq[dx, dy]
-            assert PL[a, b] == table.pp_at(xa - xb, ya - yb) == table.pp[dx, dy]
+            index = table.displacement_index(xa - xb, ya - yb)
+            assert QL[a, b] == table.qq[index] == table.qq[dx, dy]
+            assert PL[a, b] == table.pp[index] == table.pp[dx, dy]
 
 
 @settings(max_examples=30, deadline=None)

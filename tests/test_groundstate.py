@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from spinwave import (LatticeSpec, QuadratureConvergenceError, QuadratureSpec,
+from spinwave import (LatticeSpec, QuadratureConvergenceError,
                       StabilityError, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, critical_g_equal,
                       dispersion_value, excitation_density)
 from spinwave import groundstate
 from spinwave.groundstate import (LEGENDRE_SOFTNESS, _grid_tables, _legendre_q,
-                                  _legendre_tables, _zone_tables)
+                                  _legendre_tables, _refine, _zone_tables)
 
 from conftest import full_matrices, params_at
 
@@ -37,15 +37,15 @@ def test_fft_onsite_equals_dense_diagonal(paper_params):
     spec = LatticeSpec.periodic(6)
     cov = covariance_dense(spec, paper_params)
     table = covariance_pbc_fft(spec, paper_params)
-    assert table.qq_at(0, 0) == pytest.approx(cov.Q[0, 0], rel=1e-12)
-    assert table.pp_at(0, 0) == pytest.approx(cov.P[0, 0], rel=1e-12)
+    assert table.qq[0, 0] == pytest.approx(cov.Q[0, 0], rel=1e-12)
+    assert table.pp[0, 0] == pytest.approx(cov.P[0, 0], rel=1e-12)
 
 
 def test_fft_decoupled_no_correlations():
     table = covariance_pbc_fft(LatticeSpec.periodic(8), params_at(0.0))
-    assert table.qq_at(0, 0) == pytest.approx(1.0 / 3000.0, rel=1e-13)
-    assert abs(table.qq_at(1, 0)) < 1e-18
-    assert abs(table.pp_at(3, 2)) < 1e-9  # pp scale is 750
+    assert table.qq[0, 0] == pytest.approx(1.0 / 3000.0, rel=1e-13)
+    assert abs(table.qq[1, 0]) < 1e-18
+    assert abs(table.pp[3, 2]) < 1e-9  # pp scale is 750
 
 
 def test_fft_sum_rule(paper_params):
@@ -63,9 +63,9 @@ def test_infinite_matches_fft_at_large_m():
     table_fft = covariance_pbc_fft(LatticeSpec.periodic(160), p)
     for dx in range(4):
         for dy in range(4):
-            a, b = table_inf.qq_at(dx, dy), table_fft.qq_at(dx, dy)
+            a, b = table_inf.qq[dx, dy], table_fft.qq[dx, dy]
             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
-            a, b = table_inf.pp_at(dx, dy), table_fft.pp_at(dx, dy)
+            a, b = table_inf.pp[dx, dy], table_fft.pp[dx, dy]
             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
 
 
@@ -88,24 +88,24 @@ def test_zone_tables_match_full_grid_sum(n, g1, g2):
 
 def test_infinite_decoupled_closed_form():
     table = covariance_infinite(params_at(0.0), 1)
-    assert table.qq_at(0, 0) == pytest.approx(1.0 / 3000.0, rel=1e-12)
-    assert abs(table.qq_at(1, 0)) < 1e-18
+    assert table.qq[0, 0] == pytest.approx(1.0 / 3000.0, rel=1e-12)
+    assert abs(table.qq[1, 0]) < 1e-18
 
 
 def test_infinite_near_critical_converges_at_default_tol():
     gc = critical_g_equal(params_at(0.0))
     table = covariance_infinite(params_at(gc * (1.0 - 1e-4)), 1)
-    assert table.qq_at(0, 0) == pytest.approx(5.257723859600e-4, rel=1e-9)
+    assert table.qq[0, 0] == pytest.approx(5.257723859600e-4, rel=1e-9)
 
 
-def test_infinite_nonconvergence_error_carries_estimates():
+def test_infinite_nonconvergence_error_carries_estimates(monkeypatch):
     # on the equal-coupling line the softness min v / on-site is 1 - g / g_c;
     # one doubling (halving) is too few on either route
     gc = critical_g_equal(params_at(0.0))
-    quad = QuadratureSpec(base_points=64, rel_tol=1e-10, max_doublings=1)
-    for softness, route in ((1e-3, "zone"), (1e-9, "Legendre")):
+    monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 1)
+    for softness, route in ((1e-3, "zone grid n = 128"), (1e-9, "Legendre tanh-sinh step 0.25")):
         with pytest.raises(QuadratureConvergenceError, match=route) as err:
-            covariance_infinite(params_at(gc * (1.0 - softness)), 0, quad=quad)
+            covariance_infinite(params_at(gc * (1.0 - softness)), 0)
         assert err.value.last[0].shape == (1, 1)
         assert err.value.previous[0].shape == (1, 1)
 
@@ -123,16 +123,12 @@ def test_legendre_q_matches_mpmath():
                 assert abs(q[m, i] / ref - 1) < 2e-13, (x, m)
 
 
-def test_legendre_tables_match_mpmath_near_critical():
-    # fig2's near-critical coupling; the oracle does the same Heine reduction
-    # with mpmath's own legenq and tanh-sinh quad at 30 digits, and forms
-    # a = on-site + 2 N omega g1 cos kx and b at 50 digits, so z - 1 keeps
-    # ample digits without the branch forms the code uses
+def _assert_matches_heine(p, table, entries):
+    # the oracle does the same Heine reduction with mpmath's own legenq and
+    # tanh-sinh quad at 30 digits, and forms a = on-site + 2 N omega g1 cos kx
+    # and b at 50 digits, so z - 1 keeps ample digits without the branch
+    # forms the code uses; pp entries are checked at dy = 0 only
     mp = pytest.importorskip("mpmath")
-    gc = critical_g_equal(params_at(0.0))
-    p = params_at(gc * (1.0 - 1e-11))
-    table = covariance_infinite(p, 19)
-    qq, pp = table.qq, table.pp
     cache = {}
 
     def j_minus(kx, m):
@@ -150,12 +146,35 @@ def test_legendre_tables_match_mpmath_near_critical():
         return a * j0 + b * j_minus(kx, 1)[2]
 
     with mp.workdps(30):
-        for table, dx, dy, f in ((qq, 0, 0, lambda k: j_minus(k, 0)[2]),
-                                 (qq, 1, 0, lambda k: j_minus(k, 0)[2]),
-                                 (qq, 19, 19, lambda k: j_minus(k, 19)[2]),
-                                 (pp, 0, 0, j_plus0), (pp, 1, 0, j_plus0)):
+        for name, dx, dy in entries:
+            f = j_plus0 if name == "pp" else lambda k: j_minus(k, dy)[2]
             ref = mp.quad(lambda k: mp.cos(dx * k) * f(k), [0, mp.pi]) / (2 * mp.pi)
-            assert abs(table[dx, dy] / ref - 1) < 1e-12, (dx, dy)
+            assert abs(getattr(table, name)[dx, dy] / ref - 1) < 1e-12, (name, dx, dy)
+
+
+def test_legendre_tables_match_mpmath_near_critical():
+    # fig2's near-critical coupling
+    gc = critical_g_equal(params_at(0.0))
+    p = params_at(gc * (1.0 - 1e-11))
+    _assert_matches_heine(p, covariance_infinite(p, 19), [
+        ("qq", 0, 0), ("qq", 1, 0), ("qq", 19, 19), ("pp", 0, 0), ("pp", 1, 0)])
+
+
+def test_large_legendre_table_converges_and_matches_mpmath():
+    # at dmax = 160 the far entries are ~1e-5 of the on-site one; the level
+    # test must not ask them for accuracy below the roundoff plateau
+    gc = critical_g_equal(params_at(0.0))
+    p = params_at(gc * (1.0 - 4e-4))
+    _assert_matches_heine(p, covariance_infinite(p, 160), [
+        ("qq", 0, 0), ("qq", 1, 0), ("pp", 0, 0), ("pp", 1, 0)])
+
+
+def test_grid_route_stops_at_the_roundoff_floor(monkeypatch):
+    # softness 0.1, dmax = 120: levels agree to 3.4e-11 at n = 512, after
+    # three doublings; a floor below roundoff kept the grid doubling to 8192
+    monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 3)
+    gc = critical_g_equal(params_at(0.0))
+    assert covariance_infinite(params_at(gc * 0.9), 120).qq.shape == (121, 121)
 
 
 def _softness_cases(softness):
@@ -173,8 +192,7 @@ def _softness_cases(softness):
 @pytest.mark.parametrize("case", ["(pi, pi)", "(0, pi)", "g2 = 0"])
 def test_routes_agree_near_the_threshold(case, softness):
     p = _softness_cases(softness)[case]
-    quad = QuadratureSpec()
-    one_d, two_d = _legendre_tables(p, 12, quad), _grid_tables(p, 12, quad)
+    one_d, two_d = _refine(_legendre_tables(p, 12)), _refine(_grid_tables(p, 12))
     for a, b in zip(one_d, two_d):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * np.max(np.abs(b)))
 
@@ -248,28 +266,28 @@ def test_nearest_correlation_grows_toward_critical():
     vals = []
     for g in (0.5, 1.0, 1.4, 1.7):
         table = covariance_infinite(params_at(g), 1)
-        vals.append(abs(table.qq_at(1, 0)))
+        vals.append(abs(table.qq[1, 0]))
     assert np.all(np.diff(vals) > 0)
 
 
 def test_finite_size_error_shrinks_with_m():
     # at g = 1.72 the correlation length is a few sites, so halving is visible
     p = params_at(1.72)
-    ref = covariance_infinite(p, 1).qq_at(1, 0)
-    diffs = [abs(covariance_pbc_fft(LatticeSpec.periodic(M), p).qq_at(1, 0) - ref)
+    ref = covariance_infinite(p, 1).qq[1, 0]
+    diffs = [abs(covariance_pbc_fft(LatticeSpec.periodic(M), p).qq[1, 0] - ref)
              for M in (10, 20, 40)]
     assert diffs[1] < 0.5 * diffs[0]
     assert diffs[2] < 0.5 * diffs[1]
     # at g = 1.25 the correlation length is under a site: M = 40 is converged
     p = params_at(1.25)
-    ref = covariance_infinite(p, 1).qq_at(1, 0)
-    assert abs(covariance_pbc_fft(LatticeSpec.periodic(40), p).qq_at(1, 0) - ref) < 1e-12
+    ref = covariance_infinite(p, 1).qq[1, 0]
+    assert abs(covariance_pbc_fft(LatticeSpec.periodic(40), p).qq[1, 0] - ref) < 1e-12
 
 
 def test_table_missing_displacement_named():
     table = covariance_infinite(params_at(1.0), 2)
     with pytest.raises(ValueError, match=r"\(5, 0\)"):
-        table.qq_at(5, 0)
+        table.displacement_index(5, 0)
 
 
 def test_infinite_refuses_negative_extent():
@@ -287,20 +305,10 @@ def test_excitation_density_values(paper_params):
 def test_excitation_density_bounded_at_criticality_but_grows_on_finite_lattice():
     gc = critical_g_equal(params_at(0.0))
     near = params_at(gc * (1.0 - 1e-6))
-    quad = QuadratureSpec(rel_tol=1e-6)
     # integrable 2D cone: the infinite-lattice density stays small even here
-    assert excitation_density(near, LatticeSpec.infinite_lattice(), quad=quad) < 1e-2
+    assert excitation_density(near, LatticeSpec.infinite_lattice()) < 1e-2
     # an even-sided finite lattice has a discrete soft mode that dominates
     spec = LatticeSpec.periodic(80)
     nearer = params_at(gc * (1.0 - 1e-11))
     assert excitation_density(nearer, spec) > excitation_density(params_at(1.5), spec)
 
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(base_points=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_doublings=0)
-    for bad in (float("nan"), 0.0, -1.0, float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="rel_tol"):
-            QuadratureSpec(rel_tol=bad)

@@ -1,15 +1,17 @@
 """Command-line interface: config ingestion, subcommand dispatch, CSV/JSON output.
 
-Exit codes: 0 success, 1 computational refusal (instability or quadrature
-non-convergence), 2 configuration or usage error.  Every table carries a
-comment line with the config digest, so outputs are self-describing and
-byte-identical for identical configs.
+Exit codes: 0 success, 1 computational refusal (instability, quadrature
+non-convergence or running out of memory), 2 configuration or usage error,
+unreadable paths included.  Every table carries a comment line with the
+config digest, so outputs are self-describing and byte-identical for
+identical configs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
-from .groundstate import QuadratureConvergenceError, covariances_for, resolve_engine
+from .groundstate import QuadratureConvergenceError, covariances_for
 from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
 from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
@@ -33,12 +35,6 @@ def _params(cfg: RunConfig, g1=None, g2=None) -> CouplingParams:
     return CouplingParams(omega=cfg.omega, kappa=cfg.kappa, n_atoms=cfg.n_atoms,
                           g1=cfg.g1 if g1 is None else g1,
                           g2=cfg.g2 if g2 is None else g2)
-
-
-def _lattice(cfg: RunConfig) -> LatticeSpec:
-    if cfg.infinite:
-        return LatticeSpec.infinite_lattice()
-    return LatticeSpec(side=cfg.side, boundary=cfg.boundary)
 
 
 def _g_grid(cfg: RunConfig) -> list[float]:
@@ -65,9 +61,11 @@ def _cell(value) -> str:
 
 def _render(cfg: RunConfig, columns, rows) -> str:
     if cfg.format == "json":
+        # JSON has no NaN or Infinity: a failed row's numeric cells become null
         doc = {"config": asdict(cfg), "columns": list(columns),
-               "rows": [list(r) for r in rows]}
-        return json.dumps(doc, indent=1) + "\n"
+               "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v
+                         for v in r] for r in rows]}
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
     lines = [f"# config sha256:{config_digest(cfg)}", ",".join(columns)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -101,7 +99,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
 
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
-    lattice = _lattice(cfg)
+    lattice = cfg.lattice
     rows = []
     for g in _g_grid(cfg):
         try:
@@ -114,20 +112,15 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 
 def cmd_covariance(cfg: RunConfig) -> int:
-    lattice = _lattice(cfg)
-    engine = resolve_engine(lattice, cfg.engine)
-    if engine == "dense" and lattice.boundary != "periodic":
+    lattice = cfg.lattice
+    if lattice.engine == "dense":
         raise ConfigError("a displacement table needs translation invariance; "
-                          "use a periodic lattice or engine=infinite")
-    cov = covariances_for(_params(cfg), lattice, engine, cfg.max_displacement)
-    d = range(cfg.max_displacement + 1 if engine == "infinite" else lattice.side)
-    rows = []
-    for dx in d:
-        # column 0 of a block headed by the origin reads the entry at r (row 0
-        # would read -r); a block per dx keeps side 80 at 81 sites, not 6400
-        head = [(0, 0)] if dx else []
-        Q, P = cov.block(head + [(dx, dy) for dy in d])
-        rows += [[dx, dy, float(Q[len(head) + dy, 0]), float(P[len(head) + dy, 0])] for dy in d]
+                          "use a periodic lattice or infinite = true")
+    table = covariances_for(_params(cfg), lattice, cfg.max_displacement)
+    d = np.arange(cfg.max_displacement + 1 if lattice.infinite else lattice.side)
+    dx, dy = (a.ravel() for a in np.meshgrid(d, d, indexing="ij"))
+    index = table.displacement_index(dx, dy)
+    rows = list(zip(dx.tolist(), dy.tolist(), table.qq[index].tolist(), table.pp[index].tolist()))
     _write(cfg, ["dx", "dy", "qq", "pp"], rows)
     return 0
 
@@ -145,12 +138,11 @@ def cmd_entropy_scan(cfg: RunConfig) -> int:
         if params.g1 >= gc:
             raise StabilityError(f"beyond critical coupling g_c = {gc:.5f} "
                                  f"(requested g = {params.g1:g})")
-    lattice = _lattice(cfg)
+    lattice = cfg.lattice
     _check_blocks_fit(cfg, lattice)
-    engine = resolve_engine(lattice, cfg.engine)
     curve = entropy_vs_L(params, lattice, cfg.block_sizes, mode=cfg.entropy_mode,
-                         engine=engine, pairing_tol=cfg.pairing_tol)
-    rows = [[L, E, cfg.entropy_mode, engine] for L, E in curve]
+                         pairing_tol=cfg.pairing_tol)
+    rows = [[L, E, cfg.entropy_mode, lattice.engine] for L, E in curve]
     _write(cfg, ["L", "entropy_bits", "mode", "engine"], rows)
     return 0
 
@@ -159,7 +151,7 @@ _PAIR_CLASSES = (("nn", (1, 0)), ("diagonal", (1, 1)), ("distance2", (2, 0)))
 
 
 def cmd_two_site(cfg: RunConfig) -> int:
-    lattice = _lattice(cfg)
+    lattice = cfg.lattice
     if not lattice.infinite and lattice.boundary == "open" and lattice.side < 5:
         raise ConfigError("two-site on an open lattice needs side >= 5: "
                           "the pairs reach two sites right of the center")
@@ -169,7 +161,7 @@ def cmd_two_site(cfg: RunConfig) -> int:
     rows = []
     for g in _g_grid(cfg):
         try:
-            cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, cfg.engine, 2)
+            cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, 2)
             x, y = lattice.center
             for label, (dx, dy) in _PAIR_CLASSES:
                 two = two_site_params(cov, (x, y), (x + dx, y + dy))
@@ -205,7 +197,7 @@ def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
 
 
 def cmd_derivative_scan(cfg: RunConfig) -> int:
-    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, _lattice(cfg)))
+    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, cfg.lattice))
     return 0
 
 
@@ -241,11 +233,11 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
     columns = ["L", "entropy_bits", "mode", "engine"]
     for label, g in couplings:
         p = _params(cfg, g1=g, g2=g)
-        for engine, spec in (("fft", lattice), ("infinite", LatticeSpec.infinite_lattice())):
+        for spec in (lattice, LatticeSpec.infinite_lattice()):
             curve = entropy_vs_L(p, spec, cfg.block_sizes, mode=cfg.entropy_mode,
-                                 engine=engine, pairing_tol=cfg.pairing_tol)
-            rows = [[L, E, cfg.entropy_mode, engine] for L, E in curve]
-            stem = f"fig2_{'m80' if engine == 'fft' else 'infinite'}_{label}"
+                                 pairing_tol=cfg.pairing_tol)
+            rows = [[L, E, cfg.entropy_mode, spec.engine] for L, E in curve]
+            stem = f"fig2_{'infinite' if spec.infinite else 'm80'}_{label}"
             _write(cfg, columns, rows, path=_artifact_path(cfg, stem))
     return 0
 
@@ -289,11 +281,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text() if args.config else ""
-        cfg = parse_config(text)
+        cfg = parse_config(_read_config(args.config) if args.config else "")
         overrides = {}
         if args.output is not None:
             overrides["output"] = args.output
@@ -304,11 +302,11 @@ def main(argv=None) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
         return _HANDLERS[args.subcommand](cfg)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StabilityError, QuadratureConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StabilityError, QuadratureConvergenceError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -31,7 +31,7 @@ class RunConfig:
     side: int = 80
     boundary: str = "periodic"
     infinite: bool = False
-    # engines and entropy
+    # engine ("auto" or the lattice's own, LatticeSpec.engine) and entropy
     engine: str = "auto"
     entropy_mode: str = "degenerate_once"
     pairing_tol: float = 1e-8
@@ -52,6 +52,12 @@ class RunConfig:
     output: str = "-"
     out_dir: str = "."
     format: str = "csv"
+
+    @property
+    def lattice(self) -> LatticeSpec:
+        """The lattice these fields name; ``side`` and ``boundary`` are
+        ignored when ``infinite``."""
+        return LatticeSpec.infinite_lattice() if self.infinite else LatticeSpec(self.side, self.boundary)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -159,16 +165,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_cross_fields(cfg: RunConfig) -> None:
-    if not cfg.infinite:
-        try:
-            LatticeSpec(side=cfg.side, boundary=cfg.boundary)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if cfg.engine == "fft" and (cfg.infinite or cfg.boundary != "periodic"):
-        raise ConfigError("engine = fft needs a finite periodic lattice "
-                          "(boundary = periodic, infinite = false)")
-    if cfg.engine == "dense" and cfg.infinite:
-        raise ConfigError("engine = dense needs a finite lattice (infinite = false)")
+    try:
+        lattice = cfg.lattice
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if cfg.engine not in ("auto", lattice.engine):
+        raise ConfigError(f"engine = {cfg.engine} does not run this lattice, whose engine "
+                          f"is {lattice.engine}; set engine = auto or {lattice.engine}")
     if cfg.g_max != "auto" and cfg.g_max < cfg.g_min:
         raise ConfigError("g_max must be >= g_min")
     if cfg.phase_g1_max < cfg.phase_g1_min:

@@ -135,15 +135,15 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
 
 
 def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
-                 mode: str = "degenerate_once", engine: str | None = None,
+                 mode: str = "degenerate_once",
                  pairing_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[int, float]]:
-    """Entropy of centered L x L blocks for each L, engine chosen per spec."""
+    """Entropy of centered L x L blocks for each L, on the lattice's own engine."""
     L_list = [int(L) for L in L_list]
     if any(b <= a for a, b in zip(L_list, L_list[1:])):
         raise ValueError("L_list must be strictly increasing")
     if not spec.infinite and L_list[-1] > spec.side:
         raise ValueError("largest block exceeds the lattice")
-    cov = covariances_for(params, spec, engine, L_list[-1] - 1)
+    cov = covariances_for(params, spec, L_list[-1] - 1)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
     out = []
     for L in L_list:

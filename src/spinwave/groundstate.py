@@ -4,17 +4,18 @@ The ground state of H = (1/2) p.p + (1/2) q.V.q is Gaussian with
 
     Q = V^(-1/2) / 2      P = V^(1/2) / 2
 
-and vanishing first moments.  Three interchangeable engines compute them:
+and vanishing first moments.  The lattice picks the engine that computes
+them (``LatticeSpec.engine``):
 
-* ``covariance_dense``     -- symmetric eigendecomposition of V (any boundary)
-* ``covariance_pbc_fft``   -- circulant fast path for periodic lattices
+* ``covariance_dense``     -- symmetric eigendecomposition of V, for open lattices
+* ``covariance_pbc_fft``   -- circulant diagonalisation by FFT, for periodic ones
 * ``covariance_infinite``  -- Brillouin-zone quadrature in the M -> oo limit
 
 The periodic/infinite engines return correlations as a function of the
 displacement only (translation invariance); the dense engine returns the full
 matrices.  Either container answers ``block(sites)`` with the principal
 submatrices (Q_L, P_L) on a list of sites, and ``covariances_for`` is the one
-place that picks the engine for a lattice.
+place that runs a lattice's engine.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
 
     and the same with v^(+1/2) for momenta, evaluated with a fast transform.
     """
-    if spec.infinite or spec.boundary != "periodic":
+    if spec.engine != "fft":
         raise ValueError("FFT engine requires a finite periodic lattice")
     v = dispersion_grid(params, spec.side)
     _guard_softness(float(np.min(v)), params.on_site)
@@ -414,29 +415,16 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
     return CorrelationTable(qq=qq, pp=pp, kind="infinite")
 
 
-def resolve_engine(spec: LatticeSpec, engine: str | None = None) -> str:
-    """The engine a request runs on.  ``None`` or ``"auto"`` picks the
-    lattice's own: zone quadrature for the infinite lattice, FFT for a
-    periodic one, dense eigendecomposition for an open one."""
-    if engine in (None, "auto"):
-        return "infinite" if spec.infinite else "fft" if spec.boundary == "periodic" else "dense"
-    if engine not in ("dense", "fft", "infinite"):
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine
-
-
-def covariances_for(params: CouplingParams, spec: LatticeSpec, engine: str | None = None,
-                    max_displacement: int = 0):
-    """Ground-state covariances of ``spec`` on the resolved engine.
+def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
+    """Ground-state covariances of ``spec`` on its own engine, ``spec.engine``.
 
     Returns a CovariancePair (dense) or a CorrelationTable (fft, infinite);
     an infinite table covers displacements up to ``max_displacement`` in
     each component.
     """
-    engine = resolve_engine(spec, engine)
-    if engine == "dense":
+    if spec.engine == "dense":
         return covariance_dense(spec, params)
-    if engine == "fft":
+    if spec.engine == "fft":
         return covariance_pbc_fft(spec, params)
     return covariance_infinite(params, max_displacement)
 

@@ -100,6 +100,12 @@ class LatticeSpec:
         return cls(side=None, boundary="periodic", infinite=True)
 
     @property
+    def engine(self) -> str:
+        """The lattice's ground-state engine: zone quadrature when infinite,
+        the circulant FFT when periodic, dense eigendecomposition when open."""
+        return "infinite" if self.infinite else "fft" if self.boundary == "periodic" else "dense"
+
+    @property
     def center(self) -> tuple[int, int]:
         """Anchor site of single-site and pair quantities: the origin of the
         infinite lattice, (M // 2, M // 2) on a finite one."""

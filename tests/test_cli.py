@@ -71,19 +71,18 @@ PATHS = st.text(alphabet="abcxyz019._/-", min_size=1, max_size=12)
 
 @st.composite
 def run_configs(draw):
-    """Every field drawn from its valid range, consistent across fields."""
+    """Every field drawn from its valid range, consistent across fields: the
+    engine is "auto" or the drawn lattice's own."""
     infinite = draw(st.booleans())
     boundary = draw(st.sampled_from(["periodic", "open"]))
-    engines = ["auto", "infinite"]
-    if not infinite:
-        engines += ["dense"] + (["fft"] if boundary == "periodic" else [])
+    own = "infinite" if infinite else "fft" if boundary == "periodic" else "dense"
     g_min = draw(NON_NEGATIVE)
     phase_g1_min = draw(NON_NEGATIVE)
     return RunConfig(
         omega=draw(POSITIVE), kappa=draw(POSITIVE), n_atoms=draw(st.integers(1, 10 ** 6)),
         g1=draw(NON_NEGATIVE), g2=draw(NON_NEGATIVE),
         side=draw(st.integers(3 if boundary == "periodic" else 2, 1000)), boundary=boundary,
-        infinite=infinite, engine=draw(st.sampled_from(engines)),
+        infinite=infinite, engine=draw(st.sampled_from(["auto", own])),
         entropy_mode=draw(st.sampled_from(["degenerate_once", "count_all"])),
         pairing_tol=draw(POSITIVE), block_sizes=draw(INCREASING), g_min=g_min,
         g_max=draw(st.just("auto") | st.floats(min_value=g_min, allow_infinity=False)),
@@ -169,6 +168,20 @@ def test_cli_output_file_and_json(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_cli_json_failed_rows_are_strict_json(tmp_path):
+    # the g = 1.8 row is beyond criticality; its gap cell is null, not NaN
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("infinite = true\ng_min = 1.7\ng_max = 1.8\ng_samples = 2\n")
+    out = tmp_path / "gap.json"
+    assert main(["gap-scan", "--config", str(cfg), "--output", str(out), "--format", "json"]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["rows"][1][:2] == [1.8, None] and "critical" in doc["rows"][1][2]
+
+
 def test_cli_identical_config_identical_bytes(tmp_path):
     cfg = small_cfg(tmp_path)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -201,7 +214,34 @@ def test_cli_covariance_engines(tmp_path, capsys):
     open_cfg = tmp_path / "open.cfg"
     open_cfg.write_text("side = 6\nboundary = open\nengine = dense\n")
     assert main(["covariance", "--config", str(open_cfg)]) == 2
-    assert "translation invariance" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "translation invariance" in err and "infinite = true" in err
+
+
+def test_cli_out_of_memory_is_refusal(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    monkeypatch.setattr("spinwave.cli.covariances_for", exhausted)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("infinite = true\nmax_displacement = 200000\n")
+    assert main(["covariance", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 298. GiB\n"
+
+
+@pytest.mark.parametrize("case", ["config is a directory", "output is a directory",
+                                  "config is not text"])
+def test_cli_unreadable_paths_are_config_errors(tmp_path, capsys, case):
+    cfg = small_cfg(tmp_path)
+    args = ["gap-scan", "--config", str(cfg)]
+    if case == "config is a directory":
+        args[2] = str(tmp_path)
+    elif case == "output is a directory":
+        args += ["--output", str(tmp_path)]
+    else:
+        cfg.write_bytes(b"side = 8\n\xff\n")
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_derivative_and_finite_size(tmp_path, capsys):
@@ -234,15 +274,35 @@ def test_cli_non_finite_is_config_error(tmp_path, capsys, line, key):
     assert err.startswith(f"config error: bad value for '{key}' (line 3): must be finite")
 
 
-@pytest.mark.parametrize("subcommand", ["entropy-scan", "two-site"])
+@pytest.mark.parametrize("subcommand", ["entropy-scan", "two-site", "derivative-scan",
+                                        "gap-scan", "finite-size"])
 @pytest.mark.parametrize("text", ["engine = fft\nboundary = open\nside = 6\n",
                                   "engine = fft\ninfinite = true\n",
-                                  "engine = dense\ninfinite = true\n"])
+                                  "engine = dense\ninfinite = true\n",
+                                  "engine = dense\nside = 6\n",
+                                  "engine = infinite\nside = 6\n",
+                                  "engine = infinite\nboundary = open\nside = 6\n"])
 def test_cli_engine_lattice_mismatch_is_config_error(tmp_path, capsys, subcommand, text):
     cfg = tmp_path / "mismatch.cfg"
     cfg.write_text(text + "block_sizes = 2\ng_samples = 1\n")
     assert main([subcommand, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: engine = ")
+
+
+@pytest.mark.parametrize("subcommand, engine, lattice", [
+    ("two-site", "dense", "boundary = open\nside = 7\n"),
+    ("entropy-scan", "fft", "side = 8\n"),
+    ("covariance", "infinite", "infinite = true\nmax_displacement = 2\n"),
+])
+def test_cli_own_engine_matches_auto(tmp_path, capsys, subcommand, engine, lattice):
+    tables = []
+    for choice in ("auto", engine):
+        cfg = tmp_path / f"{choice}.cfg"
+        cfg.write_text(f"{lattice}engine = {choice}\nblock_sizes = 2,3\ng_samples = 1\n")
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    # only the digest line differs: the engine key is part of the digest
+    assert tables[0][1:] == tables[1][1:] and len(tables[0]) > 2
 
 
 def test_cli_two_site_asymmetric_pair_in_row(tmp_path, capsys):

@@ -14,8 +14,8 @@ from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numer
                        critical_g_equal, dispersion_value, energy_gap, gap_scaling_exponent,
                        phase_boundary_cases, zone_minimum)
 from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
-                          covariance_dense, covariance_infinite, covariance_pbc_fft,
-                          covariances_for, excitation_density)
+                          SineModes, covariance_dense, covariance_dst, covariance_infinite,
+                          covariance_pbc_fft, covariances_for, excitation_density)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
                            symplectic_spectrum, two_site_params)
@@ -33,8 +33,9 @@ __all__ = [
     "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric", "critical_g_equal",
     "dispersion_value", "energy_gap", "gap_scaling_exponent", "phase_boundary_cases",
     "zone_minimum",
-    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "excitation_density",
-    "covariance_dense", "covariance_infinite", "covariance_pbc_fft", "covariances_for",
+    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "SineModes",
+    "excitation_density", "covariance_dense", "covariance_dst", "covariance_infinite",
+    "covariance_pbc_fft", "covariances_for",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
     "block_entropy", "entropy_vs_L", "eof_symmetric", "symplectic_spectrum", "two_site_params",
     "HarmonicPrediction", "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series",

@@ -218,8 +218,9 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
 
 
 def _paper_config(cfg: RunConfig) -> RunConfig:
+    # the lattice is replaced, so an engine named for the input's lattice goes too
     return replace(cfg, omega=PAPER_OMEGA, kappa=1.0, n_atoms=PAPER_N_ATOMS,
-                   side=80, boundary="periodic", infinite=False)
+                   side=80, boundary="periodic", infinite=False, engine="auto")
 
 
 def cmd_reproduce_fig2(cfg: RunConfig) -> int:

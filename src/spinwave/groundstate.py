@@ -4,18 +4,24 @@ The ground state of H = (1/2) p.p + (1/2) q.V.q is Gaussian with
 
     Q = V^(-1/2) / 2      P = V^(1/2) / 2
 
-and vanishing first moments.  The lattice picks the engine that computes
-them (``LatticeSpec.engine``):
+and vanishing first moments.  Every lattice is a transform plus the symbol
+v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
+042327 (2002)), and the lattice picks the engine that evaluates it
+(``LatticeSpec.engine``):
 
-* ``covariance_dense``     -- symmetric eigendecomposition of V, for open lattices
+* ``covariance_dst``       -- the DST-I normal modes, for open lattices
+                              (engine name ``dense``)
 * ``covariance_pbc_fft``   -- circulant diagonalisation by FFT, for periodic ones
 * ``covariance_infinite``  -- Brillouin-zone quadrature in the M -> oo limit
 
 The periodic/infinite engines return correlations as a function of the
-displacement only (translation invariance); the dense engine returns the full
-matrices.  Either container answers ``block(sites)`` with the principal
-submatrices (Q_L, P_L) on a list of sites, and ``covariances_for`` is the one
-place that runs a lattice's engine.
+displacement only (translation invariance); the open engine returns the
+transform and the symbol, from which a block takes only its own rows.  Each
+container answers ``block(sites)`` with the principal submatrices
+(Q_L, P_L) on a list of sites, and ``covariances_for`` is the one place
+that runs a lattice's engine.  ``covariance_dense``, the symmetric
+eigendecomposition of the full V on any finite lattice, is the oracle the
+tests hold the engines to.
 """
 
 from __future__ import annotations
@@ -27,6 +33,15 @@ import numpy as np
 
 from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, StabilityError, build_potential
 from .spectrum import dispersion_grid, dispersion_value, zone_minimum
+
+
+def _site_indices(spec: LatticeSpec, sites) -> list[int]:
+    """Row-major indices of the sites (x, y): periodic lattices wrap, open
+    ones refuse sites off the lattice, and no lattice site may be named twice."""
+    idx = [spec.site_index(x, y) for x, y in sites]
+    if len(set(idx)) < len(idx):
+        raise ValueError("block names one lattice site twice")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -41,10 +56,42 @@ class CovariancePair:
         """Principal submatrices (Q_L, P_L) on the sites (x, y): periodic
         lattices wrap, open ones refuse sites off the lattice, and no lattice
         site may be named twice."""
-        idx = [self.spec.site_index(x, y) for x, y in sites]
-        if len(set(idx)) < len(idx):
-            raise ValueError("block names one lattice site twice")
+        idx = _site_indices(self.spec, sites)
         return self.Q[np.ix_(idx, idx)], self.P[np.ix_(idx, idx)]
+
+
+@dataclass(frozen=True)
+class SineModes:
+    """Normal modes of an open lattice: V = (S x S) diag(v) (S x S) in
+    row-major site order, with S the DST-I matrix and v[kx, ky] the symbol on
+    its grid."""
+
+    S: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    spec: LatticeSpec
+
+    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Principal submatrices Q_L = A diag(v^(-1/2)) A^T / 2 and
+        P_L = A diag(v^(1/2)) A^T / 2, A the sites' rows S[y] x S[x] of
+        S x S; sites off the lattice and a site named twice are refused.
+
+        The two axes are contracted one at a time, so the cost is
+        O(R^2 M^2 + n^2 M) for n sites in R lattice rows and A is never formed."""
+        y, x = np.divmod(_site_indices(self.spec, sites), self.spec.side)
+        rows, row_of = np.unique(y, return_inverse=True)
+        Sx = self.S[x]
+        row_pairs = (self.S[rows, None, :] * self.S[None, rows, :]).reshape(rows.size ** 2, -1)
+        out = []
+        for power in (-0.5, 0.5):
+            # C[a, b, kx] = sum_ky S[rows[a], ky] S[rows[b], ky] v[kx, ky]^power / 2
+            C = (row_pairs @ (self.v ** power).T).reshape(rows.size, rows.size, -1) / 2.0
+            # X[i, j] = sum_kx S[x_i, kx] C[row_i, row_j, kx] S[x_j, kx], one lattice row at a time
+            X = np.empty((x.size, x.size))
+            for a in range(rows.size):
+                mine = row_of == a
+                X[mine] = Sx[mine] @ (C[a, row_of] * Sx).T
+            out.append(0.5 * (X + X.T))
+        return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -110,6 +157,33 @@ def covariance_dense(spec: LatticeSpec, params: CouplingParams) -> CovariancePai
     return CovariancePair(Q=Q, P=P, spec=spec)
 
 
+def covariance_dst(spec: LatticeSpec, params: CouplingParams) -> SineModes:
+    """Open-lattice normal modes in closed form.  With T the adjacency matrix
+    of the M-site path, the open lattice's bonds are exactly
+
+        V = on_site I + N omega (g2 T x I + g1 I x T + 2^(-3/2) g2 T x T)
+
+    in row-major site order (the diagonal bonds are T x T).  The orthogonal,
+    symmetric DST-I matrix S_jk = sqrt(2 / (M+1)) sin(pi j k / (M+1)),
+    j, k = 1..M, diagonalises T with eigenvalues 2 cos(pi k / (M+1)) (Strang,
+    SIAM Rev. 41, 135 (1999)), so V = (S x S) diag(v) (S x S) with v the
+    symbol on the grid k = pi j / (M + 1), and min v is the smallest
+    eigenvalue of V.
+    """
+    if spec.engine != "dense":
+        raise ValueError("DST-I engine requires a finite open lattice")
+    M = spec.side
+    v = dispersion_grid(params, spec)
+    _guard_softness(float(np.min(v)), params.on_site)
+    j = np.arange(1, M + 1)
+    # j k reduced modulo the sine's period 2 (M + 1) in integers, so every
+    # angle is below 2 pi and carries one rounding
+    S = np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (M + 1))) / (M + 1))
+    S.flags.writeable = False
+    v.flags.writeable = False
+    return SineModes(S=S, v=v, spec=spec)
+
+
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
     """Periodic-lattice correlations via the circulant eigenvalue grid:
 
@@ -119,7 +193,7 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     """
     if spec.engine != "fft":
         raise ValueError("FFT engine requires a finite periodic lattice")
-    v = dispersion_grid(params, spec.side)
+    v = dispersion_grid(params, spec)
     _guard_softness(float(np.min(v)), params.on_site)
     qq = 0.5 * np.real(np.fft.ifft2(v ** -0.5))
     pp = 0.5 * np.real(np.fft.ifft2(v ** 0.5))
@@ -418,12 +492,12 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
     """Ground-state covariances of ``spec`` on its own engine, ``spec.engine``.
 
-    Returns a CovariancePair (dense) or a CorrelationTable (fft, infinite);
-    an infinite table covers displacements up to ``max_displacement`` in
-    each component.
+    Returns SineModes (dense, the open lattice) or a CorrelationTable (fft,
+    infinite); an infinite table covers displacements up to
+    ``max_displacement`` in each component.
     """
     if spec.engine == "dense":
-        return covariance_dense(spec, params)
+        return covariance_dst(spec, params)
     if spec.engine == "fft":
         return covariance_pbc_fft(spec, params)
     return covariance_infinite(params, max_displacement)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DIAGONAL_FACTOR, CouplingParams, LatticeSpec, StabilityError, build_potential
+from .model import DIAGONAL_FACTOR, CouplingParams, LatticeSpec, StabilityError
 
 SQRT2 = np.sqrt(2.0)
 # absolute bisection tolerance of the numerical phase boundary, in units of kappa
@@ -38,9 +38,15 @@ def dispersion_value(params: CouplingParams, kx, ky):
                            params.g1, params.g2, kx, ky)
 
 
-def dispersion_grid(params: CouplingParams, side: int) -> np.ndarray:
-    """v(k) on the discrete wavevector grid k = 2 pi (m, n) / M of a periodic lattice."""
-    k = 2.0 * np.pi * np.arange(side) / side
+def dispersion_grid(params: CouplingParams, spec: LatticeSpec) -> np.ndarray:
+    """v(k) on the normal-mode grid of a finite lattice, indexed [kx, ky]:
+    k = 2 pi m / M, m = 0..M-1, when periodic (the DFT modes) and
+    k = pi j / (M + 1), j = 1..M, when open (the DST-I modes)."""
+    M = spec.side
+    if spec.boundary == "periodic":
+        k = 2.0 * np.pi * np.arange(M) / M
+    else:
+        k = np.pi * np.arange(1, M + 1) / (M + 1)
     return dispersion_value(params, k[:, None], k[None, :])
 
 
@@ -60,15 +66,14 @@ def zone_minimum(params: CouplingParams) -> tuple[float, tuple[float, float]]:
 def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
     """Lowest excitation energy sqrt(min v).
 
-    Infinite mode takes the minimum over the continuous zone, finite
-    periodic over the discrete grid, finite open over the dense eigenvalues of V.
+    Infinite mode takes the minimum over the continuous zone, a finite
+    lattice over its normal-mode grid (``dispersion_grid``), whose values are
+    the eigenvalues of V.
     """
     if spec.infinite:
         vmin, _ = zone_minimum(params)
-    elif spec.boundary == "periodic":
-        vmin = float(np.min(dispersion_grid(params, spec.side)))
     else:
-        vmin = float(np.linalg.eigvalsh(build_potential(spec, params))[0])
+        vmin = float(np.min(dispersion_grid(params, spec)))
     if vmin < 0:
         raise StabilityError(f"instability: beyond critical coupling (min v = {vmin:.6g})")
     return float(np.sqrt(vmin))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinwave import ConfigError, RunConfig, config_digest, parse_config, serialize_config
-from spinwave.cli import main
+from spinwave.cli import _paper_config, main
 
 
 def test_empty_config_is_all_defaults():
@@ -303,6 +303,27 @@ def test_cli_own_engine_matches_auto(tmp_path, capsys, subcommand, engine, latti
         tables.append(capsys.readouterr().out.splitlines())
     # only the digest line differs: the engine key is part of the digest
     assert tables[0][1:] == tables[1][1:] and len(tables[0]) > 2
+
+
+def test_paper_recipes_keep_default_configs():
+    # reproduce-fig2/fig3 on defaults record the defaults, so their digest lines stay put
+    assert _paper_config(RunConfig()) == RunConfig()
+
+
+@pytest.mark.parametrize("recipe, extra", [("reproduce-fig2", "block_sizes = 2,3\n"),
+                                           ("reproduce-fig3", "g_samples = 2\nm_list = 5\n")])
+def test_paper_recipes_record_a_config_that_parses(tmp_path, recipe, extra):
+    # the recipes replace the input's open lattice, and with it its engine
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text("boundary = open\nside = 30\nengine = dense\n" + extra)
+    assert main([recipe, "--config", str(cfg), "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert written
+    for path in written:
+        fields = json.loads(path.read_text())["config"]
+        recorded = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+        assert (recorded.boundary, recorded.side, recorded.engine) == ("periodic", 80, "auto")
+        assert parse_config(serialize_config(recorded)) == recorded
 
 
 def test_cli_two_site_asymmetric_pair_in_row(tmp_path, capsys):

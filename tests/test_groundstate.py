@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinwave import (LatticeSpec, QuadratureConvergenceError,
-                      StabilityError, covariance_dense,
+                      StabilityError, build_potential, covariance_dense, covariance_dst,
                       covariance_infinite, covariance_pbc_fft, critical_g_equal,
-                      dispersion_value, excitation_density)
+                      dispersion_value, excitation_density, zone_minimum)
 from spinwave import groundstate
 from spinwave.groundstate import (LEGENDRE_SOFTNESS, _grid_tables, _legendre_q,
                                   _legendre_tables, _refine, _zone_tables)
@@ -39,6 +40,84 @@ def test_fft_onsite_equals_dense_diagonal(paper_params):
     table = covariance_pbc_fft(spec, paper_params)
     assert table.qq[0, 0] == pytest.approx(cov.Q[0, 0], rel=1e-12)
     assert table.pp[0, 0] == pytest.approx(cov.P[0, 0], rel=1e-12)
+
+
+def _critical_scale(g1, g2, spec=None) -> float:
+    """Factor that puts the couplings (g1, g2) at criticality: V = on_site I + t C is
+    linear in the scale t, so t_c = on_site / -min eig C on a finite lattice
+    (eigvalsh of the dense V, the oracle) and on_site / (on_site - min v) on
+    the infinite one."""
+    p = params_at(g1, g2=g2)
+    if spec is None:
+        return p.on_site / (p.on_site - zone_minimum(p)[0])
+    return p.on_site / -np.linalg.eigvalsh(build_potential(spec, p) - p.on_site * np.eye(spec.side ** 2))[0]
+
+
+UNIT = st.floats(0.05, 1.0)
+
+
+@st.composite
+def open_lattice_cases(draw):
+    """An open M x M lattice, M = 2..12; stable couplings on the equal-coupling
+    line, at g2 = 0, in the g2 > sqrt(2) g1 branch or anywhere, scaled to a
+    fraction of the infinite lattice's critical scale (which no finite grid
+    reaches); and distinct sites in random order with a corner among them."""
+    M = draw(st.integers(2, 12))
+    shape = draw(st.sampled_from(["equal", "g2 = 0", "g2 > sqrt(2) g1", "any"]))
+    g1 = draw(st.floats(0.0, 1.0) if shape == "any" else UNIT)
+    if shape == "equal":
+        g2 = g1
+    elif shape == "g2 = 0":
+        g2 = 0.0
+    elif shape == "g2 > sqrt(2) g1":
+        g2 = np.sqrt(2.0) * g1 / draw(st.floats(0.05, 0.95))
+    else:
+        g2 = draw(UNIT)
+    t = draw(st.floats(0.0, 0.98)) * _critical_scale(g1, g2)
+    corner = draw(st.sampled_from([(0, 0), (M - 1, 0), (0, M - 1), (M - 1, M - 1)]))
+    others = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=2 * M))
+    sites = list(dict.fromkeys(others[:len(others) // 2] + [corner] + others[len(others) // 2:]))
+    return LatticeSpec.open_boundary(M), params_at(t * g1, g2=t * g2), sites
+
+
+@settings(max_examples=150, deadline=None)
+@given(open_lattice_cases())
+def test_dst_engine_matches_dense_oracle(case):
+    spec, p, sites = case
+    for want, got in zip(covariance_dense(spec, p).block(sites), covariance_dst(spec, p).block(sites)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sites", [[(0, 0), (0, 0)], [(1, 2), (3, 1), (1, 2)], [(4, 0)],
+                                   [(-1, 0)], [(2, 2), (0, 4)]])
+def test_dst_block_refuses_what_dense_refuses(sites):
+    spec, p = LatticeSpec.open_boundary(4), params_at(1.2)
+    messages = []
+    for cov in (covariance_dense(spec, p), covariance_dst(spec, p)):
+        with pytest.raises(ValueError) as err:
+            cov.block(sites)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("M", [2, 3, 7, 12])
+@pytest.mark.parametrize("g1, g2", [(1.0, 1.0), (1.0, 0.0), (0.3, 1.0), (1.0, 0.6)])
+def test_dst_engine_refuses_beyond_criticality_as_dense_does(M, g1, g2):
+    spec = LatticeSpec.open_boundary(M)
+    t = _critical_scale(g1, g2, spec)
+    covariance_dst(spec, params_at(0.99 * t * g1, g2=0.99 * t * g2))
+    hot = params_at(1.01 * t * g1, g2=1.01 * t * g2)
+    for engine in (covariance_dense, covariance_dst):
+        with pytest.raises(StabilityError, match="beyond critical"):
+            engine(spec, hot)
+
+
+def test_dst_engine_only_runs_open_lattices(paper_params):
+    for spec in (LatticeSpec.periodic(6), LatticeSpec.infinite_lattice()):
+        with pytest.raises(ValueError, match="open lattice"):
+            covariance_dst(spec, paper_params)
 
 
 def test_fft_decoupled_no_correlations():

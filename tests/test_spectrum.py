@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinwave import (CouplingParams, LatticeSpec, StabilityError, critical_g2,
+from spinwave import (CouplingParams, LatticeSpec, StabilityError, build_potential, critical_g2,
                       critical_g2_numeric, critical_g_equal, dispersion_value,
                       energy_gap, gap_scaling_exponent, phase_boundary_cases, zone_minimum)
 
@@ -42,6 +42,16 @@ def test_dispersion_inversion_symmetry():
     for kx, ky in rng.uniform(-np.pi, np.pi, size=(20, 2)):
         assert dispersion_value(p, kx, ky) == pytest.approx(
             float(dispersion_value(p, -kx, -ky)), rel=1e-14)
+
+
+@pytest.mark.parametrize("g1, g2", [(1.5, 1.5), (1.0, 0.0), (0.4, 1.3), (1.7, 0.9)])
+def test_open_energy_gap_is_the_smallest_eigenvalue_of_v(g1, g2):
+    # the DST-I grid's minimum of v against the dense eigenvalues of V
+    p = params_at(g1, g2=g2)
+    for M in range(2, 13):
+        spec = LatticeSpec.open_boundary(M)
+        want = np.sqrt(np.linalg.eigvalsh(build_potential(spec, p))[0])
+        assert energy_gap(p, spec) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_energy_gap_decoupled():

@@ -38,11 +38,14 @@ def _params(cfg: RunConfig, g1=None, g2=None) -> CouplingParams:
 
 
 def _g_grid(cfg: RunConfig) -> list[float]:
-    g_max = cfg.g_max
-    if g_max == "auto":
-        g_max = critical_g_equal(_params(cfg)) - 1e-4
     if cfg.g_samples == 1:
         return [cfg.g_min]
+    g_max = cfg.g_max
+    if g_max == "auto":
+        g_max = float(critical_g_equal(_params(cfg))) - 1e-4
+        if g_max < cfg.g_min:
+            raise ConfigError(f"'g_max' = auto resolves to g_c - 1e-4 = {g_max!r}, "
+                              f"below 'g_min' {cfg.g_min!r}")
     return [float(g) for g in np.linspace(cfg.g_min, g_max, cfg.g_samples)]
 
 
@@ -132,15 +135,9 @@ def _check_blocks_fit(cfg: RunConfig, lattice: LatticeSpec) -> None:
 
 
 def cmd_entropy_scan(cfg: RunConfig) -> int:
-    params = _params(cfg)
-    if params.g1 == params.g2:
-        gc = critical_g_equal(params)
-        if params.g1 >= gc:
-            raise StabilityError(f"beyond critical coupling g_c = {gc:.5f} "
-                                 f"(requested g = {params.g1:g})")
     lattice = cfg.lattice
     _check_blocks_fit(cfg, lattice)
-    curve = entropy_vs_L(params, lattice, cfg.block_sizes, mode=cfg.entropy_mode,
+    curve = entropy_vs_L(_params(cfg), lattice, cfg.block_sizes, mode=cfg.entropy_mode,
                          pairing_tol=cfg.pairing_tol)
     rows = [[L, E, cfg.entropy_mode, lattice.engine] for L, E in curve]
     _write(cfg, ["L", "entropy_bits", "mode", "engine"], rows)
@@ -197,7 +194,11 @@ def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
 
 
 def cmd_derivative_scan(cfg: RunConfig) -> int:
-    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, cfg.lattice))
+    lattice = cfg.lattice
+    if not lattice.infinite and lattice.boundary == "open" and lattice.side < 3:
+        raise ConfigError("derivative-scan on an open lattice needs 'side' >= 3: "
+                          "the pair reaches one site right of the center")
+    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, lattice))
     return 0
 
 

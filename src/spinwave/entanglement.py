@@ -2,9 +2,9 @@
 
 A reduced block keeps the rows/columns of Q and P on its sites; every
 covariance container hands them out as ``cov.block(sites)``.  Its
-symplectic eigenvalues are nu_i = sqrt(eig(4 Q_L P_L)); the factor 4 makes
-the decoupled vacuum give nu = 1, the purity bound.  The block entropy in
-bits is
+symplectic eigenvalues are nu_i = sqrt(eig(4 Q_L P_L)), taken from the
+symmetric form 4 C^T Q_L C with P_L = C C^T; the factor 4 makes the
+decoupled vacuum give nu = 1, the purity bound.  The block entropy in bits is
 
     E = sum_i [ (nu_i+1)/2 log2 (nu_i+1)/2 - (nu_i-1)/2 log2 (nu_i-1)/2 ]
 
@@ -81,28 +81,24 @@ class SymplecticSpectrum:
 
 
 def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
-    """nu_i = sqrt(eig(4 Q_L P_L)) via the symmetrized congruence
-    4 sqrt(Q) P sqrt(Q), which keeps the problem symmetric in floating point."""
-    Q_L = np.asarray(Q_L, dtype=float)
-    P_L = np.asarray(P_L, dtype=float)
-    if Q_L.ndim == 0:
-        Q_L = Q_L.reshape(1, 1)
-        P_L = P_L.reshape(1, 1)
+    """nu_i = sqrt(eig(4 Q_L P_L)) from the symmetric congruent form 4 C^T Q_L C,
+    P_L = C C^T; by Sylvester's law of inertia its smallest eigenvalue is
+    positive exactly when Q_L is positive-definite."""
+    Q_L = np.atleast_2d(np.asarray(Q_L, dtype=float))
+    P_L = np.atleast_2d(np.asarray(P_L, dtype=float))
     for name, A in (("Q", Q_L), ("P", P_L)):
         # written so that a NaN anywhere fails the comparison
         if not np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A)):
             raise ValueError(f"{name} block is not symmetric")
-    w, U = np.linalg.eigh(Q_L)
-    if w[0] <= 0:
-        raise ValueError("Q block is not positive-definite")
     try:
-        np.linalg.cholesky(P_L)
+        C = np.linalg.cholesky(P_L)
     except np.linalg.LinAlgError:
         raise ValueError("P block is not positive-definite") from None
-    S = (U * np.sqrt(w)) @ U.T
-    prod = 4.0 * S @ P_L @ S
+    prod = 4.0 * C.T @ Q_L @ C
     ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
-    return SymplecticSpectrum.from_values(np.sqrt(np.clip(ev, 0.0, None)))
+    if ev[0] <= 0:
+        raise ValueError("Q block is not positive-definite")
+    return SymplecticSpectrum.from_values(np.sqrt(ev))
 
 
 def _entropy_terms(nu: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ Three routes that never touch the production code paths they check:
   in the product angular-momentum basis (spin N/2 per site),
 * the closed-form harmonic (normal-mode) prediction for the same system,
 * symplectic eigenvalues from the full 2L^2 covariance matrix and the
-  standard symplectic form, instead of the sqrt(Q) congruence.
+  standard symplectic form, instead of the Cholesky congruence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .entanglement import SymplecticSpectrum, eof_symmetric, symplectic_spectrum
 from .groundstate import covariance_pbc_fft
 from .model import CouplingParams, LatticeSpec, StabilityError
-from .spectrum import dispersion_value
+from .spectrum import dispersion_grid
 
 MAX_HILBERT_DIM = 4096
 # Schmidt coefficients below this are dropped from the Fock series
@@ -189,14 +189,13 @@ def validation_battery() -> dict:
     worst = 0.0
     for _ in range(50):
         M = int(rng.integers(4, 8))
+        spec = LatticeSpec.periodic(M)
         while True:
             g1, g2 = rng.uniform(0.0, 2.5, size=2)
             params = CouplingParams(omega=500.0, kappa=1.0, n_atoms=1000, g1=g1, g2=g2)
-            k = 2.0 * np.pi * np.arange(M) / M
-            v = dispersion_value(params, k[:, None], k[None, :])
-            if np.min(v) > 1e-3 * params.on_site:
+            if np.min(dispersion_grid(params, spec)) > 1e-3 * params.on_site:
                 break
-        table = covariance_pbc_fft(LatticeSpec.periodic(M), params)
+        table = covariance_pbc_fft(spec, params)
         n_sub = int(rng.integers(2, 7))
         flat = rng.choice(M * M, size=n_sub, replace=False)
         sites = [(int(s % M), int(s // M)) for s in flat]

@@ -138,7 +138,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     hot.write_text("g1 = 2.0\ng2 = 2.0\nside = 8\nblock_sizes = 2\n")
     assert main(["entropy-scan", "--config", str(hot)]) == 1
     err = capsys.readouterr().err
-    assert "beyond critical coupling g_c = 1.74028" in err
+    assert "beyond critical coupling (min v = " in err
+
+    # g = 1.7403 is above g_c = 1.74028, yet no mode of the odd side-81
+    # lattice reaches the critical wavevector (pi, pi): every mode is stable
+    odd = tmp_path / "odd.cfg"
+    odd.write_text("side = 81\ng1 = 1.7403\ng2 = 1.7403\ng_min = 1.7403\ng_samples = 1\n"
+                   "block_sizes = 2,4\n")
+    for subcommand in ("entropy-scan", "two-site", "gap-scan"):
+        assert main([subcommand, "--config", str(odd)]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[2:]]
+        assert rows and all(np.isfinite(float(row[1 if subcommand != "two-site" else 2]))
+                            for row in rows)
 
     assert main(["entropy-scan", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
@@ -372,6 +383,8 @@ STEP_BEYOND_G_MIN = ("side = 8\ng_min = 0.1\ng_max = 0.1\ng_samples = 1\n"
     ("reproduce-fig2", "block_sizes = 2,81\n", "block_sizes"),
     # the distance-2 pair of a periodic side-3 lattice wraps onto a nearest neighbor
     ("two-site", "side = 3\ng_samples = 1\n", "side"),
+    # the right neighbor of the open side-2 lattice's center is off the lattice
+    ("derivative-scan", "boundary = open\nside = 2\ng_min = 1.0\ng_samples = 1\n", "side"),
     ("derivative-scan", STEP_BEYOND_G_MIN, "derivative_step"),
     ("finite-size", STEP_BEYOND_G_MIN, "derivative_step"),
     ("reproduce-fig3", STEP_BEYOND_G_MIN, "derivative_step"),
@@ -393,12 +406,29 @@ def test_cli_block_sizes_checked_only_where_used(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2 + 3
 
 
-def test_cli_derivative_scan_asymmetric_pair_in_row(tmp_path, capsys):
-    cfg = tmp_path / "open.cfg"
-    cfg.write_text("side = 14\nboundary = open\ng_min = 1.7\ng_max = 1.73\ng_samples = 2\n")
-    assert main(["derivative-scan", "--config", str(cfg)]) == 0
+def test_cli_auto_g_max_below_g_min_is_a_config_error(tmp_path, capsys):
+    # g_min = 1.8 is above g_c - 1e-4 = 1.74018...; "auto" would sweep backwards
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("g_min = 1.8\ng_samples = 3\n")
+    assert main(["gap-scan", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'g_max'" in err and "1.74018" in err
+    # a single sample ignores g_max
+    cfg.write_text("g_min = 1.8\ng_samples = 1\n")
+    assert main(["gap-scan", "--config", str(cfg)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[2:]
-    assert len(rows) == 2 and all(",nan,nan,asymmetric pair" in row for row in rows)
+    assert len(rows) == 1 and rows[0].startswith("1.8,nan,")
+
+
+def test_cli_derivative_scan_asymmetric_pair_in_row(tmp_path, capsys):
+    # side 3 is the smallest open lattice the pair fits on
+    cfg = tmp_path / "open.cfg"
+    for text, n_rows in (("side = 14\ng_min = 1.7\ng_max = 1.73\ng_samples = 2\n", 2),
+                         ("side = 3\ng_min = 1.0\ng_samples = 1\n", 1)):
+        cfg.write_text("boundary = open\n" + text)
+        assert main(["derivative-scan", "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(rows) == n_rows and all(",nan,nan,asymmetric pair" in row for row in rows)
 
 
 @pytest.mark.parametrize("text", ["phase_g1_max = 100\n", "n_atoms = 10\n"])

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, LatticeSpec,
                       SymplecticSpectrum, block_entropy, covariance_dense,
-                      covariance_infinite, covariance_pbc_fft, entropy_vs_L, eof_fock_series,
-                      eof_symmetric, symplectic_spectrum, two_site_params, zone_minimum)
+                      covariance_infinite, covariance_pbc_fft, covariances_for,
+                      critical_g_equal, entropy_vs_L, eof_fock_series, eof_symmetric,
+                      symplectic_spectrum, two_site_params, zone_minimum)
 
 from conftest import full_matrices, params_at
 
@@ -72,6 +73,26 @@ def test_spectrum_rejects_bad_inputs():
                  (np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))):
         with pytest.raises(ValueError, match="symmetric"):
             symplectic_spectrum(Q, P)
+
+
+@pytest.mark.parametrize("spec, g, L", [
+    (LatticeSpec.periodic(80), None, 8),  # fig2's near-critical coupling
+    (LatticeSpec.infinite_lattice(), 1.5, 6),
+    (LatticeSpec.open_boundary(30), 1.5, 6),
+])
+def test_spectrum_matches_mpmath(spec, g, L):
+    # the reference is the same float block's 4 C^T Q C at 40 digits
+    mp = pytest.importorskip("mpmath")
+    if g is None:
+        g = critical_g_equal(params_at(0.0)) * (1.0 - 1e-11)
+    cov = covariances_for(params_at(g), spec, L - 1)
+    Q, P = cov.block(BlockRegion.centered(L, L if spec.infinite else spec.side).sites())
+    nu = symplectic_spectrum(Q, P).values
+    with mp.workdps(40):
+        C = mp.cholesky(mp.matrix(P.tolist()))
+        ev = mp.eigsy(4 * C.T * mp.matrix(Q.tolist()) * C, eigvals_only=True)
+        ref = sorted((float(mp.sqrt(e)) for e in ev), reverse=True)
+    assert np.max(np.abs(nu / np.array(ref) - 1.0)) < 5e-14
 
 
 def test_spectrum_grouping():

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
-from .groundstate import QuadratureConvergenceError, covariances_for
+from .groundstate import QuadratureConvergenceError, covariances_for, covariances_for_each
 from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
 from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
-from .scan import derivative_zeta, finite_size_peak
+from .scan import derivative_sweep, finite_size_peak
 from .spectrum import critical_g2, critical_g_equal, energy_gap
 
 PAPER_OMEGA = 500.0
@@ -155,11 +155,14 @@ def cmd_two_site(cfg: RunConfig) -> int:
     if not lattice.infinite and lattice.boundary == "periodic" and lattice.side < 4:
         raise ConfigError("two-site on a periodic lattice needs 'side' >= 4: below that "
                           "the distance-2 pair wraps onto a nearest neighbor")
+    grid = _g_grid(cfg)
+    covs = covariances_for_each((_params(cfg, g1=g, g2=g) for g in grid), lattice, 2)
+    x, y = lattice.center
     rows = []
-    for g in _g_grid(cfg):
+    for g, cov in zip(grid, covs):
         try:
-            cov = covariances_for(_params(cfg, g1=g, g2=g), lattice, 2)
-            x, y = lattice.center
+            if isinstance(cov, Exception):
+                raise cov
             for label, (dx, dy) in _PAIR_CLASSES:
                 two = two_site_params(cov, (x, y), (x + dx, y + dy))
                 rows.append([g, label, two.n, two.c, two.zeta, two.eof, two.separable, None])
@@ -182,15 +185,11 @@ def _stencil_grid(cfg: RunConfig) -> list[float]:
 
 
 def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
-    params = _params(cfg)
-    rows = []
-    for g in _stencil_grid(cfg):
-        try:
-            est = derivative_zeta(params, lattice, g, h=cfg.derivative_step)
-            rows.append([g, est.raw, est.richardson, None])
-        except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
-            rows.append([g, float("nan"), float("nan"), str(exc)])
-    return rows
+    grid = _stencil_grid(cfg)
+    return [[g, float("nan"), float("nan"), str(est)] if isinstance(est, Exception)
+            else [g, est.raw, est.richardson, None]
+            for g, est in zip(grid, derivative_sweep(_params(cfg), lattice, grid,
+                                                     h=cfg.derivative_step))]
 
 
 def cmd_derivative_scan(cfg: RunConfig) -> int:

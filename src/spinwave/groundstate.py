@@ -12,27 +12,27 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 * ``covariance_dst``       -- the DST-I normal modes, for open lattices
                               (engine name ``dense``)
 * ``covariance_pbc_fft``   -- circulant diagonalisation by FFT, for periodic ones
-* ``covariance_infinite``  -- Brillouin-zone quadrature in the M -> oo limit
+* ``covariance_infinite``  -- zone quadrature in the M -> oo limit, ky in
+                              closed form and kx by tanh-sinh
 
 The periodic/infinite engines return correlations as a function of the
 displacement only (translation invariance); the open engine returns the
 transform and the symbol, from which a block takes only its own rows.  Each
-container answers ``block(sites)`` with the principal submatrices
-(Q_L, P_L) on a list of sites, and ``covariances_for`` is the one place
-that runs a lattice's engine.  ``covariance_dense``, the symmetric
-eigendecomposition of the full V on any finite lattice, is the oracle the
-tests hold the engines to.
+container answers ``block(sites)`` with the principal submatrices (Q_L, P_L)
+on a list of sites.  ``covariances_for`` runs a lattice's engine at one
+coupling, ``covariances_for_each`` at a sweep's (one quadrature batch on the
+infinite lattice).  ``covariance_dense``, the symmetric eigendecomposition of
+the full V on any finite lattice, is the tests' oracle for the engines.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, StabilityError, build_potential
-from .spectrum import dispersion_grid, dispersion_value, zone_minimum
+from .spectrum import dispersion_grid, zone_minimum
 
 
 def _site_indices(spec: LatticeSpec, sites) -> list[int]:
@@ -202,28 +202,22 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     return CorrelationTable(qq=qq, pp=pp, kind="periodic")
 
 
-# The infinite-lattice quadrature: each route refines level by level until
-# successive levels agree to QUAD_REL_TOL per entry, at most
-# QUAD_MAX_REFINEMENTS times; the 2-D grid starts at QUAD_BASE_POINTS per
-# dimension.  Entries below LEVEL_FLOOR of the largest one are held to
-# QUAD_REL_TOL * LEVEL_FLOOR = 64 eps (1.4e-14) of the largest entry instead:
-# level-to-level roundoff plateaus at 5e-15 to 7e-15 of it, so a lower floor
-# asks for agreement that roundoff alone can deny.
+# The infinite-lattice quadrature refines level by level until successive
+# levels agree to QUAD_REL_TOL per entry, at most QUAD_MAX_REFINEMENTS times.
+# Entries below LEVEL_FLOOR of the largest one are held to QUAD_REL_TOL *
+# LEVEL_FLOOR = 64 eps (1.4e-14) of the largest entry instead: level-to-level
+# roundoff plateaus at 5e-15 to 7e-15 of it, so a lower floor asks for
+# agreement that roundoff alone can deny.
 QUAD_REL_TOL = 1e-10
 QUAD_MAX_REFINEMENTS = 8
-QUAD_BASE_POINTS = 64
 LEVEL_FLOOR = 64 * np.finfo(float).eps / QUAD_REL_TOL
 
 
 class QuadratureConvergenceError(RuntimeError):
     """Successive quadrature levels did not agree to QUAD_REL_TOL within
-    QUAD_MAX_REFINEMENTS refinements.
-
-    Carries the last two estimates.  Neither route is expected to raise:
-    the 2-D grid runs only where the softness is at least LEGENDRE_SOFTNESS,
-    and the 1-D route took at most seven of its eight halvings at every
-    softness tried down to the CRITICAL_GUARD (tables up to dmax = 160).
-    """
+    QUAD_MAX_REFINEMENTS refinements; carries the last two estimates.  None is
+    expected: the quadrature took at most seven of its eight halvings at every
+    softness tried down to the CRITICAL_GUARD (tables up to dmax = 160)."""
 
     def __init__(self, message, last, previous):
         super().__init__(message)
@@ -231,94 +225,23 @@ class QuadratureConvergenceError(RuntimeError):
         self.previous = previous
 
 
-def _level_error(cur, prev) -> float:
-    """Largest per-entry relative change between two quadrature levels.
-
-    Entries below LEVEL_FLOOR of the largest one (the on-site value) are
-    measured against that floor; among them is exact-cancellation residue,
-    e.g. every off-site correlation of the decoupled lattice."""
-    return max(float(np.max(np.abs(c - p) / np.maximum(np.abs(c), LEVEL_FLOOR * np.max(np.abs(c)))))
-               for c, p in zip(cur, prev))
-
-
-def _refine(levels) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (tables, resolution) estimates from a route's level generator
-    until two in a row agree to QUAD_REL_TOL per entry."""
-    prev, _ = next(levels)
-    for _ in range(QUAD_MAX_REFINEMENTS):
-        cur, resolution = next(levels)
-        err = _level_error(cur, prev)
-        if err < QUAD_REL_TOL:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"{resolution}: quadrature did not converge to {QUAD_REL_TOL:g} within "
-        f"{QUAD_MAX_REFINEMENTS} refinements; last level error {err:.3g}",
-        last=cur, previous=prev)
+def _level_error(cur, prev) -> np.ndarray:
+    """Largest per-entry relative change between two quadrature levels of
+    tables stacked as (..., 2, D + 1, D + 1), qq and pp: one per leading index.
+    Entries below LEVEL_FLOOR of a table's largest one (the on-site value)
+    are measured against that floor; among them is exact-cancellation
+    residue, e.g. every off-site correlation of the decoupled lattice."""
+    big = np.max(np.abs(cur), axis=(-2, -1), keepdims=True)
+    rel = np.abs(cur - prev) / np.maximum(np.abs(cur), LEVEL_FLOOR * big)
+    return np.max(rel, axis=(-3, -2, -1))
 
 
-def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # cos(k.r) factorizes as cos(kx dx) cos(ky dy) on the sign-symmetric grid
-    # (the odd sin terms cancel), so each table is two small matmuls.  v is
-    # even in kx and in ky, so only the quadrant i >= n // 2 of the grid is
-    # summed: weight 2 per row and column, except the k = 0 row and column
-    # that odd n puts on the grid, which have no mirror and keep weight 1.
-    k = -np.pi + 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    k = k[n // 2:]
-    w = np.full(k.size, 2.0)
-    if n % 2:
-        w[0] = 1.0
-    d = np.arange(dmax + 1)
-    # cos(kx+ky) + cos(kx-ky) = 2 cos kx cos ky makes v affine in cos ky at
-    # fixed kx: v = a + b cos ky, with a and b read off the ky = 0 and ky = pi
-    # values of each column, so dispersion_value stays the one formula for v.
-    ends = dispersion_value(params, k[:, None], np.array([[0.0, np.pi]]))
-    a = 0.5 * (ends[:, 0] + ends[:, 1])
-    b = 0.5 * (ends[:, 0] - ends[:, 1])
-    cx = w * np.cos(np.outer(d, k))
-    qq = np.zeros((dmax + 1, dmax + 1))
-    pp = np.zeros_like(qq)
-    chunk = max(16, (2 ** 22) // k.size)
-    for s in range(0, k.size, chunk):
-        ky = k[s:s + chunk]
-        v = a[:, None] + b[:, None] * np.cos(ky)[None, :]
-        vmin = float(np.min(v))
-        _guard_softness(vmin, params.on_site)
-        cy = w[s:s + chunk] * np.cos(np.outer(d, ky))
-        qq += (cx @ (v ** -0.5)) @ cy.T
-        pp += (cx @ (v ** 0.5)) @ cy.T
-    return qq / (2.0 * n * n), pp / (2.0 * n * n)
-
-
-def _grid_tables(params: CouplingParams, dmax: int):
-    """The 2-D route, level by level: uniform product rules of
-    QUAD_BASE_POINTS * 2^j points per dimension, offset by half a spacing so
-    that no node lands on the dispersion minimum.  The integrand is smooth
-    and periodic at the softness this route runs at, so the levels converge
-    spectrally."""
-    n = QUAD_BASE_POINTS
-    while True:
-        yield _zone_tables(params, dmax, n), f"zone grid n = {n}"
-        n *= 2
-
-
-# Softness vmin / on_site below which covariance_infinite takes the 1-D
-# Legendre route.  Best-of-5 per-call times on the equal-coupling line, 1-D
-# route against 2-D grid at dmax 1 | dmax 19 (2-vCPU Xeon, numpy 2.4):
-#   softness 1e-2     1.5 vs 0.5 ms |  4.2 vs 1.0 ms
-#   softness 2.1e-3   2.9 vs 2.1 ms |  6.4 vs 2.4 ms   (fig3's softest point)
-#   softness 1e-3     1.7 vs 1.5 ms |  5.5 vs 9.2 ms
-#   softness 5e-4     1.8 vs 8.4 ms |  5.7 vs 8.5 ms
-#   softness 1e-4     1.8 vs 25 ms  |  8.3 vs 36 ms
-#   softness 1e-6     1.7 ms vs 1.9 s | 10 ms vs 2.2 s; below ~1e-7 the
-#                     grid stops converging
-# so the routes cross between 2e-3 and 5e-4.  The threshold takes the lower
-# end, which leaves every point where the grid measured faster on the grid.
-LEGENDRE_SOFTNESS = 5e-4
 # tanh-sinh nodes t = j h with |t| <= TANH_SINH_T (the truncated tail weighs
 # below pi exp(-pi sinh 3.5) ~ 1e-22); the first level has step 1/2
 TANH_SINH_T = 3.5
 TANH_SINH_H0 = 0.5
+# couplings x nodes per block of a batch's level: a working set near one coupling's
+LEVEL_BLOCK_POINTS = 2 ** 12
 # the forward Legendre recurrence amplifies roundoff by about exp(2 m eta);
 # it runs where 2 max(m_top, 4) eta stays below log(100) (the floor of 4
 # also keeps z k K - 2 E / k, the start Q_{1/2}, clear of cancellation)
@@ -327,8 +250,9 @@ FORWARD_GROWTH = np.log(100.0)
 
 def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Toroidal functions Q_{m-1/2}(z) for m = 0..top (top >= 1) at z = 1 + zm1 > 1, as
-    rows of a (top + 1, len(zm1)) array, plus the modulus k = sqrt(2 / (z + 1))
-    and the complete elliptic integral E(k) of each z.
+    a (top + 1, *zm1.shape) array, plus the modulus k = sqrt(2 / (z + 1))
+    and the complete elliptic integral E(k) of each z.  A row of 2-D zm1 is
+    computed as if alone: AGM and backward-ratio start depend on its nodes only.
 
     Q_{-1/2} = k K(k) and Q_{1/2} = z k K(k) - (2 / k) E(k), with K and E from
     the AGM on the complementary modulus sqrt(zm1 / (z + 1)) (DLMF 19.8), so
@@ -342,14 +266,14 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     k = np.sqrt(2.0 / (z + 1.0))
     a, g = np.ones_like(zm1), np.sqrt(zm1 / (z + 1.0))
     csum, weight = 0.5 * k * k, 1.0  # sum of 2^(n-1) c_n^2 (DLMF 19.8.6)
-    while np.any(a - g > 1e-15 * a):
+    while (running := np.any(a - g > 1e-15 * a, axis=-1, keepdims=True)).any():
         c = 0.5 * (a - g)
-        a, g = 0.5 * (a + g), np.sqrt(a * g)
-        csum = csum + weight * c * c
+        a, g, csum = (np.where(running, 0.5 * (a + g), a), np.where(running, np.sqrt(a * g), g),
+                      np.where(running, csum + weight * c * c, csum))
         weight *= 2.0
     K = np.pi / (2.0 * a)
     E = K * (1.0 - csum)
-    q = np.empty((top + 1, zm1.size))
+    q = np.empty((top + 1,) + zm1.shape)
     q[0] = k * K
     eta = np.log1p(zm1 + np.sqrt(zm1 * (zm1 + 2.0)))
     forward = 2.0 * max(top, 4) * eta <= FORWARD_GROWTH
@@ -365,11 +289,12 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
         zb, eb = z[back], eta[back]
         # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
         # far enough above top that the start error has decayed below 1e-17
-        start = top + int(np.ceil(39.0 / (2.0 * np.min(eb))))
+        eta_min = np.min(np.where(back, eta, np.inf), axis=-1, keepdims=True)
+        start = np.broadcast_to(top + np.ceil(39.0 / (2.0 * eta_min)), eta.shape)[back]
         r = np.exp(-eb)
         ratios = np.empty((top, zb.size))
-        for m in range(start, 0, -1):
-            r = (m - 0.5) / (2.0 * m * zb - (m + 0.5) * r)
+        for m in range(int(np.max(start)), 0, -1):
+            r = np.where(m <= start, (m - 0.5) / (2.0 * m * zb - (m + 0.5) * r), r)
             if m <= top:
                 ratios[m - 1] = r
         q[1:, back] = q[0, back] * np.cumprod(ratios, axis=0)
@@ -404,29 +329,13 @@ def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
 
 
-def _legendre_tables(params: CouplingParams, dmax: int):
-    """The 1-D route, level by level: at fixed kx, v = a + b cos ky with
-    b = 2 N omega g2 (1 + cos kx / sqrt 2) and z = a / b >= 1, and Heine's
-    integral (DLMF 14.19) gives the ky integrals in closed form,
-
-        J-_m = (1/2pi) int cos(m ky) v^(-1/2) dky = (-1)^m sqrt 2 / (pi sqrt b) Q_{m-1/2}(z)
-        J+_m = (1/2pi) int cos(m ky) v^(+1/2) dky = a J-_m + b (J-_{m+1} + J-_{|m-1|}) / 2,
-
-    the latter rewritten through the recurrence as (-1)^m sqrt 2 sqrt b
-    (Q_{m+1/2} - Q_{m-3/2}) / (4 pi m) for m >= 1 and sqrt 2 sqrt b (2 / k)
-    E(k) / pi for m = 0, free of the cancellation in a J-_m.  The kx integral
-    on [0, pi] is tanh-sinh (Takahashi & Mori, Publ. RIMS 9, 721 (1974)),
-    whose step halves from level to level:
-
-        qq[dx, dy] = (1/2pi) int_0^pi cos(dx kx) J-_dy(kx) dkx.
-
-    z - 1 = v(kx, pi) / b comes without cancellation from v(kx, pi) =
-    Delta + 2 N omega |g1 - g2 / sqrt 2| X, with X = 2 sin^2((pi - kx) / 2)
-    and Delta = v(pi, pi) if g1 >= g2 / sqrt 2, else X = 2 sin^2(kx / 2) and
-    Delta = v(0, pi); Delta and the slope come from the float inputs in
-    40-digit decimal arithmetic.
-    """
-    # imported here, not at module level: only this route needs decimal,
+def _branch(params: CouplingParams) -> tuple[float, float, bool, float]:
+    """(Delta, slope, pipi, bscale) of a coupling: v(kx, pi) = Delta + slope X
+    with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
+    (pipi), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); Delta and the
+    slope come from the float inputs in 40-digit decimal arithmetic, and
+    bscale = 2 N omega g2."""
+    # imported here, not at module level: only the quadrature needs decimal,
     # and importing it costs every CLI start a few milliseconds
     from decimal import Decimal, localcontext
 
@@ -436,36 +345,88 @@ def _legendre_tables(params: CouplingParams, dmax: int):
             params.omega, params.kappa, params.n_atoms, params.g1, params.g2))
         scale, root2 = 2 * n_atoms * omega, Decimal(2).sqrt()
         tilt = g1 - g2 / root2
-        pipi = tilt >= 0
-        # v(pi, pi) on the first branch, v(0, pi) on the other
-        corner = -g1 - g2 + g2 / root2 if pipi else g1 - g2 - g2 / root2
-        delta = float(omega * (omega + 4 * kappa * n_atoms) + scale * corner)
-        slope = float(scale * abs(tilt))
-    bscale = 2.0 * params.coupling_scale * params.g2
+        corner = -g1 - g2 + g2 / root2 if tilt >= 0 else g1 - g2 - g2 / root2
+        return (float(omega * (omega + 4 * kappa * n_atoms) + scale * corner),
+                float(scale * abs(tilt)), tilt >= 0, 2.0 * params.coupling_scale * params.g2)
+
+
+def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray:
+    """Unscaled tanh-sinh sums, shape (block, 2, dmax + 1, dmax + 1) with qq then pp,
+    for couplings given by ``_branch`` rows, at nodes kx, rest = pi - kx and cx = w cos(d kx).
+
+    At fixed kx, v = a + b cos ky with b = bscale (1 + cos kx / sqrt 2) and
+    z = a / b >= 1, and Heine's integral (DLMF 14.19) gives the ky integrals
+    in closed form,
+
+        J-_m = (1/2pi) int cos(m ky) v^(-1/2) dky = (-1)^m sqrt 2 / (pi sqrt b) Q_{m-1/2}(z)
+        J+_m = (1/2pi) int cos(m ky) v^(+1/2) dky = a J-_m + b (J-_{m+1} + J-_{|m-1|}) / 2,
+
+    the latter rewritten through the recurrence as (-1)^m sqrt 2 sqrt b
+    (Q_{m+1/2} - Q_{m-3/2}) / (4 pi m) for m >= 1 and sqrt 2 sqrt b (2 / k)
+    E(k) / pi for m = 0, free of the cancellation in a J-_m.  The kx integral
+    on [0, pi] is tanh-sinh (Takahashi & Mori, Publ. RIMS 9, 721 (1974)):
+
+        qq[dx, dy] = (1/2pi) int_0^pi cos(dx kx) J-_dy(kx) dkx.
+
+    z - 1 = v(kx, pi) / b comes without cancellation from the branch form of
+    v(kx, pi).  Every operation is elementwise or one matmul per coupling,
+    so a coupling's sums do not depend on the rest of the block.
+    """
+    delta, slope, pipi, bscale = branches.T
+    x = np.where(pipi[:, None], rest, kx)
+    v_pi = delta[:, None] + slope[:, None] * 2.0 * np.sin(0.5 * x) ** 2
     d = np.arange(dmax + 1)
-    sums = [np.zeros((dmax + 1, dmax + 1)), np.zeros((dmax + 1, dmax + 1))]
-    for level in itertools.count():
+    jm = np.zeros((dmax + 1,) + v_pi.shape)
+    jp = np.zeros_like(jm)
+    # b / a below 2e-17 (g2 = 0 makes it exact): v = a = v(kx, pi)
+    flat = bscale <= 1e-17 * delta
+    jm[0, flat], jp[0, flat] = v_pi[flat] ** -0.5, v_pi[flat] ** 0.5
+    curved = ~flat
+    if curved.any():
+        b = bscale[curved, None] * (1.0 + np.cos(kx) / np.sqrt(2.0))
+        q, k, E = _legendre_q(v_pi[curved] / b, dmax + 1)
+        sign = np.where(d % 2, -1.0, 1.0)[:, None, None]
+        c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
+        jm[:, curved] = sign * c * q[:-1]
+        jp[0, curved] = c * b * 2.0 * E / k
+        jp[1:, curved] = sign[1:] * c * b * (q[2:] - q[:-2]) / (4.0 * d[1:, None, None])
+    return np.stack([cx @ np.ascontiguousarray(np.moveaxis(j, 0, 1)).transpose(0, 2, 1)
+                     for j in (jm, jp)], axis=1)
+
+
+def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
+    """Read-only (batch, 2, dmax + 1, dmax + 1) tables, qq then pp, of couplings
+    given by ``_branch`` rows, and a QuadratureConvergenceError by batch index
+    for each that does not converge.  The tanh-sinh step halves from level to
+    level; each coupling leaves the batch at its own first pair of levels that
+    agree to QUAD_REL_TOL per entry, so its tables are what it gets alone."""
+    sums = np.zeros((len(branches), 2, dmax + 1, dmax + 1))
+    tables, failed = np.zeros_like(sums), {}
+    live = np.arange(len(branches))
+    for level in range(QUAD_MAX_REFINEMENTS + 1):
         kx, rest, w = _tanh_sinh_level(level)
-        v_pi = delta + slope * 2.0 * np.sin(0.5 * (rest if pipi else kx)) ** 2
-        jm = np.zeros((dmax + 1, kx.size))
-        jp = np.zeros_like(jm)
-        if bscale <= 1e-17 * delta:
-            # b / a below 2e-17 (g2 = 0 makes it exact): v = a = v(kx, pi)
-            jm[0], jp[0] = v_pi ** -0.5, v_pi ** 0.5
-        else:
-            b = bscale * (1.0 + np.cos(kx) / np.sqrt(2.0))
-            q, k, E = _legendre_q(v_pi / b, dmax + 1)
-            sign = np.where(d % 2, -1.0, 1.0)[:, None]
-            c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
-            jm[:] = sign * c * q[:-1]
-            jp[0] = c * b * 2.0 * E / k
-            jp[1:] = sign[1:] * c * b * (q[2:] - q[:-2]) / (4.0 * d[1:, None])
-        cx = w * _cos_multiples(d, kx)
-        sums[0] += cx @ jm.T
-        sums[1] += cx @ jp.T
+        cx = w * _cos_multiples(np.arange(dmax + 1), kx)
+        step = max(1, LEVEL_BLOCK_POINTS // kx.size)
+        for block in np.split(live, range(step, live.size, step)):
+            sums[block] += _legendre_block(branches[block], kx, rest, cx, dmax)
         h = TANH_SINH_H0 / 2 ** level
-        yield ((sums[0] * (h / (2.0 * np.pi)), sums[1] * (h / (2.0 * np.pi))),
-               f"Legendre tanh-sinh step {h:g}")
+        cur = sums[live] * (h / (2.0 * np.pi))
+        if level:
+            err = _level_error(cur, prev)
+            done = err < QUAD_REL_TOL
+            tables[live[done]] = cur[done]
+            live, cur, prev, err = live[~done], cur[~done], prev[~done], err[~done]
+        if not live.size:
+            break
+        if level == QUAD_MAX_REFINEMENTS:
+            failed = {j: QuadratureConvergenceError(
+                f"Legendre tanh-sinh step {h:g}: quadrature did not converge to "
+                f"{QUAD_REL_TOL:g} within {QUAD_MAX_REFINEMENTS} refinements; last level "
+                f"error {err[i]:.3g}", last=tuple(cur[i]), previous=tuple(prev[i]))
+                for i, j in enumerate(live)}
+        prev = cur
+    tables.flags.writeable = False
+    return tables, failed
 
 
 def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
@@ -473,20 +434,13 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
 
         <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k
 
-    The returned table covers the quadrant 0 <= |dx|, |dy| <= ``dmax``.
-    Couplings whose softness min v / on-site is below LEGENDRE_SOFTNESS take
-    the 1-D Legendre route, the others the 2-D grid; either refines until
-    successive levels agree to QUAD_REL_TOL per entry.
+    over the quadrant 0 <= |dx|, |dy| <= ``dmax``, by ``_refine`` as a batch
+    of one; ``covariances_for_each`` runs many couplings as one batch.
     """
-    if dmax < 0:
-        raise ValueError(f"dmax must be >= 0, got {dmax}")
-    vmin, _ = zone_minimum(params)
-    _guard_softness(vmin, params.on_site)
-    near = vmin < LEGENDRE_SOFTNESS * params.on_site
-    qq, pp = _refine((_legendre_tables if near else _grid_tables)(params, dmax))
-    qq.flags.writeable = False
-    pp.flags.writeable = False
-    return CorrelationTable(qq=qq, pp=pp, kind="infinite")
+    table = next(covariances_for_each([params], LatticeSpec.infinite_lattice(), dmax))
+    if isinstance(table, Exception):
+        raise table
+    return table
 
 
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
@@ -501,6 +455,36 @@ def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement:
     if spec.engine == "fft":
         return covariance_pbc_fft(spec, params)
     return covariance_infinite(params, max_displacement)
+
+
+def covariances_for_each(couplings, spec: LatticeSpec, max_displacement: int = 0):
+    """``covariances_for`` at each of the couplings (any iterable), yielded in
+    order, or the StabilityError or QuadratureConvergenceError it raises.  A
+    finite lattice runs ``covariances_for`` as each is drawn, so it holds one
+    container at a time; an infinite one refines all as one batch (``_refine``)."""
+    if spec.engine != "infinite":
+        for p in couplings:
+            try:
+                cov = covariances_for(p, spec, max_displacement)
+            except StabilityError as exc:
+                cov = exc
+            yield cov
+        return
+    if max_displacement < 0:
+        raise ValueError(f"dmax must be >= 0, got {max_displacement}")
+    slots, branches = [], []  # per coupling its refusal or its batch row
+    for p in couplings:
+        try:
+            _guard_softness(zone_minimum(p)[0], p.on_site)
+        except StabilityError as exc:
+            slots.append(exc.with_traceback(None))  # a traceback pins the batch's frame
+        else:
+            slots.append(len(branches))
+            branches.append(_branch(p))
+    tables, failed = _refine(np.array(branches).reshape(-1, 4), max_displacement)
+    for s in slots:
+        yield s if isinstance(s, Exception) else failed.get(s) or CorrelationTable(
+            qq=tables[s, 0], pp=tables[s, 1], kind="infinite")
 
 
 def excitation_density(params: CouplingParams, spec: LatticeSpec) -> float:

@@ -10,13 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import two_site_params
-from .groundstate import covariances_for
+from .entanglement import AsymmetricPairError, two_site_params
+from .groundstate import QuadratureConvergenceError, covariances_for_each
 from .model import CouplingParams, LatticeSpec, StabilityError
-
-
-def _at_coupling(params: CouplingParams, g: float) -> CouplingParams:
-    return replace(params, g1=g, g2=g)
 
 
 @dataclass(frozen=True)
@@ -41,14 +37,6 @@ def area_law_fit(curve) -> FitResult:
                      max_rel_residual=residual, n_samples=len(Ls))
 
 
-def _zeta1(params: CouplingParams, spec: LatticeSpec) -> float:
-    cov = covariances_for(params, spec, max_displacement=1)
-    # the horizontally adjacent pair at the lattice center; for periodic and
-    # infinite lattices any pair is equivalent by translation invariance
-    x, y = spec.center
-    return two_site_params(cov, (x, y), (x + 1, y)).zeta
-
-
 @dataclass(frozen=True)
 class DerivativeEstimate:
     g: float
@@ -57,26 +45,53 @@ class DerivativeEstimate:
     richardson: float  # one extrapolation step from h and h/2
 
 
-def derivative_zeta(params: CouplingParams, spec: LatticeSpec, g: float,
-                    h: float = 1e-4) -> DerivativeEstimate:
-    """d zeta_1 / d g by central differences with one Richardson step.
+def _zeta1(cov, g: float, spec: LatticeSpec) -> float:
+    """zeta_1 of the horizontally adjacent pair at the lattice center (for
+    periodic and infinite lattices any pair is equivalent by translation
+    invariance), from the covariances at g or the error computing them raised."""
+    try:
+        if isinstance(cov, Exception):
+            raise cov
+        x, y = spec.center
+        return two_site_params(cov, (x, y), (x + 1, y)).zeta
+    except StabilityError as exc:
+        raise StabilityError(f"stencil point g = {g!r} unstable: {exc}") from exc
 
-    All four stencil points must be stable; instability propagates as an
-    error naming the offending coupling.
-    """
+
+def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
+                     h: float = 1e-4) -> list:
+    """``derivative_zeta`` at each g of the sequence ``gs``, or the StabilityError,
+    QuadratureConvergenceError or AsymmetricPairError it raises there.  All 4
+    len(gs) stencil couplings go through one ``covariances_for_each``, which
+    refines them as one batch on an infinite lattice."""
     if h <= 0:
         raise ValueError("step h must be positive")
-
-    def z(gv):
+    steps = (h, -h, h / 2, -h / 2)
+    covs = covariances_for_each((replace(params, g1=g + s, g2=g + s) for g in gs for s in steps),
+                                spec, max_displacement=1)
+    out = []
+    for g in gs:
+        drawn = [(g + s, next(covs)) for s in steps]  # all four, even if one fails
         try:
-            return _zeta1(_at_coupling(params, gv), spec)
-        except StabilityError as exc:
-            raise StabilityError(f"stencil point g = {gv!r} unstable: {exc}") from exc
+            zp, zm, zp2, zm2 = [_zeta1(cov, gv, spec) for gv, cov in drawn]
+        except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
+            out.append(exc)
+            continue
+        d_h = (zp - zm) / (2.0 * h)
+        d_h2 = (zp2 - zm2) / h
+        out.append(DerivativeEstimate(g=float(g), h=float(h), raw=float(d_h),
+                                      richardson=float((4.0 * d_h2 - d_h) / 3.0)))
+    return out
 
-    d_h = (z(g + h) - z(g - h)) / (2.0 * h)
-    d_h2 = (z(g + h / 2) - z(g - h / 2)) / h
-    return DerivativeEstimate(g=float(g), h=float(h), raw=float(d_h),
-                              richardson=float((4.0 * d_h2 - d_h) / 3.0))
+
+def derivative_zeta(params: CouplingParams, spec: LatticeSpec, g: float,
+                    h: float = 1e-4) -> DerivativeEstimate:
+    """d zeta_1 / d g by central differences with one Richardson step; all
+    four stencil points must be stable, and an error names the one that is not."""
+    (est,) = derivative_sweep(params, spec, [g], h)
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_entropy_scan_near_critical_infinite(tmp_path, capsys):
-    # g = g_c (1 - 1.5e-10): the 2-D zone grid gave up here after n = 16384
+    # g = g_c (1 - 1.5e-10), where a uniform 2-D zone grid does not converge by n = 16384
     cfg = tmp_path / "near.cfg"
     cfg.write_text("infinite = true\ng1 = 1.7402829305\ng2 = 1.7402829305\n")
     assert main(["entropy-scan", "--config", str(cfg)]) == 0
@@ -369,6 +369,38 @@ def test_cli_scans_record_failures_in_row(tmp_path, capsys):
         rows = capsys.readouterr().out.strip().splitlines()[2:]
         assert len(rows) == 3
         assert rows[0].endswith(",") and ",nan," in rows[2] and "critical" in rows[2]
+
+
+# g_c = 1.7402829307627805; each error text is the one a run of single
+# couplings, one call per stencil point, gave for the last row
+@pytest.mark.parametrize("g_max, error", [
+    ("1.7402329307627804", "stencil point g = 1.7403329307627804 unstable: beyond critical "
+                           "coupling (min v = -64.6447)"),
+    ("1.7401829307619103", "stencil point g = 1.7402829307619103 unstable: within 1e-12 of "
+                           "criticality (min v / on-site = 5e-13); matrix square roots are "
+                           "unreliable here"),
+])
+def test_cli_infinite_derivative_scan_fails_the_critical_stencil_row(tmp_path, capsys, g_max,
+                                                                     error):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"infinite = true\ng_min = 1.74\ng_max = {g_max}\ng_samples = 3\n")
+    assert main(["derivative-scan", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    assert len(rows) == 3 and rows[0].endswith(",") and rows[1].endswith(",")
+    assert rows[2] == f"{g_max},nan,nan,{error}"
+
+
+def test_cli_infinite_two_site_batch_rows_match_single_coupling_runs(tmp_path, capsys):
+    # the sweep runs as one quadrature batch; 1.75 is beyond g_c
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("infinite = true\ng_min = 1.5\ng_max = 1.75\ng_samples = 6\n")
+    assert main(["two-site", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[2:]
+    assert len(rows) == 18 and "critical" in rows[-1]
+    for i in range(0, 18, 3):
+        cfg.write_text(f"infinite = true\ng_min = {rows[i].split(',')[0]}\ng_samples = 1\n")
+        assert main(["two-site", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[2:] == rows[i:i + 3]
 
 
 # the stencil point g_min - derivative_step would be a negative coupling

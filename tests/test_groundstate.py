@@ -7,10 +7,10 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError,
                       covariance_infinite, covariance_pbc_fft, critical_g_equal,
                       dispersion_value, excitation_density, zone_minimum)
 from spinwave import groundstate
-from spinwave.groundstate import (LEGENDRE_SOFTNESS, _grid_tables, _legendre_q,
-                                  _legendre_tables, _refine, _zone_tables)
+from spinwave.groundstate import _legendre_q, covariances_for_each
 
 from conftest import full_matrices, params_at
+from zone_grid import _zone_tables, grid_oracle
 
 
 def test_dense_decoupled_closed_form():
@@ -179,11 +179,11 @@ def test_infinite_near_critical_converges_at_default_tol():
 
 def test_infinite_nonconvergence_error_carries_estimates(monkeypatch):
     # on the equal-coupling line the softness min v / on-site is 1 - g / g_c;
-    # one doubling (halving) is too few on either route
+    # one halving is too few far from criticality and near it
     gc = critical_g_equal(params_at(0.0))
     monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 1)
-    for softness, route in ((1e-3, "zone grid n = 128"), (1e-9, "Legendre tanh-sinh step 0.25")):
-        with pytest.raises(QuadratureConvergenceError, match=route) as err:
+    for softness in (0.5, 1e-9):
+        with pytest.raises(QuadratureConvergenceError, match="Legendre tanh-sinh step 0.25") as err:
             covariance_infinite(params_at(gc * (1.0 - softness)), 0)
         assert err.value.last[0].shape == (1, 1)
         assert err.value.previous[0].shape == (1, 1)
@@ -248,12 +248,35 @@ def test_large_legendre_table_converges_and_matches_mpmath():
         ("qq", 0, 0), ("qq", 1, 0), ("pp", 0, 0), ("pp", 1, 0)])
 
 
-def test_grid_route_stops_at_the_roundoff_floor(monkeypatch):
-    # softness 0.1, dmax = 120: levels agree to 3.4e-11 at n = 512, after
-    # three doublings; a floor below roundoff kept the grid doubling to 8192
-    monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 3)
-    gc = critical_g_equal(params_at(0.0))
-    assert covariance_infinite(params_at(gc * 0.9), 120).qq.shape == (121, 121)
+@st.composite
+def stable_infinite_cases(draw):
+    """A coupling direction (equal, g1 = 0, g2 = 0, g2 from 1e-12 g1 up, the
+    (0, pi) branch g2 > sqrt(2) g1, or anywhere), scaled to a softness
+    min v / on-site from 0.9 down to 5e-4, and a table extent 0..24."""
+    shape = draw(st.sampled_from(["equal", "g1 = 0", "g2 = 0", "small g2", "(0, pi)", "any"]))
+    g1 = 0.0 if shape == "g1 = 0" else draw(UNIT)
+    if shape == "equal":
+        g2 = g1
+    elif shape == "g2 = 0":
+        g2 = 0.0
+    elif shape == "small g2":
+        g2 = g1 * 10.0 ** draw(st.floats(-12.0, -1.0))
+    elif shape == "(0, pi)":
+        g2 = np.sqrt(2.0) * g1 / draw(st.floats(0.05, 0.95))
+    else:
+        g2 = draw(UNIT)
+    softness = 10.0 ** draw(st.floats(np.log10(5e-4), np.log10(0.9)))
+    t = (1.0 - softness) * _critical_scale(g1, g2)
+    return params_at(t * g1, g2=t * g2), draw(st.integers(0, 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stable_infinite_cases())
+def test_legendre_route_matches_grid_oracle(case):
+    p, dmax = case
+    table = covariance_infinite(p, dmax)
+    for got, want in zip((table.qq, table.pp), grid_oracle(p, dmax)):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
 
 def _softness_cases(softness):
@@ -267,32 +290,56 @@ def _softness_cases(softness):
     }
 
 
-@pytest.mark.parametrize("softness", [1e-4, LEGENDRE_SOFTNESS])
-@pytest.mark.parametrize("case", ["(pi, pi)", "(0, pi)", "g2 = 0"])
-def test_routes_agree_near_the_threshold(case, softness):
-    p = _softness_cases(softness)[case]
-    one_d, two_d = _refine(_legendre_tables(p, 12)), _refine(_grid_tables(p, 12))
-    for a, b in zip(one_d, two_d):
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * np.max(np.abs(b)))
+def _batch_cases():
+    gc = critical_g_equal(params_at(0.0))
+    return [*_softness_cases(0.3).values(), params_at(gc * (1.0 - 5e-10)),
+            params_at(1.01 * gc), params_at(1.25)]
 
 
-@pytest.mark.parametrize("factor, route", [(2.0, "_grid_tables"), (0.5, "_legendre_tables")])
-def test_infinite_route_follows_softness(monkeypatch, factor, route):
-    calls = []
+@pytest.mark.parametrize("dmax", [0, 3])
+def test_batch_equals_each_coupling_alone(monkeypatch, dmax):
+    # the near-critical coupling needs levels the others do not, and the
+    # unstable one is refused in place without touching the rest
+    sizes = []
+    block = groundstate._legendre_block
+    monkeypatch.setattr(groundstate, "_legendre_block",
+                        lambda rows, *args: sizes.append(len(rows)) or block(rows, *args))
+    couplings = _batch_cases()
+    batch = list(covariances_for_each(couplings, LatticeSpec.infinite_lattice(), dmax))
+    assert sizes[0] == 5 and sizes[-1] == 1
+    for p, got in zip(couplings, batch):
+        try:
+            want = covariance_infinite(p, dmax)
+        except StabilityError as exc:
+            assert type(got) is StabilityError and str(got) == str(exc)
+            continue
+        assert np.array_equal(got.qq, want.qq) and np.array_equal(got.pp, want.pp)
+        assert not got.qq.flags.writeable and not got.pp.flags.writeable
 
-    def spy(name):
-        real = getattr(groundstate, name)
 
-        def tables(*args):
-            calls.append(name)
-            return real(*args)
-        return tables
+def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
+    # with three halvings the near-critical coupling fails alone, the others converge
+    monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 3)
+    couplings = _batch_cases()
+    batch = list(covariances_for_each(couplings, LatticeSpec.infinite_lattice(), 2))
+    assert [type(t).__name__ for t in batch] == ["CorrelationTable"] * 3 + [
+        "QuadratureConvergenceError", "StabilityError", "CorrelationTable"]
+    with pytest.raises(QuadratureConvergenceError) as err:
+        covariance_infinite(couplings[3], 2)
+    assert str(batch[3]) == str(err.value)
+    for got, want in zip(batch[3].last + batch[3].previous, err.value.last + err.value.previous):
+        assert np.array_equal(got, want)
+    for p, got in zip(couplings[:3], batch[:3]):
+        assert np.array_equal(got.qq, covariance_infinite(p, 2).qq)
 
-    for name in ("_grid_tables", "_legendre_tables"):
-        monkeypatch.setattr(groundstate, name, spy(name))
-    for p in _softness_cases(factor * LEGENDRE_SOFTNESS).values():
-        covariance_infinite(p, 1)
-    assert calls == [route] * 3
+
+def test_finite_batch_runs_each_coupling():
+    spec = LatticeSpec.periodic(6)
+    couplings = [params_at(1.25), params_at(2.0), params_at(0.5)]
+    batch = list(covariances_for_each(couplings, spec))
+    assert isinstance(batch[1], StabilityError)
+    for p, got in zip(couplings[::2], batch[::2]):
+        assert np.array_equal(got.qq, covariance_pbc_fft(spec, p).qq)
 
 
 def test_near_critical_guard_refuses():

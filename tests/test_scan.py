@@ -3,6 +3,8 @@ import pytest
 
 from spinwave import (LatticeSpec, StabilityError, area_law_fit, critical_g_equal,
                       derivative_zeta, finite_size_peak)
+from spinwave.scan import derivative_sweep
+from spinwave.spectrum import dispersion_grid
 
 from conftest import params_at
 
@@ -49,6 +51,38 @@ def test_derivative_stencil_stability_error():
     gc = critical_g_equal(params_at(0.0))
     with pytest.raises(StabilityError, match="stencil"):
         derivative_zeta(params_at(0.0), LatticeSpec.infinite_lattice(), gc - 1e-5, h=1e-4)
+
+
+def _analytic_slopes(spec, gs):
+    """d zeta_1 / dg of the horizontal pair on the periodic lattice ``spec``
+    at couplings g1 = g2 = g, differentiated under the mode sum:
+
+        d<q_0 q_r>/dg = -(1/4M^2) sum_k v^(-3/2) (dv/dg) cos(k.r)
+        d<p_0 p_r>/dg = +(1/4M^2) sum_k v^(-1/2) (dv/dg) cos(k.r)
+
+    with dv/dg the coupling part of v at g = 1, and the chain rule through
+    zeta = n - c, n = 2 sqrt(q_0 p_0), c = 2 sqrt(-q_1 p_1)."""
+    dv = dispersion_grid(params_at(1.0), spec) - dispersion_grid(params_at(0.0), spec)
+    out = []
+    for g in gs:
+        v = dispersion_grid(params_at(g), spec)
+        q, p = (0.5 * np.real(np.fft.ifft2(v ** s)) for s in (-0.5, 0.5))
+        dq, dp = (0.5 * s * np.real(np.fft.ifft2(v ** (s - 1.0) * dv)) for s in (-0.5, 0.5))
+        dn = (dq[0, 0] * p[0, 0] + q[0, 0] * dp[0, 0]) / np.sqrt(q[0, 0] * p[0, 0])
+        dc = -(dq[1, 0] * p[1, 0] + q[1, 0] * dp[1, 0]) / np.sqrt(-q[1, 0] * p[1, 0])
+        out.append(dn - dc)
+    return np.array(out)
+
+
+# worst |Richardson - analytic| over fig3's column, measured at 1.10e-9,
+# 3.41e-8 and 3.77e-7 (numpy 2.4 pocketfft); each bound is twice that
+@pytest.mark.parametrize("M, bound", [(21, 2.2e-9), (31, 6.9e-8), (41, 7.6e-7)])
+def test_fig3_richardson_column_matches_analytic_derivative(M, bound):
+    # reproduce-fig3's grid: g from 1 to g_c - 1e-4 in 200 steps, h = 1e-4
+    gs = [float(g) for g in np.linspace(1.0, critical_g_equal(params_at(0.0)) - 1e-4, 200)]
+    spec = LatticeSpec.periodic(M)
+    richardson = np.array([est.richardson for est in derivative_sweep(params_at(0.0), spec, gs)])
+    assert np.max(np.abs(richardson - _analytic_slopes(spec, gs))) <= bound
 
 
 def test_derivative_step_validation():

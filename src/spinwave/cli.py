@@ -108,7 +108,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         try:
             gap = energy_gap(_params(cfg, g1=g, g2=g), lattice)
             rows.append([g, gap, None])
-        except (StabilityError, QuadratureConvergenceError) as exc:
+        except StabilityError as exc:
             rows.append([g, float("nan"), str(exc)])
     _write(cfg, ["g", "gap", "error"], rows)
     return 0

@@ -19,10 +19,12 @@ The periodic/infinite engines return correlations as a function of the
 displacement only (translation invariance); the open engine returns the
 transform and the symbol, from which a block takes only its own rows.  Each
 container answers ``block(sites)`` with the principal submatrices (Q_L, P_L)
-on a list of sites.  ``covariances_for`` runs a lattice's engine at one
-coupling, ``covariances_for_each`` at a sweep's (one quadrature batch on the
-infinite lattice).  ``covariance_dense``, the symmetric eigendecomposition of
-the full V on any finite lattice, is the tests' oracle for the engines.
+on a list of sites.  ``covariances_for_each`` is the one dispatch point: it
+runs a lattice's engine at each of a sweep's couplings (one quadrature batch
+on the infinite lattice), and ``covariances_for`` and ``covariance_infinite``
+are its batches of one.  ``covariance_dense``, the symmetric
+eigendecomposition of the full V on any finite lattice, is the tests' oracle
+for the engines.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, StabilityError, build_potential
-from .spectrum import dispersion_grid, zone_minimum
+from .spectrum import dispersion_grid, zone_branch
 
 
 def _site_indices(spec: LatticeSpec, sites) -> list[int]:
@@ -329,30 +331,9 @@ def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
 
 
-def _branch(params: CouplingParams) -> tuple[float, float, bool, float]:
-    """(Delta, slope, pipi, bscale) of a coupling: v(kx, pi) = Delta + slope X
-    with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
-    (pipi), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); Delta and the
-    slope come from the float inputs in 40-digit decimal arithmetic, and
-    bscale = 2 N omega g2."""
-    # imported here, not at module level: only the quadrature needs decimal,
-    # and importing it costs every CLI start a few milliseconds
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = 40
-        omega, kappa, n_atoms, g1, g2 = (Decimal(x) for x in (
-            params.omega, params.kappa, params.n_atoms, params.g1, params.g2))
-        scale, root2 = 2 * n_atoms * omega, Decimal(2).sqrt()
-        tilt = g1 - g2 / root2
-        corner = -g1 - g2 + g2 / root2 if tilt >= 0 else g1 - g2 - g2 / root2
-        return (float(omega * (omega + 4 * kappa * n_atoms) + scale * corner),
-                float(scale * abs(tilt)), tilt >= 0, 2.0 * params.coupling_scale * params.g2)
-
-
 def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray:
     """Unscaled tanh-sinh sums, shape (block, 2, dmax + 1, dmax + 1) with qq then pp,
-    for couplings given by ``_branch`` rows, at nodes kx, rest = pi - kx and cx = w cos(d kx).
+    for couplings given by ``zone_branch`` rows, at nodes kx, rest = pi - kx and cx = w cos(d kx).
 
     At fixed kx, v = a + b cos ky with b = bscale (1 + cos kx / sqrt 2) and
     z = a / b >= 1, and Heine's integral (DLMF 14.19) gives the ky integrals
@@ -396,7 +377,7 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray
 
 def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
     """Read-only (batch, 2, dmax + 1, dmax + 1) tables, qq then pp, of couplings
-    given by ``_branch`` rows, and a QuadratureConvergenceError by batch index
+    given by ``zone_branch`` rows, and a QuadratureConvergenceError by batch index
     for each that does not converge.  The tanh-sinh step halves from level to
     level; each coupling leaves the batch at its own first pair of levels that
     agree to QUAD_REL_TOL per entry, so its tables are what it gets alone."""
@@ -430,57 +411,55 @@ def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
 
 
 def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
-    """Infinite-lattice correlations by zone quadrature:
+    """Infinite-lattice correlations by zone quadrature,
 
-        <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k
+        <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k,
 
-    over the quadrant 0 <= |dx|, |dy| <= ``dmax``, by ``_refine`` as a batch
-    of one; ``covariances_for_each`` runs many couplings as one batch.
-    """
-    table = next(covariances_for_each([params], LatticeSpec.infinite_lattice(), dmax))
+    for 0 <= |dx|, |dy| <= ``dmax``: ``covariances_for_each``'s batch of one."""
+    (table,) = covariances_for_each([params], LatticeSpec.infinite_lattice(), dmax)
     if isinstance(table, Exception):
         raise table
     return table
 
 
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
-    """Ground-state covariances of ``spec`` on its own engine, ``spec.engine``.
-
-    Returns SineModes (dense, the open lattice) or a CorrelationTable (fft,
-    infinite); an infinite table covers displacements up to
-    ``max_displacement`` in each component.
-    """
-    if spec.engine == "dense":
-        return covariance_dst(spec, params)
-    if spec.engine == "fft":
-        return covariance_pbc_fft(spec, params)
-    return covariance_infinite(params, max_displacement)
+    """SineModes (open) or a CorrelationTable (periodic, infinite; up to
+    ``max_displacement`` per component) of ``spec``: ``covariances_for_each``'s
+    batch of one."""
+    (cov,) = covariances_for_each([params], spec, max_displacement)
+    if isinstance(cov, Exception):
+        raise cov
+    return cov
 
 
 def covariances_for_each(couplings, spec: LatticeSpec, max_displacement: int = 0):
-    """``covariances_for`` at each of the couplings (any iterable), yielded in
-    order, or the StabilityError or QuadratureConvergenceError it raises.  A
-    finite lattice runs ``covariances_for`` as each is drawn, so it holds one
-    container at a time; an infinite one refines all as one batch (``_refine``)."""
+    """Covariances of ``spec`` on its engine (``spec.engine``, picked here only) at
+    each of the couplings (any iterable), in order, or the StabilityError or
+    QuadratureConvergenceError raised there, without its traceback, which would
+    pin this frame.  A finite lattice runs ``covariance_dst`` or
+    ``covariance_pbc_fft`` as each coupling is drawn, holding one container at
+    a time; the infinite one guards each coupling on its ``zone_branch`` row and
+    refines the stable rows as one batch (``_refine``)."""
     if spec.engine != "infinite":
         for p in couplings:
             try:
-                cov = covariances_for(p, spec, max_displacement)
+                cov = (covariance_dst if spec.engine == "dense" else covariance_pbc_fft)(spec, p)
             except StabilityError as exc:
-                cov = exc
+                cov = exc.with_traceback(None)
             yield cov
         return
     if max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
     slots, branches = [], []  # per coupling its refusal or its batch row
     for p in couplings:
+        row = zone_branch(p)
         try:
-            _guard_softness(zone_minimum(p)[0], p.on_site)
+            _guard_softness(row[0], p.on_site)
         except StabilityError as exc:
-            slots.append(exc.with_traceback(None))  # a traceback pins the batch's frame
+            slots.append(exc.with_traceback(None))
         else:
             slots.append(len(branches))
-            branches.append(_branch(p))
+            branches.append(row)
     tables, failed = _refine(np.array(branches).reshape(-1, 4), max_displacement)
     for s in slots:
         yield s if isinstance(s, Exception) else failed.get(s) or CorrelationTable(

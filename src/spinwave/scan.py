@@ -48,14 +48,14 @@ class DerivativeEstimate:
 def _zeta1(cov, g: float, spec: LatticeSpec) -> float:
     """zeta_1 of the horizontally adjacent pair at the lattice center (for
     periodic and infinite lattices any pair is equivalent by translation
-    invariance), from the covariances at g or the error computing them raised."""
-    try:
-        if isinstance(cov, Exception):
-            raise cov
-        x, y = spec.center
-        return two_site_params(cov, (x, y), (x + 1, y)).zeta
-    except StabilityError as exc:
-        raise StabilityError(f"stencil point g = {g!r} unstable: {exc}") from exc
+    invariance), from the covariances at g or the error computing them raised;
+    a refusal is wrapped, not raised again, so it gains no traceback."""
+    if isinstance(cov, StabilityError):
+        raise StabilityError(f"stencil point g = {g!r} unstable: {cov}") from cov
+    if isinstance(cov, Exception):
+        raise cov
+    x, y = spec.center
+    return two_site_params(cov, (x, y), (x + 1, y)).zeta
 
 
 def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
@@ -75,7 +75,7 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
         try:
             zp, zm, zp2, zm2 = [_zeta1(cov, gv, spec) for gv, cov in drawn]
         except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
-            out.append(exc)
+            out.append(exc.with_traceback(None))  # a traceback would pin this frame
             continue
         d_h = (zp - zm) / (2.0 * h)
         d_h2 = (zp2 - zm2) / h
@@ -103,7 +103,8 @@ class PeakResult:
 
 def finite_size_peak(params: CouplingParams, M_list, g_grid,
                      h: float = 1e-4) -> list[PeakResult]:
-    """Peak |d zeta_1 / d g| over the grid for each odd lattice size.
+    """Peak |d zeta_1 / d g| over the grid for each odd lattice size, by one
+    ``derivative_sweep`` per size; the first failing g's error is raised.
 
     The pair is the horizontally adjacent one at the lattice center; odd
     sizes keep a unique center site.
@@ -115,10 +116,10 @@ def finite_size_peak(params: CouplingParams, M_list, g_grid,
     g_grid = [float(g) for g in g_grid]
     peaks = []
     for M in M_list:
-        spec = LatticeSpec.periodic(M)
         best_val, best_g = -1.0, g_grid[0]
-        for g in g_grid:
-            est = derivative_zeta(params, spec, g, h=h)
+        for g, est in zip(g_grid, derivative_sweep(params, LatticeSpec.periodic(M), g_grid, h)):
+            if isinstance(est, Exception):
+                raise est
             if abs(est.richardson) > best_val:
                 best_val, best_g = abs(est.richardson), g
         peaks.append(PeakResult(side=M, peak_abs_derivative=best_val, g_at_peak=best_g))

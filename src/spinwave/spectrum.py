@@ -7,8 +7,10 @@ Fourier transforming the translation-invariant potential gives the symbol
                        + 2^(-3/2) g2 (cos(kx+ky) + cos(kx-ky)) ]
 
 whose square root is the normal-mode frequency.  The gap closes where
-min_k v(k) = 0, which happens at k = (pi, pi) or (0, pi)/(pi, 0) depending on
-the ratio g2 / g1.
+min_k v(k) = 0, at k = (pi, pi) or (0, pi) depending on the ratio g2 / g1.
+That corner value Delta comes from ``zone_branch`` in 40-digit arithmetic, for
+the stability guard, the gap and the zone quadrature alike;
+``critical_g2_numeric`` stays float, as an independent check.
 """
 
 from __future__ import annotations
@@ -50,25 +52,41 @@ def dispersion_grid(params: CouplingParams, spec: LatticeSpec) -> np.ndarray:
     return dispersion_value(params, k[:, None], k[None, :])
 
 
-# v is bilinear in (cos kx, cos ky), so its minimum over the zone is a corner
-# value.  For g1, g2 >= 0 the (0, 0) corner is never below the others, which
-# leaves the set below; ties go to the first entry.
-_CANDIDATES = ((np.pi, np.pi), (0.0, np.pi), (np.pi, 0.0))
+def zone_branch(params: CouplingParams) -> tuple[float, float, bool, float]:
+    """(Delta, slope, pipi, bscale) of a coupling: v(kx, pi) = Delta + slope X
+    with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
+    (pipi), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); Delta and the
+    slope come from the float inputs in 40-digit decimal arithmetic, and
+    bscale = 2 N omega g2."""
+    # imported here, not at module level: importing decimal costs every CLI
+    # start a few milliseconds, and only the infinite lattice needs it
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        omega, kappa, n_atoms, g1, g2 = (Decimal(x) for x in (
+            params.omega, params.kappa, params.n_atoms, params.g1, params.g2))
+        scale, root2 = 2 * n_atoms * omega, Decimal(2).sqrt()
+        tilt = g1 - g2 / root2
+        corner = -g1 - g2 + g2 / root2 if tilt >= 0 else g1 - g2 - g2 / root2
+        return (float(omega * (omega + 4 * kappa * n_atoms) + scale * corner),
+                float(scale * abs(tilt)), tilt >= 0, 2.0 * params.coupling_scale * params.g2)
 
 
 def zone_minimum(params: CouplingParams) -> tuple[float, tuple[float, float]]:
-    """Minimum of v(k) over the full continuous zone and the wavevector where it sits."""
-    values = [float(dispersion_value(params, kx, ky)) for kx, ky in _CANDIDATES]
-    best = int(np.argmin(values))
-    return values[best], _CANDIDATES[best]
+    """Minimum of v(k) over the full continuous zone and the corner where it
+    sits: v is bilinear in (cos kx, cos ky), and for g1, g2 >= 0 its minimum is
+    ``zone_branch``'s Delta, at (pi, pi) if g1 >= g2 / sqrt 2, else at (0, pi)."""
+    delta, _, pipi, _ = zone_branch(params)
+    return delta, (np.pi, np.pi) if pipi else (0.0, np.pi)
 
 
 def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
     """Lowest excitation energy sqrt(min v).
 
-    Infinite mode takes the minimum over the continuous zone, a finite
-    lattice over its normal-mode grid (``dispersion_grid``), whose values are
-    the eigenvalues of V.
+    Infinite mode takes the zone minimum (``zone_minimum``), a finite lattice
+    the minimum over its normal-mode grid (``dispersion_grid``), whose values
+    are the eigenvalues of V.
     """
     if spec.infinite:
         vmin, _ = zone_minimum(params)

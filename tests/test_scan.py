@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,20 @@ def test_finite_size_peak_validation():
     with pytest.raises(ValueError, match="odd"):
         finite_size_peak(params_at(0.0), [3], [1.0, 1.2])
 
+
+def test_refused_stencil_point_leaves_no_reference_cycle():
+    # the last stencil point is g_c itself and is refused; neither the refusal
+    # nor the sweep's frame may tie the quadrature batch into a cycle, so
+    # reference counting alone frees everything the sweep made
+    gc_ = critical_g_equal(params_at(0.0))
+    gs = [gc_ - 3e-4, gc_ - 1e-4]
+    gc.collect()
+    gc.disable()
+    try:
+        texts = [str(est) for est in
+                 derivative_sweep(params_at(0.0), LatticeSpec.infinite_lattice(), gs)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not texts[0].startswith("stencil point")
+    assert texts[1].startswith(f"stencil point g = {gs[1] + 1e-4!r} unstable: ")

@@ -177,6 +177,40 @@ def test_zone_minimum_on_corner_set():
         assert vmin <= grid_min + 1e-9 * abs(grid_min) + 1e-9
 
 
+@pytest.mark.parametrize("g1", [None, 0.3], ids=["pi_pi", "zero_pi"])
+def test_zone_minimum_and_gap_match_mpmath_at_criticality(g1):
+    # 1e-11 below the boundary on both branches: the equal line closes at
+    # (pi, pi), g1 = 0.3 with g2 on the "above" branch at (0, pi).  The zone
+    # minimum and the gap hold 1e-14 relative against v from its definition at
+    # 40 digits, though the corner value is 1e-11 of the on-site term
+    mpmath = pytest.importorskip("mpmath")
+    if g1 is None:
+        g1 = g2 = critical_g_equal(params_at(0.0)) * (1.0 - 1e-11)
+        corner = (np.pi, np.pi)
+    else:
+        g2 = critical_g2(params_at(0.0), g1).g2_closed_form * (1.0 - 1e-11)
+        corner = (0.0, np.pi)
+    p = params_at(g1, g2=g2)
+    with mpmath.workdps(40):
+        w, n, a, b = (mpmath.mpf(t) for t in (500.0, 1000, g1, g2))
+
+        def v(x, y):
+            return w * (w + 4 * n) + 2 * n * w * (
+                a * mpmath.cos(x) + b * mpmath.cos(y)
+                + mpmath.mpf(2) ** -1.5 * b * (mpmath.cos(x + y) + mpmath.cos(x - y)))
+
+        pi = mpmath.pi
+        exact = {(np.pi, np.pi): v(pi, pi), (0.0, np.pi): v(0, pi), (np.pi, 0.0): v(pi, 0)}
+        best = min(exact, key=exact.get)
+        vmin, gap = float(exact[best]), float(mpmath.sqrt(exact[best]))
+    assert best == corner
+    assert 0 < vmin < 2e-11 * p.on_site
+    got, where = zone_minimum(p)
+    assert where == corner
+    assert got == pytest.approx(vmin, rel=1e-14)
+    assert energy_gap(p, LatticeSpec.infinite_lattice()) == pytest.approx(gap, rel=1e-14)
+
+
 def test_gap_scaling_asymptotic_window():
     gc = critical_g_equal(params_at(0.0))
     fit = gap_scaling_exponent(params_at(0.0), (0.9 * gc, 0.999 * gc), 20)

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 computational refusal (instability, quadrature
 non-convergence or running out of memory), 2 configuration or usage error,
-unreadable paths included.  Every table carries a comment line with the
-config digest, so outputs are self-describing and byte-identical for
-identical configs.
+unreadable paths and overflowing parameters included.  Every table records
+its config (CSV a digest line, JSON the whole config); each recipe artifact
+is ``entropy-scan`` (fig2) or ``derivative-scan`` (fig3) run on that config.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_digest, parse_config
 from .groundstate import QuadratureConvergenceError, covariances_for, covariances_for_each
 from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
-from .model import CouplingParams, LatticeSpec, StabilityError
+from .model import CouplingParams, StabilityError
 from .oracle import validation_battery
 from .scan import derivative_sweep, finite_size_peak
 from .spectrum import critical_g2, critical_g_equal, energy_gap
@@ -32,9 +32,12 @@ NEAR_CRITICAL_OFFSET = 1e-11
 
 
 def _params(cfg: RunConfig, g1=None, g2=None) -> CouplingParams:
-    return CouplingParams(omega=cfg.omega, kappa=cfg.kappa, n_atoms=cfg.n_atoms,
-                          g1=cfg.g1 if g1 is None else g1,
-                          g2=cfg.g2 if g2 is None else g2)
+    try:
+        return CouplingParams(omega=cfg.omega, kappa=cfg.kappa, n_atoms=cfg.n_atoms,
+                              g1=cfg.g1 if g1 is None else g1,
+                              g2=cfg.g2 if g2 is None else g2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _g_grid(cfg: RunConfig) -> list[float]:
@@ -42,7 +45,7 @@ def _g_grid(cfg: RunConfig) -> list[float]:
         return [cfg.g_min]
     g_max = cfg.g_max
     if g_max == "auto":
-        g_max = float(critical_g_equal(_params(cfg))) - 1e-4
+        g_max = critical_g_equal(_params(cfg)) - 1e-4
         if g_max < cfg.g_min:
             raise ConfigError(f"'g_max' = auto resolves to g_c - 1e-4 = {g_max!r}, "
                               f"below 'g_min' {cfg.g_min!r}")
@@ -81,13 +84,13 @@ def _emit(text: str, target) -> None:
         Path(target).write_text(text)
 
 
-def _write(cfg: RunConfig, columns, rows, path=None) -> None:
-    _emit(_render(cfg, columns, rows), cfg.output if path is None else path)
+def _write(cfg: RunConfig, columns, rows) -> None:
+    _emit(_render(cfg, columns, rows), cfg.output)
 
 
-def _artifact_path(cfg: RunConfig, stem: str) -> Path:
+def _artifact_path(cfg: RunConfig, stem: str) -> str:
     suffix = ".json" if cfg.format == "json" else ".csv"
-    return Path(cfg.out_dir) / (stem + suffix)
+    return str(Path(cfg.out_dir) / (stem + suffix))
 
 
 def cmd_phase_diagram(cfg: RunConfig) -> int:
@@ -128,15 +131,11 @@ def cmd_covariance(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_blocks_fit(cfg: RunConfig, lattice: LatticeSpec) -> None:
+def cmd_entropy_scan(cfg: RunConfig) -> int:
+    lattice = cfg.lattice
     if not lattice.infinite and cfg.block_sizes[-1] > lattice.side:
         raise ConfigError(f"'block_sizes' entry {cfg.block_sizes[-1]} exceeds the "
                           f"lattice side {lattice.side}")
-
-
-def cmd_entropy_scan(cfg: RunConfig) -> int:
-    lattice = cfg.lattice
-    _check_blocks_fit(cfg, lattice)
     curve = entropy_vs_L(_params(cfg), lattice, cfg.block_sizes, mode=cfg.entropy_mode,
                          pairing_tol=cfg.pairing_tol)
     rows = [[L, E, cfg.entropy_mode, lattice.engine] for L, E in curve]
@@ -173,23 +172,14 @@ def cmd_two_site(cfg: RunConfig) -> int:
     return 0
 
 
-_DERIVATIVE_COLUMNS = ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"]
-
-
 def _stencil_grid(cfg: RunConfig) -> list[float]:
-    # the derivative stencil reaches g - derivative_step, which must stay a coupling
+    # the derivative stencil reaches g -+ derivative_step, which must stay a coupling
     if cfg.derivative_step > cfg.g_min:
         raise ConfigError(f"'derivative_step' {cfg.derivative_step!r} exceeds 'g_min' "
                           f"{cfg.g_min!r}: the stencil would reach a negative coupling")
-    return _g_grid(cfg)
-
-
-def _derivative_rows(cfg: RunConfig, lattice: LatticeSpec) -> list:
-    grid = _stencil_grid(cfg)
-    return [[g, float("nan"), float("nan"), str(est)] if isinstance(est, Exception)
-            else [g, est.raw, est.richardson, None]
-            for g, est in zip(grid, derivative_sweep(_params(cfg), lattice, grid,
-                                                     h=cfg.derivative_step))]
+    grid = _g_grid(cfg)
+    _params(cfg, g1=grid[-1] + cfg.derivative_step, g2=grid[-1] + cfg.derivative_step)
+    return grid
 
 
 def cmd_derivative_scan(cfg: RunConfig) -> int:
@@ -197,7 +187,12 @@ def cmd_derivative_scan(cfg: RunConfig) -> int:
     if not lattice.infinite and lattice.boundary == "open" and lattice.side < 3:
         raise ConfigError("derivative-scan on an open lattice needs 'side' >= 3: "
                           "the pair reaches one site right of the center")
-    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, lattice))
+    grid = _stencil_grid(cfg)
+    rows = [[g, float("nan"), float("nan"), str(est)] if isinstance(est, Exception)
+            else [g, est.raw, est.richardson, None]
+            for g, est in zip(grid, derivative_sweep(_params(cfg), lattice, grid,
+                                                     h=cfg.derivative_step))]
+    _write(cfg, ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"], rows)
     return 0
 
 
@@ -223,23 +218,17 @@ def _paper_config(cfg: RunConfig) -> RunConfig:
                    side=80, boundary="periodic", infinite=False, engine="auto")
 
 
+# The first subcommand run of a recipe meets every check the later ones
+# would, so a refused config writes no file.
+
 def cmd_reproduce_fig2(cfg: RunConfig) -> int:
     cfg = _paper_config(cfg)
-    params = _params(cfg)
-    gc = critical_g_equal(params)
-    couplings = [("g1.25", 1.25), ("g1.5", 1.5),
-                 ("near_critical", gc * (1.0 - NEAR_CRITICAL_OFFSET))]
-    lattice = LatticeSpec.periodic(80)
-    _check_blocks_fit(cfg, lattice)
-    columns = ["L", "entropy_bits", "mode", "engine"]
-    for label, g in couplings:
-        p = _params(cfg, g1=g, g2=g)
-        for spec in (lattice, LatticeSpec.infinite_lattice()):
-            curve = entropy_vs_L(p, spec, cfg.block_sizes, mode=cfg.entropy_mode,
-                                 pairing_tol=cfg.pairing_tol)
-            rows = [[L, E, cfg.entropy_mode, spec.engine] for L, E in curve]
-            stem = f"fig2_{'infinite' if spec.infinite else 'm80'}_{label}"
-            _write(cfg, columns, rows, path=_artifact_path(cfg, stem))
+    gc = critical_g_equal(_params(cfg))
+    for label, g in (("g1.25", 1.25), ("g1.5", 1.5),
+                     ("near_critical", gc * (1.0 - NEAR_CRITICAL_OFFSET))):
+        for infinite, name in ((False, "m80"), (True, "infinite")):
+            cmd_entropy_scan(replace(cfg, g1=g, g2=g, infinite=infinite,
+                                     output=_artifact_path(cfg, f"fig2_{name}_{label}")))
     return 0
 
 
@@ -248,11 +237,9 @@ def cmd_reproduce_fig3(cfg: RunConfig) -> int:
         raise ConfigError(f"'m_list' entries must be >= 3 (periodic lattices), got "
                           f"{','.join(map(str, cfg.m_list))}")
     cfg = _paper_config(cfg)
-    _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, LatticeSpec.infinite_lattice()),
-           path=_artifact_path(cfg, "fig3_infinite"))
+    cmd_derivative_scan(replace(cfg, infinite=True, output=_artifact_path(cfg, "fig3_infinite")))
     for M in cfg.m_list:
-        _write(cfg, _DERIVATIVE_COLUMNS, _derivative_rows(cfg, LatticeSpec.periodic(M)),
-               path=_artifact_path(cfg, f"fig3_m{M}"))
+        cmd_derivative_scan(replace(cfg, side=M, output=_artifact_path(cfg, f"fig3_m{M}")))
     return 0
 
 

@@ -21,10 +21,10 @@ transform and the symbol, from which a block takes only its own rows.  Each
 container answers ``block(sites)`` with the principal submatrices (Q_L, P_L)
 on a list of sites.  ``covariances_for_each`` is the one dispatch point: it
 runs a lattice's engine at each of a sweep's couplings (one quadrature batch
-on the infinite lattice), and ``covariances_for`` and ``covariance_infinite``
-are its batches of one.  ``covariance_dense``, the symmetric
-eigendecomposition of the full V on any finite lattice, is the tests' oracle
-for the engines.
+on the infinite lattice), ``covariances_for`` is its batch of one and
+``covariance_infinite`` that batch on the infinite lattice.
+``covariance_dense``, the symmetric eigendecomposition of the full V on any
+finite lattice, is the tests' oracle for the engines.
 """
 
 from __future__ import annotations
@@ -415,11 +415,8 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
 
         <q_0 q_r> = (1 / 2 (2 pi)^2) int v(k)^(-1/2) cos(k.r) d^2k,
 
-    for 0 <= |dx|, |dy| <= ``dmax``: ``covariances_for_each``'s batch of one."""
-    (table,) = covariances_for_each([params], LatticeSpec.infinite_lattice(), dmax)
-    if isinstance(table, Exception):
-        raise table
-    return table
+    for 0 <= |dx|, |dy| <= ``dmax``."""
+    return covariances_for(params, LatticeSpec.infinite_lattice(), dmax)
 
 
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):

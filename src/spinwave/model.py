@@ -8,6 +8,7 @@ the four diagonal neighbors with 2^(-3/2) g2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,27 @@ class CouplingParams:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.omega, self.kappa, self.n_atoms, self.g1, self.g2])):
+        try:
+            finite = all(math.isfinite(float(x))
+                         for x in (self.omega, self.kappa, self.n_atoms, self.g1, self.g2))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError("omega, kappa, n_atoms, g1 and g2 must be finite")
         if not (self.omega > 0 and self.kappa > 0):
             raise ValueError("omega and kappa must be positive")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        if not 1 <= self.n_atoms < 2 ** 63:
+            # numpy holds a larger int only in an object array
+            raise ValueError("n_atoms must be >= 1 and below 2**63")
         if self.g1 < 0 or self.g2 < 0:
             raise ValueError("dipolar strengths g1, g2 must be >= 0")
+        # the largest entry any engine forms is v(0); it is not finite when
+        # on_site or 2 N omega is not (inf * 0 is nan)
+        v0 = self.on_site + 2.0 * self.coupling_scale * (self.g1 + (1.0 + 2.0 ** -0.5) * self.g2)
+        if not math.isfinite(v0):
+            raise ValueError("the potential overflows: omega (omega + 4 kappa N), 2 N omega or "
+                             "the symbol scale on_site + 2 N omega (g1 + (1 + 2^-0.5) g2) "
+                             "is not finite")
 
     @property
     def on_site(self) -> float:

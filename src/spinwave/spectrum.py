@@ -99,7 +99,8 @@ def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
 
 def critical_g_equal(params: CouplingParams) -> float:
     """Critical coupling on the equal-strength line g1 = g2 = g."""
-    return (params.omega + 4.0 * params.kappa * params.n_atoms) / (params.n_atoms * (4.0 - SQRT2))
+    return float((params.omega + 4.0 * params.kappa * params.n_atoms)
+                 / (params.n_atoms * (4.0 - SQRT2)))
 
 
 def phase_boundary_cases(params: CouplingParams, g1: float) -> tuple[float, float, float]:
@@ -122,7 +123,6 @@ class PhasePoint:
     g2_closed_form: float
     g2_numeric: float
     branch: str  # below | degenerate | above, relative to g2 = sqrt(2) g1
-    min_wavevector: tuple[float, float]
 
 
 def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
@@ -168,14 +168,14 @@ def critical_g2(params: CouplingParams, g1: float) -> PhasePoint:
     # Self-consistency picks the case: the "below" form is valid only where
     # it lands below sqrt(2) g1, the "above" form only above it.
     if below < SQRT2 * g1:
-        g2c, branch, kmin = below, "below", (np.pi, np.pi)
+        g2c, branch = below, "below"
     elif above > SQRT2 * g1:
-        g2c, branch, kmin = above, "above", (0.0, np.pi)
+        g2c, branch = above, "above"
     else:
-        g2c, branch, kmin = degenerate, "degenerate", (np.pi, np.pi)
+        g2c, branch = degenerate, "degenerate"
     numeric = critical_g2_numeric(params, g1)
     return PhasePoint(g1=float(g1), g2_closed_form=float(g2c), g2_numeric=float(numeric),
-                      branch=branch, min_wavevector=kmin)
+                      branch=branch)
 
 
 @dataclass(frozen=True)

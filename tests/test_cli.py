@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinwave import ConfigError, RunConfig, config_digest, parse_config, serialize_config
+from spinwave import (ConfigError, LatticeSpec, RunConfig, config_digest, parse_config,
+                      serialize_config)
 from spinwave.cli import _paper_config, main
 
 
@@ -317,8 +320,14 @@ def test_cli_own_engine_matches_auto(tmp_path, capsys, subcommand, engine, latti
 
 
 def test_paper_recipes_keep_default_configs():
-    # reproduce-fig2/fig3 on defaults record the defaults, so their digest lines stay put
+    # the recipes start from the defaults, so the default M = 80, g = 1.25 curve
+    # (fig2_m80_g1.25) records the default digest
     assert _paper_config(RunConfig()) == RunConfig()
+
+
+def _recorded_config(path) -> RunConfig:
+    fields = json.loads(path.read_text())["config"]
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
 
 
 @pytest.mark.parametrize("recipe, extra", [("reproduce-fig2", "block_sizes = 2,3\n"),
@@ -331,10 +340,67 @@ def test_paper_recipes_record_a_config_that_parses(tmp_path, recipe, extra):
     written = sorted(tmp_path.glob("*.json"))
     assert written
     for path in written:
-        fields = json.loads(path.read_text())["config"]
-        recorded = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
-        assert (recorded.boundary, recorded.side, recorded.engine) == ("periodic", 80, "auto")
+        recorded = _recorded_config(path)
+        name = path.stem.split("_")[1]  # m80, infinite, m5
+        computed_on = (LatticeSpec.infinite_lattice() if name == "infinite"
+                       else LatticeSpec.periodic(int(name[1:])))
+        assert (recorded.lattice, recorded.engine) == (computed_on, "auto")
         assert parse_config(serialize_config(recorded)) == recorded
+
+
+@pytest.mark.parametrize("recipe, subcommand, extra, count", [
+    ("reproduce-fig2", "entropy-scan", "block_sizes = 2,3\n", 6),
+    ("reproduce-fig3", "derivative-scan", "g_samples = 2\nm_list = 5,7\n", 3),
+])
+def test_paper_recipe_artifacts_are_their_recorded_subcommand_runs(tmp_path, recipe, subcommand,
+                                                                   extra, count):
+    # JSON records the whole config; its CSV twin's digest line must name the same one
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(extra)
+    for fmt in ("csv", "json"):
+        (tmp_path / fmt).mkdir()
+        assert main([recipe, "--config", str(cfg), "--out-dir", str(tmp_path / fmt),
+                     "--format", fmt]) == 0
+    artifacts = sorted((tmp_path / "json").glob("*.json"))
+    assert len(artifacts) == count
+    for path in artifacts:
+        recorded = _recorded_config(path)
+        twin = tmp_path / "csv" / (path.stem + ".csv")
+        for run in (recorded, replace(recorded, format="csv", output=str(twin))):
+            artifact = Path(run.output)
+            assert artifact.parent.parent == tmp_path
+            made_by_recipe = artifact.read_bytes()
+            artifact.unlink()
+            cfg.write_text(serialize_config(run))
+            assert main([subcommand, "--config", str(cfg)]) == 0
+            assert artifact.read_bytes() == made_by_recipe
+
+
+@pytest.mark.parametrize("subcommand", ["gap-scan", "two-site", "entropy-scan"])
+@pytest.mark.parametrize("line", [
+    pytest.param("n_atoms = 100000000000000000000", id="n_atoms-beyond-2**64"),
+    pytest.param("n_atoms = 1" + "0" * 400, id="n_atoms-beyond-float-range"),
+    pytest.param("omega = 1e200", id="on-site-overflows"),
+])
+def test_cli_overflowing_parameters_are_config_errors(tmp_path, capsys, subcommand, line):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{line}\nside = 8\nblock_sizes = 2\ng_samples = 1\n")
+    out = tmp_path / "out.csv"
+    assert main([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["derivative-scan", "finite-size"])
+def test_cli_overflowing_stencil_is_a_config_error(tmp_path, capsys, subcommand):
+    # g_min's potential fits the float range, g_max's (and its stencil's) does not
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("omega = 1e150\nn_atoms = 1\nside = 8\ng_min = 5.2e157\ng_max = 5.3e157\n"
+                   "g_samples = 2\nm_list = 5\n")
+    out = tmp_path / "out.csv"
+    assert main([subcommand, "--config", str(cfg), "--output", str(out)]) == 2
+    assert "the potential overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_two_site_asymmetric_pair_in_row(tmp_path, capsys):

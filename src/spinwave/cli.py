@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 computational refusal (instability, quadrature
 non-convergence or running out of memory), 2 configuration or usage error,
 unreadable paths and overflowing parameters included.  Every table records
-its config (CSV a digest line, JSON the whole config); each recipe artifact
-is ``entropy-scan`` (fig2) or ``derivative-scan`` (fig3) run on that config.
+its subcommand and config (CSV in a digest line, JSON whole); each recipe
+artifact is ``entropy-scan`` (fig2) or ``derivative-scan`` (fig3) on that config.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ def _cell(value) -> str:
     return text
 
 
-def _render(cfg: RunConfig, columns, rows) -> str:
+def _render(cfg: RunConfig, command: str, columns, rows) -> str:
     if cfg.format == "json":
         # JSON has no NaN or Infinity: a failed row's numeric cells become null
-        doc = {"config": asdict(cfg), "columns": list(columns),
+        doc = {"command": command, "config": asdict(cfg), "columns": list(columns),
                "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v
                          for v in r] for r in rows]}
         return json.dumps(doc, indent=1, allow_nan=False) + "\n"
-    lines = [f"# config sha256:{config_digest(cfg)}", ",".join(columns)]
+    lines = [f"# config sha256:{config_digest(cfg)} command:{command}", ",".join(columns)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -84,8 +84,8 @@ def _emit(text: str, target) -> None:
         Path(target).write_text(text)
 
 
-def _write(cfg: RunConfig, columns, rows) -> None:
-    _emit(_render(cfg, columns, rows), cfg.output)
+def _write(cfg: RunConfig, command: str, columns, rows) -> None:
+    _emit(_render(cfg, command, columns, rows), cfg.output)
 
 
 def _artifact_path(cfg: RunConfig, stem: str) -> str:
@@ -100,7 +100,8 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
     for g1 in g1s:
         point = critical_g2(params, float(g1))
         rows.append([point.g1, point.g2_closed_form, point.g2_numeric, point.branch])
-    _write(cfg, ["g1", "g2_critical_closed_form", "g2_critical_numeric", "branch"], rows)
+    _write(cfg, "phase-diagram",
+           ["g1", "g2_critical_closed_form", "g2_critical_numeric", "branch"], rows)
     return 0
 
 
@@ -113,7 +114,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
             rows.append([g, gap, None])
         except StabilityError as exc:
             rows.append([g, float("nan"), str(exc)])
-    _write(cfg, ["g", "gap", "error"], rows)
+    _write(cfg, "gap-scan", ["g", "gap", "error"], rows)
     return 0
 
 
@@ -127,7 +128,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
     dx, dy = (a.ravel() for a in np.meshgrid(d, d, indexing="ij"))
     index = table.displacement_index(dx, dy)
     rows = list(zip(dx.tolist(), dy.tolist(), table.qq[index].tolist(), table.pp[index].tolist()))
-    _write(cfg, ["dx", "dy", "qq", "pp"], rows)
+    _write(cfg, "covariance", ["dx", "dy", "qq", "pp"], rows)
     return 0
 
 
@@ -139,7 +140,7 @@ def cmd_entropy_scan(cfg: RunConfig) -> int:
     curve = entropy_vs_L(_params(cfg), lattice, cfg.block_sizes, mode=cfg.entropy_mode,
                          pairing_tol=cfg.pairing_tol)
     rows = [[L, E, cfg.entropy_mode, lattice.engine] for L, E in curve]
-    _write(cfg, ["L", "entropy_bits", "mode", "engine"], rows)
+    _write(cfg, "entropy-scan", ["L", "entropy_bits", "mode", "engine"], rows)
     return 0
 
 
@@ -168,7 +169,8 @@ def cmd_two_site(cfg: RunConfig) -> int:
         except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
             for label, _ in _PAIR_CLASSES:
                 rows.append([g, label] + [float("nan")] * 4 + [None, str(exc)])
-    _write(cfg, ["g", "distance_class", "n", "c", "zeta", "eof", "separable", "error"], rows)
+    _write(cfg, "two-site",
+           ["g", "distance_class", "n", "c", "zeta", "eof", "separable", "error"], rows)
     return 0
 
 
@@ -192,7 +194,7 @@ def cmd_derivative_scan(cfg: RunConfig) -> int:
             else [g, est.raw, est.richardson, None]
             for g, est in zip(grid, derivative_sweep(_params(cfg), lattice, grid,
                                                      h=cfg.derivative_step))]
-    _write(cfg, ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"], rows)
+    _write(cfg, "derivative-scan", ["g", "dzeta1_dg_raw", "dzeta1_dg_richardson", "error"], rows)
     return 0
 
 
@@ -202,7 +204,7 @@ def cmd_finite_size(cfg: RunConfig) -> int:
                           f"{','.join(map(str, cfg.m_list))}")
     peaks = finite_size_peak(_params(cfg), cfg.m_list, _stencil_grid(cfg), h=cfg.derivative_step)
     rows = [[p.side, p.peak_abs_derivative, p.g_at_peak] for p in peaks]
-    _write(cfg, ["M", "peak_abs_derivative", "g_at_peak"], rows)
+    _write(cfg, "finite-size", ["M", "peak_abs_derivative", "g_at_peak"], rows)
     return 0
 
 
@@ -280,15 +282,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(_read_config(args.config) if args.config else "")
-        overrides = {}
-        if args.output is not None:
-            overrides["output"] = args.output
-        if args.out_dir is not None:
-            overrides["out_dir"] = args.out_dir
-        if args.format is not None:
-            overrides["format"] = args.format
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, **{key: value for key, value in (
+            ("output", args.output), ("out_dir", args.out_dir), ("format", args.format))
+            if value is not None})
         return _HANDLERS[args.subcommand](cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

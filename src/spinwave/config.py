@@ -61,11 +61,9 @@ class RunConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError("expected 'true' or 'false'")
+    if raw not in ("true", "false"):
+        raise ValueError("expected 'true' or 'false'")
+    return raw == "true"
 
 
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
@@ -93,18 +91,12 @@ _CHOICES = {
     "format": ("csv", "json"),
 }
 
+_PARSERS = {"tuple[int, ...]": _parse_int_tuple, "float": _parse_float, "int": int,
+            "bool": _parse_bool}
+
+
 def _field_parser(f):
-    if f.name == "g_max":
-        return _parse_float_or_auto
-    if f.type in ("tuple[int, ...]",):
-        return _parse_int_tuple
-    if f.type in ("float",):
-        return _parse_float
-    if f.type in ("int",):
-        return int
-    if f.type in ("bool",):
-        return _parse_bool
-    return str
+    return _parse_float_or_auto if f.name == "g_max" else _PARSERS.get(f.type, str)
 
 
 _POSITIVE = {"omega", "kappa", "pairing_tol", "derivative_step"}

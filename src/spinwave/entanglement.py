@@ -11,6 +11,12 @@ decoupled vacuum give nu = 1, the purity bound.  The block entropy in bits is
 summed either over every eigenvalue (``count_all``) or with degenerate
 values merged (``degenerate_once``, the default).
 
+A block that commutes with both reflections of the square (any square block
+of the infinite lattice or of a periodic table even in dx and dy; an open
+lattice's centred one, 2 x0 = M - L) splits into four parity sectors
+(Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)): sector (sy, sx) is
+G0 + sy Gy + sx Gx + sy sx Gxy over the block's lower-left quadrant.
+
 For a symmetric pair of sites, n = 2 sqrt(<q_i^2><p_i^2>) and
 c = 2 sqrt(-<q_i q_j><p_i p_j>) define zeta = n - c; zeta < 1 certifies
 entanglement and fixes the entanglement of formation.
@@ -19,6 +25,7 @@ entanglement and fixes the entanglement of formation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +137,40 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
     raise ValueError(f"unknown entropy mode {mode!r}")
 
 
+@lru_cache(maxsize=64)
+def _parity_sectors(L: int):
+    """The lower-left quadrant (x, y) of an L x L block, sides ceil(L/2), and its
+    images in y, in x and in both (cross-blocks G0, Gy, Gx, Gxy); per parity
+    sector (sy, sx), the quadrant sites it keeps and their weights: an odd side's
+    middle row or column is dropped from odd sectors, weighted 1/sqrt(2) in even ones."""
+    h = (L + 1) // 2
+    y, x = np.divmod(np.arange(h * h), h)
+    images = [np.stack(xy, axis=1) for xy in ((x, y), (x, L - 1 - y), (L - 1 - x, y),
+                                              (L - 1 - x, L - 1 - y))]
+    mid_x, mid_y = (L % 2 == 1) & (x == h - 1), (L % 2 == 1) & (y == h - 1)
+    weight = np.where(mid_x, np.sqrt(0.5), 1.0) * np.where(mid_y, np.sqrt(0.5), 1.0)
+    return images, [(sy, sx, k, weight[k]) for sy in (1, -1) for sx in (1, -1)
+                    for k in [np.flatnonzero(~((sy < 0) & mid_y | (sx < 0) & mid_x))]]
+
+
+def block_spectrum(cov, spec: LatticeSpec, region: BlockRegion) -> SymplecticSpectrum:
+    """Symplectic spectrum of the region's block of ``cov`` on ``spec``: its four
+    parity sectors' merged when mirror symmetric (module notes), else the whole's."""
+    L = region.side_length
+    if (cov.mirror_even if spec.infinite or spec.boundary == "periodic"
+            else 2 * region.x0 == spec.side - L == 2 * region.y0):
+        images, sectors = _parity_sectors(L)
+        anchor = np.array([region.x0, region.y0])
+        G = [cov.cross(anchor + images[0], anchor + image) for image in images]
+        pieces = [[w[:, None] * (g0 + sx * gx + sy * (gy + sx * gxy))[np.ix_(keep, keep)] * w
+                   for g0, gy, gx, gxy in zip(*G)]
+                  for sy, sx, keep, w in sectors if keep.size]
+    else:
+        pieces = [cov.block(region.sites())]
+    return SymplecticSpectrum.from_values(
+        np.concatenate([symplectic_spectrum(Q, P).values for Q, P in pieces]))
+
+
 def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
                  mode: str = "degenerate_once",
                  pairing_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[int, float]]:
@@ -141,12 +182,8 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
         raise ValueError("largest block exceeds the lattice")
     cov = covariances_for(params, spec, L_list[-1] - 1)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
-    out = []
-    for L in L_list:
-        region = BlockRegion.centered(L, lattice_side)
-        spectrum = symplectic_spectrum(*cov.block(region.sites()))
-        out.append((L, block_entropy(spectrum, mode, pairing_tol)))
-    return out
+    return [(L, block_entropy(block_spectrum(cov, spec, BlockRegion.centered(L, lattice_side)),
+                              mode, pairing_tol)) for L in L_list]
 
 
 class AsymmetricPairError(ValueError):

@@ -30,6 +30,7 @@ finite lattice, is the tests' oracle for the engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,28 +73,31 @@ class SineModes:
     v: np.ndarray = field(repr=False)
     spec: LatticeSpec
 
-    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices Q_L = A diag(v^(-1/2)) A^T / 2 and
-        P_L = A diag(v^(1/2)) A^T / 2, A the sites' rows S[y] x S[x] of
-        S x S; sites off the lattice and a site named twice are refused.
-
-        The two axes are contracted one at a time, so the cost is
-        O(R^2 M^2 + n^2 M) for n sites in R lattice rows and A is never formed."""
-        y, x = np.divmod(_site_indices(self.spec, sites), self.spec.side)
-        rows, row_of = np.unique(y, return_inverse=True)
-        Sx = self.S[x]
-        row_pairs = (self.S[rows, None, :] * self.S[None, rows, :]).reshape(rows.size ** 2, -1)
+    def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Q = A diag(v^(-1/2)) B^T / 2 and P = A diag(v^(1/2)) B^T / 2, A (B)
+        the rows S[y] x S[x] of S x S at the sites a (b); sites off the lattice
+        and a site named twice in one list are refused.  The axes are contracted
+        one at a time: O(Ra Rb M^2 + na nb M) for na, nb sites in Ra, Rb rows."""
+        (ya, xa), (yb, xb) = (np.divmod(_site_indices(self.spec, s), self.spec.side) for s in (a, b))
+        (ra, row_a), (rb, row_b) = (np.unique(y, return_inverse=True) for y in (ya, yb))
+        Sxa, Sxb = self.S[xa], self.S[xb]
+        row_pairs = (self.S[ra, None, :] * self.S[None, rb, :]).reshape(ra.size * rb.size, -1)
         out = []
         for power in (-0.5, 0.5):
-            # C[a, b, kx] = sum_ky S[rows[a], ky] S[rows[b], ky] v[kx, ky]^power / 2
-            C = (row_pairs @ (self.v ** power).T).reshape(rows.size, rows.size, -1) / 2.0
-            # X[i, j] = sum_kx S[x_i, kx] C[row_i, row_j, kx] S[x_j, kx], one lattice row at a time
-            X = np.empty((x.size, x.size))
-            for a in range(rows.size):
-                mine = row_of == a
-                X[mine] = Sx[mine] @ (C[a, row_of] * Sx).T
-            out.append(0.5 * (X + X.T))
+            # C[r, s, kx] = sum_ky S[ra[r], ky] S[rb[s], ky] v[kx, ky]^power / 2
+            C = (row_pairs @ (self.v ** power).T).reshape(ra.size, rb.size, -1) / 2.0
+            # X[i, j] = sum_kx S[xa_i, kx] C[row_i, row_j, kx] S[xb_j, kx], one lattice row at a time
+            X = np.empty((xa.size, xb.size))
+            for r in range(ra.size):
+                mine = row_a == r
+                X[mine] = Sxa[mine] @ (C[r, row_b] * Sxb).T
+            out.append(X)
         return out[0], out[1]
+
+    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Principal submatrices (Q_L, P_L) on the sites (x, y), symmetrised."""
+        Q, P = self.cross(sites, sites)
+        return 0.5 * (Q + Q.T), 0.5 * (P + P.T)
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,23 @@ class CorrelationTable:
         if np.count_nonzero(index[0] | index[1]) < len(xy) * (len(xy) - 1):
             raise ValueError("block names one lattice site twice")
         return self.qq[index], self.pp[index]
+
+    def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, P) with rows at the sites a and columns at the sites b, (x, y)."""
+        a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+        index = self.displacement_index(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+        return self.qq[index], self.pp[index]
+
+    @cached_property
+    def mirror_even(self) -> bool:
+        """Whether the table is even in dx and in dy, so that a square block commutes
+        with both its reflections: by construction if infinite, to 1e-12 of the
+        largest entry if periodic."""
+        flip = -np.arange(self.qq.shape[0]) % self.qq.shape[0]
+        # written so that a NaN anywhere fails the comparison
+        return self.kind == "infinite" or all(
+            np.max(np.abs(np.take(t, flip, axis) - t)) <= 1e-12 * np.max(np.abs(t))
+            for t in (self.qq, self.pp) for axis in (0, 1))
 
 
 def _guard_softness(vmin: float, on_site: float) -> None:
@@ -199,8 +220,7 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     _guard_softness(float(np.min(v)), params.on_site)
     qq = 0.5 * np.real(np.fft.ifft2(v ** -0.5))
     pp = 0.5 * np.real(np.fft.ifft2(v ** 0.5))
-    qq.flags.writeable = False
-    pp.flags.writeable = False
+    qq.flags.writeable = pp.flags.writeable = False
     return CorrelationTable(qq=qq, pp=pp, kind="periodic")
 
 

@@ -45,10 +45,8 @@ def dispersion_grid(params: CouplingParams, spec: LatticeSpec) -> np.ndarray:
     k = 2 pi m / M, m = 0..M-1, when periodic (the DFT modes) and
     k = pi j / (M + 1), j = 1..M, when open (the DST-I modes)."""
     M = spec.side
-    if spec.boundary == "periodic":
-        k = 2.0 * np.pi * np.arange(M) / M
-    else:
-        k = np.pi * np.arange(1, M + 1) / (M + 1)
+    k = (2.0 * np.pi * np.arange(M) / M if spec.boundary == "periodic"
+         else np.pi * np.arange(1, M + 1) / (M + 1))
     return dispersion_value(params, k[:, None], k[None, :])
 
 
@@ -88,10 +86,7 @@ def energy_gap(params: CouplingParams, spec: LatticeSpec) -> float:
     the minimum over its normal-mode grid (``dispersion_grid``), whose values
     are the eigenvalues of V.
     """
-    if spec.infinite:
-        vmin, _ = zone_minimum(params)
-    else:
-        vmin = float(np.min(dispersion_grid(params, spec)))
+    vmin = zone_minimum(params)[0] if spec.infinite else float(np.min(dispersion_grid(params, spec)))
     if vmin < 0:
         raise StabilityError(f"instability: beyond critical coupling (min v = {vmin:.6g})")
     return float(np.sqrt(vmin))

@@ -366,6 +366,10 @@ def test_paper_recipe_artifacts_are_their_recorded_subcommand_runs(tmp_path, rec
     for path in artifacts:
         recorded = _recorded_config(path)
         twin = tmp_path / "csv" / (path.stem + ".csv")
+        # both name the subcommand; the CSV line keeps the digest prefix
+        assert json.loads(path.read_text())["command"] == subcommand
+        assert twin.read_text().splitlines()[0] == (
+            f"# config sha256:{config_digest(recorded)} command:{subcommand}")
         for run in (recorded, replace(recorded, format="csv", output=str(twin))):
             artifact = Path(run.output)
             assert artifact.parent.parent == tmp_path

@@ -90,6 +90,22 @@ def test_dst_engine_matches_dense_oracle(case):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(open_lattice_cases(), st.data())
+def test_cross_blocks_match_dense_oracle(case, data):
+    # rows at one list of sites, columns at another; the lists may share sites
+    spec, p, sites = case
+    k = data.draw(st.integers(1, len(sites)))
+    rows, cols = sites[:k], sites[data.draw(st.integers(0, k - 1)):]
+    periodic = LatticeSpec.periodic(max(spec.side, 3))
+    for lattice, cov in ((spec, covariance_dst(spec, p)), (periodic, covariance_pbc_fft(periodic, p))):
+        dense = covariance_dense(lattice, p)
+        i, j = ([lattice.site_index(x, y) for x, y in s] for s in (rows, cols))
+        for want, got in zip((dense.Q[np.ix_(i, j)], dense.P[np.ix_(i, j)]), cov.cross(rows, cols)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("sites", [[(0, 0), (0, 0)], [(1, 2), (3, 1), (1, 2)], [(4, 0)],
                                    [(-1, 0)], [(2, 2), (0, 4)]])
 def test_dst_block_refuses_what_dense_refuses(sites):

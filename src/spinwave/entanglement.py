@@ -237,9 +237,12 @@ def two_site_params(cov, site_i, site_j) -> TwoSiteParams:
                 f"asymmetric pair: on-site {label} differ by more than {PAIR_SYMMETRY_TOL:g} "
                 "(relative); center the pair in the lattice")
     n = 2.0 * (qii * pii * qjj * pjj) ** 0.25
+    if n < 1.0 - UNCERTAINTY_SLACK:
+        raise ValueError(f"uncertainty violation: n = {n:.12g} < 1")
+    n = max(n, 1.0)
     prod = qij * pij
     sign_anomaly = prod > 0
-    c = 0.0 if sign_anomaly else 2.0 * np.sqrt(-prod)
+    c = 0.0 if prod >= 0 else 2.0 * np.sqrt(-prod)  # never -0.0
     zeta = n - c
     return TwoSiteParams(n=float(n), c=float(c), zeta=float(zeta),
                          eof=eof_symmetric(zeta), separable=bool(zeta >= 1.0),

@@ -11,7 +11,7 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 
 * ``covariance_dst``       -- the DST-I normal modes, for open lattices
                               (engine name ``dense``)
-* ``covariance_pbc_fft``   -- circulant diagonalisation by FFT, for periodic ones
+* ``covariance_pbc_fft``   -- circulant diagonalisation by a cosine transform, for periodic ones
 * ``covariance_infinite``  -- zone quadrature in the M -> oo limit, ky in
                               closed form and kx by tanh-sinh
 
@@ -20,9 +20,9 @@ displacement only (translation invariance); the open engine returns the
 transform and the symbol, from which a block takes only its own rows.  Each
 container answers ``block(sites)`` with the principal submatrices (Q_L, P_L)
 on a list of sites.  ``covariances_for_each`` is the one dispatch point: it
-runs a lattice's engine at each of a sweep's couplings (one quadrature batch
-on the infinite lattice), ``covariances_for`` is its batch of one and
-``covariance_infinite`` that batch on the infinite lattice.
+runs a lattice's engine at each of a sweep's couplings (in blocks), and
+``covariances_for`` is its batch of one, as are ``covariance_pbc_fft`` and
+``covariance_infinite`` on their lattices.
 ``covariance_dense``, the symmetric eigendecomposition of the full V on any
 finite lattice, is the tests' oracle for the engines.
 """
@@ -30,7 +30,8 @@ finite lattice, is the tests' oracle for the engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -208,20 +209,20 @@ def covariance_dst(spec: LatticeSpec, params: CouplingParams) -> SineModes:
 
 
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
-    """Periodic-lattice correlations via the circulant eigenvalue grid:
-
-        <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
-
-    and the same with v^(+1/2) for momenta, evaluated with a fast transform.
-    """
+    """Periodic-lattice correlations <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
+    on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta:
+    ``covariances_for``'s batch of one.  v is even in kx and in ky, so this is a
+    real cosine transform along each axis (Strang, SIAM Rev. 41, 135 (1999))."""
     if spec.engine != "fft":
         raise ValueError("FFT engine requires a finite periodic lattice")
-    v = dispersion_grid(params, spec)
-    _guard_softness(float(np.min(v)), params.on_site)
-    qq = 0.5 * np.real(np.fft.ifft2(v ** -0.5))
-    pp = 0.5 * np.real(np.fft.ifft2(v ** 0.5))
-    qq.flags.writeable = pp.flags.writeable = False
-    return CorrelationTable(qq=qq, pp=pp, kind="periodic")
+    return covariances_for(params, spec)
+
+
+@lru_cache(maxsize=64)
+def _cosine_matrix(M: int) -> np.ndarray:
+    """C[d, m] = cos(2 pi r / M), r = min(d m mod M, M - d m mod M) reduced in integers."""
+    dm = np.outer(np.arange(M), np.arange(M)) % M
+    return np.cos(2.0 * np.pi * np.minimum(dm, M - dm) / M)
 
 
 # The infinite-lattice quadrature refines level by level until successive
@@ -453,34 +454,45 @@ def covariances_for_each(couplings, spec: LatticeSpec, max_displacement: int = 0
     """Covariances of ``spec`` on its engine (``spec.engine``, picked here only) at
     each of the couplings (any iterable), in order, or the StabilityError or
     QuadratureConvergenceError raised there, without its traceback, which would
-    pin this frame.  A finite lattice runs ``covariance_dst`` or
-    ``covariance_pbc_fft`` as each coupling is drawn, holding one container at
-    a time; the infinite one guards each coupling on its ``zone_branch`` row and
-    refines the stable rows as one batch (``_refine``)."""
-    if spec.engine != "infinite":
+    pin this frame.  An open lattice runs ``covariance_dst`` per coupling.  A periodic
+    one runs blocks of at most LEVEL_BLOCK_POINTS grid points, the infinite one a
+    single batch: each coupling guarded on its own min v, the stable ones transformed."""
+    if spec.engine == "dense":
         for p in couplings:
             try:
-                cov = (covariance_dst if spec.engine == "dense" else covariance_pbc_fft)(spec, p)
+                cov = covariance_dst(spec, p)
             except StabilityError as exc:
                 cov = exc.with_traceback(None)
             yield cov
         return
-    if max_displacement < 0:
+    if spec.infinite and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
-    slots, branches = [], []  # per coupling its refusal or its batch row
-    for p in couplings:
-        row = zone_branch(p)
-        try:
-            _guard_softness(row[0], p.on_site)
-        except StabilityError as exc:
-            slots.append(exc.with_traceback(None))
+    periodic, couplings, M = not spec.infinite, iter(couplings), spec.side
+    size = max(1, LEVEL_BLOCK_POINTS // M ** 2) if periodic else None
+    while block := list(islice(couplings, size)):
+        v = (dispersion_grid(block, spec) if periodic
+             else np.array([zone_branch(p) for p in block]).reshape(-1, 4))
+        vmins = np.min(v, axis=(1, 2)) if periodic else v[:, 0]
+        slots, stable = [], []  # per coupling its refusal or its row among the stable
+        for i, p in enumerate(block):
+            try:
+                _guard_softness(float(vmins[i]), p.on_site)
+            except StabilityError as exc:
+                slots.append(exc.with_traceback(None))
+            else:
+                slots.append(len(stable))
+                stable.append(i)
+        if periodic:
+            C, x = _cosine_matrix(M), np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
+            # x's k = 0 entry goes in exactly: a constant v (g = 0) gets exact off-site zeros
+            tables, failed = C @ (x - x[..., :1, :1]) @ C * (0.5 / M ** 2), {}
+            tables[..., 0, 0] += 0.5 * x[..., 0, 0]
+            tables.flags.writeable = False
         else:
-            slots.append(len(branches))
-            branches.append(row)
-    tables, failed = _refine(np.array(branches).reshape(-1, 4), max_displacement)
-    for s in slots:
-        yield s if isinstance(s, Exception) else failed.get(s) or CorrelationTable(
-            qq=tables[s, 0], pp=tables[s, 1], kind="infinite")
+            tables, failed = _refine(v[stable], max_displacement)
+        for s in slots:
+            yield s if isinstance(s, Exception) else failed.get(s) or CorrelationTable(
+                qq=tables[s, 0], pp=tables[s, 1], kind="periodic" if periodic else "infinite")
 
 
 def excitation_density(params: CouplingParams, spec: LatticeSpec) -> float:

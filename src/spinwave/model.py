@@ -116,9 +116,9 @@ class LatticeSpec:
     @property
     def engine(self) -> str:
         """The lattice's ground-state engine: zone quadrature when infinite,
-        the circulant FFT when periodic, the DST-I normal modes when open,
-        named "dense" as configs (``engine = dense``) and the CLI's ``engine``
-        column name it."""
+        the circulant cosine transform when periodic, named "fft", the DST-I
+        normal modes when open, named "dense", as configs (``engine = dense``)
+        and the CLI's ``engine`` column name them."""
         return "infinite" if self.infinite else "fft" if self.boundary == "periodic" else "dense"
 
     @property

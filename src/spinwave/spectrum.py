@@ -16,6 +16,7 @@ the stability guard, the gap and the zone quadrature alike;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,13 +41,17 @@ def dispersion_value(params: CouplingParams, kx, ky):
                            params.g1, params.g2, kx, ky)
 
 
-def dispersion_grid(params: CouplingParams, spec: LatticeSpec) -> np.ndarray:
+def dispersion_grid(params: CouplingParams | list[CouplingParams], spec: LatticeSpec) -> np.ndarray:
     """v(k) on the normal-mode grid of a finite lattice, indexed [kx, ky]:
     k = 2 pi m / M, m = 0..M-1, when periodic (the DFT modes) and
-    k = pi j / (M + 1), j = 1..M, when open (the DST-I modes)."""
+    k = pi j / (M + 1), j = 1..M, when open (the DST-I modes).  A sequence of
+    couplings gets its grids [coupling, kx, ky] from one broadcast symbol call."""
     M = spec.side
     k = (2.0 * np.pi * np.arange(M) / M if spec.boundary == "periodic"
          else np.pi * np.arange(1, M + 1) / (M + 1))
+    if not isinstance(params, CouplingParams):
+        params = SimpleNamespace(**{f: np.array([getattr(p, f) for p in params])[:, None, None]
+                                    for f in ("omega", "kappa", "n_atoms", "g1", "g2")})
     return dispersion_value(params, k[:, None], k[None, :])
 
 

@@ -175,13 +175,26 @@ def test_row_decoupled_additivity():
         assert e_block == pytest.approx(L * e_strip, abs=1e-10)
 
 
-def test_two_site_decoupled_boundary():
-    table = covariance_pbc_fft(LatticeSpec.periodic(8), params_at(0.0))
-    two = two_site_params(table, (0, 0), (1, 0))
-    assert two.n == pytest.approx(1.0, abs=1e-12)
-    assert two.c == 0.0
-    assert two.zeta == pytest.approx(1.0, abs=1e-12)
-    assert two.separable and two.eof == 0.0
+@pytest.mark.parametrize("spec", [LatticeSpec.periodic(M) for M in range(4, 42)]
+                         + [LatticeSpec.open_boundary(9), LatticeSpec.infinite_lattice()],
+                         ids=lambda spec: f"{spec.engine}-{spec.side}")
+def test_two_site_decoupled_boundary(spec):
+    # the decoupled lattice is a product state: no pair may read as entangled,
+    # and c is written as 0.0, never -0.0
+    cov = covariances_for(params_at(0.0), spec, 2)
+    x, y = spec.center
+    for dx, dy in ((1, 0), (1, 1), (2, 0)):
+        two = two_site_params(cov, (x, y), (x + dx, y + dy))
+        assert two.n == 1.0 and repr(two.c) == "0.0" and two.zeta == 1.0
+        assert two.separable and two.eof == 0.0
+
+
+def test_two_site_refuses_uncertainty_violation():
+    # on-site moments with <q^2><p^2> = (1 - 1e-6) / 4, below the slack
+    table = CorrelationTable(qq=np.diag([0.5, 0.0]), pp=np.diag([0.5 * (1.0 - 1e-6), 0.0]),
+                             kind="periodic")
+    with pytest.raises(ValueError, match="uncertainty violation"):
+        two_site_params(table, (0, 0), (1, 1))
 
 
 def test_two_site_identical_sites_rejected(paper_params):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError,
                       dispersion_value, excitation_density, zone_minimum)
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q, covariances_for_each
+from spinwave.spectrum import dispersion_grid
 
 from conftest import full_matrices, params_at
 from zone_grid import _zone_tables, grid_oracle
@@ -349,13 +352,54 @@ def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
         assert np.array_equal(got.qq, covariance_infinite(p, 2).qq)
 
 
-def test_finite_batch_runs_each_coupling():
-    spec = LatticeSpec.periodic(6)
-    couplings = [params_at(1.25), params_at(2.0), params_at(0.5)]
-    batch = list(covariances_for_each(couplings, spec))
-    assert isinstance(batch[1], StabilityError)
-    for p, got in zip(couplings[::2], batch[::2]):
-        assert np.array_equal(got.qq, covariance_pbc_fft(spec, p).qq)
+def test_finite_batch_runs_each_coupling(monkeypatch):
+    # M = 20 blocks hold 4096 // 400 = 10 couplings: the sweep spans three
+    # blocks, and each of the first two refuses a coupling in mid-block, one
+    # beyond criticality and one within the guard of it at k = (pi, pi)
+    sizes = []
+    grid = groundstate.dispersion_grid
+    monkeypatch.setattr(groundstate, "dispersion_grid",
+                        lambda block, *args: sizes.append(len(block)) or grid(block, *args))
+    spec, gc = LatticeSpec.periodic(20), critical_g_equal(params_at(0.0))
+    couplings = [params_at(g) for g in np.linspace(0.0, 1.7, 23)]
+    couplings[4], couplings[13] = params_at(2.0), params_at(gc * (1.0 - 1e-13))
+    couplings[7] = params_at(gc * (1.0 - 1e-11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = list(covariances_for_each(couplings, spec))
+    assert sizes == [10, 10, 3]
+    assert [i for i, got in enumerate(batch) if isinstance(got, StabilityError)] == [4, 13]
+    assert "beyond" in str(batch[4]) and "within" in str(batch[13])
+    for p, got in zip(couplings, batch):
+        try:
+            want = covariance_pbc_fft(spec, p)
+        except StabilityError as exc:
+            assert type(got) is StabilityError and str(got) == str(exc)
+            continue
+        assert np.array_equal(got.qq, want.qq) and np.array_equal(got.pp, want.pp)
+        assert not got.qq.flags.writeable and not got.pp.flags.writeable
+
+
+@pytest.mark.parametrize("M", [16, 31])
+@pytest.mark.parametrize("softness", [0.3, 1e-11])
+def test_periodic_tables_match_exact_cosine_sums(M, softness):
+    # the oracle sums v^(-1/2) cos(k.r) / 2 M^2 at 40 digits over the same
+    # float v, with the angle's multiple reduced modulo M exactly
+    mp = pytest.importorskip("mpmath")
+    p = params_at(critical_g_equal(params_at(0.0)) * (1.0 - softness))
+    spec = LatticeSpec.periodic(M)
+    table = covariance_pbc_fft(spec, p)
+    v = dispersion_grid(p, spec)
+    with mp.workdps(40):
+        C = [[mp.cos(2 * mp.pi * (d * m % M) / M) for m in range(M)] for d in range(M)]
+        for name, power in (("qq", -0.5), ("pp", 0.5)):
+            x = [[mp.mpf(float(v[m, n])) ** power for n in range(M)] for m in range(M)]
+            xc = [[mp.fsum(x[m][n] * C[n][b] for n in range(M)) for b in range(M)]
+                  for m in range(M)]
+            ref = np.array([[float(mp.fsum(C[a][m] * xc[m][b] for m in range(M)) / (2 * M * M))
+                             for b in range(M)] for a in range(M)])
+            got = getattr(table, name)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
 
 
 def test_near_critical_guard_refuses():

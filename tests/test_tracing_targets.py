@@ -1,12 +1,12 @@
 """The benchmark's tracer rebinds module-level functions by name
 (``perfbench/tracing.py``, ``TARGETS``): every such name must exist, and the
-traced engines must be read from their module when they run."""
+traced layers must be read from their module when they run."""
 
 import importlib
 
 import pytest
 
-from spinwave import LatticeSpec, groundstate
+from spinwave import LatticeSpec, spectrum
 from spinwave.scan import derivative_sweep
 
 from conftest import params_at
@@ -24,17 +24,20 @@ def test_every_traced_name_resolves(tracing):
     assert missing == []
 
 
-def test_periodic_sweep_calls_the_module_fft_engine(monkeypatch):
-    # a rebinding of groundstate.covariance_pbc_fft, as the tracer makes,
-    # sees every stencil coupling of a periodic sweep: four per g
-    engine, calls = groundstate.covariance_pbc_fft, []
+def test_periodic_sweep_evaluates_every_grid_through_the_module_symbol(monkeypatch):
+    # a periodic sweep runs as blocks, not one covariance_pbc_fft call per
+    # coupling; a rebinding of spectrum.dispersion_value, as the tracer makes,
+    # still sees the grid of every stencil coupling: four per g, one call for
+    # the twelve 9 x 9 grids
+    symbol, sizes = spectrum.dispersion_value, []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return engine(*args, **kwargs)
+        v = symbol(*args, **kwargs)
+        sizes.append(v.size)
+        return v
 
-    monkeypatch.setattr(groundstate, "covariance_pbc_fft", counted)
+    monkeypatch.setattr(spectrum, "dispersion_value", counted)
     gs = [1.0, 1.2, 1.4]
     estimates = derivative_sweep(params_at(0.0), LatticeSpec.periodic(9), gs)
     assert not any(isinstance(est, Exception) for est in estimates)
-    assert len(calls) == 4 * len(gs)
+    assert sizes == [4 * len(gs) * 9 * 9]

@@ -12,8 +12,8 @@ summed either over every eigenvalue (``count_all``) or with degenerate
 values merged (``degenerate_once``, the default).
 
 A block that commutes with both reflections of the square (any square block
-of the infinite lattice or of a periodic table even in dx and dy; an open
-lattice's centred one, 2 x0 = M - L) splits into four parity sectors
+of a periodic or the infinite lattice, whose quadrant table is even in dx and
+dy; an open lattice's centred one, 2 x0 = M - L) splits into four parity sectors
 (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)): sector (sy, sx) is
 G0 + sy Gy + sx Gx + sy sx Gxy over the block's lower-left quadrant.
 
@@ -157,8 +157,7 @@ def block_spectrum(cov, spec: LatticeSpec, region: BlockRegion) -> SymplecticSpe
     """Symplectic spectrum of the region's block of ``cov`` on ``spec``: its four
     parity sectors' merged when mirror symmetric (module notes), else the whole's."""
     L = region.side_length
-    if (cov.mirror_even if spec.infinite or spec.boundary == "periodic"
-            else 2 * region.x0 == spec.side - L == 2 * region.y0):
+    if spec.boundary == "periodic" or 2 * region.x0 == spec.side - L == 2 * region.y0:
         images, sectors = _parity_sectors(L)
         anchor = np.array([region.x0, region.y0])
         G = [cov.cross(anchor + images[0], anchor + image) for image in images]

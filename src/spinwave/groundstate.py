@@ -11,26 +11,26 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 
 * ``covariance_dst``       -- the DST-I normal modes, for open lattices
                               (engine name ``dense``)
-* ``covariance_pbc_fft``   -- circulant diagonalisation by a cosine transform, for periodic ones
+* ``covariance_pbc_fft``   -- the circulant modes by a folded cosine transform, for periodic ones
 * ``covariance_infinite``  -- zone quadrature in the M -> oo limit, ky in
                               closed form and kx by tanh-sinh
 
 The periodic/infinite engines return correlations as a function of the
-displacement only (translation invariance); the open engine returns the
-transform and the symbol, from which a block takes only its own rows.  Each
-container answers ``block(sites)`` with the principal submatrices (Q_L, P_L)
-on a list of sites.  ``covariances_for_each`` is the one dispatch point: it
-runs a lattice's engine at each of a sweep's couplings (in blocks), and
-``covariances_for`` is its batch of one, as are ``covariance_pbc_fft`` and
-``covariance_infinite`` on their lattices.
-``covariance_dense``, the symmetric eigendecomposition of the full V on any
-finite lattice, is the tests' oracle for the engines.
+displacement only (translation invariance), in one (|dx|, |dy|) quadrant
+layout; the open engine returns the transform and the symbol, from which a
+block takes only its own rows.  Each container answers ``block(sites)`` with
+the principal submatrices (Q_L, P_L) on a list of sites.
+``covariances_for_each`` is the one dispatch point: it runs a lattice's engine
+at each of a sweep's couplings (in blocks), and ``covariances_for`` is its
+batch of one, as are ``covariance_pbc_fft`` and ``covariance_infinite`` on
+their lattices.  ``covariance_dense``, the symmetric eigendecomposition of the
+full V on any finite lattice, is the tests' oracle for the engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -103,25 +103,26 @@ class SineModes:
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Translation-invariant correlations keyed by displacement.
-
-    ``kind == "periodic"``: qq/pp are M x M arrays indexed by the displacement
-    modulo M.  ``kind == "infinite"``: qq/pp are (D+1) x (D+1) quadrant arrays
-    indexed by (|dx|, |dy|) -- the dispersion is even in each wavevector
-    component separately, so correlations are too.
+    """Translation-invariant correlations keyed by displacement: qq/pp are
+    (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|) -- the dispersion is
+    even in each wavevector component separately, so correlations are too.
+    A periodic table (``period`` M) folds each component modulo M onto
+    0..D = M//2; an infinite one (``period`` None) holds |d| <= D.
     """
 
     qq: np.ndarray = field(repr=False)
     pp: np.ndarray = field(repr=False)
-    kind: str
+    period: int | None
 
     def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
         """Table indices of the displacements (dx, dy), integers or integer
-        arrays of one shape: modulo M for periodic tables, (|dx|, |dy|) for
-        infinite ones, which refuse displacements beyond their extent."""
-        extent = self.qq.shape[0]
-        if self.kind == "periodic":
-            return np.mod(dx, extent), np.mod(dy, extent)
+        arrays of one shape: min(d mod M, M - d mod M) for periodic tables,
+        (|dx|, |dy|) for infinite ones, which refuse displacements beyond
+        their extent."""
+        extent, M = self.qq.shape[0], self.period
+        if M is not None:
+            dx, dy = np.mod(dx, M), np.mod(dy, M)
+            return np.minimum(dx, M - dx), np.minimum(dy, M - dy)
         dx, dy = np.abs(dx), np.abs(dy)
         outside = np.ravel((dx >= extent) | (dy >= extent))
         if outside.any():
@@ -146,17 +147,6 @@ class CorrelationTable:
         a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
         index = self.displacement_index(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
         return self.qq[index], self.pp[index]
-
-    @cached_property
-    def mirror_even(self) -> bool:
-        """Whether the table is even in dx and in dy, so that a square block commutes
-        with both its reflections: by construction if infinite, to 1e-12 of the
-        largest entry if periodic."""
-        flip = -np.arange(self.qq.shape[0]) % self.qq.shape[0]
-        # written so that a NaN anywhere fails the comparison
-        return self.kind == "infinite" or all(
-            np.max(np.abs(np.take(t, flip, axis) - t)) <= 1e-12 * np.max(np.abs(t))
-            for t in (self.qq, self.pp) for axis in (0, 1))
 
 
 def _guard_softness(vmin: float, on_site: float) -> None:
@@ -212,7 +202,8 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     """Periodic-lattice correlations <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
     on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta:
     ``covariances_for``'s batch of one.  v is even in kx and in ky, so this is a
-    real cosine transform along each axis (Strang, SIAM Rev. 41, 135 (1999))."""
+    real cosine transform along each axis (Strang, SIAM Rev. 41, 135 (1999)),
+    folded onto the quadrant of modes and displacements 0..M//2."""
     if spec.engine != "fft":
         raise ValueError("FFT engine requires a finite periodic lattice")
     return covariances_for(params, spec)
@@ -220,9 +211,12 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
 
 @lru_cache(maxsize=64)
 def _cosine_matrix(M: int) -> np.ndarray:
-    """C[d, m] = cos(2 pi r / M), r = min(d m mod M, M - d m mod M) reduced in integers."""
-    dm = np.outer(np.arange(M), np.arange(M)) % M
-    return np.cos(2.0 * np.pi * np.minimum(dm, M - dm) / M)
+    """C[d, m] = w_m cos(2 pi r / M) for d, m = 0..M//2, r = min(d m mod M, M - d m mod M)
+    reduced in integers; w_m = 2 counts the modes m and M - m, except at m = 0 and M / 2."""
+    d = np.arange(M // 2 + 1)
+    dm = np.outer(d, d) % M
+    w = np.where((d == 0) | (2 * d == M), 1.0, 2.0)
+    return w * np.cos(2.0 * np.pi * np.minimum(dm, M - dm) / M)
 
 
 # The infinite-lattice quadrature refines level by level until successive
@@ -468,7 +462,7 @@ def covariances_for_each(couplings, spec: LatticeSpec, max_displacement: int = 0
     if spec.infinite and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
     periodic, couplings, M = not spec.infinite, iter(couplings), spec.side
-    size = max(1, LEVEL_BLOCK_POINTS // M ** 2) if periodic else None
+    size = max(1, LEVEL_BLOCK_POINTS // (M // 2 + 1) ** 2) if periodic else None
     while block := list(islice(couplings, size)):
         v = (dispersion_grid(block, spec) if periodic
              else np.array([zone_branch(p) for p in block]).reshape(-1, 4))
@@ -485,14 +479,14 @@ def covariances_for_each(couplings, spec: LatticeSpec, max_displacement: int = 0
         if periodic:
             C, x = _cosine_matrix(M), np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
             # x's k = 0 entry goes in exactly: a constant v (g = 0) gets exact off-site zeros
-            tables, failed = C @ (x - x[..., :1, :1]) @ C * (0.5 / M ** 2), {}
+            tables, failed = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / M ** 2), {}
             tables[..., 0, 0] += 0.5 * x[..., 0, 0]
             tables.flags.writeable = False
         else:
             tables, failed = _refine(v[stable], max_displacement)
         for s in slots:
             yield s if isinstance(s, Exception) else failed.get(s) or CorrelationTable(
-                qq=tables[s, 0], pp=tables[s, 1], kind="periodic" if periodic else "infinite")
+                qq=tables[s, 0], pp=tables[s, 1], period=M)
 
 
 def excitation_density(params: CouplingParams, spec: LatticeSpec) -> float:

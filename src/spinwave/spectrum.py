@@ -43,11 +43,12 @@ def dispersion_value(params: CouplingParams, kx, ky):
 
 def dispersion_grid(params: CouplingParams | list[CouplingParams], spec: LatticeSpec) -> np.ndarray:
     """v(k) on the normal-mode grid of a finite lattice, indexed [kx, ky]:
-    k = 2 pi m / M, m = 0..M-1, when periodic (the DFT modes) and
-    k = pi j / (M + 1), j = 1..M, when open (the DST-I modes).  A sequence of
-    couplings gets its grids [coupling, kx, ky] from one broadcast symbol call."""
+    k = 2 pi m / M, m = 0..M//2, when periodic (the DFT modes folded onto
+    the quadrant, v being even in kx and in ky) and k = pi j / (M + 1),
+    j = 1..M, when open (the DST-I modes).  A sequence of couplings gets its
+    grids [coupling, kx, ky] from one broadcast symbol call."""
     M = spec.side
-    k = (2.0 * np.pi * np.arange(M) / M if spec.boundary == "periodic"
+    k = (2.0 * np.pi * np.arange(M // 2 + 1) / M if spec.boundary == "periodic"
          else np.pi * np.arange(1, M + 1) / (M + 1))
     if not isinstance(params, CouplingParams):
         params = SimpleNamespace(**{f: np.array([getattr(p, f) for p in params])[:, None, None]
@@ -134,7 +135,8 @@ def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
     strictly decreasing in g2, so the root is unique.  Where g1 alone
     already closes the gap (g1 above the pure-horizontal critical value) the
     boundary continues at negative g2, marking the closing of the same
-    corner mode.  The root is bisected to BISECTION_TOL.  Per 2 N omega the
+    corner mode.  The root is bisected to BISECTION_TOL, or to adjacent floats
+    where their spacing exceeds it (large g1).  Per 2 N omega the
     corners are a -+ g1 - (1 -+ 2^(-1/2)) g2 with a = (omega/N + 4 kappa)/2 > 0,
     so the root lies in (-g1 / (1 - 2^(-1/2)), a + g1), inside the bracket.
     """
@@ -150,8 +152,7 @@ def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
 
     if corner_min(lo) <= 0 or corner_min(hi) > 0:
         raise ValueError(f"bracket [{lo}, {hi}] does not straddle the boundary")
-    while hi - lo > BISECTION_TOL * params.kappa:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > BISECTION_TOL * params.kappa and lo < (mid := 0.5 * (lo + hi)) < hi:
         if corner_min(mid) > 0:
             lo = mid
         else:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from spinwave import CouplingParams
+from spinwave import CouplingParams, dispersion_value
 
 
 @pytest.fixture
@@ -12,6 +13,12 @@ def paper_params():
 def params_at(g, g2=None, omega=500.0, n_atoms=1000):
     return CouplingParams(omega=omega, kappa=1.0, n_atoms=n_atoms,
                           g1=g, g2=g if g2 is None else g2)
+
+
+def full_symbol(params, side):
+    """v(k) on the full side x side grid of periodic modes k = 2 pi m / side, [kx, ky]."""
+    k = 2.0 * np.pi * np.arange(side) / side
+    return dispersion_value(params, k[:, None], k[None, :])
 
 
 def full_matrices(table, side):

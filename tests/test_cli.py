@@ -232,6 +232,24 @@ def test_cli_covariance_engines(tmp_path, capsys):
     assert "translation invariance" in err and "infinite = true" in err
 
 
+def test_cli_periodic_covariance_is_mirror_even(tmp_path, capsys):
+    # the rows run over dx, dy = 0..M-1 of the periodic side-41 lattice; the
+    # displacements d and M - d are one up to sign, so their rows carry the
+    # same bytes
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("side = 41\ng1 = 1.5\ng2 = 1.5\n")
+    assert main(["covariance", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == "dx,dy,qq,pp"
+    M, rows = 41, {}
+    for line in lines[2:]:
+        dx, dy, values = line.split(",", 2)
+        rows[int(dx), int(dy)] = values
+    assert len(rows) == M * M
+    for (dx, dy), values in rows.items():
+        assert rows[-dx % M, dy] == values and rows[dx, -dy % M] == values
+
+
 def test_cli_out_of_memory_is_refusal(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 298. GiB")

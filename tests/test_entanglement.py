@@ -192,7 +192,7 @@ def test_two_site_decoupled_boundary(spec):
 def test_two_site_refuses_uncertainty_violation():
     # on-site moments with <q^2><p^2> = (1 - 1e-6) / 4, below the slack
     table = CorrelationTable(qq=np.diag([0.5, 0.0]), pp=np.diag([0.5 * (1.0 - 1e-6), 0.0]),
-                             kind="periodic")
+                             period=2)
     with pytest.raises(ValueError, match="uncertainty violation"):
         two_site_params(table, (0, 0), (1, 1))
 
@@ -320,22 +320,36 @@ def test_table_blocks_match_dense_submatrices(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(extent=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+@given(extent=st.integers(1, 5), period=st.none() | st.integers(1, 10),
+       seed=st.integers(0, 2 ** 32 - 1),
        sites=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
                       min_size=1, max_size=12, unique=True))
-def test_infinite_table_blocks_match_lookups(extent, seed, sites):
+def test_quadrant_table_blocks_match_lookups(extent, period, seed, sites):
+    # an infinite table (period None) reads (|dx|, |dy|) within its extent; a
+    # periodic one folds each component to min(d mod M, M - d mod M) <= M // 2
+    # and refuses two sites that wrap onto one
+    if period:
+        extent = period // 2 + 1
     rng = np.random.default_rng(seed)
     table = CorrelationTable(qq=rng.standard_normal((extent, extent)),
-                             pp=rng.standard_normal((extent, extent)), kind="infinite")
-    reach = max(max(abs(xa - xb), abs(ya - yb)) for xa, ya in sites for xb, yb in sites)
+                             pp=rng.standard_normal((extent, extent)), period=period)
+
+    def fold(d):
+        return min(d % period, -d % period) if period else abs(d)
+
+    reach = max(max(fold(xa - xb), fold(ya - yb)) for xa, ya in sites for xb, yb in sites)
     if reach >= extent:
         with pytest.raises(ValueError, match="not in table"):
+            table.block(sites)
+        return
+    if period and len({(x % period, y % period) for x, y in sites}) < len(sites):
+        with pytest.raises(ValueError, match="twice"):
             table.block(sites)
         return
     QL, PL = table.block(sites)
     for a, (xa, ya) in enumerate(sites):
         for b, (xb, yb) in enumerate(sites):
-            dx, dy = abs(xa - xb), abs(ya - yb)
+            dx, dy = fold(xa - xb), fold(ya - yb)
             index = table.displacement_index(xa - xb, ya - yb)
             assert QL[a, b] == table.qq[index] == table.qq[dx, dy]
             assert PL[a, b] == table.pp[index] == table.pp[dx, dy]
@@ -467,19 +481,3 @@ def test_large_infinite_block_spectrum():
     assert spectrum.values.size == 3600 and spectrum.values[-1] >= 1.0
     assert block_entropy(spectrum, "count_all") == pytest.approx(18.45200678884957, rel=1e-12)
     assert block_entropy(spectrum) == pytest.approx(13.570072317526348, rel=1e-12)
-
-
-def test_periodic_table_odd_in_one_axis_is_never_split(spectrum_calls, paper_params):
-    # even under d -> -d but not under dx -> -dx alone: a square block then
-    # commutes with neither reflection, so it goes through whole
-    table = covariance_pbc_fft(LatticeSpec.periodic(6), paper_params)
-    assert table.mirror_even
-    qq = table.qq.copy()
-    qq[1, 1] += 1e-9 * qq[0, 0]
-    qq[5, 5] += 1e-9 * qq[0, 0]
-    skewed = CorrelationTable(qq=qq, pp=table.pp, kind="periodic")
-    assert not skewed.mirror_even
-    spec, region = LatticeSpec.periodic(6), BlockRegion(1, 1, 3)
-    whole = symplectic_spectrum(*skewed.block(region.sites())).values
-    assert np.array_equal(block_spectrum(skewed, spec, region).values, whole)
-    assert spectrum_calls == [(9, 9)]

@@ -10,9 +10,8 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError,
                       dispersion_value, excitation_density, zone_minimum)
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q, covariances_for_each
-from spinwave.spectrum import dispersion_grid
 
-from conftest import full_matrices, params_at
+from conftest import full_matrices, full_symbol, params_at
 from zone_grid import _zone_tables, grid_oracle
 
 
@@ -150,7 +149,8 @@ def test_fft_sum_rule(paper_params):
     # summing <q_0 q_r> over the torus leaves only the k = 0 mode
     M = 8
     table = covariance_pbc_fft(LatticeSpec.periodic(M), paper_params)
-    total = float(np.sum(table.qq))
+    d = np.arange(M)
+    total = float(np.sum(table.qq[table.displacement_index(d[:, None], d[None, :])]))
     v0 = float(dispersion_value(paper_params, 0.0, 0.0))
     assert total == pytest.approx(0.5 * v0 ** -0.5, rel=1e-10)
 
@@ -353,21 +353,22 @@ def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
 
 
 def test_finite_batch_runs_each_coupling(monkeypatch):
-    # M = 20 blocks hold 4096 // 400 = 10 couplings: the sweep spans three
-    # blocks, and each of the first two refuses a coupling in mid-block, one
-    # beyond criticality and one within the guard of it at k = (pi, pi)
+    # M = 40 blocks hold 4096 // 21^2 = 9 couplings, one 21 x 21 quadrant grid
+    # each: the sweep spans three blocks, and each of the first two refuses a
+    # coupling in mid-block, one beyond criticality and one within the guard
+    # of it at k = (pi, pi)
     sizes = []
     grid = groundstate.dispersion_grid
     monkeypatch.setattr(groundstate, "dispersion_grid",
                         lambda block, *args: sizes.append(len(block)) or grid(block, *args))
-    spec, gc = LatticeSpec.periodic(20), critical_g_equal(params_at(0.0))
+    spec, gc = LatticeSpec.periodic(40), critical_g_equal(params_at(0.0))
     couplings = [params_at(g) for g in np.linspace(0.0, 1.7, 23)]
     couplings[4], couplings[13] = params_at(2.0), params_at(gc * (1.0 - 1e-13))
     couplings[7] = params_at(gc * (1.0 - 1e-11))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         batch = list(covariances_for_each(couplings, spec))
-    assert sizes == [10, 10, 3]
+    assert sizes == [9, 9, 5]
     assert [i for i, got in enumerate(batch) if isinstance(got, StabilityError)] == [4, 13]
     assert "beyond" in str(batch[4]) and "within" in str(batch[13])
     for p, got in zip(couplings, batch):
@@ -383,13 +384,15 @@ def test_finite_batch_runs_each_coupling(monkeypatch):
 @pytest.mark.parametrize("M", [16, 31])
 @pytest.mark.parametrize("softness", [0.3, 1e-11])
 def test_periodic_tables_match_exact_cosine_sums(M, softness):
-    # the oracle sums v^(-1/2) cos(k.r) / 2 M^2 at 40 digits over the same
-    # float v, with the angle's multiple reduced modulo M exactly
+    # the oracle sums v^(-1/2) cos(k.r) / 2 M^2 at 40 digits over the full
+    # M x M grid of float v, with the angle's multiple reduced modulo M
+    # exactly, and reads the table at every displacement through its fold
     mp = pytest.importorskip("mpmath")
     p = params_at(critical_g_equal(params_at(0.0)) * (1.0 - softness))
-    spec = LatticeSpec.periodic(M)
-    table = covariance_pbc_fft(spec, p)
-    v = dispersion_grid(p, spec)
+    table = covariance_pbc_fft(LatticeSpec.periodic(M), p)
+    v = full_symbol(p, M)
+    d = np.arange(M)
+    index = table.displacement_index(d[:, None], d[None, :])
     with mp.workdps(40):
         C = [[mp.cos(2 * mp.pi * (d * m % M) / M) for m in range(M)] for d in range(M)]
         for name, power in (("qq", -0.5), ("pp", 0.5)):
@@ -398,7 +401,7 @@ def test_periodic_tables_match_exact_cosine_sums(M, softness):
                   for m in range(M)]
             ref = np.array([[float(mp.fsum(C[a][m] * xc[m][b] for m in range(M)) / (2 * M * M))
                              for b in range(M)] for a in range(M)])
-            got = getattr(table, name)
+            got = getattr(table, name)[index]
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
 
 

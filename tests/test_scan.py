@@ -6,9 +6,8 @@ import pytest
 from spinwave import (LatticeSpec, StabilityError, area_law_fit, critical_g_equal,
                       derivative_zeta, finite_size_peak)
 from spinwave.scan import derivative_sweep
-from spinwave.spectrum import dispersion_grid
 
-from conftest import params_at
+from conftest import full_symbol, params_at
 
 
 def test_area_law_fit_exact_line():
@@ -63,11 +62,12 @@ def _analytic_slopes(spec, gs):
         d<p_0 p_r>/dg = +(1/4M^2) sum_k v^(-1/2) (dv/dg) cos(k.r)
 
     with dv/dg the coupling part of v at g = 1, and the chain rule through
-    zeta = n - c, n = 2 sqrt(q_0 p_0), c = 2 sqrt(-q_1 p_1)."""
-    dv = dispersion_grid(params_at(1.0), spec) - dispersion_grid(params_at(0.0), spec)
+    zeta = n - c, n = 2 sqrt(q_0 p_0), c = 2 sqrt(-q_1 p_1), on the full
+    M x M grid of modes k = 2 pi m / M."""
+    dv = full_symbol(params_at(1.0), spec.side) - full_symbol(params_at(0.0), spec.side)
     out = []
     for g in gs:
-        v = dispersion_grid(params_at(g), spec)
+        v = full_symbol(params_at(g), spec.side)
         q, p = (0.5 * np.real(np.fft.ifft2(v ** s)) for s in (-0.5, 0.5))
         dq, dp = (0.5 * s * np.real(np.fft.ifft2(v ** (s - 1.0) * dv)) for s in (-0.5, 0.5))
         dn = (dq[0, 0] * p[0, 0] + q[0, 0] * dp[0, 0]) / np.sqrt(q[0, 0] * p[0, 0])

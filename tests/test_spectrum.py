@@ -144,6 +144,16 @@ def test_closed_form_matches_bisection_on_grid():
         assert abs(point.g2_closed_form - point.g2_numeric) < 1e-6
 
 
+@pytest.mark.parametrize("g1", [1e6, 1e150, 1e300])
+def test_bisection_returns_where_float_spacing_exceeds_tolerance(g1):
+    # near |g2| ~ 3.4 g1 adjacent floats lie further apart than BISECTION_TOL
+    # kappa (4.7e-10 at g1 = 1e6), so the bisection ends on adjacent floats
+    point = critical_g2(params_at(0.0), g1)
+    assert point.branch == "below"
+    rel = abs(point.g2_numeric - point.g2_closed_form) / abs(point.g2_closed_form)
+    assert rel <= 4 * np.finfo(float).eps
+
+
 def test_boundary_continues_negative_beyond_horizontal_critical():
     # g1 alone closes the gap at g1 = 2.25; past that the boundary lies at
     # negative g2 and both routes must still agree on it

@@ -28,7 +28,7 @@ def test_periodic_sweep_evaluates_every_grid_through_the_module_symbol(monkeypat
     # a periodic sweep runs as blocks, not one covariance_pbc_fft call per
     # coupling; a rebinding of spectrum.dispersion_value, as the tracer makes,
     # still sees the grid of every stencil coupling: four per g, one call for
-    # the twelve 9 x 9 grids
+    # the twelve 5 x 5 quadrant grids of the side-9 lattice
     symbol, sizes = spectrum.dispersion_value, []
 
     def counted(*args, **kwargs):
@@ -40,4 +40,4 @@ def test_periodic_sweep_evaluates_every_grid_through_the_module_symbol(monkeypat
     gs = [1.0, 1.2, 1.4]
     estimates = derivative_sweep(params_at(0.0), LatticeSpec.periodic(9), gs)
     assert not any(isinstance(est, Exception) for est in estimates)
-    assert sizes == [4 * len(gs) * 9 * 9]
+    assert sizes == [4 * len(gs) * 5 * 5]

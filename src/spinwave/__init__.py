@@ -18,7 +18,7 @@ from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenc
                           covariance_pbc_fft, covariances_for, excitation_density)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
-                           symplectic_spectrum, two_site_params)
+                           pair_blocks, symplectic_spectrum, two_site_params)
 from .oracle import (HarmonicPrediction, SpinSystemSpec, TwoSiteSolution, eof_fock_series,
                      exact_two_site, harmonic_two_site_prediction, symplectic_bruteforce,
                      validation_battery)
@@ -37,7 +37,8 @@ __all__ = [
     "excitation_density", "covariance_dense", "covariance_dst", "covariance_infinite",
     "covariance_pbc_fft", "covariances_for",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
-    "block_entropy", "entropy_vs_L", "eof_symmetric", "symplectic_spectrum", "two_site_params",
+    "block_entropy", "entropy_vs_L", "eof_symmetric", "pair_blocks", "symplectic_spectrum",
+    "two_site_params",
     "HarmonicPrediction", "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series",
     "exact_two_site", "harmonic_two_site_prediction", "symplectic_bruteforce",
     "validation_battery",

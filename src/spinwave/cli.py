@@ -20,10 +20,10 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
 from .groundstate import QuadratureConvergenceError, covariances_for, covariances_for_each
-from .entanglement import AsymmetricPairError, entropy_vs_L, two_site_params
+from .entanglement import entropy_vs_L, pair_blocks, two_site_params
 from .model import CouplingParams, StabilityError
 from .oracle import validation_battery
-from .scan import derivative_sweep, finite_size_peak
+from .scan import derivative_sweep, finite_size_peak, stencil
 from .spectrum import critical_g2, critical_g_equal, energy_gap
 
 PAPER_OMEGA = 500.0
@@ -156,19 +156,20 @@ def cmd_two_site(cfg: RunConfig) -> int:
         raise ConfigError("two-site on a periodic lattice needs 'side' >= 4: below that "
                           "the distance-2 pair wraps onto a nearest neighbor")
     grid = _g_grid(cfg)
-    covs = covariances_for_each((_params(cfg, g1=g, g2=g) for g in grid), lattice, 2)
     x, y = lattice.center
+    Q, P, refused = pair_blocks(covariances_for_each(
+        (_params(cfg, g1=g, g2=g) for g in grid), lattice, 2),
+        [[(x, y), (x + dx, y + dy)] for _, (dx, dy) in _PAIR_CLASSES])
+    two = two_site_params(Q, P)
+    # per stable coupling: its batch index and its columns, one entry per pair class
+    stable = enumerate(zip(*(a.tolist() for a in (two.n, two.c, two.zeta, two.eof, two.separable))))
     rows = []
-    for g, cov in zip(grid, covs):
-        try:
-            if isinstance(cov, Exception):
-                raise cov
-            for label, (dx, dy) in _PAIR_CLASSES:
-                two = two_site_params(cov, (x, y), (x + dx, y + dy))
-                rows.append([g, label, two.n, two.c, two.zeta, two.eof, two.separable, None])
-        except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
-            for label, _ in _PAIR_CLASSES:
-                rows.append([g, label] + [float("nan")] * 4 + [None, str(exc)])
+    for i, g in enumerate(grid):
+        b, columns = (None, None) if i in refused else next(stable)
+        for k, (label, _) in enumerate(_PAIR_CLASSES):
+            exc = refused[i] if b is None else two.refusals.get((b, k))
+            rows.append([g, label] + ([float("nan")] * 4 + [None, str(exc)] if exc is not None
+                                      else [column[k] for column in columns] + [None]))
     _write(cfg, "two-site",
            ["g", "distance_class", "n", "c", "zeta", "eof", "separable", "error"], rows)
     return 0
@@ -181,6 +182,10 @@ def _stencil_grid(cfg: RunConfig) -> list[float]:
                           f"{cfg.g_min!r}: the stencil would reach a negative coupling")
     grid = _g_grid(cfg)
     _params(cfg, g1=grid[-1] + cfg.derivative_step, g2=grid[-1] + cfg.derivative_step)
+    try:
+        stencil(grid, cfg.derivative_step)
+    except ValueError as exc:
+        raise ConfigError(f"'derivative_step': {exc}") from None
     return grid
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groundstate import covariances_for
+from .groundstate import CorrelationTable, covariances_for
 from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
@@ -191,12 +191,21 @@ class AsymmetricPairError(ValueError):
 
 @dataclass(frozen=True)
 class TwoSiteParams:
-    n: float
-    c: float
-    zeta: float
-    eof: float
-    separable: bool
-    sign_anomaly: bool
+    """Pair parameters, one entry per pair of a batch (arrays of its shape).  A
+    refused pair reads NaN and not separable; ``refusals`` maps its batch index
+    to the AsymmetricPairError or uncertainty ValueError that refused it."""
+
+    n: np.ndarray
+    c: np.ndarray
+    zeta: np.ndarray
+    separable: np.ndarray
+    sign_anomaly: np.ndarray
+    refusals: dict
+
+    @property
+    def eof(self) -> np.ndarray:
+        """Entanglement of formation (bits) of each pair, ``eof_symmetric`` of its zeta."""
+        return np.reshape([eof_symmetric(z) for z in self.zeta.ravel().tolist()], self.zeta.shape)
 
 
 def eof_symmetric(zeta: float) -> float:
@@ -217,32 +226,60 @@ def eof_symmetric(zeta: float) -> float:
     return float(val)
 
 
-def two_site_params(cov, site_i, site_j) -> TwoSiteParams:
-    """Entanglement parameters of the pair (site_i, site_j), given as (x, y),
-    which must be two different lattice sites.
+def pair_blocks(covs, pairs) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(Q, P) blocks of the pairs of sites ((x, y), (x', y')) on each covariance
+    container among ``covs`` (an iterable, as ``covariances_for_each`` yields),
+    stacked as (containers, pairs, 2, 2), and the refusals among ``covs`` by
+    position.  No container is held; a table is read by one ``take`` at the
+    entry positions of the pair blocks, found once from a table of positions."""
+    Q, P, refusals, where = [], [], {}, None
+    for k, cov in enumerate(covs):
+        if isinstance(cov, Exception):
+            refusals[k] = cov
+        elif isinstance(cov, CorrelationTable):
+            if where is None:
+                at = np.arange(cov.qq.size).reshape(cov.qq.shape)  # each entry's position
+                where = np.array([CorrelationTable(at, at, cov.period).block(pair)[0]
+                                  for pair in pairs])
+            Q.append(cov.qq.take(where))
+            P.append(cov.pp.take(where))
+        else:  # open lattice modes, block by block
+            q, p = zip(*(cov.block(pair) for pair in pairs))
+            Q.append(q)
+            P.append(p)
+    shape = (len(Q), len(pairs), 2, 2)
+    return np.reshape(Q, shape), np.reshape(P, shape), refusals
 
-    The pair must be symmetric: equal on-site moments within PAIR_SYMMETRY_TOL
-    (automatic for periodic/infinite engines).  If the q and p cross
-    correlations share a sign, the state is outside the symmetric normal
-    form; c is recorded as 0 and the anomaly flagged, which keeps the
-    separability verdict conservative.
+
+def two_site_params(Q, P) -> TwoSiteParams:
+    """Entanglement parameters of pairs of sites, element by element over the
+    leading axes of their (..., 2, 2) blocks Q and P (``pair_blocks``).
+
+    A pair is refused unless symmetric, with on-site moments equal within
+    PAIR_SYMMETRY_TOL (automatic for periodic/infinite engines), and n >= 1
+    within UNCERTAINTY_SLACK.  If the q and p cross correlations share a sign,
+    the state is outside the symmetric normal form; c is recorded as 0 and the
+    anomaly flagged, which keeps the separability verdict conservative.
     """
-    Q, P = cov.block([site_i, site_j])
-    qii, qjj, qij = Q[0, 0], Q[1, 1], Q[0, 1]
-    pii, pjj, pij = P[0, 0], P[1, 1], P[0, 1]
-    for a, b, label in ((qii, qjj, "<q^2>"), ((pii), (pjj), "<p^2>")):
-        if abs(a - b) > PAIR_SYMMETRY_TOL * max(abs(a), abs(b)):
-            raise AsymmetricPairError(
+    shape = np.shape(Q)[:-2]
+    # the entries ii, jj and ij of each pair's blocks
+    (qii, qjj, qij), (pii, pjj, pij) = (np.reshape(A, (-1, 4))[:, [0, 3, 1]].T for A in (Q, P))
+    refused = {}
+    for a, b, label in ((qii, qjj, "<q^2>"), (pii, pjj, "<p^2>")):
+        apart = np.abs(a - b) > PAIR_SYMMETRY_TOL * np.maximum(np.abs(a), np.abs(b))
+        for i in np.flatnonzero(apart):
+            refused.setdefault(i, AsymmetricPairError(
                 f"asymmetric pair: on-site {label} differ by more than {PAIR_SYMMETRY_TOL:g} "
-                "(relative); center the pair in the lattice")
-    n = 2.0 * (qii * pii * qjj * pjj) ** 0.25
-    if n < 1.0 - UNCERTAINTY_SLACK:
-        raise ValueError(f"uncertainty violation: n = {n:.12g} < 1")
-    n = max(n, 1.0)
+                "(relative); center the pair in the lattice"))
+    # the quarter power per element: numpy's vectorised one differs from libm's in the last bit
+    n = 2.0 * np.array([x ** 0.25 if x >= 0 else np.nan for x in (qii * pii * qjj * pjj).tolist()])
+    for i in np.flatnonzero(~(n >= 1.0 - UNCERTAINTY_SLACK)):  # NaN fails too
+        refused.setdefault(i, ValueError(f"uncertainty violation: n = {n[i]:.12g} < 1"))
     prod = qij * pij
-    sign_anomaly = prod > 0
-    c = 0.0 if prod >= 0 else 2.0 * np.sqrt(-prod)  # never -0.0
+    n = np.maximum(n, 1.0)
+    c = np.where(prod >= 0, 0.0, 2.0 * np.sqrt(np.maximum(-prod, 0.0)))  # never -0.0
+    n[list(refused)] = c[list(refused)] = np.nan
     zeta = n - c
-    return TwoSiteParams(n=float(n), c=float(c), zeta=float(zeta),
-                         eof=eof_symmetric(zeta), separable=bool(zeta >= 1.0),
-                         sign_anomaly=bool(sign_anomaly))
+    return TwoSiteParams(*(a.reshape(shape) for a in (n, c, zeta, zeta >= 1.0, prod > 0)),
+                         {tuple(map(int, np.unravel_index(i, shape))): exc
+                          for i, exc in refused.items()})

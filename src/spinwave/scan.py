@@ -1,7 +1,9 @@
 """Area-law regression and two-site derivative analysis.
 
-Everything here is deterministic: repeated runs with the same inputs
-produce identical bytes downstream.
+A derivative sweep reads zeta_1 in one array pass: the stencil tables stream
+from the engine through ``pair_blocks`` and every stable pair goes through one
+``two_site_params`` call.  Everything here is deterministic: repeated runs
+with the same inputs produce identical bytes downstream.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import AsymmetricPairError, two_site_params
-from .groundstate import QuadratureConvergenceError, covariances_for_each
+from .entanglement import pair_blocks, two_site_params
+from .groundstate import covariances_for_each
 from .model import CouplingParams, LatticeSpec, StabilityError
 
 
@@ -45,42 +47,51 @@ class DerivativeEstimate:
     richardson: float  # one extrapolation step from h and h/2
 
 
-def _zeta1(cov, g: float, spec: LatticeSpec) -> float:
-    """zeta_1 of the horizontally adjacent pair at the lattice center (for
-    periodic and infinite lattices any pair is equivalent by translation
-    invariance), from the covariances at g or the error computing them raised;
-    a refusal is wrapped, not raised again, so it gains no traceback."""
-    if isinstance(cov, StabilityError):
-        raise StabilityError(f"stencil point g = {g!r} unstable: {cov}") from cov
-    if isinstance(cov, Exception):
-        raise cov
-    x, y = spec.center
-    return two_site_params(cov, (x, y), (x + 1, y)).zeta
+def stencil(gs, h: float) -> list:
+    """The couplings g + h, g - h, g + h/2, g - h/2 for each g of ``gs``, in
+    order; a step that is not positive, or below the float resolution at some
+    g (a stencil point that rounds to g), is refused."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    for g in gs:
+        if g + h / 2 == g or g - h / 2 == g:
+            raise ValueError(f"step h = {h!r} is below the float resolution at g = {g!r}: "
+                             "a stencil point rounds to g")
+    return [g + s for g in gs for s in (h, -h, h / 2, -h / 2)]
 
 
 def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
                      h: float = 1e-4) -> list:
     """``derivative_zeta`` at each g of the sequence ``gs``, or the StabilityError,
-    QuadratureConvergenceError or AsymmetricPairError it raises there.  All 4
-    len(gs) stencil couplings go through one ``covariances_for_each``, which
-    refines them as one batch on an infinite lattice."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    steps = (h, -h, h / 2, -h / 2)
-    covs = covariances_for_each((replace(params, g1=g + s, g2=g + s) for g in gs for s in steps),
-                                spec, max_displacement=1)
+    QuadratureConvergenceError or pair refusal (``two_site_params``) of its
+    first refused stencil point.  All 4 len(gs) stencil couplings go through
+    one ``covariances_for_each``, which refines them as one batch on an
+    infinite lattice, and zeta_1 of the horizontally adjacent pair at the
+    lattice center (any pair, on periodic and infinite lattices) is read from
+    every stable one in one pass: one ``two_site_params`` call on their stacked
+    pair blocks, bit for bit what each gives alone."""
+    points = stencil(gs, h)
+    x, y = spec.center
+    Q, P, refused = pair_blocks(covariances_for_each(
+        (replace(params, g1=p, g2=p) for p in points), spec, max_displacement=1),
+        [[(x, y), (x + 1, y)]])
+    stable = [k for k in range(len(points)) if k not in refused]
+    pair = two_site_params(Q, P)
+    refused.update((stable[i], exc) for (i, _), exc in pair.refusals.items())
+    zeta = np.full(len(points), np.nan)
+    zeta[stable] = pair.zeta[:, 0]
+    zp, zm, zp2, zm2 = zeta.reshape(-1, 4).T
+    raw = (zp - zm) / (2.0 * h)
+    richardson = (4.0 * ((zp2 - zm2) / h) - raw) / 3.0
     out = []
-    for g in gs:
-        drawn = [(g + s, next(covs)) for s in steps]  # all four, even if one fails
-        try:
-            zp, zm, zp2, zm2 = [_zeta1(cov, gv, spec) for gv, cov in drawn]
-        except (StabilityError, QuadratureConvergenceError, AsymmetricPairError) as exc:
-            out.append(exc.with_traceback(None))  # a traceback would pin this frame
-            continue
-        d_h = (zp - zm) / (2.0 * h)
-        d_h2 = (zp2 - zm2) / h
-        out.append(DerivativeEstimate(g=float(g), h=float(h), raw=float(d_h),
-                                      richardson=float((4.0 * d_h2 - d_h) / 3.0)))
+    for r, g in enumerate(gs):
+        k = next((k for k in range(4 * r, 4 * r + 4) if k in refused), None)  # the first refused
+        exc = refused.get(k)
+        if isinstance(exc, StabilityError):
+            exc = StabilityError(f"stencil point g = {points[k]!r} unstable: {refused[k]}")
+            exc.__cause__ = refused[k]
+        out.append(exc if exc is not None else DerivativeEstimate(
+            g=float(g), h=float(h), raw=float(raw[r]), richardson=float(richardson[r])))
     return out
 
 

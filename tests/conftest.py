@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinwave import CouplingParams, dispersion_value
+from spinwave import CouplingParams, dispersion_value, two_site_params
 
 
 @pytest.fixture
@@ -24,3 +24,11 @@ def full_symbol(params, side):
 def full_matrices(table, side):
     """Assemble full (Q, P) from a periodic correlation table, row-major sites."""
     return table.block([(x, y) for y in range(side) for x in range(side)])
+
+
+def pair_params(cov, site_i, site_j):
+    """``two_site_params`` of the one pair (site_i, site_j) of ``cov``, its refusal raised."""
+    two = two_site_params(*cov.block([site_i, site_j]))
+    if two.refusals:
+        raise two.refusals[()]
+    return two

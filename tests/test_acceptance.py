@@ -19,11 +19,11 @@ from spinwave import (CouplingParams, LatticeSpec, area_law_fit,
                       covariance_infinite, covariance_pbc_fft, critical_g2,
                       critical_g_equal, derivative_zeta, dispersion_value, entropy_vs_L,
                       excitation_density, finite_size_peak, gap_scaling_exponent,
-                      phase_boundary_cases, symplectic_spectrum, two_site_params,
+                      phase_boundary_cases, symplectic_spectrum,
                       validation_battery)
 from spinwave.cli import main
 
-from conftest import full_matrices, params_at
+from conftest import full_matrices, pair_params, params_at
 
 SQRT2 = np.sqrt(2.0)
 
@@ -190,9 +190,9 @@ def test_acceptance_07_area_law():
 
 def _zeta_classes(g):
     table = covariance_infinite(params_at(g), 2)
-    return (two_site_params(table, (0, 0), (1, 0)),
-            two_site_params(table, (0, 0), (1, 1)),
-            two_site_params(table, (0, 0), (2, 0)))
+    return (pair_params(table, (0, 0), (1, 0)),
+            pair_params(table, (0, 0), (1, 1)),
+            pair_params(table, (0, 0), (2, 0)))
 
 
 def test_acceptance_08_two_site_separability_ordering():

@@ -433,6 +433,18 @@ def test_cli_two_site_asymmetric_pair_in_row(tmp_path, capsys):
     assert len(rows) == 3 and all("asymmetric pair" in row for row in rows)
 
 
+def test_cli_two_site_refuses_each_pair_class_on_its_own(tmp_path, capsys):
+    # on the open side-30 lattice at this g the nearest-neighbor and diagonal
+    # pairs are symmetric to 1e-6 and the distance-2 pair is not: one row each
+    cfg = tmp_path / "open.cfg"
+    cfg.write_text("boundary = open\nside = 30\ng_min = 1.7178658574734504\ng_samples = 1\n")
+    assert main(["two-site", "--config", str(cfg)]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["nn", "diagonal", "distance2"]
+    assert rows[0][-1] == rows[1][-1] == "" and "nan" not in rows[0] + rows[1]
+    assert rows[2][2:7] == ["nan"] * 4 + [""] and rows[2][-1].startswith("asymmetric pair")
+
+
 def test_cli_two_site_open_lattice_too_small(tmp_path, capsys):
     cfg = tmp_path / "open.cfg"
     cfg.write_text("boundary = open\nside = 4\ng_samples = 1\n")
@@ -494,6 +506,7 @@ def test_cli_infinite_two_site_batch_rows_match_single_coupling_runs(tmp_path, c
 # the stencil point g_min - derivative_step would be a negative coupling
 STEP_BEYOND_G_MIN = ("side = 8\ng_min = 0.1\ng_max = 0.1\ng_samples = 1\n"
                      "derivative_step = 0.5\nm_list = 5\n")
+STEP_BELOW_RESOLUTION = "side = 8\ng_samples = 3\nderivative_step = 1e-300\nm_list = 5\n"
 
 
 @pytest.mark.parametrize("subcommand, text, key", [
@@ -508,6 +521,10 @@ STEP_BEYOND_G_MIN = ("side = 8\ng_min = 0.1\ng_max = 0.1\ng_samples = 1\n"
     ("derivative-scan", STEP_BEYOND_G_MIN, "derivative_step"),
     ("finite-size", STEP_BEYOND_G_MIN, "derivative_step"),
     ("reproduce-fig3", STEP_BEYOND_G_MIN, "derivative_step"),
+    # g +- derivative_step / 2 rounds to g: every slope would read 0.0
+    ("derivative-scan", STEP_BELOW_RESOLUTION, "derivative_step"),
+    ("finite-size", STEP_BELOW_RESOLUTION, "derivative_step"),
+    ("reproduce-fig3", STEP_BELOW_RESOLUTION, "derivative_step"),
 ])
 def test_cli_lattice_size_keys_are_config_errors(tmp_path, capsys, subcommand, text, key):
     cfg = tmp_path / "bad.cfg"

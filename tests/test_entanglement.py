@@ -12,7 +12,7 @@ from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, Lattic
 from spinwave import entanglement
 from spinwave.entanglement import block_spectrum
 
-from conftest import full_matrices, params_at
+from conftest import full_matrices, pair_params, params_at
 
 
 def spectrum_of(values):
@@ -175,6 +175,60 @@ def test_row_decoupled_additivity():
         assert e_block == pytest.approx(L * e_strip, abs=1e-10)
 
 
+def _scalar_pair_params(Q, P):
+    """The pair arithmetic one pair at a time, on numpy scalars: (n, c, zeta, eof,
+    separable, sign_anomaly), or the text of the refusal."""
+    qii, qjj, qij = Q[0, 0], Q[1, 1], Q[0, 1]
+    pii, pjj, pij = P[0, 0], P[1, 1], P[0, 1]
+    for a, b, label in ((qii, qjj, "<q^2>"), (pii, pjj, "<p^2>")):
+        if abs(a - b) > entanglement.PAIR_SYMMETRY_TOL * max(abs(a), abs(b)):
+            return (f"asymmetric pair: on-site {label} differ by more than 1e-06 (relative); "
+                    "center the pair in the lattice")
+    n = 2.0 * (qii * pii * qjj * pjj) ** 0.25
+    if n < 1.0 - entanglement.UNCERTAINTY_SLACK:
+        return f"uncertainty violation: n = {n:.12g} < 1"
+    n = max(n, 1.0)
+    prod = qij * pij
+    c = 0.0 if prod >= 0 else 2.0 * np.sqrt(-prod)
+    zeta = n - c
+    return (float(n), float(c), float(zeta), eof_symmetric(zeta), bool(zeta >= 1.0),
+            bool(prod > 0))
+
+
+def test_batched_pair_arithmetic_equals_scalar_bitwise():
+    # numpy's vectorised x ** 0.25 differs from the scalar (libm) one in the
+    # last bit on about 5 % of inputs, so a vectorised quarter power fails here
+    rng = np.random.default_rng(7)
+    size = 20000
+    q = rng.uniform(0.05, 3.0, size)
+    # n = 2 sqrt(q p) up to 1.26; one in twenty within 2e-9 of the purity bound, on
+    # either side of the slack
+    p = np.where(rng.random(size) < 0.05, rng.uniform(1.0 - 4e-9, 1.0 + 4e-9, size),
+                 rng.uniform(1.0, 1.6, size)) / (4.0 * q)
+    qj = np.where(rng.random(size) < 0.02, q * (1.0 + rng.uniform(-3e-6, 3e-6, size)), q)
+    pj = np.where(rng.random(size) < 0.02, p * (1.0 + rng.uniform(-3e-6, 3e-6, size)), p)
+    qx = -rng.uniform(0.0, 1.0, size) * q * rng.choice([1.0, 1.0, 1.0, -1.0, 0.0], size)
+    px = rng.uniform(0.0, 1.0, size) * p * rng.choice([1.0, 1.0, 1.0, -1.0, -0.0], size)
+    Q = np.stack([np.stack([q, qx], -1), np.stack([qx, qj], -1)], -2).reshape(200, 100, 2, 2)
+    P = np.stack([np.stack([p, px], -1), np.stack([px, pj], -1)], -2).reshape(200, 100, 2, 2)
+    two = two_site_params(Q, P)
+    columns = (two.n, two.c, two.zeta, two.eof, two.separable, two.sign_anomaly)
+    kinds = set()
+    for index in np.ndindex(200, 100):
+        expected = _scalar_pair_params(Q[index], P[index])
+        if isinstance(expected, str):
+            assert str(two.refusals[index]) == expected
+            assert np.isnan(two.zeta[index]) and not two.separable[index]
+            kinds.add(expected.split()[0])
+        else:
+            assert index not in two.refusals
+            got = tuple(column[index].item() for column in columns)
+            assert repr(got) == repr(expected)
+            kinds.add((expected[4], expected[5]))
+    # every branch is drawn: both refusals, entangled and separable, both signs
+    assert kinds >= {"asymmetric", "uncertainty", (True, True), (True, False), (False, False)}
+
+
 @pytest.mark.parametrize("spec", [LatticeSpec.periodic(M) for M in range(4, 42)]
                          + [LatticeSpec.open_boundary(9), LatticeSpec.infinite_lattice()],
                          ids=lambda spec: f"{spec.engine}-{spec.side}")
@@ -184,8 +238,8 @@ def test_two_site_decoupled_boundary(spec):
     cov = covariances_for(params_at(0.0), spec, 2)
     x, y = spec.center
     for dx, dy in ((1, 0), (1, 1), (2, 0)):
-        two = two_site_params(cov, (x, y), (x + dx, y + dy))
-        assert two.n == 1.0 and repr(two.c) == "0.0" and two.zeta == 1.0
+        two = pair_params(cov, (x, y), (x + dx, y + dy))
+        assert two.n == 1.0 and repr(float(two.c)) == "0.0" and two.zeta == 1.0
         assert two.separable and two.eof == 0.0
 
 
@@ -194,20 +248,20 @@ def test_two_site_refuses_uncertainty_violation():
     table = CorrelationTable(qq=np.diag([0.5, 0.0]), pp=np.diag([0.5 * (1.0 - 1e-6), 0.0]),
                              period=2)
     with pytest.raises(ValueError, match="uncertainty violation"):
-        two_site_params(table, (0, 0), (1, 1))
+        pair_params(table, (0, 0), (1, 1))
 
 
 def test_two_site_identical_sites_rejected(paper_params):
     table = covariance_pbc_fft(LatticeSpec.periodic(8), paper_params)
     with pytest.raises(ValueError, match="twice"):
-        two_site_params(table, (1, 1), (1, 1))
+        pair_params(table, (1, 1), (1, 1))
     # (4, 0) wraps onto (0, 0) on a 4 x 4 torus: one site, not a pair
     small = covariance_pbc_fft(LatticeSpec.periodic(4), paper_params)
     with pytest.raises(ValueError, match="twice"):
-        two_site_params(small, (0, 0), (4, 0))
+        pair_params(small, (0, 0), (4, 0))
     dense = covariance_dense(LatticeSpec.periodic(4), paper_params)
     with pytest.raises(ValueError, match="twice"):
-        two_site_params(dense, (0, 0), (4, 0))
+        pair_params(dense, (0, 0), (4, 0))
 
 
 def test_zeta1_decreasing_below_minimum():
@@ -215,22 +269,22 @@ def test_zeta1_decreasing_below_minimum():
     zetas = []
     for g in (1.25, 1.4, 1.5, 1.6, 1.7):
         table = covariance_infinite(params_at(g), 1)
-        zetas.append(two_site_params(table, (0, 0), (1, 0)).zeta)
+        zetas.append(pair_params(table, (0, 0), (1, 0)).zeta)
     assert np.all(np.diff(zetas) < 0)
 
 
 def test_zeta1_reference_value(paper_params):
     # frozen cross-engine value at g = 1.5 (dense, fft and quadrature agree)
     table = covariance_infinite(paper_params, 1)
-    z = two_site_params(table, (0, 0), (1, 0)).zeta
+    z = pair_params(table, (0, 0), (1, 0)).zeta
     assert z == pytest.approx(0.877856520756, abs=1e-9)
 
 
 def test_separability_of_longer_pairs(paper_params):
     table = covariance_infinite(paper_params, 2)
-    nn = two_site_params(table, (0, 0), (1, 0))
-    diag = two_site_params(table, (0, 0), (1, 1))
-    far = two_site_params(table, (0, 0), (2, 0))
+    nn = pair_params(table, (0, 0), (1, 0))
+    diag = pair_params(table, (0, 0), (1, 1))
+    far = pair_params(table, (0, 0), (2, 0))
     assert not nn.separable
     assert diag.separable and diag.zeta >= 1.0
     assert far.separable and far.zeta >= 1.0
@@ -242,22 +296,21 @@ def test_separability_of_longer_pairs(paper_params):
 def test_two_site_asymmetric_open_pair_rejected():
     cov = covariance_dense(LatticeSpec.open_boundary(6), params_at(1.2))
     with pytest.raises(AsymmetricPairError, match="center"):
-        two_site_params(cov, (0, 0), (1, 0))
+        pair_params(cov, (0, 0), (1, 0))
     assert issubclass(AsymmetricPairError, ValueError)
 
 
 def test_zeta1_finite_to_infinite_convergence(paper_params):
     # at g = 1.5 finite-size corrections are below machine precision by M = 20
-    ref = two_site_params(covariance_infinite(paper_params, 1),
-                          (0, 0), (1, 0)).zeta
+    ref = pair_params(covariance_infinite(paper_params, 1), (0, 0), (1, 0)).zeta
     for M in (20, 40, 80):
         table = covariance_pbc_fft(LatticeSpec.periodic(M), paper_params)
-        assert abs(two_site_params(table, (0, 0), (1, 0)).zeta - ref) < 1e-9
+        assert abs(pair_params(table, (0, 0), (1, 0)).zeta - ref) < 1e-9
     # closer to criticality the convergence trend is visible
     p = params_at(1.72)
-    ref = two_site_params(covariance_infinite(p, 1), (0, 0), (1, 0)).zeta
-    diffs = [abs(two_site_params(covariance_pbc_fft(LatticeSpec.periodic(M), p),
-                                 (0, 0), (1, 0)).zeta - ref)
+    ref = pair_params(covariance_infinite(p, 1), (0, 0), (1, 0)).zeta
+    diffs = [abs(pair_params(covariance_pbc_fft(LatticeSpec.periodic(M), p),
+                             (0, 0), (1, 0)).zeta - ref)
              for M in (10, 20, 40)]
     assert diffs[0] > diffs[1] > diffs[2]
 

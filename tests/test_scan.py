@@ -1,11 +1,15 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from spinwave import (LatticeSpec, StabilityError, area_law_fit, critical_g_equal,
-                      derivative_zeta, finite_size_peak)
-from spinwave.scan import derivative_sweep
+from spinwave import (LatticeSpec, StabilityError, area_law_fit, covariances_for,
+                      critical_g_equal, derivative_zeta, finite_size_peak, pair_blocks,
+                      two_site_params)
+from spinwave.groundstate import covariances_for_each
+from spinwave.scan import derivative_sweep, stencil
 
 from conftest import full_symbol, params_at
 
@@ -126,3 +130,70 @@ def test_refused_stencil_point_leaves_no_reference_cycle():
         gc.enable()
     assert not texts[0].startswith("stencil point")
     assert texts[1].startswith(f"stencil point g = {gs[1] + 1e-4!r} unstable: ")
+
+
+def _per_coupling_row(params, spec, g, h):
+    """One row of a derivative sweep the way a run of single couplings gives
+    it: each stencil table computed alone and its pair read alone, refusals in
+    stencil order; (zetas, raw, richardson) or the refusal's text."""
+    x, y = spec.center
+    zetas = []
+    for s in (h, -h, h / 2, -h / 2):
+        point = g + s
+        try:
+            cov = covariances_for(replace(params, g1=point, g2=point), spec, 1)
+        except StabilityError as exc:
+            return f"stencil point g = {point!r} unstable: {exc}"
+        two = two_site_params(*cov.block([(x, y), (x + 1, y)]))
+        if two.refusals:
+            return str(two.refusals[()])
+        zetas.append(float(two.zeta))
+    zp, zm, zp2, zm2 = zetas
+    d_h = (zp - zm) / (2.0 * h)
+    d_h2 = (zp2 - zm2) / h
+    return zetas, d_h, (4.0 * d_h2 - d_h) / 3.0
+
+
+LATTICES = st.one_of(st.integers(4, 15).map(LatticeSpec.periodic),
+                     st.just(LatticeSpec.infinite_lattice()),
+                     st.integers(3, 16).map(LatticeSpec.open_boundary))
+
+
+# g from 1 to 2.3 crosses g_c (1.7403 on the infinite lattice, higher on small
+# periodic ones), so refused rows sit anywhere in a sweep, and small open
+# lattices refuse their off-centre pair at some couplings and not at others
+@settings(max_examples=40, deadline=None)
+@given(spec=LATTICES, gs=st.lists(st.floats(1.0, 2.3), min_size=1, max_size=4),
+       h=st.sampled_from([1e-4, 1e-3]))
+@example(spec=LatticeSpec.periodic(9), gs=[1.4, 2.0, 1.7], h=1e-4)
+@example(spec=LatticeSpec.infinite_lattice(), gs=[1.74, 1.7402, 1.7], h=1e-4)
+@example(spec=LatticeSpec.open_boundary(12), gs=[1.0, 1.5, 1.2], h=1e-4)
+def test_batched_sweep_matches_per_coupling_oracle(spec, gs, h):
+    params = params_at(0.0)
+    x, y = spec.center
+    Q, P, refused = pair_blocks(covariances_for_each(
+        (replace(params, g1=p, g2=p) for p in stencil(gs, h)), spec, 1), [[(x, y), (x + 1, y)]])
+    batch_zeta = iter(two_site_params(Q, P).zeta[:, 0].tolist())
+    for r, (g, est) in enumerate(zip(gs, derivative_sweep(params, spec, gs, h))):
+        expected = _per_coupling_row(params, spec, g, h)
+        if isinstance(expected, str):
+            assert isinstance(est, Exception) and str(est) == expected
+            for k in range(4 * r, 4 * r + 4):
+                if k not in refused:
+                    next(batch_zeta)
+            continue
+        # repr tells every float apart, 0.0 from -0.0 included
+        assert repr([next(batch_zeta) for _ in range(4)]) == repr(expected[0])
+        assert repr((est.raw, est.richardson)) == repr(expected[1:])
+    assert next(batch_zeta, None) is None
+
+
+def test_derivative_step_below_float_resolution_is_refused():
+    # g +- h/2 rounds to g, so every central difference would read 0.0
+    with pytest.raises(ValueError, match="float resolution at g = 1.0"):
+        derivative_sweep(params_at(0.0), LatticeSpec.periodic(8), [1.0], h=1e-300)
+    # at g = 1 the spacing above is eps and below eps / 2: h / 2 = eps / 2 moves g only down
+    with pytest.raises(ValueError, match="float resolution"):
+        derivative_sweep(params_at(0.0), LatticeSpec.periodic(8), [1.0], h=2.0 ** -52)
+    assert not isinstance(derivative_sweep(params_at(0.0), LatticeSpec.periodic(8), [1.0],
+                                           h=2.0 ** -50)[0], Exception)

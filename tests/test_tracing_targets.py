@@ -3,10 +3,11 @@
 traced layers must be read from their module when they run."""
 
 import importlib
+import sys
 
 import pytest
 
-from spinwave import LatticeSpec, spectrum
+from spinwave import LatticeSpec, entanglement, spectrum
 from spinwave.scan import derivative_sweep
 
 from conftest import params_at
@@ -41,3 +42,22 @@ def test_periodic_sweep_evaluates_every_grid_through_the_module_symbol(monkeypat
     estimates = derivative_sweep(params_at(0.0), LatticeSpec.periodic(9), gs)
     assert not any(isinstance(est, Exception) for est in estimates)
     assert sizes == [4 * len(gs) * 5 * 5]
+
+
+def test_sweep_reads_every_stable_pair_in_one_two_site_params_call(monkeypatch):
+    # rebound in every module that holds it, as the tracer does: one call per
+    # sweep, holding the four stencil couplings of each stable g; g = 2.0 is
+    # beyond the side-9 lattice's critical coupling and is left out
+    pair, batches = entanglement.two_site_params, []
+
+    def counted(Q, P):
+        batches.append(Q.shape[:-2])
+        return pair(Q, P)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("spinwave")]:
+        for attr, value in list(vars(module).items()):
+            if value is pair:
+                monkeypatch.setattr(module, attr, counted)
+    estimates = derivative_sweep(params_at(0.0), LatticeSpec.periodic(9), [1.0, 2.0, 1.4])
+    assert [isinstance(est, Exception) for est in estimates] == [False, True, False]
+    assert batches == [(8, 1)]

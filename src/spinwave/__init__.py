@@ -15,7 +15,8 @@ from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numer
                        phase_boundary_cases, zone_minimum)
 from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
                           SineModes, covariance_dense, covariance_dst, covariance_infinite,
-                          covariance_pbc_fft, covariances_for, excitation_density)
+                          covariance_pbc_fft, covariances_for, covariances_for_each,
+                          excitation_density)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
                            pair_blocks, symplectic_spectrum, two_site_params)
@@ -35,7 +36,7 @@ __all__ = [
     "zone_minimum",
     "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "SineModes",
     "excitation_density", "covariance_dense", "covariance_dst", "covariance_infinite",
-    "covariance_pbc_fft", "covariances_for",
+    "covariance_pbc_fft", "covariances_for", "covariances_for_each",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
     "block_entropy", "entropy_vs_L", "eof_symmetric", "pair_blocks", "symplectic_spectrum",
     "two_site_params",

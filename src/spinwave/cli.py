@@ -157,8 +157,9 @@ def cmd_two_site(cfg: RunConfig) -> int:
                           "the distance-2 pair wraps onto a nearest neighbor")
     grid = _g_grid(cfg)
     x, y = lattice.center
+    # params at the sweep's largest coupling: one that overflows is a config error
     Q, P, refused = pair_blocks(covariances_for_each(
-        (_params(cfg, g1=g, g2=g) for g in grid), lattice, 2),
+        _params(cfg, g1=grid[-1], g2=grid[-1]), grid, grid, lattice, 2),
         [[(x, y), (x + dx, y + dy)] for _, (dx, dy) in _PAIR_CLASSES])
     two = two_site_params(Q, P)
     # per stable coupling: its batch index and its columns, one entry per pair class
@@ -177,9 +178,6 @@ def cmd_two_site(cfg: RunConfig) -> int:
 
 def _stencil_grid(cfg: RunConfig) -> list[float]:
     # the derivative stencil reaches g -+ derivative_step, which must stay a coupling
-    if cfg.derivative_step > cfg.g_min:
-        raise ConfigError(f"'derivative_step' {cfg.derivative_step!r} exceeds 'g_min' "
-                          f"{cfg.g_min!r}: the stencil would reach a negative coupling")
     grid = _g_grid(cfg)
     _params(cfg, g1=grid[-1] + cfg.derivative_step, g2=grid[-1] + cfg.derivative_step)
     try:

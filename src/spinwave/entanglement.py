@@ -226,29 +226,29 @@ def eof_symmetric(zeta: float) -> float:
     return float(val)
 
 
-def pair_blocks(covs, pairs) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(Q, P) blocks of the pairs of sites ((x, y), (x', y')) on each covariance
-    container among ``covs`` (an iterable, as ``covariances_for_each`` yields),
-    stacked as (containers, pairs, 2, 2), and the refusals among ``covs`` by
-    position.  No container is held; a table is read by one ``take`` at the
-    entry positions of the pair blocks, found once from a table of positions."""
+def pair_blocks(blocks, pairs) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(Q, P) blocks of the pairs of sites ((x, y), (x', y')) on each stable coupling
+    of a sweep, stacked as (couplings, pairs, 2, 2) in sweep order, and the sweep's
+    refusals by sweep index; ``blocks`` is the stream ``covariances_for_each`` yields.
+    No block is held.  A block's stacked tables are read by one fancy index each,
+    at the entry positions of the pair blocks, found once from a table of positions;
+    open lattice modes give each pair block with ``block``."""
     Q, P, refusals, where = [], [], {}, None
-    for k, cov in enumerate(covs):
-        if isinstance(cov, Exception):
-            refusals[k] = cov
-        elif isinstance(cov, CorrelationTable):
+    for _, cov, refused in blocks:
+        refusals.update(refused)
+        if isinstance(cov, CorrelationTable):
             if where is None:
-                at = np.arange(cov.qq.size).reshape(cov.qq.shape)  # each entry's position
+                at = np.arange(cov.qq.shape[-1] ** 2).reshape(cov.qq.shape[-2:])  # entry positions
                 where = np.array([CorrelationTable(at, at, cov.period).block(pair)[0]
                                   for pair in pairs])
-            Q.append(cov.qq.take(where))
-            P.append(cov.pp.take(where))
-        else:  # open lattice modes, block by block
+            Q.append(cov.qq.reshape(-1, at.size)[:, where])
+            P.append(cov.pp.reshape(-1, at.size)[:, where])
+        elif cov is not None:  # open lattice modes, block by block
             q, p = zip(*(cov.block(pair) for pair in pairs))
-            Q.append(q)
-            P.append(p)
-    shape = (len(Q), len(pairs), 2, 2)
-    return np.reshape(Q, shape), np.reshape(P, shape), refusals
+            Q.append([q])
+            P.append([p])
+    empty = np.empty((0, len(pairs), 2, 2))
+    return np.concatenate([empty, *Q]), np.concatenate([empty, *P]), refusals
 
 
 def two_site_params(Q, P) -> TwoSiteParams:

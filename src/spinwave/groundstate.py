@@ -21,17 +21,17 @@ layout; the open engine returns the transform and the symbol, from which a
 block takes only its own rows.  Each container answers ``block(sites)`` with
 the principal submatrices (Q_L, P_L) on a list of sites.
 ``covariances_for_each`` is the one dispatch point: it runs a lattice's engine
-at each of a sweep's couplings (in blocks), and ``covariances_for`` is its
-batch of one, as are ``covariance_pbc_fft`` and ``covariance_infinite`` on
-their lattices.  ``covariance_dense``, the symmetric eigendecomposition of the
+over a sweep, one set of constants with arrays of strengths g1 and g2, and
+yields it block by block, each block's tables stacked.  ``covariances_for``
+is its sweep of one, as are ``covariance_pbc_fft`` and ``covariance_infinite``
+on their lattices.  ``covariance_dense``, the symmetric eigendecomposition of the
 full V on any finite lattice, is the tests' oracle for the engines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -107,7 +107,8 @@ class CorrelationTable:
     (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|) -- the dispersion is
     even in each wavevector component separately, so correlations are too.
     A periodic table (``period`` M) folds each component modulo M onto
-    0..D = M//2; an infinite one (``period`` None) holds |d| <= D.
+    0..D = M//2; an infinite one (``period`` None) holds |d| <= D.  A sweep's
+    block stacks its couplings' tables along leading axes, read alike.
     """
 
     qq: np.ndarray = field(repr=False)
@@ -119,7 +120,7 @@ class CorrelationTable:
         arrays of one shape: min(d mod M, M - d mod M) for periodic tables,
         (|dx|, |dy|) for infinite ones, which refuse displacements beyond
         their extent."""
-        extent, M = self.qq.shape[0], self.period
+        extent, M = self.qq.shape[-1], self.period
         if M is not None:
             dx, dy = np.mod(dx, M), np.mod(dy, M)
             return np.minimum(dx, M - dx), np.minimum(dy, M - dy)
@@ -140,28 +141,30 @@ class CorrelationTable:
         # only a site named twice puts displacement index (0, 0) off the diagonal
         if np.count_nonzero(index[0] | index[1]) < len(xy) * (len(xy) - 1):
             raise ValueError("block names one lattice site twice")
-        return self.qq[index], self.pp[index]
+        return self.qq[(..., *index)], self.pp[(..., *index)]
 
     def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) with rows at the sites a and columns at the sites b, (x, y)."""
         a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
         index = self.displacement_index(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-        return self.qq[index], self.pp[index]
+        return self.qq[(..., *index)], self.pp[(..., *index)]
 
 
-def _guard_softness(vmin: float, on_site: float) -> None:
-    if vmin <= 0:
-        raise StabilityError(f"beyond critical coupling (min v = {vmin:.6g})")
-    if vmin < CRITICAL_GUARD * on_site:
-        raise StabilityError(
-            f"within {CRITICAL_GUARD:g} of criticality (min v / on-site = "
-            f"{vmin / on_site:.3g}); matrix square roots are unreliable here")
+def _guard_softness(vmins: np.ndarray, on_site: float) -> dict:
+    """A StabilityError by index for each min v among ``vmins`` (1-D) that is
+    not positive or lies within CRITICAL_GUARD of zero relative to on_site."""
+    soft = (vmins <= 0) | (vmins < CRITICAL_GUARD * on_site)
+    return {i: StabilityError(f"beyond critical coupling (min v = {vmin:.6g})" if vmin <= 0 else
+                              f"within {CRITICAL_GUARD:g} of criticality (min v / on-site = "
+                              f"{vmin / on_site:.3g}); matrix square roots are unreliable here")
+            for i, vmin in zip(np.flatnonzero(soft).tolist(), vmins[soft].tolist())}
 
 
 def covariance_dense(spec: LatticeSpec, params: CouplingParams) -> CovariancePair:
     """Q = V^(-1/2)/2 and P = V^(1/2)/2 by symmetric eigendecomposition."""
     w, U = np.linalg.eigh(build_potential(spec, params))
-    _guard_softness(float(w[0]), params.on_site)
+    if refused := _guard_softness(w[:1], params.on_site):
+        raise refused[0]
     Q = (U * (w ** -0.5)) @ U.T / 2.0
     P = (U * (w ** 0.5)) @ U.T / 2.0
     Q = 0.5 * (Q + Q.T)
@@ -188,7 +191,8 @@ def covariance_dst(spec: LatticeSpec, params: CouplingParams) -> SineModes:
         raise ValueError("DST-I engine requires a finite open lattice")
     M = spec.side
     v = dispersion_grid(params, spec)
-    _guard_softness(float(np.min(v)), params.on_site)
+    if refused := _guard_softness(np.min(v).reshape(1), params.on_site):
+        raise refused[0]
     j = np.arange(1, M + 1)
     # j k reduced modulo the sine's period 2 (M + 1) in integers, so every
     # angle is below 2 pi and carries one rounding
@@ -391,7 +395,7 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray
 
 
 def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
-    """Read-only (batch, 2, dmax + 1, dmax + 1) tables, qq then pp, of couplings
+    """(batch, 2, dmax + 1, dmax + 1) tables, qq then pp, of couplings
     given by ``zone_branch`` rows, and a QuadratureConvergenceError by batch index
     for each that does not converge.  The tanh-sinh step halves from level to
     level; each coupling leaves the batch at its own first pair of levels that
@@ -421,7 +425,6 @@ def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
                 f"error {err[i]:.3g}", last=tuple(cur[i]), previous=tuple(prev[i]))
                 for i, j in enumerate(live)}
         prev = cur
-    tables.flags.writeable = False
     return tables, failed
 
 
@@ -437,56 +440,61 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
     """SineModes (open) or a CorrelationTable (periodic, infinite; up to
     ``max_displacement`` per component) of ``spec``: ``covariances_for_each``'s
-    batch of one."""
-    (cov,) = covariances_for_each([params], spec, max_displacement)
-    if isinstance(cov, Exception):
-        raise cov
-    return cov
+    sweep of one."""
+    ((_, cov, refused),) = covariances_for_each(params, [params.g1], [params.g2], spec,
+                                                max_displacement)
+    if refused:
+        raise refused[0]
+    return cov if spec.engine == "dense" else CorrelationTable(cov.qq[0], cov.pp[0], cov.period)
 
 
-def covariances_for_each(couplings, spec: LatticeSpec, max_displacement: int = 0):
-    """Covariances of ``spec`` on its engine (``spec.engine``, picked here only) at
-    each of the couplings (any iterable), in order, or the StabilityError or
-    QuadratureConvergenceError raised there, without its traceback, which would
-    pin this frame.  An open lattice runs ``covariance_dst`` per coupling.  A periodic
-    one runs blocks of at most LEVEL_BLOCK_POINTS grid points, the infinite one a
-    single batch: each coupling guarded on its own min v, the stable ones transformed."""
+def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
+                         max_displacement: int = 0):
+    """``spec``'s engine (``spec.engine``, picked here only) over the couplings ``params``
+    with dipolar strengths (g1[i], g2[i]), whose refusal by CouplingParams raises its
+    ValueError.  Each block yields (index, cov, refused): its stable couplings' sweep
+    indices, their covariances and each refused coupling's StabilityError or
+    QuadratureConvergenceError by sweep index.  An open lattice runs ``covariance_dst``
+    per coupling (cov its SineModes or None); a periodic one blocks of at most
+    LEVEL_BLOCK_POINTS grid points, the infinite one a single batch, each guarded on
+    its min v at once, cov one CorrelationTable stacking its stable couplings' tables."""
+    g1, g2 = params.strength_arrays(g1, g2)
     if spec.engine == "dense":
-        for p in couplings:
+        for i, (a, b) in enumerate(zip(g1.tolist(), g2.tolist())):
             try:
-                cov = covariance_dst(spec, p)
+                cov = covariance_dst(spec, replace(params, g1=a, g2=b))
             except StabilityError as exc:
-                cov = exc.with_traceback(None)
-            yield cov
+                yield [], None, {i: exc.with_traceback(None)}
+            else:
+                yield [i], cov, {}
         return
     if spec.infinite and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
-    periodic, couplings, M = not spec.infinite, iter(couplings), spec.side
-    size = max(1, LEVEL_BLOCK_POINTS // (M // 2 + 1) ** 2) if periodic else None
-    while block := list(islice(couplings, size)):
-        v = (dispersion_grid(block, spec) if periodic
-             else np.array([zone_branch(p) for p in block]).reshape(-1, 4))
-        vmins = np.min(v, axis=(1, 2)) if periodic else v[:, 0]
-        slots, stable = [], []  # per coupling its refusal or its row among the stable
-        for i, p in enumerate(block):
-            try:
-                _guard_softness(float(vmins[i]), p.on_site)
-            except StabilityError as exc:
-                slots.append(exc.with_traceback(None))
-            else:
-                slots.append(len(stable))
-                stable.append(i)
-        if periodic:
+    M, period = spec.side, None if spec.infinite else spec.side
+    size = max(1, g1.size if spec.infinite else LEVEL_BLOCK_POINTS // (M // 2 + 1) ** 2)
+    for start in range(0, g1.size, size):
+        block = slice(start, start + size)
+        if spec.infinite:
+            v = zone_branch(params, g1[block], g2[block])
+            vmins = v[:, 0]
+        else:
+            v = dispersion_grid(params, spec, g1[block, None, None], g2[block, None, None])
+            vmins = np.min(v, axis=(1, 2))
+        refused = _guard_softness(vmins, params.on_site)
+        stable = np.delete(np.arange(vmins.size), list(refused))
+        if spec.infinite:
+            tables, failed = _refine(v[stable], max_displacement)
+            refused.update((int(stable[j]), exc) for j, exc in failed.items())
+            if failed:
+                stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
+        else:
             C, x = _cosine_matrix(M), np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
             # x's k = 0 entry goes in exactly: a constant v (g = 0) gets exact off-site zeros
-            tables, failed = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / M ** 2), {}
+            tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / M ** 2)
             tables[..., 0, 0] += 0.5 * x[..., 0, 0]
-            tables.flags.writeable = False
-        else:
-            tables, failed = _refine(v[stable], max_displacement)
-        for s in slots:
-            yield s if isinstance(s, Exception) else failed.get(s) or CorrelationTable(
-                qq=tables[s, 0], pp=tables[s, 1], period=M)
+        tables.flags.writeable = False
+        yield (start + stable, CorrelationTable(qq=tables[:, 0], pp=tables[:, 1], period=period),
+               {start + i: exc for i, exc in refused.items()})
 
 
 def excitation_density(params: CouplingParams, spec: LatticeSpec) -> float:

@@ -9,7 +9,7 @@ the four diagonal neighbors with 2^(-3/2) g2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,13 +54,26 @@ class CouplingParams:
             raise ValueError("n_atoms must be >= 1 and below 2**63")
         if self.g1 < 0 or self.g2 < 0:
             raise ValueError("dipolar strengths g1, g2 must be >= 0")
-        # the largest entry any engine forms is v(0); it is not finite when
-        # on_site or 2 N omega is not (inf * 0 is nan)
-        v0 = self.on_site + 2.0 * self.coupling_scale * (self.g1 + (1.0 + 2.0 ** -0.5) * self.g2)
-        if not math.isfinite(v0):
+        if not math.isfinite(self._symbol_top(self.g1, self.g2)):
             raise ValueError("the potential overflows: omega (omega + 4 kappa N), 2 N omega or "
                              "the symbol scale on_site + 2 N omega (g1 + (1 + 2^-0.5) g2) "
                              "is not finite")
+
+    def _symbol_top(self, g1, g2):
+        # the largest entry any engine forms is v(0); it is not finite when
+        # on_site or 2 N omega is not (inf * 0 is nan)
+        return self.on_site + 2.0 * self.coupling_scale * (g1 + (1.0 + 2.0 ** -0.5) * g2)
+
+    def strength_arrays(self, g1, g2) -> tuple[np.ndarray, np.ndarray]:
+        """The dipolar strengths (g1[i], g2[i]) of a sweep's couplings at these
+        constants as 1-D float arrays of one length (broadcast); the first
+        coupling that CouplingParams refuses raises its ValueError."""
+        g1, g2 = np.broadcast_arrays(np.asarray(g1, dtype=float), np.asarray(g2, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            made = (g1 >= 0) & (g2 >= 0) & np.isfinite(self._symbol_top(g1, g2))
+        for i in np.flatnonzero(~made)[:1]:  # the first refused coupling raises its refusal
+            replace(self, g1=float(g1[i]), g2=float(g2[i]))
+        return g1, g2
 
     @property
     def on_site(self) -> float:

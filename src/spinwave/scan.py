@@ -8,7 +8,7 @@ with the same inputs produce identical bytes downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,17 +47,21 @@ class DerivativeEstimate:
     richardson: float  # one extrapolation step from h and h/2
 
 
-def stencil(gs, h: float) -> list:
+def stencil(gs, h: float) -> np.ndarray:
     """The couplings g + h, g - h, g + h/2, g - h/2 for each g of ``gs``, in
-    order; a step that is not positive, or below the float resolution at some
-    g (a stencil point that rounds to g), is refused."""
+    order; a step that is not positive, that reaches a negative coupling g - h,
+    or that is below the float resolution at some g (a stencil point that
+    rounds to g), is refused."""
     if h <= 0:
         raise ValueError("step h must be positive")
     for g in gs:
+        if g - h < 0:
+            raise ValueError(f"step h = {h!r} exceeds g = {g!r}: the stencil point g - h "
+                             "would be a negative coupling")
         if g + h / 2 == g or g - h / 2 == g:
             raise ValueError(f"step h = {h!r} is below the float resolution at g = {g!r}: "
                              "a stencil point rounds to g")
-    return [g + s for g in gs for s in (h, -h, h / 2, -h / 2)]
+    return np.array([g + s for g in gs for s in (h, -h, h / 2, -h / 2)])
 
 
 def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
@@ -65,19 +69,18 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
     """``derivative_zeta`` at each g of the sequence ``gs``, or the StabilityError,
     QuadratureConvergenceError or pair refusal (``two_site_params``) of its
     first refused stencil point.  All 4 len(gs) stencil couplings go through
-    one ``covariances_for_each``, which refines them as one batch on an
-    infinite lattice, and zeta_1 of the horizontally adjacent pair at the
+    one ``covariances_for_each`` as one strength array, refined as one batch on
+    an infinite lattice, and zeta_1 of the horizontally adjacent pair at the
     lattice center (any pair, on periodic and infinite lattices) is read from
     every stable one in one pass: one ``two_site_params`` call on their stacked
     pair blocks, bit for bit what each gives alone."""
     points = stencil(gs, h)
     x, y = spec.center
-    Q, P, refused = pair_blocks(covariances_for_each(
-        (replace(params, g1=p, g2=p) for p in points), spec, max_displacement=1),
-        [[(x, y), (x + 1, y)]])
-    stable = [k for k in range(len(points)) if k not in refused]
+    Q, P, refused = pair_blocks(covariances_for_each(params, points, points, spec, 1),
+                                [[(x, y), (x + 1, y)]])
+    stable = np.delete(np.arange(points.size), list(refused))
     pair = two_site_params(Q, P)
-    refused.update((stable[i], exc) for (i, _), exc in pair.refusals.items())
+    refused.update((int(stable[i]), exc) for (i, _), exc in pair.refusals.items())
     zeta = np.full(len(points), np.nan)
     zeta[stable] = pair.zeta[:, 0]
     zp, zm, zp2, zm2 = zeta.reshape(-1, 4).T
@@ -88,7 +91,7 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
         k = next((k for k in range(4 * r, 4 * r + 4) if k in refused), None)  # the first refused
         exc = refused.get(k)
         if isinstance(exc, StabilityError):
-            exc = StabilityError(f"stencil point g = {points[k]!r} unstable: {refused[k]}")
+            exc = StabilityError(f"stencil point g = {float(points[k])!r} unstable: {refused[k]}")
             exc.__cause__ = refused[k]
         out.append(exc if exc is not None else DerivativeEstimate(
             g=float(g), h=float(h), raw=float(raw[r]), richardson=float(richardson[r])))

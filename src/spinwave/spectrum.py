@@ -16,7 +16,6 @@ the stability guard, the gap and the zone quadrature alike;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,61 +26,59 @@ SQRT2 = np.sqrt(2.0)
 BISECTION_TOL = 1e-10
 
 
-def _dispersion_raw(omega, kappa, n_atoms, g1, g2, kx, ky):
+def dispersion_value(params: CouplingParams, kx, ky, g1=None, g2=None):
+    """Fourier symbol v(k) of the potential matrix at the dipolar strengths
+    g1, g2 (by default those of ``params``; any sign); broadcasts over arrays."""
+    g1, g2 = params.g1 if g1 is None else g1, params.g2 if g2 is None else g2
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     bracket = (g1 * np.cos(kx) + g2 * np.cos(ky)
                + DIAGONAL_FACTOR * g2 * (np.cos(kx + ky) + np.cos(kx - ky)))
+    omega, kappa, n_atoms = params.omega, params.kappa, params.n_atoms
     return omega * (omega + 4.0 * kappa * n_atoms) + 2.0 * n_atoms * omega * bracket
 
 
-def dispersion_value(params: CouplingParams, kx, ky):
-    """Fourier symbol v(k) of the potential matrix; broadcasts over arrays."""
-    return _dispersion_raw(params.omega, params.kappa, params.n_atoms,
-                           params.g1, params.g2, kx, ky)
-
-
-def dispersion_grid(params: CouplingParams | list[CouplingParams], spec: LatticeSpec) -> np.ndarray:
+def dispersion_grid(params: CouplingParams, spec: LatticeSpec, g1=None, g2=None) -> np.ndarray:
     """v(k) on the normal-mode grid of a finite lattice, indexed [kx, ky]:
     k = 2 pi m / M, m = 0..M//2, when periodic (the DFT modes folded onto
     the quadrant, v being even in kx and in ky) and k = pi j / (M + 1),
-    j = 1..M, when open (the DST-I modes).  A sequence of couplings gets its
-    grids [coupling, kx, ky] from one broadcast symbol call."""
+    j = 1..M, when open (the DST-I modes).  Strength arrays g1, g2 of shape
+    (n, 1, 1) give a sweep's grids [coupling, kx, ky] from one symbol call."""
     M = spec.side
     k = (2.0 * np.pi * np.arange(M // 2 + 1) / M if spec.boundary == "periodic"
          else np.pi * np.arange(1, M + 1) / (M + 1))
-    if not isinstance(params, CouplingParams):
-        params = SimpleNamespace(**{f: np.array([getattr(p, f) for p in params])[:, None, None]
-                                    for f in ("omega", "kappa", "n_atoms", "g1", "g2")})
-    return dispersion_value(params, k[:, None], k[None, :])
+    return dispersion_value(params, k[:, None], k[None, :], g1, g2)
 
 
-def zone_branch(params: CouplingParams) -> tuple[float, float, bool, float]:
-    """(Delta, slope, pipi, bscale) of a coupling: v(kx, pi) = Delta + slope X
+def zone_branch(params: CouplingParams, g1, g2) -> np.ndarray:
+    """Rows (Delta, slope, pipi, bscale), one per coupling of ``params`` with
+    dipolar strengths (g1[i], g2[i]) (1-D arrays): v(kx, pi) = Delta + slope X
     with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
-    (pipi), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); Delta and the
-    slope come from the float inputs in 40-digit decimal arithmetic, and
-    bscale = 2 N omega g2."""
+    (pipi = 1), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); Delta and the
+    slope come from the float inputs in 40-digit decimal arithmetic, the
+    coupling-independent terms once, and bscale = 2 N omega g2."""
     # imported here, not at module level: importing decimal costs every CLI
     # start a few milliseconds, and only the infinite lattice needs it
     from decimal import Decimal, localcontext
 
+    rows = []
     with localcontext() as ctx:
         ctx.prec = 40
-        omega, kappa, n_atoms, g1, g2 = (Decimal(x) for x in (
-            params.omega, params.kappa, params.n_atoms, params.g1, params.g2))
-        scale, root2 = 2 * n_atoms * omega, Decimal(2).sqrt()
-        tilt = g1 - g2 / root2
-        corner = -g1 - g2 + g2 / root2 if tilt >= 0 else g1 - g2 - g2 / root2
-        return (float(omega * (omega + 4 * kappa * n_atoms) + scale * corner),
-                float(scale * abs(tilt)), tilt >= 0, 2.0 * params.coupling_scale * params.g2)
+        omega, kappa, n_atoms = (Decimal(x) for x in (params.omega, params.kappa, params.n_atoms))
+        on_site, scale = omega * (omega + 4 * kappa * n_atoms), 2 * n_atoms * omega
+        root2 = Decimal(2).sqrt()
+        for a, b in zip(map(Decimal, np.ravel(g1).tolist()), map(Decimal, np.ravel(g2).tolist())):
+            tilt = a - b / root2
+            corner = -a - b + b / root2 if tilt >= 0 else a - b - b / root2
+            rows.append((float(on_site + scale * corner), float(scale * abs(tilt)), tilt >= 0))
+    return np.column_stack([np.reshape(rows, (-1, 3)), 2.0 * params.coupling_scale * np.ravel(g2)])
 
 
 def zone_minimum(params: CouplingParams) -> tuple[float, tuple[float, float]]:
     """Minimum of v(k) over the full continuous zone and the corner where it
     sits: v is bilinear in (cos kx, cos ky), and for g1, g2 >= 0 its minimum is
     ``zone_branch``'s Delta, at (pi, pi) if g1 >= g2 / sqrt 2, else at (0, pi)."""
-    delta, _, pipi, _ = zone_branch(params)
+    delta, _, pipi, _ = zone_branch(params, params.g1, params.g2)[0].tolist()
     return delta, (np.pi, np.pi) if pipi else (0.0, np.pi)
 
 
@@ -146,8 +143,7 @@ def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
     hi = 10.0 * params.kappa + params.omega / params.n_atoms + g1
 
     def corner_min(g2):
-        return min(float(_dispersion_raw(params.omega, params.kappa, params.n_atoms,
-                                         g1, g2, kx, ky))
+        return min(float(dispersion_value(params, kx, ky, g1, g2))
                    for kx, ky in ((np.pi, np.pi), (0.0, np.pi)))
 
     if corner_min(lo) <= 0 or corner_min(hi) > 0:
@@ -202,13 +198,8 @@ def gap_scaling_exponent(params: CouplingParams, g_window: tuple[float, float],
     if n_samples < 2:
         raise ValueError("fit needs at least 2 samples")
     gs = np.linspace(lo, hi, n_samples)
-    gaps = []
-    for g in gs:
-        p = CouplingParams(omega=params.omega, kappa=params.kappa,
-                           n_atoms=params.n_atoms, g1=g, g2=g)
-        gaps.append(energy_gap(p, LatticeSpec.infinite_lattice()))
     x = np.log(gc - gs)
-    y = np.log(gaps)
+    y = np.log(np.sqrt(zone_branch(params, gs, gs)[:, 0]))  # the gap sqrt(min v), min v > 0
     slope, intercept = np.polyfit(x, y, 1)
     return GapScalingFit(exponent=float(slope), prefactor=float(np.exp(intercept)),
                          n_samples=n_samples)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spinwave import CouplingParams, dispersion_value, two_site_params
+from spinwave import (CorrelationTable, CouplingParams, covariances_for_each, dispersion_value,
+                      two_site_params)
 
 
 @pytest.fixture
@@ -32,3 +33,18 @@ def pair_params(cov, site_i, site_j):
     if two.refusals:
         raise two.refusals[()]
     return two
+
+
+def sweep_each(couplings, spec, dmax=0):
+    """Each coupling's result in one ``covariances_for_each`` sweep over the
+    strengths of ``couplings`` (one set of constants), in order: its
+    CorrelationTable, or SineModes on an open lattice, or its refusal."""
+    out = {}
+    for index, cov, refused in covariances_for_each(
+            couplings[0], [p.g1 for p in couplings], [p.g2 for p in couplings], spec, dmax):
+        out.update(refused)
+        for j, i in enumerate(index):
+            out[int(i)] = (cov if spec.engine == "dense"
+                           else CorrelationTable(cov.qq[j], cov.pp[j], cov.period))
+    assert sorted(out) == list(range(len(couplings)))
+    return [out[i] for i in range(len(couplings))]

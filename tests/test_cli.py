@@ -425,6 +425,17 @@ def test_cli_overflowing_stencil_is_a_config_error(tmp_path, capsys, subcommand)
     assert not out.exists()
 
 
+def test_cli_two_site_overflowing_grid_is_a_config_error(tmp_path, capsys):
+    # g_min's potential fits the float range, g_max's does not
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("omega = 1e150\nn_atoms = 1\nside = 8\ng_min = 1.0\ng_max = 5.3e157\n"
+                   "g_samples = 3\n")
+    out = tmp_path / "out.csv"
+    assert main(["two-site", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "the potential overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_two_site_asymmetric_pair_in_row(tmp_path, capsys):
     cfg = tmp_path / "open.cfg"
     cfg.write_text("boundary = open\nside = 6\ng_samples = 1\n")

@@ -1,17 +1,19 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinwave import (LatticeSpec, QuadratureConvergenceError,
                       StabilityError, build_potential, covariance_dense, covariance_dst,
-                      covariance_infinite, covariance_pbc_fft, critical_g_equal,
+                      covariance_infinite, covariance_pbc_fft, covariances_for,
+                      covariances_for_each, critical_g_equal,
                       dispersion_value, excitation_density, zone_minimum)
 from spinwave import groundstate
-from spinwave.groundstate import _legendre_q, covariances_for_each
+from spinwave.groundstate import _legendre_q
 
-from conftest import full_matrices, full_symbol, params_at
+from conftest import full_matrices, full_symbol, params_at, sweep_each
 from zone_grid import _zone_tables, grid_oracle
 
 
@@ -324,7 +326,7 @@ def test_batch_equals_each_coupling_alone(monkeypatch, dmax):
     monkeypatch.setattr(groundstate, "_legendre_block",
                         lambda rows, *args: sizes.append(len(rows)) or block(rows, *args))
     couplings = _batch_cases()
-    batch = list(covariances_for_each(couplings, LatticeSpec.infinite_lattice(), dmax))
+    batch = sweep_each(couplings, LatticeSpec.infinite_lattice(), dmax)
     assert sizes[0] == 5 and sizes[-1] == 1
     for p, got in zip(couplings, batch):
         try:
@@ -340,7 +342,7 @@ def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
     # with three halvings the near-critical coupling fails alone, the others converge
     monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 3)
     couplings = _batch_cases()
-    batch = list(covariances_for_each(couplings, LatticeSpec.infinite_lattice(), 2))
+    batch = sweep_each(couplings, LatticeSpec.infinite_lattice(), 2)
     assert [type(t).__name__ for t in batch] == ["CorrelationTable"] * 3 + [
         "QuadratureConvergenceError", "StabilityError", "CorrelationTable"]
     with pytest.raises(QuadratureConvergenceError) as err:
@@ -360,14 +362,15 @@ def test_finite_batch_runs_each_coupling(monkeypatch):
     sizes = []
     grid = groundstate.dispersion_grid
     monkeypatch.setattr(groundstate, "dispersion_grid",
-                        lambda block, *args: sizes.append(len(block)) or grid(block, *args))
+                        lambda params, spec, g1, g2: sizes.append(len(g1))
+                        or grid(params, spec, g1, g2))
     spec, gc = LatticeSpec.periodic(40), critical_g_equal(params_at(0.0))
     couplings = [params_at(g) for g in np.linspace(0.0, 1.7, 23)]
     couplings[4], couplings[13] = params_at(2.0), params_at(gc * (1.0 - 1e-13))
     couplings[7] = params_at(gc * (1.0 - 1e-11))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        batch = list(covariances_for_each(couplings, spec))
+        batch = sweep_each(couplings, spec)
     assert sizes == [9, 9, 5]
     assert [i for i, got in enumerate(batch) if isinstance(got, StabilityError)] == [4, 13]
     assert "beyond" in str(batch[4]) and "within" in str(batch[13])
@@ -379,6 +382,76 @@ def test_finite_batch_runs_each_coupling(monkeypatch):
             continue
         assert np.array_equal(got.qq, want.qq) and np.array_equal(got.pp, want.pp)
         assert not got.qq.flags.writeable and not got.pp.flags.writeable
+
+
+# g1 and g2 drawn apart across both corners' critical couplings (g_c = 1.74
+# on the diagonal, 2.25 at g2 = 0), so refusals land anywhere in a block
+STRENGTHS = st.lists(st.tuples(st.floats(0.0, 2.6), st.floats(0.0, 2.6)), min_size=1, max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.one_of(st.integers(3, 15).map(LatticeSpec.periodic),
+                      st.just(LatticeSpec.infinite_lattice())),
+       strengths=STRENGTHS, dmax=st.integers(0, 2), block_points=st.sampled_from([4096, 100]))
+@example(spec=LatticeSpec.periodic(15), strengths=[(1.0, 1.2), (2.5, 0.1), (0.3, 0.0), (1.5, 1.6)],
+         dmax=0, block_points=100)
+@example(spec=LatticeSpec.infinite_lattice(), strengths=[(1.0, 1.2), (2.5, 0.1), (0.3, 0.0)],
+         dmax=1, block_points=4096)
+def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, block_points):
+    # block_points = 100 splits a side-15 sweep into blocks of one coupling
+    # and a side-3 sweep into blocks of 25
+    couplings = [params_at(a, b) for a, b in strengths]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "LEVEL_BLOCK_POINTS", block_points)
+        batch = sweep_each(couplings, spec, dmax)
+    for p, got in zip(couplings, batch):
+        try:
+            want = covariances_for(p, spec, dmax)
+        except StabilityError as exc:
+            assert type(got) is StabilityError and str(got) == str(exc)
+            continue
+        assert np.array_equal(got.qq, want.qq) and np.array_equal(got.pp, want.pp)
+        assert not got.qq.flags.writeable and not got.pp.flags.writeable
+
+
+BASE = params_at(0.0, omega=1e150, n_atoms=1)  # v(0) overflows from g near 1e158
+STRENGTH = st.one_of(st.floats(0.0, 10.0), st.floats(), st.sampled_from([5.2e157, 5.3e157]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.sampled_from([LatticeSpec.periodic(3), LatticeSpec.infinite_lattice(),
+                             LatticeSpec.open_boundary(3)]),
+       strengths=st.lists(st.tuples(STRENGTH, STRENGTH), min_size=1, max_size=6))
+def test_sweep_strengths_refused_as_coupling_params_refuses_them(spec, strengths):
+    # NaN, inf, negative and overflowing strengths: the first coupling that
+    # CouplingParams refuses refuses the sweep, with its message
+    refusal = None
+    for a, b in strengths:
+        try:
+            replace(BASE, g1=a, g2=b)
+        except ValueError as exc:
+            refusal = str(exc)
+            break
+    g1, g2 = zip(*strengths)
+    if refusal is None:
+        assert [np.array_equal(got, want) for got, want in
+                zip(BASE.strength_arrays(g1, g2), (g1, g2))] == [True, True]
+        return
+    with pytest.raises(ValueError) as err:
+        list(covariances_for_each(BASE, g1, g2, spec))
+    assert str(err.value) == refusal
+
+
+def test_sweep_strengths_broadcast_to_one_length():
+    # one g2 serves every g1; two lengths that do not broadcast are refused
+    # instead of the shorter silently cutting the sweep
+    spec = LatticeSpec.infinite_lattice()
+    got = sweep_each([params_at(g, 1.0) for g in (1.0, 1.2)], spec, 1)
+    blocks = list(covariances_for_each(params_at(0.0), [1.0, 1.2], [1.0], spec, 1))
+    assert [list(index) for index, _, _ in blocks] == [[0, 1]]
+    assert np.array_equal(blocks[0][1].qq[1], got[1].qq)
+    with pytest.raises(ValueError, match="broadcast"):
+        list(covariances_for_each(params_at(0.0), [1.0, 1.2, 1.4], [1.0, 1.2], spec, 1))
 
 
 @pytest.mark.parametrize("M", [16, 31])

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -171,8 +172,9 @@ LATTICES = st.one_of(st.integers(4, 15).map(LatticeSpec.periodic),
 def test_batched_sweep_matches_per_coupling_oracle(spec, gs, h):
     params = params_at(0.0)
     x, y = spec.center
-    Q, P, refused = pair_blocks(covariances_for_each(
-        (replace(params, g1=p, g2=p) for p in stencil(gs, h)), spec, 1), [[(x, y), (x + 1, y)]])
+    points = stencil(gs, h)
+    Q, P, refused = pair_blocks(covariances_for_each(params, points, points, spec, 1),
+                                [[(x, y), (x + 1, y)]])
     batch_zeta = iter(two_site_params(Q, P).zeta[:, 0].tolist())
     for r, (g, est) in enumerate(zip(gs, derivative_sweep(params, spec, gs, h))):
         expected = _per_coupling_row(params, spec, g, h)
@@ -186,6 +188,32 @@ def test_batched_sweep_matches_per_coupling_oracle(spec, gs, h):
         assert repr([next(batch_zeta) for _ in range(4)]) == repr(expected[0])
         assert repr((est.raw, est.richardson)) == repr(expected[1:])
     assert next(batch_zeta, None) is None
+
+
+def test_stencil_reaching_a_negative_coupling_is_refused():
+    # g - h = -5e-5: the refusal names the step and the g, not only the coupling
+    with pytest.raises(ValueError, match=r"step h = 0\.0001 exceeds g = 5e-05: .* negative"):
+        derivative_sweep(params_at(0.0), LatticeSpec.periodic(9), [5e-5])
+    with pytest.raises(ValueError, match="exceeds g = 1e-05"):
+        stencil([1.0, 1e-5], 1e-4)
+    # g - h = 0 is the decoupled lattice, still a coupling
+    assert stencil([1e-4], 1e-4)[1] == 0.0
+
+
+def test_sweep_streams_its_blocks():
+    # an M = 41 block holds 4096 // 21^2 = 9 couplings; 800 stencil couplings'
+    # stacked tables would take 800 * 2 * 21^2 * 8 B = 5.6 MB, and the sweep
+    # holds one block of them at a time
+    gs = np.linspace(1.0, 1.7, 200).tolist()
+    derivative_sweep(params_at(0.0), LatticeSpec.periodic(41), gs[:1])  # caches warm
+    tracemalloc.start()
+    try:
+        estimates = derivative_sweep(params_at(0.0), LatticeSpec.periodic(41), gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(est, Exception) for est in estimates)
+    assert peak < 2e6
 
 
 def test_derivative_step_below_float_resolution_is_refused():

@@ -44,8 +44,8 @@ def _zone_tables(params: CouplingParams, dmax: int, n: int) -> tuple[np.ndarray,
     for s in range(0, k.size, chunk):
         ky = k[s:s + chunk]
         v = a[:, None] + b[:, None] * np.cos(ky)[None, :]
-        vmin = float(np.min(v))
-        _guard_softness(vmin, params.on_site)
+        if refused := _guard_softness(np.min(v).reshape(1), params.on_site):
+            raise refused[0]
         cy = w[s:s + chunk] * np.cos(np.outer(d, ky))
         qq += (cx @ (v ** -0.5)) @ cy.T
         pp += (cx @ (v ** 0.5)) @ cy.T

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groundstate import CorrelationTable, covariances_for
+from .groundstate import covariances_for
 from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
@@ -230,25 +230,18 @@ def pair_blocks(blocks, pairs) -> tuple[np.ndarray, np.ndarray, dict]:
     """(Q, P) blocks of the pairs of sites ((x, y), (x', y')) on each stable coupling
     of a sweep, stacked as (couplings, pairs, 2, 2) in sweep order, and the sweep's
     refusals by sweep index; ``blocks`` is the stream ``covariances_for_each`` yields.
-    No block is held.  A block's stacked tables are read by one fancy index each,
-    at the entry positions of the pair blocks, found once from a table of positions;
-    open lattice modes give each pair block with ``block``."""
-    Q, P, refusals, where = [], [], {}, None
+    No block is held: each pair is read from a block's stacked container with
+    ``block``, for all of its couplings at once, and joined across blocks at the end."""
+    Q, P, refusals = [[] for _ in pairs], [[] for _ in pairs], {}
     for _, cov, refused in blocks:
         refusals.update(refused)
-        if isinstance(cov, CorrelationTable):
-            if where is None:
-                at = np.arange(cov.qq.shape[-1] ** 2).reshape(cov.qq.shape[-2:])  # entry positions
-                where = np.array([CorrelationTable(at, at, cov.period).block(pair)[0]
-                                  for pair in pairs])
-            Q.append(cov.qq.reshape(-1, at.size)[:, where])
-            P.append(cov.pp.reshape(-1, at.size)[:, where])
-        elif cov is not None:  # open lattice modes, block by block
-            q, p = zip(*(cov.block(pair) for pair in pairs))
-            Q.append([q])
-            P.append([p])
-    empty = np.empty((0, len(pairs), 2, 2))
-    return np.concatenate([empty, *Q]), np.concatenate([empty, *P]), refusals
+        for q, p, pair in zip(Q, P, pairs):
+            q_block, p_block = cov.block(pair)
+            q.append(q_block)
+            p.append(p_block)
+    empty = [np.empty((0, 2, 2))]
+    return (np.stack([np.concatenate(empty + q) for q in Q], axis=1),
+            np.stack([np.concatenate(empty + p) for p in P], axis=1), refusals)
 
 
 def two_site_params(Q, P) -> TwoSiteParams:

@@ -9,23 +9,22 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 042327 (2002)), and the lattice picks the engine that evaluates it
 (``LatticeSpec.engine``):
 
-* ``covariance_dst``       -- the DST-I normal modes, for open lattices
-                              (engine name ``dense``)
+* ``SineModes``            -- the DST-I normal modes, for open lattices (engine name ``dense``)
 * ``covariance_pbc_fft``   -- the circulant modes by a folded cosine transform, for periodic ones
 * ``covariance_infinite``  -- zone quadrature in the M -> oo limit, ky in
                               closed form and kx by tanh-sinh
 
 The periodic/infinite engines return correlations as a function of the
 displacement only (translation invariance), in one (|dx|, |dy|) quadrant
-layout; the open engine returns the transform and the symbol, from which a
-block takes only its own rows.  Each container answers ``block(sites)`` with
-the principal submatrices (Q_L, P_L) on a list of sites.
+layout; the open engine returns the transform and v^(-1/2), v^(1/2) on its
+mode grid, from which a block takes only its own rows.  Each container answers
+``block(sites)`` with the principal submatrices (Q_L, P_L) on a list of sites.
 ``covariances_for_each`` is the one dispatch point: it runs a lattice's engine
 over a sweep, one set of constants with arrays of strengths g1 and g2, and
-yields it block by block, each block's tables stacked.  ``covariances_for``
-is its sweep of one, as are ``covariance_pbc_fft`` and ``covariance_infinite``
-on their lattices.  ``covariance_dense``, the symmetric eigendecomposition of the
-full V on any finite lattice, is the tests' oracle for the engines.
+yields it block by block, each block's couplings stacked in one container.
+``covariances_for`` is its sweep of one, as are ``covariance_pbc_fft`` and
+``covariance_infinite`` on their lattices.  ``covariance_dense``, the symmetric
+eigendecomposition of the full V on any finite lattice, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ class CovariancePair:
     spec: LatticeSpec
 
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices (Q_L, P_L) on the sites (x, y): periodic
-        lattices wrap, open ones refuse sites off the lattice, and no lattice
-        site may be named twice."""
+        """Principal submatrices (Q_L, P_L) on the sites (x, y), as ``_site_indices`` reads them."""
         idx = _site_indices(self.spec, sites)
         return self.Q[np.ix_(idx, idx)], self.P[np.ix_(idx, idx)]
 
@@ -68,10 +65,12 @@ class CovariancePair:
 class SineModes:
     """Normal modes of an open lattice: V = (S x S) diag(v) (S x S) in
     row-major site order, with S the DST-I matrix and v[kx, ky] the symbol on
-    its grid."""
+    its grid, held as qq = v^(-1/2) and pp = v^(1/2).  A sweep's block stacks
+    its couplings' grids along leading axes, read alike."""
 
     S: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
+    qq: np.ndarray = field(repr=False)
+    pp: np.ndarray = field(repr=False)
     spec: LatticeSpec
 
     def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -79,26 +78,27 @@ class SineModes:
         the rows S[y] x S[x] of S x S at the sites a (b); sites off the lattice
         and a site named twice in one list are refused.  The axes are contracted
         one at a time: O(Ra Rb M^2 + na nb M) for na, nb sites in Ra, Rb rows."""
-        (ya, xa), (yb, xb) = (np.divmod(_site_indices(self.spec, s), self.spec.side) for s in (a, b))
+        M = self.spec.side
+        (ya, xa), (yb, xb) = (np.divmod(_site_indices(self.spec, s), M) for s in (a, b))
         (ra, row_a), (rb, row_b) = (np.unique(y, return_inverse=True) for y in (ya, yb))
         Sxa, Sxb = self.S[xa], self.S[xb]
-        row_pairs = (self.S[ra, None, :] * self.S[None, rb, :]).reshape(ra.size * rb.size, -1)
+        row_pairs = (self.S[ra, None, :] * self.S[None, rb, :]).reshape(ra.size * rb.size, M)
         out = []
-        for power in (-0.5, 0.5):
-            # C[r, s, kx] = sum_ky S[ra[r], ky] S[rb[s], ky] v[kx, ky]^power / 2
-            C = (row_pairs @ (self.v ** power).T).reshape(ra.size, rb.size, -1) / 2.0
-            # X[i, j] = sum_kx S[xa_i, kx] C[row_i, row_j, kx] S[xb_j, kx], one lattice row at a time
-            X = np.empty((xa.size, xb.size))
+        for w in (self.qq, self.pp):
+            # C[..., r, s, kx] = sum_ky S[ra[r], ky] S[rb[s], ky] w[..., kx, ky] / 2
+            C = (row_pairs @ w.swapaxes(-1, -2)).reshape(w.shape[:-2] + (ra.size, rb.size, M)) / 2.0
+            # X[..., i, j] = sum_kx S[xa_i, kx] C[..., row_i, row_j, kx] S[xb_j, kx], row by row
+            X = np.empty(w.shape[:-2] + (xa.size, xb.size))
             for r in range(ra.size):
                 mine = row_a == r
-                X[mine] = Sxa[mine] @ (C[r, row_b] * Sxb).T
+                X[..., mine, :] = Sxa[mine] @ (C[..., r, row_b, :] * Sxb).swapaxes(-1, -2)
             out.append(X)
         return out[0], out[1]
 
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
         """Principal submatrices (Q_L, P_L) on the sites (x, y), symmetrised."""
         Q, P = self.cross(sites, sites)
-        return 0.5 * (Q + Q.T), 0.5 * (P + P.T)
+        return 0.5 * (Q + Q.swapaxes(-1, -2)), 0.5 * (P + P.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ class CorrelationTable:
         """Principal submatrices (Q_L, P_L) on the sites (x, y), read from the
         table by pairwise displacement; no lattice site may be named twice."""
         xy = np.asarray(sites, dtype=int)
-        index = self.displacement_index(xy[:, None, 0] - xy[None, :, 0],
-                                        xy[:, None, 1] - xy[None, :, 1])
+        d = xy[:, None] - xy[None, :]
+        index = self.displacement_index(d[..., 0], d[..., 1])
         # only a site named twice puts displacement index (0, 0) off the diagonal
         if np.count_nonzero(index[0] | index[1]) < len(xy) * (len(xy) - 1):
             raise ValueError("block names one lattice site twice")
@@ -174,32 +174,24 @@ def covariance_dense(spec: LatticeSpec, params: CouplingParams) -> CovariancePai
     return CovariancePair(Q=Q, P=P, spec=spec)
 
 
-def covariance_dst(spec: LatticeSpec, params: CouplingParams) -> SineModes:
-    """Open-lattice normal modes in closed form.  With T the adjacency matrix
-    of the M-site path, the open lattice's bonds are exactly
+@lru_cache(maxsize=64)
+def _sine_matrix(M: int) -> np.ndarray:
+    """The DST-I matrix S_jk = sqrt(2 / (M+1)) sin(pi j k / (M+1)), j, k = 1..M:
+    orthogonal, symmetric, and it diagonalises the adjacency matrix T of the
+    M-site path with eigenvalues 2 cos(pi k / (M+1)) (Strang, SIAM Rev. 41, 135
+    (1999)).  The open lattice's bonds are exactly
 
         V = on_site I + N omega (g2 T x I + g1 I x T + 2^(-3/2) g2 T x T)
 
-    in row-major site order (the diagonal bonds are T x T).  The orthogonal,
-    symmetric DST-I matrix S_jk = sqrt(2 / (M+1)) sin(pi j k / (M+1)),
-    j, k = 1..M, diagonalises T with eigenvalues 2 cos(pi k / (M+1)) (Strang,
-    SIAM Rev. 41, 135 (1999)), so V = (S x S) diag(v) (S x S) with v the
-    symbol on the grid k = pi j / (M + 1), and min v is the smallest
-    eigenvalue of V.
-    """
-    if spec.engine != "dense":
-        raise ValueError("DST-I engine requires a finite open lattice")
-    M = spec.side
-    v = dispersion_grid(params, spec)
-    if refused := _guard_softness(np.min(v).reshape(1), params.on_site):
-        raise refused[0]
+    in row-major site order (the diagonal bonds are T x T), so V = (S x S)
+    diag(v) (S x S) with v the symbol on the grid k = pi j / (M + 1), and min v
+    is the smallest eigenvalue of V."""
     j = np.arange(1, M + 1)
     # j k reduced modulo the sine's period 2 (M + 1) in integers, so every
     # angle is below 2 pi and carries one rounding
     S = np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (M + 1))) / (M + 1))
     S.flags.writeable = False
-    v.flags.writeable = False
-    return SineModes(S=S, v=v, spec=spec)
+    return S
 
 
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
@@ -445,7 +437,7 @@ def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement:
                                                 max_displacement)
     if refused:
         raise refused[0]
-    return cov if spec.engine == "dense" else CorrelationTable(cov.qq[0], cov.pp[0], cov.period)
+    return replace(cov, qq=cov.qq[0], pp=cov.pp[0])
 
 
 def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
@@ -453,33 +445,22 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     """``spec``'s engine (``spec.engine``, picked here only) over the couplings ``params``
     with dipolar strengths (g1[i], g2[i]), whose refusal by CouplingParams raises its
     ValueError.  Each block yields (index, cov, refused): its stable couplings' sweep
-    indices, their covariances and each refused coupling's StabilityError or
-    QuadratureConvergenceError by sweep index.  An open lattice runs ``covariance_dst``
-    per coupling (cov its SineModes or None); a periodic one blocks of at most
-    LEVEL_BLOCK_POINTS grid points, the infinite one a single batch, each guarded on
-    its min v at once, cov one CorrelationTable stacking its stable couplings' tables."""
+    indices, one container stacking their covariances along a leading axis (SineModes
+    on an open lattice, else a CorrelationTable; an empty stack when all are refused)
+    and each refused coupling's StabilityError or QuadratureConvergenceError by sweep
+    index.  A finite lattice runs blocks of at most LEVEL_BLOCK_POINTS mode-grid
+    points, the infinite one a single batch, each guarded on its min v at once."""
     g1, g2 = params.strength_arrays(g1, g2)
-    if spec.engine == "dense":
-        for i, (a, b) in enumerate(zip(g1.tolist(), g2.tolist())):
-            try:
-                cov = covariance_dst(spec, replace(params, g1=a, g2=b))
-            except StabilityError as exc:
-                yield [], None, {i: exc.with_traceback(None)}
-            else:
-                yield [i], cov, {}
-        return
     if spec.infinite and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
-    M, period = spec.side, None if spec.infinite else spec.side
-    size = max(1, g1.size if spec.infinite else LEVEL_BLOCK_POINTS // (M // 2 + 1) ** 2)
+    M, sine = spec.side, spec.engine == "dense"
+    grid = M * M if sine else None if spec.infinite else (M // 2 + 1) ** 2
+    size = max(1, g1.size if spec.infinite else LEVEL_BLOCK_POINTS // grid)
     for start in range(0, g1.size, size):
         block = slice(start, start + size)
-        if spec.infinite:
-            v = zone_branch(params, g1[block], g2[block])
-            vmins = v[:, 0]
-        else:
-            v = dispersion_grid(params, spec, g1[block, None, None], g2[block, None, None])
-            vmins = np.min(v, axis=(1, 2))
+        v = (zone_branch(params, g1[block], g2[block]) if spec.infinite
+             else dispersion_grid(params, spec, g1[block, None, None], g2[block, None, None]))
+        vmins = v[:, 0] if spec.infinite else np.min(v, axis=(1, 2))
         refused = _guard_softness(vmins, params.on_site)
         stable = np.delete(np.arange(vmins.size), list(refused))
         if spec.infinite:
@@ -488,12 +469,15 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
             if failed:
                 stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
         else:
-            C, x = _cosine_matrix(M), np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
-            # x's k = 0 entry goes in exactly: a constant v (g = 0) gets exact off-site zeros
-            tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / M ** 2)
-            tables[..., 0, 0] += 0.5 * x[..., 0, 0]
+            tables = x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
+            if not sine:
+                C = _cosine_matrix(M)
+                # x's k = 0 entry goes in exactly: a constant v (g = 0) gets exact off-site zeros
+                tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / M ** 2)
+                tables[..., 0, 0] += 0.5 * x[..., 0, 0]
         tables.flags.writeable = False
-        yield (start + stable, CorrelationTable(qq=tables[:, 0], pp=tables[:, 1], period=period),
+        yield (start + stable, SineModes(_sine_matrix(M), tables[:, 0], tables[:, 1], spec) if sine
+               else CorrelationTable(tables[:, 0], tables[:, 1], None if spec.infinite else M),
                {start + i: exc for i, exc in refused.items()})
 
 

@@ -9,6 +9,7 @@ the four diagonal neighbors with 2^(-3/2) g2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +107,10 @@ class LatticeSpec:
             return
         if self.side is None:
             raise ValueError("finite lattice needs a side length")
-        side = int(self.side)
+        try:
+            side = operator.index(self.side)
+        except TypeError:
+            raise ValueError(f"side must be an integer, got {self.side!r}") from None
         if self.boundary == "periodic" and side < 3:
             # side <= 2 wraps both directions onto the same pair of sites,
             # producing duplicate edges between one unordered pair.

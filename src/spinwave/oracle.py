@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import SymplecticSpectrum, eof_symmetric, symplectic_spectrum
-from .groundstate import covariance_pbc_fft
+from .groundstate import covariances_for
 from .model import CouplingParams, LatticeSpec, StabilityError
 from .spectrum import dispersion_grid
 
@@ -195,7 +195,7 @@ def validation_battery() -> dict:
             params = CouplingParams(omega=500.0, kappa=1.0, n_atoms=1000, g1=g1, g2=g2)
             if np.min(dispersion_grid(params, spec)) > 1e-3 * params.on_site:
                 break
-        table = covariance_pbc_fft(spec, params)
+        table = covariances_for(params, spec)
         n_sub = int(rng.integers(2, 7))
         flat = rng.choice(M * M, size=n_sub, replace=False)
         sites = [(int(s % M), int(s // M)) for s in flat]

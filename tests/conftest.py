@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from spinwave import (CorrelationTable, CouplingParams, covariances_for_each, dispersion_value,
-                      two_site_params)
+from spinwave import CouplingParams, covariances_for_each, dispersion_value, two_site_params
 
 
 @pytest.fixture
@@ -44,7 +45,6 @@ def sweep_each(couplings, spec, dmax=0):
             couplings[0], [p.g1 for p in couplings], [p.g2 for p in couplings], spec, dmax):
         out.update(refused)
         for j, i in enumerate(index):
-            out[int(i)] = (cov if spec.engine == "dense"
-                           else CorrelationTable(cov.qq[j], cov.pp[j], cov.period))
+            out[int(i)] = replace(cov, qq=cov.qq[j], pp=cov.pp[j])
     assert sorted(out) == list(range(len(couplings)))
     return [out[i] for i in range(len(couplings))]

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinwave import (LatticeSpec, QuadratureConvergenceError,
-                      StabilityError, build_potential, covariance_dense, covariance_dst,
+                      StabilityError, build_potential, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, covariances_for,
                       covariances_for_each, critical_g_equal,
-                      dispersion_value, excitation_density, zone_minimum)
+                      dispersion_value, excitation_density, pair_blocks, zone_minimum)
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q
 
@@ -88,7 +88,7 @@ def open_lattice_cases(draw):
 @given(open_lattice_cases())
 def test_dst_engine_matches_dense_oracle(case):
     spec, p, sites = case
-    for want, got in zip(covariance_dense(spec, p).block(sites), covariance_dst(spec, p).block(sites)):
+    for want, got in zip(covariance_dense(spec, p).block(sites), covariances_for(p, spec).block(sites)):
         assert got.shape == want.shape
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -102,7 +102,7 @@ def test_cross_blocks_match_dense_oracle(case, data):
     k = data.draw(st.integers(1, len(sites)))
     rows, cols = sites[:k], sites[data.draw(st.integers(0, k - 1)):]
     periodic = LatticeSpec.periodic(max(spec.side, 3))
-    for lattice, cov in ((spec, covariance_dst(spec, p)), (periodic, covariance_pbc_fft(periodic, p))):
+    for lattice, cov in ((spec, covariances_for(p, spec)), (periodic, covariance_pbc_fft(periodic, p))):
         dense = covariance_dense(lattice, p)
         i, j = ([lattice.site_index(x, y) for x, y in s] for s in (rows, cols))
         for want, got in zip((dense.Q[np.ix_(i, j)], dense.P[np.ix_(i, j)]), cov.cross(rows, cols)):
@@ -115,7 +115,7 @@ def test_cross_blocks_match_dense_oracle(case, data):
 def test_dst_block_refuses_what_dense_refuses(sites):
     spec, p = LatticeSpec.open_boundary(4), params_at(1.2)
     messages = []
-    for cov in (covariance_dense(spec, p), covariance_dst(spec, p)):
+    for cov in (covariance_dense(spec, p), covariances_for(p, spec)):
         with pytest.raises(ValueError) as err:
             cov.block(sites)
         messages.append(str(err.value))
@@ -127,17 +127,11 @@ def test_dst_block_refuses_what_dense_refuses(sites):
 def test_dst_engine_refuses_beyond_criticality_as_dense_does(M, g1, g2):
     spec = LatticeSpec.open_boundary(M)
     t = _critical_scale(g1, g2, spec)
-    covariance_dst(spec, params_at(0.99 * t * g1, g2=0.99 * t * g2))
+    covariances_for(params_at(0.99 * t * g1, g2=0.99 * t * g2), spec)
     hot = params_at(1.01 * t * g1, g2=1.01 * t * g2)
-    for engine in (covariance_dense, covariance_dst):
+    for engine in (covariance_dense, lambda spec, p: covariances_for(p, spec)):
         with pytest.raises(StabilityError, match="beyond critical"):
             engine(spec, hot)
-
-
-def test_dst_engine_only_runs_open_lattices(paper_params):
-    for spec in (LatticeSpec.periodic(6), LatticeSpec.infinite_lattice()):
-        with pytest.raises(ValueError, match="open lattice"):
-            covariance_dst(spec, paper_params)
 
 
 def test_fft_decoupled_no_correlations():
@@ -387,16 +381,28 @@ def test_finite_batch_runs_each_coupling(monkeypatch):
 # g1 and g2 drawn apart across both corners' critical couplings (g_c = 1.74
 # on the diagonal, 2.25 at g2 = 0), so refusals land anywhere in a block
 STRENGTHS = st.lists(st.tuples(st.floats(0.0, 2.6), st.floats(0.0, 2.6)), min_size=1, max_size=8)
+# pairs on the smallest open lattice (side 2) and within the infinite table at dmax = 1
+PAIRS = [[(0, 0), (1, 0)], [(1, 1), (0, 0)], [(0, 1), (1, 0)]]
+REFUSED = [(2.6, 2.6), (2.6, 0.0), (2.0, 2.0), (2.6, 1.0)]  # beyond g_c on open side >= 5
 
 
 @settings(max_examples=30, deadline=None)
 @given(spec=st.one_of(st.integers(3, 15).map(LatticeSpec.periodic),
+                      st.integers(2, 15).map(LatticeSpec.open_boundary),
                       st.just(LatticeSpec.infinite_lattice())),
        strengths=STRENGTHS, dmax=st.integers(0, 2), block_points=st.sampled_from([4096, 100]))
 @example(spec=LatticeSpec.periodic(15), strengths=[(1.0, 1.2), (2.5, 0.1), (0.3, 0.0), (1.5, 1.6)],
          dmax=0, block_points=100)
 @example(spec=LatticeSpec.infinite_lattice(), strengths=[(1.0, 1.2), (2.5, 0.1), (0.3, 0.0)],
          dmax=1, block_points=4096)
+# open side 5 at 100 points: blocks of four, the first refusing its second
+# coupling and the second refusing all four
+@example(spec=LatticeSpec.open_boundary(5), strengths=[(1.0, 1.2), (2.0, 2.0), (0.3, 0.0),
+                                                       (1.5, 1.6)] + REFUSED, dmax=0, block_points=100)
+# every coupling refused: open and periodic sweeps of several one-coupling blocks
+@example(spec=LatticeSpec.open_boundary(9), strengths=REFUSED, dmax=0, block_points=100)
+@example(spec=LatticeSpec.periodic(15), strengths=REFUSED, dmax=0, block_points=100)
+@example(spec=LatticeSpec.infinite_lattice(), strengths=REFUSED, dmax=2, block_points=4096)
 def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, block_points):
     # block_points = 100 splits a side-15 sweep into blocks of one coupling
     # and a side-3 sweep into blocks of 25
@@ -404,6 +410,8 @@ def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, bl
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groundstate, "LEVEL_BLOCK_POINTS", block_points)
         batch = sweep_each(couplings, spec, dmax)
+        Q, P, refused = pair_blocks(covariances_for_each(couplings[0], *zip(*strengths), spec, 1),
+                                    PAIRS)
     for p, got in zip(couplings, batch):
         try:
             want = covariances_for(p, spec, dmax)
@@ -412,6 +420,16 @@ def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, bl
             continue
         assert np.array_equal(got.qq, want.qq) and np.array_equal(got.pp, want.pp)
         assert not got.qq.flags.writeable and not got.pp.flags.writeable
+    # the pair read: every stable coupling's pair blocks in sweep order, every refusal
+    stable = [i for i, got in enumerate(batch) if not isinstance(got, StabilityError)]
+    assert Q.shape == P.shape == (len(stable), len(PAIRS), 2, 2)
+    assert sorted(refused) == sorted(set(range(len(batch))) - set(stable))
+    assert all(str(refused[i]) == str(batch[i]) for i in refused)
+    for row, i in enumerate(stable):
+        want = covariances_for(couplings[i], spec, 1)
+        for k, pair in enumerate(PAIRS):
+            want_q, want_p = want.block(pair)
+            assert np.array_equal(Q[row, k], want_q) and np.array_equal(P[row, k], want_p)
 
 
 BASE = params_at(0.0, omega=1e150, n_atoms=1)  # v(0) overflows from g near 1e158

@@ -81,6 +81,20 @@ def test_periodic_side_two_rejected():
         LatticeSpec.periodic(2)
 
 
+@pytest.mark.parametrize("make, side", [(LatticeSpec.periodic, 4.5), (LatticeSpec.open_boundary, 5.0),
+                                        (LatticeSpec.open_boundary, "5"), (LatticeSpec.periodic, 5.0),
+                                        (LatticeSpec.open_boundary, np.float64(5.0))])
+def test_lattice_refuses_non_integer_side(make, side):
+    with pytest.raises(ValueError, match="side must be an integer"):
+        make(side)
+
+
+@pytest.mark.parametrize("side", [5, np.int64(5), np.int32(5), np.uint8(5)])
+def test_lattice_accepts_integer_side(side):
+    for make in (LatticeSpec.periodic, LatticeSpec.open_boundary):
+        assert make(side).site_index(4, 4) == 24
+
+
 def test_potential_decoupled_is_scaled_identity():
     V = build_potential(LatticeSpec.open_boundary(3), params_at(0.0))
     assert np.array_equal(V, 2.25e6 * np.eye(9))

@@ -8,8 +8,8 @@ the gap closes -- faster on larger lattices.
 
 import numpy as np
 
-from spinwave import (CouplingParams, LatticeSpec, covariances_for_each, critical_g_equal,
-                      derivative_zeta, finite_size_peak, pair_blocks, two_site_params)
+from spinwave import (CouplingParams, LatticeSpec, critical_g_equal, derivative_zeta,
+                      finite_size_peak, two_site_sweep)
 
 
 def params(g):
@@ -21,9 +21,8 @@ spec = LatticeSpec.infinite_lattice()
 print(f"{'g':>6} {'zeta_nn':>10} {'zeta_diag':>10} {'zeta_(2,0)':>10}")
 # one sweep over the couplings g1 = g2 = g, its three pairs read as one batch
 gs = [1.25, 1.4, 1.5, 1.6, 1.7, 1.73]
-Q, P, _ = pair_blocks(covariances_for_each(params(0.0), gs, gs, spec, 2),
-                      [[(0, 0), (1, 0)], [(0, 0), (1, 1)], [(0, 0), (2, 0)]])
-two = two_site_params(Q, P)
+two = two_site_sweep(params(0.0), gs, gs, spec,
+                     [[(0, 0), (1, 0)], [(0, 0), (1, 1)], [(0, 0), (2, 0)]])
 for g, (nn, diag, far), separable in zip(gs, two.zeta, two.separable[:, 0]):
     mark = " <- entangled" if not separable else ""
     print(f"{g:6.2f} {nn:10.6f} {diag:10.6f} {far:10.6f}{mark}")

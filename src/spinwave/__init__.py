@@ -18,7 +18,7 @@ from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenc
                           covariances_for, covariances_for_each, excitation_density)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
-                           pair_blocks, symplectic_spectrum, two_site_params)
+                           symplectic_spectrum, two_site_params, two_site_sweep)
 from .oracle import (HarmonicPrediction, SpinSystemSpec, TwoSiteSolution, eof_fock_series,
                      exact_two_site, harmonic_two_site_prediction, symplectic_bruteforce,
                      validation_battery)
@@ -37,8 +37,8 @@ __all__ = [
     "excitation_density", "covariance_dense", "covariance_infinite", "covariance_pbc_fft",
     "covariances_for", "covariances_for_each",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
-    "block_entropy", "entropy_vs_L", "eof_symmetric", "pair_blocks", "symplectic_spectrum",
-    "two_site_params",
+    "block_entropy", "entropy_vs_L", "eof_symmetric", "symplectic_spectrum",
+    "two_site_params", "two_site_sweep",
     "HarmonicPrediction", "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series",
     "exact_two_site", "harmonic_two_site_prediction", "symplectic_bruteforce",
     "validation_battery",

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, parse_config
-from .groundstate import QuadratureConvergenceError, covariances_for, covariances_for_each
-from .entanglement import entropy_vs_L, pair_blocks, two_site_params
+from .groundstate import QuadratureConvergenceError, covariances_for
+from .entanglement import entropy_vs_L, two_site_sweep
 from .model import CouplingParams, StabilityError
 from .oracle import validation_battery
 from .scan import derivative_sweep, finite_size_peak, stencil
@@ -158,19 +158,13 @@ def cmd_two_site(cfg: RunConfig) -> int:
     grid = _g_grid(cfg)
     x, y = lattice.center
     # params at the sweep's largest coupling: one that overflows is a config error
-    Q, P, refused = pair_blocks(covariances_for_each(
-        _params(cfg, g1=grid[-1], g2=grid[-1]), grid, grid, lattice, 2),
-        [[(x, y), (x + dx, y + dy)] for _, (dx, dy) in _PAIR_CLASSES])
-    two = two_site_params(Q, P)
-    # per stable coupling: its batch index and its columns, one entry per pair class
-    stable = enumerate(zip(*(a.tolist() for a in (two.n, two.c, two.zeta, two.eof, two.separable))))
-    rows = []
-    for i, g in enumerate(grid):
-        b, columns = (None, None) if i in refused else next(stable)
-        for k, (label, _) in enumerate(_PAIR_CLASSES):
-            exc = refused[i] if b is None else two.refusals.get((b, k))
-            rows.append([g, label] + ([float("nan")] * 4 + [None, str(exc)] if exc is not None
-                                      else [column[k] for column in columns] + [None]))
+    two = two_site_sweep(_params(cfg, g1=grid[-1], g2=grid[-1]), grid, grid, lattice,
+                         [[(x, y), (x + dx, y + dy)] for _, (dx, dy) in _PAIR_CLASSES])
+    columns = [a.tolist() for a in (two.n, two.c, two.zeta, two.eof, two.separable)]
+    rows = [[g, label] + ([float("nan")] * 4 + [None, str(exc)]
+                          if (exc := two.refusals.get((i, k))) is not None
+                          else [column[i][k] for column in columns] + [None])
+            for i, g in enumerate(grid) for k, (label, _) in enumerate(_PAIR_CLASSES)]
     _write(cfg, "two-site",
            ["g", "distance_class", "n", "c", "zeta", "eof", "separable", "error"], rows)
     return 0

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groundstate import covariances_for
+from .groundstate import covariances_for, covariances_for_each
 from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
@@ -175,8 +175,8 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
                  pairing_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[int, float]]:
     """Entropy of centered L x L blocks for each L, on the lattice's own engine."""
     L_list = [int(L) for L in L_list]
-    if any(b <= a for a, b in zip(L_list, L_list[1:])):
-        raise ValueError("L_list must be strictly increasing")
+    if not L_list or any(b <= a for a, b in zip(L_list, L_list[1:])):
+        raise ValueError("L_list must be non-empty and strictly increasing")
     if not spec.infinite and L_list[-1] > spec.side:
         raise ValueError("largest block exceeds the lattice")
     cov = covariances_for(params, spec, L_list[-1] - 1)
@@ -193,7 +193,8 @@ class AsymmetricPairError(ValueError):
 class TwoSiteParams:
     """Pair parameters, one entry per pair of a batch (arrays of its shape).  A
     refused pair reads NaN and not separable; ``refusals`` maps its batch index
-    to the AsymmetricPairError or uncertainty ValueError that refused it."""
+    to the AsymmetricPairError or uncertainty ValueError that refused it, or in a
+    ``two_site_sweep`` to its coupling's engine refusal."""
 
     n: np.ndarray
     c: np.ndarray
@@ -226,27 +227,34 @@ def eof_symmetric(zeta: float) -> float:
     return float(val)
 
 
-def pair_blocks(blocks, pairs) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(Q, P) blocks of the pairs of sites ((x, y), (x', y')) on each stable coupling
-    of a sweep, stacked as (couplings, pairs, 2, 2) in sweep order, and the sweep's
-    refusals by sweep index; ``blocks`` is the stream ``covariances_for_each`` yields.
-    No block is held: each pair is read from a block's stacked container with
-    ``block``, for all of its couplings at once, and joined across blocks at the end."""
-    Q, P, refusals = [[] for _ in pairs], [[] for _ in pairs], {}
-    for _, cov, refused in blocks:
-        refusals.update(refused)
-        for q, p, pair in zip(Q, P, pairs):
-            q_block, p_block = cov.block(pair)
-            q.append(q_block)
-            p.append(p_block)
-    empty = [np.empty((0, 2, 2))]
-    return (np.stack([np.concatenate(empty + q) for q in Q], axis=1),
-            np.stack([np.concatenate(empty + p) for p in P], axis=1), refusals)
+def two_site_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, pairs) -> TwoSiteParams:
+    """Pair parameters of the pairs of sites ((x, y), (x', y')) over the sweep that
+    ``covariances_for_each`` runs, shaped (couplings, pairs) in sweep order; the
+    stable couplings' pairs go through one ``two_site_params`` call, and a coupling
+    the engine refused reads NaN, not separable and its refusal on every pair.  An
+    infinite table reaches the pairs' largest |dx| or |dy|."""
+    reads, stable, refused = [], [], {}
+    for index, cov, block_refused in covariances_for_each(
+            params, g1, g2, spec, int(np.max(np.abs(np.diff(pairs, axis=1))))):
+        reads.append([cov.block(pair) for pair in pairs])
+        stable.append(index)
+        refused.update(block_refused)
+    empty = [np.empty((0, 2, 2))]  # reads[b][j]: block b's (Q, P) of pair j, joined once here
+    two = two_site_params(*(np.stack([np.concatenate(empty + [r[j][qp] for r in reads])
+                                      for j in range(len(pairs))], axis=1) for qp in (0, 1)))
+    stable = np.concatenate([np.empty(0, int)] + stable)
+    # the j-th refused coupling i goes before the (i - j)-th stable one
+    gaps = [i - j for j, i in enumerate(sorted(refused))]
+    return TwoSiteParams(*(np.insert(a, gaps, np.nan if a.dtype.kind == "f" else False, axis=0)
+                           for a in (two.n, two.c, two.zeta, two.separable, two.sign_anomaly)),
+                         {**{(i, k): exc for i, exc in refused.items() for k in range(len(pairs))},
+                          **{(int(stable[i]), k): exc for (i, k), exc in two.refusals.items()}})
 
 
 def two_site_params(Q, P) -> TwoSiteParams:
     """Entanglement parameters of pairs of sites, element by element over the
-    leading axes of their (..., 2, 2) blocks Q and P (``pair_blocks``).
+    leading axes of their (..., 2, 2) blocks Q and P, as ``block`` reads them from
+    a covariance container (``two_site_sweep`` over a sweep).
 
     A pair is refused unless symmetric, with on-site moments equal within
     PAIR_SYMMETRY_TOL (automatic for periodic/infinite engines), and n >= 1

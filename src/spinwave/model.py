@@ -93,7 +93,7 @@ class LatticeSpec:
 
     Site indexing is row-major: ``site = y * side + x`` with x, y in [0, M).
     ``infinite`` selects the continuum Brillouin-zone treatment; ``side`` is
-    ignored in that mode.
+    ignored in that mode, and ``boundary`` must be periodic.
     """
 
     side: int | None
@@ -104,6 +104,9 @@ class LatticeSpec:
         if self.boundary not in ("periodic", "open"):
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
         if self.infinite:
+            if self.boundary != "periodic":
+                raise ValueError(f"an infinite lattice has no edge: boundary must be 'periodic', "
+                                 f"got {self.boundary!r}")
             return
         if self.side is None:
             raise ValueError("finite lattice needs a side length")

@@ -1,9 +1,10 @@
 """Area-law regression and two-site derivative analysis.
 
-A derivative sweep reads zeta_1 in one array pass: the stencil tables stream
-from the engine through ``pair_blocks`` and every stable pair goes through one
-``two_site_params`` call.  Everything here is deterministic: repeated runs
-with the same inputs produce identical bytes downstream.
+A derivative sweep reads zeta_1 in one array pass: ``two_site_sweep`` streams
+the stencil tables from the engine, reads every stable pair in one
+``two_site_params`` call and hands the values back in stencil order.
+Everything here is deterministic: repeated runs with the same inputs produce
+identical bytes downstream.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import pair_blocks, two_site_params
-from .groundstate import covariances_for_each
+from .entanglement import two_site_sweep
 from .model import CouplingParams, LatticeSpec, StabilityError
 
 
@@ -33,6 +33,8 @@ def area_law_fit(curve) -> FitResult:
         raise ValueError("area-law fit needs at least 3 points")
     if len(np.unique(Ls)) != len(Ls):
         raise ValueError("degenerate L values in the curve")
+    if (zero := Es == 0).any():
+        raise ValueError(f"zero entropy at L = {Ls[zero][0]:g}: residuals are relative to E")
     slope, intercept = np.polyfit(Ls, Es, 1)
     residual = float(np.max(np.abs(slope * Ls + intercept - Es) / np.abs(Es)))
     return FitResult(slope=float(slope), intercept=float(intercept),
@@ -69,32 +71,24 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
     """``derivative_zeta`` at each g of the sequence ``gs``, or the StabilityError,
     QuadratureConvergenceError or pair refusal (``two_site_params``) of its
     first refused stencil point.  All 4 len(gs) stencil couplings go through
-    one ``covariances_for_each`` as one strength array, refined as one batch on
-    an infinite lattice, and zeta_1 of the horizontally adjacent pair at the
-    lattice center (any pair, on periodic and infinite lattices) is read from
-    every stable one in one pass: one ``two_site_params`` call on their stacked
-    pair blocks, bit for bit what each gives alone."""
+    one ``two_site_sweep`` as one strength array, refined as one batch on an
+    infinite lattice, which reads zeta_1 of the horizontally adjacent pair at
+    the lattice center (any pair, on periodic and infinite lattices) at every
+    stencil point, bit for bit what each gives alone."""
     points = stencil(gs, h)
     x, y = spec.center
-    Q, P, refused = pair_blocks(covariances_for_each(params, points, points, spec, 1),
-                                [[(x, y), (x + 1, y)]])
-    stable = np.delete(np.arange(points.size), list(refused))
-    pair = two_site_params(Q, P)
-    refused.update((int(stable[i]), exc) for (i, _), exc in pair.refusals.items())
-    zeta = np.full(len(points), np.nan)
-    zeta[stable] = pair.zeta[:, 0]
-    zp, zm, zp2, zm2 = zeta.reshape(-1, 4).T
+    pair = two_site_sweep(params, points, points, spec, [[(x, y), (x + 1, y)]])
+    zp, zm, zp2, zm2 = pair.zeta[:, 0].reshape(-1, 4).T
     raw = (zp - zm) / (2.0 * h)
     richardson = (4.0 * ((zp2 - zm2) / h) - raw) / 3.0
-    out = []
-    for r, g in enumerate(gs):
-        k = next((k for k in range(4 * r, 4 * r + 4) if k in refused), None)  # the first refused
-        exc = refused.get(k)
+    out = [DerivativeEstimate(g=float(g), h=float(h), raw=float(d), richardson=float(r))
+           for g, d, r in zip(gs, raw, richardson)]
+    for (k, _), exc in sorted(pair.refusals.items(), reverse=True):  # a g's first refusal last
         if isinstance(exc, StabilityError):
-            exc = StabilityError(f"stencil point g = {float(points[k])!r} unstable: {refused[k]}")
-            exc.__cause__ = refused[k]
-        out.append(exc if exc is not None else DerivativeEstimate(
-            g=float(g), h=float(h), raw=float(raw[r]), richardson=float(richardson[r])))
+            cause, exc = exc, StabilityError(
+                f"stencil point g = {float(points[k])!r} unstable: {exc}")
+            exc.__cause__ = cause
+        out[k // 4] = exc
     return out
 
 

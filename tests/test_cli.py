@@ -467,7 +467,7 @@ def test_cli_two_site_keeps_bugs_out_of_rows(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("programming error")
 
-    monkeypatch.setattr("spinwave.cli.two_site_params", broken)
+    monkeypatch.setattr("spinwave.entanglement.two_site_params", broken)
     with pytest.raises(ValueError, match="programming error"):
         main(["two-site", "--config", str(small_cfg(tmp_path))])
 

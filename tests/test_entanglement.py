@@ -1,15 +1,17 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, LatticeSpec,
-                      SymplecticSpectrum, block_entropy, covariance_dense,
+                      StabilityError, SymplecticSpectrum, block_entropy, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, covariances_for,
                       critical_g2, critical_g_equal, entropy_vs_L, eof_fock_series,
-                      eof_symmetric, symplectic_spectrum, two_site_params, zone_minimum)
-from spinwave import entanglement
+                      eof_symmetric, symplectic_spectrum, two_site_params, two_site_sweep,
+                      zone_minimum)
+from spinwave import entanglement, groundstate
 from spinwave.entanglement import block_spectrum
 
 from conftest import full_matrices, pair_params, params_at
@@ -134,6 +136,11 @@ def test_entropy_vs_L_validation(paper_params):
         entropy_vs_L(paper_params, LatticeSpec.periodic(6), [2, 7])
 
 
+def test_entropy_vs_L_refuses_an_empty_list(paper_params):
+    with pytest.raises(ValueError, match="non-empty"):
+        entropy_vs_L(paper_params, LatticeSpec.periodic(8), [])
+
+
 def test_complement_duality_small(paper_params):
     # pure global state: block and complement share every nu > 1
     spec = LatticeSpec.open_boundary(6)
@@ -227,6 +234,50 @@ def test_batched_pair_arithmetic_equals_scalar_bitwise():
             kinds.add((expected[4], expected[5]))
     # every branch is drawn: both refusals, entangled and separable, both signs
     assert kinds >= {"asymmetric", "uncertainty", (True, True), (True, False), (False, False)}
+
+
+# fig3's nearest-neighbour pair (reach 1) and two-site's three pair classes (reach 2)
+PAIR_OFFSETS = {1: [(1, 0)], 2: [(1, 0), (1, 1), (2, 0)]}
+
+
+# g from 1 to 2.3 crosses g_c (1.7403 on the infinite lattice, higher on finite
+# ones), in any order; open lattices of even side refuse off-centre pairs on their own
+@settings(max_examples=30, deadline=None)
+@given(spec=st.one_of(st.integers(4, 15).map(LatticeSpec.periodic),
+                      st.just(LatticeSpec.infinite_lattice()),
+                      st.integers(5, 14).map(LatticeSpec.open_boundary)),
+       gs=st.lists(st.floats(1.0, 2.3), min_size=1, max_size=5),
+       reach=st.sampled_from([1, 2]), block_points=st.sampled_from([4096, 100]))
+# a refused coupling between two stable ones, as the two-site demo might sweep
+@example(spec=LatticeSpec.infinite_lattice(), gs=[1.25, 1.75, 1.5], reach=2, block_points=4096)
+# wholly refused sweeps: one block, and blocks of one coupling
+@example(spec=LatticeSpec.infinite_lattice(), gs=[2.0, 2.3], reach=1, block_points=4096)
+@example(spec=LatticeSpec.open_boundary(9), gs=[2.0, 2.2, 2.3], reach=2, block_points=100)
+@example(spec=LatticeSpec.periodic(15), gs=[2.3, 2.0], reach=1, block_points=100)
+def test_two_site_sweep_matches_each_coupling_alone(spec, gs, reach, block_points):
+    params = params_at(0.0)
+    x, y = spec.center
+    pairs = [[(x, y), (x + dx, y + dy)] for dx, dy in PAIR_OFFSETS[reach]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "LEVEL_BLOCK_POINTS", block_points)
+        two = two_site_sweep(params, gs, gs, spec, pairs)
+    assert two.zeta.shape == two.separable.shape == (len(gs), len(pairs))
+    want_refusals = {}
+    for i, g in enumerate(gs):
+        try:
+            cov = covariances_for(replace(params, g1=g, g2=g), spec, reach)
+        except StabilityError as exc:
+            want_refusals.update({(i, k): str(exc) for k in range(len(pairs))})
+            assert np.isnan(two.zeta[i]).all() and not two.separable[i].any()
+            continue
+        for k, pair in enumerate(pairs):
+            want = two_site_params(*cov.block(pair))
+            want_refusals.update({(i, k): str(exc) for exc in want.refusals.values()})
+            # repr tells every float apart, 0.0 from -0.0 and NaN included
+            assert repr(two.zeta[i, k].item()) == repr(want.zeta.item())
+            assert (two.separable[i, k], two.sign_anomaly[i, k]) == \
+                (want.separable, want.sign_anomaly)
+    assert {key: str(exc) for key, exc in two.refusals.items()} == want_refusals
 
 
 @pytest.mark.parametrize("spec", [LatticeSpec.periodic(M) for M in range(4, 42)]

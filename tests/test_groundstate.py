@@ -9,7 +9,8 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError,
                       StabilityError, build_potential, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, covariances_for,
                       covariances_for_each, critical_g_equal,
-                      dispersion_value, excitation_density, pair_blocks, zone_minimum)
+                      dispersion_value, excitation_density, two_site_params,
+                      two_site_sweep, zone_minimum)
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q
 
@@ -410,8 +411,7 @@ def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, bl
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groundstate, "LEVEL_BLOCK_POINTS", block_points)
         batch = sweep_each(couplings, spec, dmax)
-        Q, P, refused = pair_blocks(covariances_for_each(couplings[0], *zip(*strengths), spec, 1),
-                                    PAIRS)
+        two = two_site_sweep(couplings[0], *zip(*strengths), spec, PAIRS)
     for p, got in zip(couplings, batch):
         try:
             want = covariances_for(p, spec, dmax)
@@ -420,16 +420,22 @@ def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, bl
             continue
         assert np.array_equal(got.qq, want.qq) and np.array_equal(got.pp, want.pp)
         assert not got.qq.flags.writeable and not got.pp.flags.writeable
-    # the pair read: every stable coupling's pair blocks in sweep order, every refusal
-    stable = [i for i, got in enumerate(batch) if not isinstance(got, StabilityError)]
-    assert Q.shape == P.shape == (len(stable), len(PAIRS), 2, 2)
-    assert sorted(refused) == sorted(set(range(len(batch))) - set(stable))
-    assert all(str(refused[i]) == str(batch[i]) for i in refused)
-    for row, i in enumerate(stable):
-        want = covariances_for(couplings[i], spec, 1)
+    # the pair read: every coupling's pairs in sweep order, a refused coupling's
+    # refusal on each of its pairs and a stable one's pair refusals (open
+    # lattices refuse the asymmetric pairs) as each pair gives them alone
+    assert two.zeta.shape == (len(batch), len(PAIRS))
+    want_refusals = {}
+    for i, got in enumerate(batch):
         for k, pair in enumerate(PAIRS):
-            want_q, want_p = want.block(pair)
-            assert np.array_equal(Q[row, k], want_q) and np.array_equal(P[row, k], want_p)
+            if isinstance(got, StabilityError):
+                want_refusals[i, k] = str(got)
+                assert np.isnan(two.zeta[i, k]) and not two.separable[i, k]
+                continue
+            want = two_site_params(*covariances_for(couplings[i], spec, 1).block(pair))
+            want_refusals.update({(i, k): str(exc) for exc in want.refusals.values()})
+            assert repr([float(a[i, k]) for a in (two.n, two.c, two.zeta)]) == \
+                repr([float(want.n), float(want.c), float(want.zeta)])
+    assert {key: str(exc) for key, exc in two.refusals.items()} == want_refusals
 
 
 BASE = params_at(0.0, omega=1e150, n_atoms=1)  # v(0) overflows from g near 1e158

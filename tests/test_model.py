@@ -76,6 +76,14 @@ def test_potential_refuses_infinite_lattice():
         build_potential(LatticeSpec.infinite_lattice(), params_at(1.0))
 
 
+def test_infinite_lattice_refuses_an_open_boundary():
+    # an infinite lattice has no edge; an open one would reach the finite
+    # engines' side arithmetic with side = None
+    with pytest.raises(ValueError, match="boundary must be 'periodic', got 'open'"):
+        LatticeSpec(side=None, boundary="open", infinite=True)
+    assert LatticeSpec(side=None, boundary="periodic", infinite=True).engine == "infinite"
+
+
 def test_periodic_side_two_rejected():
     with pytest.raises(ValueError, match="side >= 3"):
         LatticeSpec.periodic(2)

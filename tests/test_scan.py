@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinwave import (LatticeSpec, StabilityError, area_law_fit, covariances_for,
-                      critical_g_equal, derivative_zeta, finite_size_peak, pair_blocks,
-                      two_site_params)
-from spinwave.groundstate import covariances_for_each
+                      critical_g_equal, derivative_zeta, entropy_vs_L, finite_size_peak,
+                      two_site_params,
+                      two_site_sweep)
 from spinwave.scan import derivative_sweep, stencil
 
 from conftest import full_symbol, params_at
@@ -28,6 +28,17 @@ def test_area_law_fit_validation():
         area_law_fit([(2, 4.0), (4, 8.0)])
     with pytest.raises(ValueError, match="degenerate"):
         area_law_fit([(2, 4.0), (2, 4.1), (6, 12.0)])
+
+
+def test_area_law_fit_refuses_a_zero_entropy():
+    # no residual is relative to E = 0: a zero is refused by its L, not read
+    # as a NaN or infinite residual; the decoupled lattice's L = 2 block has
+    # E = 0 exactly (L = 1 and 3 carry 6e-15 of rounding)
+    curve = entropy_vs_L(params_at(0.0), LatticeSpec.periodic(8), [1, 2, 3])
+    with pytest.raises(ValueError, match="zero entropy at L = 2:"):
+        area_law_fit(curve)
+    with pytest.raises(ValueError, match="zero entropy at L = 1:"):
+        area_law_fit([(1, 0.0), (2, 0.0), (3, 0.0)])
 
 
 def test_derivative_negative_below_minimum():
@@ -173,21 +184,16 @@ def test_batched_sweep_matches_per_coupling_oracle(spec, gs, h):
     params = params_at(0.0)
     x, y = spec.center
     points = stencil(gs, h)
-    Q, P, refused = pair_blocks(covariances_for_each(params, points, points, spec, 1),
-                                [[(x, y), (x + 1, y)]])
-    batch_zeta = iter(two_site_params(Q, P).zeta[:, 0].tolist())
+    batch_zeta = two_site_sweep(params, points, points, spec,
+                                [[(x, y), (x + 1, y)]]).zeta[:, 0].reshape(-1, 4)
     for r, (g, est) in enumerate(zip(gs, derivative_sweep(params, spec, gs, h))):
         expected = _per_coupling_row(params, spec, g, h)
         if isinstance(expected, str):
             assert isinstance(est, Exception) and str(est) == expected
-            for k in range(4 * r, 4 * r + 4):
-                if k not in refused:
-                    next(batch_zeta)
             continue
         # repr tells every float apart, 0.0 from -0.0 included
-        assert repr([next(batch_zeta) for _ in range(4)]) == repr(expected[0])
+        assert repr(batch_zeta[r].tolist()) == repr(expected[0])
         assert repr((est.raw, est.richardson)) == repr(expected[1:])
-    assert next(batch_zeta, None) is None
 
 
 def test_stencil_reaching_a_negative_coupling_is_refused():

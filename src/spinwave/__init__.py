@@ -14,7 +14,7 @@ from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numer
                        critical_g_equal, dispersion_value, energy_gap, gap_scaling_exponent,
                        phase_boundary_cases, zone_minimum)
 from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
-                          SineModes, covariance_dense, covariance_infinite, covariance_pbc_fft,
+                          covariance_dense, covariance_infinite, covariance_pbc_fft,
                           covariances_for, covariances_for_each, excitation_density)
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
@@ -33,7 +33,7 @@ __all__ = [
     "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric", "critical_g_equal",
     "dispersion_value", "energy_gap", "gap_scaling_exponent", "phase_boundary_cases",
     "zone_minimum",
-    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError", "SineModes",
+    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError",
     "excitation_density", "covariance_dense", "covariance_infinite", "covariance_pbc_fft",
     "covariances_for", "covariances_for_each",
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",

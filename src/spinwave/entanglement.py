@@ -271,7 +271,8 @@ def two_site_params(Q, P) -> TwoSiteParams:
         for i in np.flatnonzero(apart):
             refused.setdefault(i, AsymmetricPairError(
                 f"asymmetric pair: on-site {label} differ by more than {PAIR_SYMMETRY_TOL:g} "
-                "(relative); center the pair in the lattice"))
+                "(relative); the open lattice's edges break the pair's mirror symmetry "
+                "and a larger side moves them away"))
     # the quarter power per element: numpy's vectorised one differs from libm's in the last bit
     n = 2.0 * np.array([x ** 0.25 if x >= 0 else np.nan for x in (qii * pii * qjj * pjj).tolist()])
     for i in np.flatnonzero(~(n >= 1.0 - UNCERTAINTY_SLACK)):  # NaN fails too

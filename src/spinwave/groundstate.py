@@ -9,22 +9,28 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 042327 (2002)), and the lattice picks the engine that evaluates it
 (``LatticeSpec.engine``):
 
-* ``SineModes``            -- the DST-I normal modes, for open lattices (engine name ``dense``)
-* ``covariance_pbc_fft``   -- the circulant modes by a folded cosine transform, for periodic ones
+* ``covariance_pbc_fft``   -- the circulant modes by a folded cosine transform, for periodic ones,
+                              and the open ones' modes alike (engine name ``dense``)
 * ``covariance_infinite``  -- zone quadrature in the M -> oo limit, ky in
                               closed form and kx by tanh-sinh
 
-The periodic/infinite engines return correlations as a function of the
-displacement only (translation invariance), in one (|dx|, |dy|) quadrant
-layout; the open engine returns the transform and v^(-1/2), v^(1/2) on its
-mode grid, from which a block takes only its own rows.  Each container answers
-``block(sites)`` with the principal submatrices (Q_L, P_L) on a list of sites.
-``covariances_for_each`` is the one dispatch point: it runs a lattice's engine
-over a sweep, one set of constants with arrays of strengths g1 and g2, and
-yields it block by block, each block's couplings stacked in one container.
-``covariances_for`` is its sweep of one, as are ``covariance_pbc_fft`` and
-``covariance_infinite`` on their lattices.  ``covariance_dense``, the symmetric
-eigendecomposition of the full V on any finite lattice, is the tests' oracle.
+Each returns a ``CorrelationTable``, correlations by displacement in one
+(|dx|, |dy|) quadrant layout, whose ``block(sites)`` gives the principal
+submatrices (Q_L, P_L) on a list of sites.  An open M x M lattice's DST-I modes
+k = pi j / (M + 1), j = 1..M, are interior modes of period 2 (M + 1), and
+sin a sin b is a difference of cosines (Strang, SIAM Rev. 41, 135 (1999)): with
+T the period's table of those modes alone and s = a + b + 2 per axis,
+
+    Q(a, b) = T(a - b) - T(sx, dy) - T(dx, sy) + T(sx, sy),  P alike.
+
+v is evaluated on the open modes only; the period's others, (pi, pi) among
+them, may be unstable where the open lattice is not.  ``covariances_for_each``
+is the one dispatch point: it runs a lattice's engine over a sweep, one set of
+constants with arrays of strengths g1 and g2, and yields it block by block,
+each block's couplings stacked in one table.  ``covariances_for`` is its sweep
+of one, as are ``covariance_pbc_fft`` and ``covariance_infinite`` on their
+lattices.  ``covariance_dense``, the symmetric eigendecomposition of the full V
+on any finite lattice, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -38,15 +44,6 @@ from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, StabilityError, 
 from .spectrum import dispersion_grid, zone_branch
 
 
-def _site_indices(spec: LatticeSpec, sites) -> list[int]:
-    """Row-major indices of the sites (x, y): periodic lattices wrap, open
-    ones refuse sites off the lattice, and no lattice site may be named twice."""
-    idx = [spec.site_index(x, y) for x, y in sites]
-    if len(set(idx)) < len(idx):
-        raise ValueError("block names one lattice site twice")
-    return idx
-
-
 @dataclass(frozen=True)
 class CovariancePair:
     """Full position/momentum covariance matrices of the Gaussian ground state."""
@@ -56,49 +53,12 @@ class CovariancePair:
     spec: LatticeSpec
 
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices (Q_L, P_L) on the sites (x, y), as ``_site_indices`` reads them."""
-        idx = _site_indices(self.spec, sites)
+        """Principal submatrices (Q_L, P_L) on the sites (x, y): periodic lattices wrap,
+        open ones refuse sites off the lattice, and no site may be named twice."""
+        idx = [self.spec.site_index(x, y) for x, y in sites]
+        if len(set(idx)) < len(idx):
+            raise ValueError("block names one lattice site twice")
         return self.Q[np.ix_(idx, idx)], self.P[np.ix_(idx, idx)]
-
-
-@dataclass(frozen=True)
-class SineModes:
-    """Normal modes of an open lattice: V = (S x S) diag(v) (S x S) in
-    row-major site order, with S the DST-I matrix and v[kx, ky] the symbol on
-    its grid, held as qq = v^(-1/2) and pp = v^(1/2).  A sweep's block stacks
-    its couplings' grids along leading axes, read alike."""
-
-    S: np.ndarray = field(repr=False)
-    qq: np.ndarray = field(repr=False)
-    pp: np.ndarray = field(repr=False)
-    spec: LatticeSpec
-
-    def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Q = A diag(v^(-1/2)) B^T / 2 and P = A diag(v^(1/2)) B^T / 2, A (B)
-        the rows S[y] x S[x] of S x S at the sites a (b); sites off the lattice
-        and a site named twice in one list are refused.  The axes are contracted
-        one at a time: O(Ra Rb M^2 + na nb M) for na, nb sites in Ra, Rb rows."""
-        M = self.spec.side
-        (ya, xa), (yb, xb) = (np.divmod(_site_indices(self.spec, s), M) for s in (a, b))
-        (ra, row_a), (rb, row_b) = (np.unique(y, return_inverse=True) for y in (ya, yb))
-        Sxa, Sxb = self.S[xa], self.S[xb]
-        row_pairs = (self.S[ra, None, :] * self.S[None, rb, :]).reshape(ra.size * rb.size, M)
-        out = []
-        for w in (self.qq, self.pp):
-            # C[..., r, s, kx] = sum_ky S[ra[r], ky] S[rb[s], ky] w[..., kx, ky] / 2
-            C = (row_pairs @ w.swapaxes(-1, -2)).reshape(w.shape[:-2] + (ra.size, rb.size, M)) / 2.0
-            # X[..., i, j] = sum_kx S[xa_i, kx] C[..., row_i, row_j, kx] S[xb_j, kx], row by row
-            X = np.empty(w.shape[:-2] + (xa.size, xb.size))
-            for r in range(ra.size):
-                mine = row_a == r
-                X[..., mine, :] = Sxa[mine] @ (C[..., r, row_b, :] * Sxb).swapaxes(-1, -2)
-            out.append(X)
-        return out[0], out[1]
-
-    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices (Q_L, P_L) on the sites (x, y), symmetrised."""
-        Q, P = self.cross(sites, sites)
-        return 0.5 * (Q + Q.swapaxes(-1, -2)), 0.5 * (P + P.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -107,13 +67,15 @@ class CorrelationTable:
     (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|) -- the dispersion is
     even in each wavevector component separately, so correlations are too.
     A periodic table (``period`` M) folds each component modulo M onto
-    0..D = M//2; an infinite one (``period`` None) holds |d| <= D.  A sweep's
-    block stacks its couplings' tables along leading axes, read alike.
-    """
+    0..D = M//2; an infinite one (``period`` None) holds |d| <= D; an ``open``
+    one, made by the engine only, is the period 2 (M + 1) table of an open M x M
+    lattice's modes, read by mirror images (module notes).  A sweep's block
+    stacks its couplings' tables along leading axes, read alike."""
 
     qq: np.ndarray = field(repr=False)
     pp: np.ndarray = field(repr=False)
     period: int | None
+    open: bool = False
 
     def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
         """Table indices of the displacements (dx, dy), integers or integer
@@ -132,22 +94,36 @@ class CorrelationTable:
                              f"not in table (extent {extent - 1})")
         return dx, dy
 
-    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices (Q_L, P_L) on the sites (x, y), read from the
-        table by pairwise displacement; no lattice site may be named twice."""
-        xy = np.asarray(sites, dtype=int)
-        d = xy[:, None] - xy[None, :]
+    def _read(self, a, b):
+        """``cross(a, b)`` and the table index of a - b; an open table refuses
+        sites off its lattice and adds the mirror images (module notes)."""
+        a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
+        d = a[:, None] - b[None, :]
         index = self.displacement_index(d[..., 0], d[..., 1])
+        Q, P = self.qq[(..., *index)], self.pp[(..., *index)]
+        if self.open:
+            M, ab = self.period // 2 - 1, np.concatenate([a, b])
+            if (off := np.flatnonzero(np.any((ab < 0) | (ab >= M), axis=-1))).size:
+                x, y = ab[off[0]].tolist()
+                raise ValueError(f"site ({x}, {y}) outside open {M}x{M} lattice")
+            s = a[:, None] + b[None, :] + 2
+            for sign, x, y in ((-1, s, d), (-1, d, s), (1, s, s)):
+                image = self.displacement_index(x[..., 0], y[..., 1])
+                Q, P = Q + sign * self.qq[(..., *image)], P + sign * self.pp[(..., *image)]
+        return Q, P, index
+
+    def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """Principal submatrices (Q_L, P_L) on the sites (x, y), read as ``cross``
+        reads them; no lattice site may be named twice."""
+        Q, P, index = self._read(sites, sites)
         # only a site named twice puts displacement index (0, 0) off the diagonal
-        if np.count_nonzero(index[0] | index[1]) < len(xy) * (len(xy) - 1):
+        if np.count_nonzero(index[0] | index[1]) < index[0].size - len(index[0]):
             raise ValueError("block names one lattice site twice")
-        return self.qq[(..., *index)], self.pp[(..., *index)]
+        return Q, P
 
     def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) with rows at the sites a and columns at the sites b, (x, y)."""
-        a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
-        index = self.displacement_index(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-        return self.qq[(..., *index)], self.pp[(..., *index)]
+        return self._read(a, b)[:2]
 
 
 def _guard_softness(vmins: np.ndarray, on_site: float) -> dict:
@@ -174,32 +150,11 @@ def covariance_dense(spec: LatticeSpec, params: CouplingParams) -> CovariancePai
     return CovariancePair(Q=Q, P=P, spec=spec)
 
 
-@lru_cache(maxsize=64)
-def _sine_matrix(M: int) -> np.ndarray:
-    """The DST-I matrix S_jk = sqrt(2 / (M+1)) sin(pi j k / (M+1)), j, k = 1..M:
-    orthogonal, symmetric, and it diagonalises the adjacency matrix T of the
-    M-site path with eigenvalues 2 cos(pi k / (M+1)) (Strang, SIAM Rev. 41, 135
-    (1999)).  The open lattice's bonds are exactly
-
-        V = on_site I + N omega (g2 T x I + g1 I x T + 2^(-3/2) g2 T x T)
-
-    in row-major site order (the diagonal bonds are T x T), so V = (S x S)
-    diag(v) (S x S) with v the symbol on the grid k = pi j / (M + 1), and min v
-    is the smallest eigenvalue of V."""
-    j = np.arange(1, M + 1)
-    # j k reduced modulo the sine's period 2 (M + 1) in integers, so every
-    # angle is below 2 pi and carries one rounding
-    S = np.sqrt(2.0 / (M + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (M + 1))) / (M + 1))
-    S.flags.writeable = False
-    return S
-
-
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
     """Periodic-lattice correlations <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
     on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta:
-    ``covariances_for``'s batch of one.  v is even in kx and in ky, so this is a
-    real cosine transform along each axis (Strang, SIAM Rev. 41, 135 (1999)),
-    folded onto the quadrant of modes and displacements 0..M//2."""
+    ``covariances_for``'s batch of one.  v is even in kx and in ky, so this is a real
+    cosine transform along each axis, folded onto the quadrant 0..M//2 (module notes)."""
     if spec.engine != "fft":
         raise ValueError("FFT engine requires a finite periodic lattice")
     return covariances_for(params, spec)
@@ -430,9 +385,8 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
 
 
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
-    """SineModes (open) or a CorrelationTable (periodic, infinite; up to
-    ``max_displacement`` per component) of ``spec``: ``covariances_for_each``'s
-    sweep of one."""
+    """The CorrelationTable of ``spec`` (up to ``max_displacement`` per component
+    when infinite): ``covariances_for_each``'s sweep of one."""
     ((_, cov, refused),) = covariances_for_each(params, [params.g1], [params.g2], spec,
                                                 max_displacement)
     if refused:
@@ -445,17 +399,18 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     """``spec``'s engine (``spec.engine``, picked here only) over the couplings ``params``
     with dipolar strengths (g1[i], g2[i]), whose refusal by CouplingParams raises its
     ValueError.  Each block yields (index, cov, refused): its stable couplings' sweep
-    indices, one container stacking their covariances along a leading axis (SineModes
-    on an open lattice, else a CorrelationTable; an empty stack when all are refused)
-    and each refused coupling's StabilityError or QuadratureConvergenceError by sweep
-    index.  A finite lattice runs blocks of at most LEVEL_BLOCK_POINTS mode-grid
-    points, the infinite one a single batch, each guarded on its min v at once."""
+    indices, one CorrelationTable stacking their tables along a leading axis (an empty
+    stack when all are refused) and each refused coupling's StabilityError or
+    QuadratureConvergenceError by sweep index.  A finite lattice runs blocks of at most
+    LEVEL_BLOCK_POINTS table points, the infinite one a single batch, each guarded
+    on its min v at once."""
     g1, g2 = params.strength_arrays(g1, g2)
     if spec.infinite and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
-    M, sine = spec.side, spec.engine == "dense"
-    grid = M * M if sine else None if spec.infinite else (M // 2 + 1) ** 2
-    size = max(1, g1.size if spec.infinite else LEVEL_BLOCK_POINTS // grid)
+    M, is_open = spec.side, spec.boundary == "open"
+    # an open lattice's modes are the interior modes 1..M of period 2 (M + 1)
+    period, modes = (2 * (M + 1), slice(1, M + 1)) if is_open else (M, slice(None))
+    size = max(1, g1.size if spec.infinite else LEVEL_BLOCK_POINTS // (period // 2 + 1) ** 2)
     for start in range(0, g1.size, size):
         block = slice(start, start + size)
         v = (zone_branch(params, g1[block], g2[block]) if spec.infinite
@@ -469,15 +424,15 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
             if failed:
                 stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
         else:
-            tables = x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
-            if not sine:
-                C = _cosine_matrix(M)
-                # x's k = 0 entry goes in exactly: a constant v (g = 0) gets exact off-site zeros
-                tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / M ** 2)
-                tables[..., 0, 0] += 0.5 * x[..., 0, 0]
+            x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
+            C = _cosine_matrix(period)[:, modes]
+            # x's first mode goes in exactly: a constant v (g = 0) gets exact
+            # off-site zeros (on an open lattice once its images cancel)
+            tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / period ** 2)
+            tables[..., 0, 0] += 0.5 * x[..., 0, 0]
         tables.flags.writeable = False
-        yield (start + stable, SineModes(_sine_matrix(M), tables[:, 0], tables[:, 1], spec) if sine
-               else CorrelationTable(tables[:, 0], tables[:, 1], None if spec.infinite else M),
+        yield (start + stable, CorrelationTable(tables[:, 0], tables[:, 1],
+                                                None if spec.infinite else period, is_open),
                {start + i: exc for i, exc in refused.items()})
 
 

@@ -59,6 +59,9 @@ class CouplingParams:
             raise ValueError("the potential overflows: omega (omega + 4 kappa N), 2 N omega or "
                              "the symbol scale on_site + 2 N omega (g1 + (1 + 2^-0.5) g2) "
                              "is not finite")
+        if not (self.on_site > 0 and self.coupling_scale > 0):
+            raise ValueError("the potential underflows: omega (omega + 4 kappa N) or N omega "
+                             "rounds to 0; omega, kappa and n_atoms are too small")
 
     def _symbol_top(self, g1, g2):
         # the largest entry any engine forms is v(0); it is not finite when
@@ -135,10 +138,10 @@ class LatticeSpec:
 
     @property
     def engine(self) -> str:
-        """The lattice's ground-state engine: zone quadrature when infinite,
-        the circulant cosine transform when periodic, named "fft", the DST-I
-        normal modes when open, named "dense", as configs (``engine = dense``)
-        and the CLI's ``engine`` column name them."""
+        """The lattice's ground-state engine: zone quadrature when infinite, the
+        circulant cosine transform when periodic ("fft") and on the open
+        lattice's modes, read by mirror images, when open ("dense"), as configs
+        (``engine = dense``) and the CLI's ``engine`` column name them."""
         return "infinite" if self.infinite else "fft" if self.boundary == "periodic" else "dense"
 
     @property

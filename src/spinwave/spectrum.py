@@ -143,8 +143,9 @@ def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
     hi = 10.0 * params.kappa + params.omega / params.n_atoms + g1
 
     def corner_min(g2):
-        return min(float(dispersion_value(params, kx, ky, g1, g2))
-                   for kx, ky in ((np.pi, np.pi), (0.0, np.pi)))
+        with np.errstate(over="ignore"):  # a corner value that overflows keeps its sign
+            return min(float(dispersion_value(params, kx, ky, g1, g2))
+                       for kx, ky in ((np.pi, np.pi), (0.0, np.pi)))
 
     if corner_min(lo) <= 0 or corner_min(hi) > 0:
         raise ValueError(f"bracket [{lo}, {hi}] does not straddle the boundary")

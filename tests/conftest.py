@@ -39,7 +39,7 @@ def pair_params(cov, site_i, site_j):
 def sweep_each(couplings, spec, dmax=0):
     """Each coupling's result in one ``covariances_for_each`` sweep over the
     strengths of ``couplings`` (one set of constants), in order: its
-    CorrelationTable, or SineModes on an open lattice, or its refusal."""
+    CorrelationTable or its refusal."""
     out = {}
     for index, cov, refused in covariances_for_each(
             couplings[0], [p.g1 for p in couplings], [p.g2 for p in couplings], spec, dmax):

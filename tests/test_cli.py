@@ -1,10 +1,14 @@
+import contextlib
+import csv
+import io
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinwave import (ConfigError, LatticeSpec, RunConfig, config_digest, parse_config,
                       serialize_config)
@@ -398,11 +402,13 @@ def test_paper_recipe_artifacts_are_their_recorded_subcommand_runs(tmp_path, rec
             assert artifact.read_bytes() == made_by_recipe
 
 
-@pytest.mark.parametrize("subcommand", ["gap-scan", "two-site", "entropy-scan"])
+@pytest.mark.parametrize("subcommand", ["gap-scan", "two-site", "entropy-scan", "phase-diagram"])
 @pytest.mark.parametrize("line", [
     pytest.param("n_atoms = 100000000000000000000", id="n_atoms-beyond-2**64"),
     pytest.param("n_atoms = 1" + "0" * 400, id="n_atoms-beyond-float-range"),
     pytest.param("omega = 1e200", id="on-site-overflows"),
+    # omega (omega + 4 kappa N) = 4e-337 rounds to 0: phase-diagram's bracket held no root
+    pytest.param("omega = 1e-170\nkappa = 1e-170", id="on-site-underflows"),
 ])
 def test_cli_overflowing_parameters_are_config_errors(tmp_path, capsys, subcommand, line):
     cfg = tmp_path / "huge.cfg"
@@ -587,3 +593,109 @@ def test_cli_phase_diagram_bracket_holds_root(tmp_path, capsys, text):
     rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[2:]]
     assert len(rows) == 4
     assert all(abs(float(closed) - float(numeric)) < 1e-6 for _, closed, numeric, _ in rows)
+
+
+def test_cli_phase_diagram_bisects_through_overflowing_corners(tmp_path, capsys):
+    # omega = 1e154 fits the float range, but the bisection's bracket reaches
+    # couplings whose corner values overflow to -inf; the sign is all it reads
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text("omega = 1e154\nn_atoms = 1\nphase_g1_samples = 3\n")
+    assert main(["phase-diagram", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [row.split(",") for row in captured.out.strip().splitlines()[2:]]
+    assert len(rows) == 3
+    assert all(abs(float(numeric) / float(closed) - 1.0) < 1e-12 for _, closed, numeric, _ in rows)
+
+
+# Every subcommand but oracle-check on generated configs, run in-process: each
+# run exits 0, 1 or 2 without raising, and on exit 0 writes tables that parse.
+SUBCOMMANDS = ["phase-diagram", "gap-scan", "covariance", "entropy-scan", "two-site",
+               "derivative-scan", "finite-size", "reproduce-fig2", "reproduce-fig3"]
+# omega and kappa from the float range's ends to the reference values
+SCALES = (st.sampled_from([5e-324, 1e-170, 1e-160, 1e-8, 1.0, 500.0, 1e150, 1e154])
+          | st.floats(1e-3, 1e3))
+# couplings as fractions of the equal-coupling critical one, near-critical included
+FRACTIONS = st.sampled_from([0.0, 1.0 - 1e-11, 1.0 - 1e-4, 1.0, 1.1]) | st.floats(0.0, 1.2)
+SIZES = st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True).map(sorted)
+# finite-size takes odd sides from 5 up, so odd lists are drawn more often
+M_LISTS = SIZES | st.lists(st.integers(2, 7).map(lambda k: 2 * k + 1), min_size=1, max_size=3,
+                           unique=True).map(sorted)
+
+
+def _config_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand and a config naming every key, sides and sample counts kept
+    small; the engine, block sizes and m_list may not fit the lattice."""
+    omega, kappa = draw(SCALES), draw(SCALES)
+    n_atoms = draw(st.sampled_from([1, 1000]) | st.integers(1, 10 ** 6))
+    gc = (omega + 4.0 * kappa * n_atoms) / (n_atoms * (4.0 - 2.0 ** 0.5))
+    g_min = draw(FRACTIONS) * gc
+    phase_g1_min = draw(st.floats(0.0, 3.0))
+    cfg = {
+        "omega": omega, "kappa": kappa, "n_atoms": n_atoms,
+        "g1": draw(FRACTIONS) * gc, "g2": draw(FRACTIONS) * gc,
+        "side": draw(st.integers(2, 16)), "boundary": draw(st.sampled_from(["periodic", "open"])),
+        "infinite": draw(st.booleans()),
+        "engine": draw(st.sampled_from(["auto"] * 6 + ["dense", "fft", "infinite"])),
+        "entropy_mode": draw(st.sampled_from(["degenerate_once", "count_all"])),
+        "pairing_tol": draw(st.sampled_from([1e-8, 1e-3, 1e-15])),
+        "block_sizes": draw(SIZES), "g_min": g_min,
+        "g_max": draw(st.just("auto") | FRACTIONS.map(lambda f: g_min + f * gc)),
+        "g_samples": draw(st.integers(1, 6)),
+        "derivative_step": draw(st.sampled_from([1e-4, 1e-2, 1e-15]) | FRACTIONS.map(
+            lambda f: f * gc).filter(lambda h: h > 0)),
+        "m_list": draw(M_LISTS), "phase_g1_min": phase_g1_min,
+        "phase_g1_max": phase_g1_min + draw(st.floats(0.0, 100.0)),
+        "phase_g1_samples": draw(st.integers(1, 6)), "max_displacement": draw(st.integers(0, 16)),
+        "format": draw(st.sampled_from(["csv", "json"])),
+    }
+    return draw(st.sampled_from(SUBCOMMANDS)), cfg
+
+
+def _check_table(path: Path, fmt: str) -> None:
+    text = path.read_text()
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert all(len(row) == len(doc["columns"]) for row in doc["rows"])
+        return
+    digest, header, *rows = csv.reader(io.StringIO(text))
+    assert digest[0].startswith("# config sha256:")
+    assert all(len(row) == len(header) for row in rows)
+
+
+PHASE_UNDERFLOW = ("phase-diagram", {"omega": 1e-170, "kappa": 1e-170, "phase_g1_samples": 2})
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs())
+@example(PHASE_UNDERFLOW)  # omega (omega + 4 kappa N) rounds to 0
+def test_every_subcommand_exits_0_1_or_2(run):
+    subcommand, cfg = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text("".join(f"{k} = {_config_text(v)}\n" for k, v in cfg.items()))
+        out = tmp / "out"
+        out.mkdir()
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([subcommand, "--config", str(tmp / "run.cfg"),
+                         "--output", str(out / "table"), "--out-dir", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert stderr.getvalue().startswith("config error: " if code == 2 else "error: ")
+        else:
+            assert stderr.getvalue() == ""
+            written = sorted(out.iterdir())
+            assert written
+            for path in written:
+                _check_table(path, cfg.get("format", "csv"))

@@ -190,7 +190,8 @@ def _scalar_pair_params(Q, P):
     for a, b, label in ((qii, qjj, "<q^2>"), (pii, pjj, "<p^2>")):
         if abs(a - b) > entanglement.PAIR_SYMMETRY_TOL * max(abs(a), abs(b)):
             return (f"asymmetric pair: on-site {label} differ by more than 1e-06 (relative); "
-                    "center the pair in the lattice")
+                    "the open lattice's edges break the pair's mirror symmetry "
+                    "and a larger side moves them away")
     n = 2.0 * (qii * pii * qjj * pjj) ** 0.25
     if n < 1.0 - entanglement.UNCERTAINTY_SLACK:
         return f"uncertainty violation: n = {n:.12g} < 1"
@@ -346,7 +347,7 @@ def test_separability_of_longer_pairs(paper_params):
 
 def test_two_site_asymmetric_open_pair_rejected():
     cov = covariance_dense(LatticeSpec.open_boundary(6), params_at(1.2))
-    with pytest.raises(AsymmetricPairError, match="center"):
+    with pytest.raises(AsymmetricPairError, match="edges break the pair.s mirror symmetry"):
         pair_params(cov, (0, 0), (1, 0))
     assert issubclass(AsymmetricPairError, ValueError)
 

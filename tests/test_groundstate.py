@@ -66,7 +66,9 @@ def open_lattice_cases(draw):
     """An open M x M lattice, M = 2..12; stable couplings on the equal-coupling
     line, at g2 = 0, in the g2 > sqrt(2) g1 branch or anywhere, scaled to a
     fraction of the infinite lattice's critical scale (which no finite grid
-    reaches); and distinct sites in random order with a corner among them."""
+    reaches) or from that scale to just below the open lattice's own, where
+    the zone corner of the period 2 (M + 1) table is unstable; and distinct
+    sites in random order with a corner among them."""
     M = draw(st.integers(2, 12))
     shape = draw(st.sampled_from(["equal", "g2 = 0", "g2 > sqrt(2) g1", "any"]))
     g1 = draw(st.floats(0.0, 1.0) if shape == "any" else UNIT)
@@ -78,11 +80,17 @@ def open_lattice_cases(draw):
         g2 = np.sqrt(2.0) * g1 / draw(st.floats(0.05, 0.95))
     else:
         g2 = draw(UNIT)
-    t = draw(st.floats(0.0, 0.98)) * _critical_scale(g1, g2)
+    spec, t_inf = LatticeSpec.open_boundary(M), _critical_scale(g1, g2)
+    # the second range stops 0.8 of the way: beyond about 0.9, dense eigh (the
+    # oracle) strays up to 1.5e-13 of the largest entry from 40-digit sums,
+    # while the engine stays within 3e-14 of them
+    low, high, top = ((0.0, t_inf, 0.98) if draw(st.booleans())
+                      else (t_inf, _critical_scale(g1, g2, spec), 0.8))
+    t = low + draw(st.floats(0.0, top)) * (high - low)
     corner = draw(st.sampled_from([(0, 0), (M - 1, 0), (0, M - 1), (M - 1, M - 1)]))
     others = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=2 * M))
     sites = list(dict.fromkeys(others[:len(others) // 2] + [corner] + others[len(others) // 2:]))
-    return LatticeSpec.open_boundary(M), params_at(t * g1, g2=t * g2), sites
+    return spec, params_at(t * g1, g2=t * g2), sites
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,12 +106,16 @@ def test_dst_engine_matches_dense_oracle(case):
 @settings(max_examples=60, deadline=None)
 @given(open_lattice_cases(), st.data())
 def test_cross_blocks_match_dense_oracle(case, data):
-    # rows at one list of sites, columns at another; the lists may share sites
+    # rows at one list of sites, columns at another; the lists may share sites.
+    # A periodic lattice runs the cases below 0.98 of the infinite lattice's
+    # critical scale, which keep v above 0.02 of the on-site term on the zone.
     spec, p, sites = case
     k = data.draw(st.integers(1, len(sites)))
     rows, cols = sites[:k], sites[data.draw(st.integers(0, k - 1)):]
-    periodic = LatticeSpec.periodic(max(spec.side, 3))
-    for lattice, cov in ((spec, covariances_for(p, spec)), (periodic, covariance_pbc_fft(periodic, p))):
+    stable = zone_minimum(p)[0] > 0.01 * p.on_site
+    lattices = [spec] + [LatticeSpec.periodic(max(spec.side, 3))] * stable
+    for lattice in lattices:
+        cov = covariances_for(p, lattice)
         dense = covariance_dense(lattice, p)
         i, j = ([lattice.site_index(x, y) for x, y in s] for s in (rows, cols))
         for want, got in zip((dense.Q[np.ix_(i, j)], dense.P[np.ix_(i, j)]), cov.cross(rows, cols)):
@@ -396,8 +408,8 @@ REFUSED = [(2.6, 2.6), (2.6, 0.0), (2.0, 2.0), (2.6, 1.0)]  # beyond g_c on open
          dmax=0, block_points=100)
 @example(spec=LatticeSpec.infinite_lattice(), strengths=[(1.0, 1.2), (2.5, 0.1), (0.3, 0.0)],
          dmax=1, block_points=4096)
-# open side 5 at 100 points: blocks of four, the first refusing its second
-# coupling and the second refusing all four
+# open side 5 at 100 points: blocks of two (a 7 x 7 table each), the first
+# refusing its second coupling and the last two refusing both
 @example(spec=LatticeSpec.open_boundary(5), strengths=[(1.0, 1.2), (2.0, 2.0), (0.3, 0.0),
                                                        (1.5, 1.6)] + REFUSED, dmax=0, block_points=100)
 # every coupling refused: open and periodic sweeps of several one-coupling blocks

@@ -184,3 +184,5 @@ def test_param_validation():
     for bad in ({"g1": float("nan")}, {"g2": float("inf")}, {"omega": float("inf")}):
         with pytest.raises(ValueError, match="finite"):
             CouplingParams(**{"omega": 1.0, "n_atoms": 10, "g1": 0.0, "g2": 0.0, **bad})
+    with pytest.raises(ValueError, match="underflows.*omega, kappa and n_atoms are too small"):
+        CouplingParams(omega=1e-170, kappa=1e-170, n_atoms=1, g1=0.0, g2=0.0)

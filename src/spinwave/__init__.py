@@ -19,9 +19,8 @@ from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenc
 from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
                            TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
                            symplectic_spectrum, two_site_params, two_site_sweep)
-from .oracle import (HarmonicPrediction, SpinSystemSpec, TwoSiteSolution, eof_fock_series,
-                     exact_two_site, harmonic_two_site_prediction, symplectic_bruteforce,
-                     validation_battery)
+from .oracle import (SpinSystemSpec, TwoSiteSolution, eof_fock_series, exact_two_site,
+                     harmonic_two_site_prediction, symplectic_bruteforce, validation_battery)
 from .scan import (DerivativeEstimate, FitResult, PeakResult, area_law_fit, derivative_zeta,
                    finite_size_peak)
 from .config import ConfigError, RunConfig, config_digest, parse_config, serialize_config
@@ -39,9 +38,8 @@ __all__ = [
     "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
     "block_entropy", "entropy_vs_L", "eof_symmetric", "symplectic_spectrum",
     "two_site_params", "two_site_sweep",
-    "HarmonicPrediction", "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series",
-    "exact_two_site", "harmonic_two_site_prediction", "symplectic_bruteforce",
-    "validation_battery",
+    "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series", "exact_two_site",
+    "harmonic_two_site_prediction", "symplectic_bruteforce", "validation_battery",
     "DerivativeEstimate", "FitResult", "PeakResult", "area_law_fit", "derivative_zeta",
     "finite_size_peak",
     "ConfigError", "RunConfig", "config_digest", "parse_config", "serialize_config",

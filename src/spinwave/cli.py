@@ -18,16 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_digest, parse_config
+from .config import ConfigError, RunConfig, config_digest, format_value, parse_config
 from .groundstate import QuadratureConvergenceError, covariances_for
 from .entanglement import entropy_vs_L, two_site_sweep
 from .model import CouplingParams, StabilityError
 from .oracle import validation_battery
-from .scan import derivative_sweep, finite_size_peak, stencil
+from .scan import ZETA1_OFFSET, derivative_sweep, finite_size_peak, stencil
 from .spectrum import critical_g2, critical_g_equal, energy_gap
 
-PAPER_OMEGA = 500.0
-PAPER_N_ATOMS = 1000
 NEAR_CRITICAL_OFFSET = 1e-11
 
 
@@ -53,13 +51,7 @@ def _g_grid(cfg: RunConfig) -> list[float]:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
+    text = "" if value is None else format_value(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
@@ -144,17 +136,22 @@ def cmd_entropy_scan(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_reach(lattice, command: str, offsets) -> None:
+    """Refuse a finite lattice too small for the pairs (center, center + offset) reaching
+    r sites: open below side 2 r + 1, periodic below 2 r (the farthest would wrap)."""
+    r = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
+    least = 2 * r if lattice.boundary == "periodic" else 2 * r + 1
+    if not lattice.infinite and lattice.side < least:
+        raise ConfigError(f"invalid value for 'side': {command} with {lattice.boundary} boundary "
+                          f"needs side >= {least}: its pairs reach distance {r} from the center")
+
+
 _PAIR_CLASSES = (("nn", (1, 0)), ("diagonal", (1, 1)), ("distance2", (2, 0)))
 
 
 def cmd_two_site(cfg: RunConfig) -> int:
     lattice = cfg.lattice
-    if not lattice.infinite and lattice.boundary == "open" and lattice.side < 5:
-        raise ConfigError("two-site on an open lattice needs side >= 5: "
-                          "the pairs reach two sites right of the center")
-    if not lattice.infinite and lattice.boundary == "periodic" and lattice.side < 4:
-        raise ConfigError("two-site on a periodic lattice needs 'side' >= 4: below that "
-                          "the distance-2 pair wraps onto a nearest neighbor")
+    _check_reach(lattice, "two-site", [offset for _, offset in _PAIR_CLASSES])
     grid = _g_grid(cfg)
     x, y = lattice.center
     # params at the sweep's largest coupling: one that overflows is a config error
@@ -183,9 +180,7 @@ def _stencil_grid(cfg: RunConfig) -> list[float]:
 
 def cmd_derivative_scan(cfg: RunConfig) -> int:
     lattice = cfg.lattice
-    if not lattice.infinite and lattice.boundary == "open" and lattice.side < 3:
-        raise ConfigError("derivative-scan on an open lattice needs 'side' >= 3: "
-                          "the pair reaches one site right of the center")
+    _check_reach(lattice, "derivative-scan", [ZETA1_OFFSET])
     grid = _stencil_grid(cfg)
     rows = [[g, float("nan"), float("nan"), str(est)] if isinstance(est, Exception)
             else [g, est.raw, est.richardson, None]
@@ -212,9 +207,9 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
 
 
 def _paper_config(cfg: RunConfig) -> RunConfig:
-    # the lattice is replaced, so an engine named for the input's lattice goes too
-    return replace(cfg, omega=PAPER_OMEGA, kappa=1.0, n_atoms=PAPER_N_ATOMS,
-                   side=80, boundary="periodic", infinite=False, engine="auto")
+    # the paper's parameters are RunConfig's defaults, engine = auto among them
+    return replace(cfg, **{name: getattr(RunConfig, name) for name in (
+        "omega", "kappa", "n_atoms", "side", "boundary", "infinite", "engine")})
 
 
 # The first subcommand run of a recipe meets every check the later ones

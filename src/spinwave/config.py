@@ -170,7 +170,8 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
         raise ConfigError("phase_g1_max must be >= phase_g1_min")
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A value as configs and CSV cells write it; floats by ``repr`` (module notes)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -180,9 +181,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
-    return "\n".join(lines) + "\n"
+def serialize_config(cfg: RunConfig, skip=()) -> str:
+    """One ``key = value`` line per field, the fields named in ``skip`` left out."""
+    return "".join(f"{f.name} = {format_value(getattr(cfg, f.name))}\n"
+                   for f in fields(cfg) if f.name not in skip)
 
 
 # Where and how results land does not change the numbers, so those fields
@@ -191,6 +193,6 @@ _NON_PHYSICS_FIELDS = {"output", "out_dir", "format"}
 
 
 def config_digest(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-             for f in fields(cfg) if f.name not in _NON_PHYSICS_FIELDS]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+    # the physics fields' lines, hashed without the last newline
+    text = serialize_config(cfg, _NON_PHYSICS_FIELDS)[:-1]
+    return hashlib.sha256(text.encode()).hexdigest()[:12]

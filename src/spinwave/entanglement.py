@@ -139,14 +139,14 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
 
 @lru_cache(maxsize=64)
 def _parity_sectors(L: int):
-    """The lower-left quadrant (x, y) of an L x L block, sides ceil(L/2), and its
-    images in y, in x and in both (cross-blocks G0, Gy, Gx, Gxy); per parity
+    """The lower-left quadrant (x, y) of an L x L block, sides ceil(L/2), stacked
+    with its images in y, in x and in both (cross-blocks G0, Gy, Gx, Gxy); per parity
     sector (sy, sx), the quadrant sites it keeps and their weights: an odd side's
     middle row or column is dropped from odd sectors, weighted 1/sqrt(2) in even ones."""
     h = (L + 1) // 2
     y, x = np.divmod(np.arange(h * h), h)
-    images = [np.stack(xy, axis=1) for xy in ((x, y), (x, L - 1 - y), (L - 1 - x, y),
-                                              (L - 1 - x, L - 1 - y))]
+    images = np.stack([np.stack(xy, axis=1) for xy in ((x, y), (x, L - 1 - y), (L - 1 - x, y),
+                                                       (L - 1 - x, L - 1 - y))])
     mid_x, mid_y = (L % 2 == 1) & (x == h - 1), (L % 2 == 1) & (y == h - 1)
     weight = np.where(mid_x, np.sqrt(0.5), 1.0) * np.where(mid_y, np.sqrt(0.5), 1.0)
     return images, [(sy, sx, k, weight[k]) for sy in (1, -1) for sx in (1, -1)
@@ -160,9 +160,9 @@ def block_spectrum(cov, spec: LatticeSpec, region: BlockRegion) -> SymplecticSpe
     if spec.boundary == "periodic" or 2 * region.x0 == spec.side - L == 2 * region.y0:
         images, sectors = _parity_sectors(L)
         anchor = np.array([region.x0, region.y0])
-        G = [cov.cross(anchor + images[0], anchor + image) for image in images]
+        G = cov.cross(anchor + images[0], anchor + images)  # (Q, P), each G0, Gy, Gx, Gxy
         pieces = [[w[:, None] * (g0 + sx * gx + sy * (gy + sx * gxy))[np.ix_(keep, keep)] * w
-                   for g0, gy, gx, gxy in zip(*G)]
+                   for g0, gy, gx, gxy in G]
                   for sy, sx, keep, w in sectors if keep.size]
     else:
         pieces = [cov.block(region.sites())]
@@ -229,20 +229,19 @@ def eof_symmetric(zeta: float) -> float:
 
 def two_site_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, pairs) -> TwoSiteParams:
     """Pair parameters of the pairs of sites ((x, y), (x', y')) over the sweep that
-    ``covariances_for_each`` runs, shaped (couplings, pairs) in sweep order; the
+    ``covariances_for_each`` runs, shaped (couplings, pairs) in sweep order: one
+    ``block`` read per engine block gathers every pair, (stable, pairs, 2, 2), the
     stable couplings' pairs go through one ``two_site_params`` call, and a coupling
     the engine refused reads NaN, not separable and its refusal on every pair.  An
     infinite table reaches the pairs' largest |dx| or |dy|."""
-    reads, stable, refused = [], [], {}
+    reads, stable, refused = [(np.empty((0, len(pairs), 2, 2)),) * 2], [np.empty(0, int)], {}
     for index, cov, block_refused in covariances_for_each(
             params, g1, g2, spec, int(np.max(np.abs(np.diff(pairs, axis=1))))):
-        reads.append([cov.block(pair) for pair in pairs])
+        reads.append(cov.block(pairs))
         stable.append(index)
         refused.update(block_refused)
-    empty = [np.empty((0, 2, 2))]  # reads[b][j]: block b's (Q, P) of pair j, joined once here
-    two = two_site_params(*(np.stack([np.concatenate(empty + [r[j][qp] for r in reads])
-                                      for j in range(len(pairs))], axis=1) for qp in (0, 1)))
-    stable = np.concatenate([np.empty(0, int)] + stable)
+    two = two_site_params(*(np.concatenate([r[qp] for r in reads]) for qp in (0, 1)))
+    stable = np.concatenate(stable)
     # the j-th refused coupling i goes before the (i - j)-th stable one
     gaps = [i - j for j, i in enumerate(sorted(refused))]
     return TwoSiteParams(*(np.insert(a, gaps, np.nan if a.dtype.kind == "f" else False, axis=0)

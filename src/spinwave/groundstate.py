@@ -95,34 +95,38 @@ class CorrelationTable:
         return dx, dy
 
     def _read(self, a, b):
-        """``cross(a, b)`` and the table index of a - b; an open table refuses
-        sites off its lattice and adds the mirror images (module notes)."""
+        """``cross(a, b)`` and, for a = b, the count of sites named twice (index (0, 0) off
+        a list's diagonal); open tables refuse off-lattice sites, add mirror images."""
         a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
-        d = a[:, None] - b[None, :]
-        index = self.displacement_index(d[..., 0], d[..., 1])
-        Q, P = self.qq[(..., *index)], self.pp[(..., *index)]
+        a, b = a[..., :, None, :], b[..., None, :, :]
+        dx, dy = self.displacement_index(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+        Q, P = self.qq[..., dx, dy], self.pp[..., dx, dy]
+        repeats = dx.size - (dx.size and dx.size // dx.shape[-1]) - np.count_nonzero(dx | dy)
+        del dx, dy  # a batch holds one set of index arrays at a time
         if self.open:
-            M, ab = self.period // 2 - 1, np.concatenate([a, b])
+            M, ab = self.period // 2 - 1, np.concatenate([a.reshape(-1, 2), b.reshape(-1, 2)])
             if (off := np.flatnonzero(np.any((ab < 0) | (ab >= M), axis=-1))).size:
-                x, y = ab[off[0]].tolist()
-                raise ValueError(f"site ({x}, {y}) outside open {M}x{M} lattice")
-            s = a[:, None] + b[None, :] + 2
-            for sign, x, y in ((-1, s, d), (-1, d, s), (1, s, s)):
-                image = self.displacement_index(x[..., 0], y[..., 1])
-                Q, P = Q + sign * self.qq[(..., *image)], P + sign * self.pp[(..., *image)]
-        return Q, P, index
+                LatticeSpec.open_boundary(M).site_index(*ab[off[0]].tolist())  # raises
+            # per axis s = a + b + 2 (u = 1) or d = a - b (u = -1)
+            for add, u, v in ((np.subtract, 1, -1), (np.subtract, -1, 1), (np.add, 1, 1)):
+                ix, iy = self.displacement_index(a[..., 0] + u * b[..., 0] + (u + 1),
+                                                 a[..., 1] + v * b[..., 1] + (v + 1))
+                add(Q, self.qq[..., ix, iy], out=Q)
+                add(P, self.pp[..., ix, iy], out=P)
+                del ix, iy
+        return Q, P, repeats
 
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices (Q_L, P_L) on the sites (x, y), read as ``cross``
-        reads them; no lattice site may be named twice."""
-        Q, P, index = self._read(sites, sites)
-        # only a site named twice puts displacement index (0, 0) off the diagonal
-        if np.count_nonzero(index[0] | index[1]) < index[0].size - len(index[0]):
+        """Principal submatrices (Q_L, P_L) on each list of sites (x, y), read as
+        ``cross`` reads them; no list may name one lattice site twice."""
+        Q, P, repeats = self._read(sites, sites)
+        if repeats:
             raise ValueError("block names one lattice site twice")
         return Q, P
 
     def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, P) with rows at the sites a and columns at the sites b, (x, y)."""
+        """(Q, P) with rows at the sites a and columns at the sites b, (x, y), in one
+        gather: batches of lists (..., n, 2) broadcast, after the table's stack axes."""
         return self._read(a, b)[:2]
 
 
@@ -347,6 +351,9 @@ def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
     for each that does not converge.  The tanh-sinh step halves from level to
     level; each coupling leaves the batch at its own first pair of levels that
     agree to QUAD_REL_TOL per entry, so its tables are what it gets alone."""
+    if 16 * max(1, len(branches)) * (dmax + 1) ** 2 > np.iinfo(np.intp).max:
+        raise MemoryError(f"infinite-lattice tables of extent {dmax} are too large to "
+                          f"represent: {(dmax + 1) ** 2} entries each")
     sums = np.zeros((len(branches), 2, dmax + 1, dmax + 1))
     tables, failed = np.zeros_like(sums), {}
     live = np.arange(len(branches))
@@ -421,8 +428,7 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
         if spec.infinite:
             tables, failed = _refine(v[stable], max_displacement)
             refused.update((int(stable[j]), exc) for j, exc in failed.items())
-            if failed:
-                stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
+            stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
         else:
             x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
             C = _cosine_matrix(period)[:, modes]

@@ -3,7 +3,7 @@
 Three routes that never touch the production code paths they check:
 
 * exact diagonalization of the two-site spin Hamiltonian
-      H = omega (Jz1 + Jz2) + 4 kappa (Jx1^2 + Jx2^2) + coeff * g Jx1 Jx2
+      H = omega (Jz1 + Jz2) + 4 kappa (Jx1^2 + Jx2^2) + BOND_FACTOR g Jx1 Jx2
   in the product angular-momentum basis (spin N/2 per site),
 * the closed-form harmonic (normal-mode) prediction for the same system,
 * symplectic eigenvalues from the full 2L^2 covariance matrix and the
@@ -26,33 +26,24 @@ MAX_HILBERT_DIM = 4096
 FOCK_TAIL = 1e-18
 # the random blocks of the symplectic cross-route check are fixed
 BATTERY_SEED = 20240831
+# the single bond term counted twice, the lattice's convention V_ij = N omega g
+BOND_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class SpinSystemSpec:
-    """Two coupled spin-N/2 sites.
-
-    ``pair_coefficient`` resolves the bond-counting ambiguity: "full" doubles
-    the single bond term (matching the lattice convention V_ij = N omega g),
-    "half" counts it once.  Negative g is allowed here for symmetry tests.
-    """
+    """Two coupled spin-N/2 sites, their bond counted BOND_FACTOR times.
+    Negative g is allowed here for symmetry tests."""
 
     n_atoms: int
     omega: float
     kappa: float
     g: float
-    pair_coefficient: str = "full"
 
     def __post_init__(self):
-        if self.pair_coefficient not in ("full", "half"):
-            raise ValueError("pair_coefficient must be 'full' or 'half'")
         if (self.n_atoms + 1) ** 2 > MAX_HILBERT_DIM:
             raise ValueError(f"Hilbert dimension {(self.n_atoms + 1) ** 2} "
                              f"exceeds the dense bound {MAX_HILBERT_DIM}")
-
-    @property
-    def bond_factor(self) -> float:
-        return 2.0 if self.pair_coefficient == "full" else 1.0
 
 
 def angular_momentum_ops(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,9 +61,10 @@ def angular_momentum_ops(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TwoSiteSolution:
+    """The two-site gap and <Jx1 Jx2> in the ground state, by either route."""
+
     gap: float
-    ground_corr: float  # <Jx1 Jx2> in the ground state
-    ground_energy: float
+    ground_corr: float
 
 
 def exact_two_site(spec: SpinSystemSpec) -> TwoSiteSolution:
@@ -82,31 +74,23 @@ def exact_two_site(spec: SpinSystemSpec) -> TwoSiteSolution:
     Jx2 = Jx @ Jx
     H = (spec.omega * (np.kron(Jz, eye) + np.kron(eye, Jz))
          + 4.0 * spec.kappa * (np.kron(Jx2, eye) + np.kron(eye, Jx2))
-         + spec.bond_factor * spec.g * np.kron(Jx, Jx))
+         + BOND_FACTOR * spec.g * np.kron(Jx, Jx))
     ev, evec = np.linalg.eigh(H)
     ground = evec[:, 0]
     corr = float(ground @ np.kron(Jx, Jx) @ ground)
-    return TwoSiteSolution(gap=float(ev[1] - ev[0]), ground_corr=corr,
-                           ground_energy=float(ev[0]))
+    return TwoSiteSolution(gap=float(ev[1] - ev[0]), ground_corr=corr)
 
 
-@dataclass(frozen=True)
-class HarmonicPrediction:
-    gap: float
-    ground_corr: float
-    mode_frequencies: tuple[float, float]
-
-
-def harmonic_two_site_prediction(spec: SpinSystemSpec) -> HarmonicPrediction:
+def harmonic_two_site_prediction(spec: SpinSystemSpec) -> TwoSiteSolution:
     """Normal-mode solution of the harmonic reduction of the same two sites.
 
     Mode frequencies are sqrt(A +- V12) with A the on-site potential entry
-    and V12 the bond entry under the chosen pair convention; the correlation
+    and V12 the bond entry under the lattice's pair convention; the correlation
     maps back through Jx ~ sqrt(N omega / 2) q.
     """
     N, om = spec.n_atoms, spec.omega
     A = om * (om + 4.0 * spec.kappa * N)
-    v12 = 0.5 * spec.bond_factor * N * om * spec.g
+    v12 = 0.5 * BOND_FACTOR * N * om * spec.g
     v_plus, v_minus = A + v12, A - v12
     lo = min(v_plus, v_minus)
     if lo <= 0:
@@ -114,8 +98,7 @@ def harmonic_two_site_prediction(spec: SpinSystemSpec) -> HarmonicPrediction:
     # <q1 q2> from V^(-1/2)/2 with eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2
     q12 = (v_plus ** -0.5 - v_minus ** -0.5) / 4.0
     corr = 0.5 * N * om * q12
-    return HarmonicPrediction(gap=float(np.sqrt(lo)), ground_corr=float(corr),
-                              mode_frequencies=(float(np.sqrt(v_plus)), float(np.sqrt(v_minus))))
+    return TwoSiteSolution(gap=float(np.sqrt(lo)), ground_corr=float(corr))
 
 
 def symplectic_bruteforce(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:

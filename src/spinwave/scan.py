@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import two_site_sweep
+from .entanglement import _entropy_terms, two_site_sweep
 from .model import CouplingParams, LatticeSpec, StabilityError
+
+# zeta_1's pair: the lattice center and its horizontal neighbour this far away
+ZETA1_OFFSET = (1, 0)
+# a symplectic eigenvalue is resolved to a few ulps; one at 1 + 4 eps adds this
+# many bits (2.3e-14), so an L x L block's entropy within L^2 of it is roundoff
+ROUNDOFF_BITS = float(_entropy_terms(np.array([1.0 + 4.0 * np.finfo(float).eps]))[0])
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,9 @@ def area_law_fit(curve) -> FitResult:
         raise ValueError("degenerate L values in the curve")
     if (zero := Es == 0).any():
         raise ValueError(f"zero entropy at L = {Ls[zero][0]:g}: residuals are relative to E")
+    if (low := Es <= Ls ** 2 * ROUNDOFF_BITS).any():
+        raise ValueError(f"entropy {Es[low][0]:.3g} bits at L = {Ls[low][0]:g} is roundoff "
+                         f"(at most L^2 x {ROUNDOFF_BITS:.2g}): residuals are relative to E")
     slope, intercept = np.polyfit(Ls, Es, 1)
     residual = float(np.max(np.abs(slope * Ls + intercept - Es) / np.abs(Es)))
     return FitResult(slope=float(slope), intercept=float(intercept),
@@ -72,12 +81,11 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
     QuadratureConvergenceError or pair refusal (``two_site_params``) of its
     first refused stencil point.  All 4 len(gs) stencil couplings go through
     one ``two_site_sweep`` as one strength array, refined as one batch on an
-    infinite lattice, which reads zeta_1 of the horizontally adjacent pair at
-    the lattice center (any pair, on periodic and infinite lattices) at every
-    stencil point, bit for bit what each gives alone."""
+    infinite lattice, which reads zeta_1 of the pair (center, center + ZETA1_OFFSET)
+    at every stencil point, bit for bit what each gives alone."""
     points = stencil(gs, h)
-    x, y = spec.center
-    pair = two_site_sweep(params, points, points, spec, [[(x, y), (x + 1, y)]])
+    (x, y), (dx, dy) = spec.center, ZETA1_OFFSET
+    pair = two_site_sweep(params, points, points, spec, [[(x, y), (x + dx, y + dy)]])
     zp, zm, zp2, zm2 = pair.zeta[:, 0].reshape(-1, 4).T
     raw = (zp - zm) / (2.0 * h)
     richardson = (4.0 * ((zp2 - zm2) / h) - raw) / 3.0
@@ -111,12 +119,9 @@ class PeakResult:
 
 def finite_size_peak(params: CouplingParams, M_list, g_grid,
                      h: float = 1e-4) -> list[PeakResult]:
-    """Peak |d zeta_1 / d g| over the grid for each odd lattice size, by one
-    ``derivative_sweep`` per size; the first failing g's error is raised.
-
-    The pair is the horizontally adjacent one at the lattice center; odd
-    sizes keep a unique center site.
-    """
+    """Peak |d zeta_1 / d g| over the grid for each odd lattice size (a unique
+    center site), by one ``derivative_sweep`` per size; the first failing g's
+    error is raised."""
     M_list = [int(M) for M in M_list]
     for M in M_list:
         if M < 5 or M % 2 == 0:

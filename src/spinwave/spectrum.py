@@ -34,8 +34,7 @@ def dispersion_value(params: CouplingParams, kx, ky, g1=None, g2=None):
     ky = np.asarray(ky, dtype=float)
     bracket = (g1 * np.cos(kx) + g2 * np.cos(ky)
                + DIAGONAL_FACTOR * g2 * (np.cos(kx + ky) + np.cos(kx - ky)))
-    omega, kappa, n_atoms = params.omega, params.kappa, params.n_atoms
-    return omega * (omega + 4.0 * kappa * n_atoms) + 2.0 * n_atoms * omega * bracket
+    return params.on_site + 2.0 * params.coupling_scale * bracket
 
 
 def dispersion_grid(params: CouplingParams, spec: LatticeSpec, g1=None, g2=None) -> np.ndarray:
@@ -159,9 +158,7 @@ def critical_g2_numeric(params: CouplingParams, g1: float) -> float:
 
 def critical_g2(params: CouplingParams, g1: float) -> PhasePoint:
     """Phase boundary point above a given g1: closed form, branch and the
-    independently bisected numerical root."""
-    if g1 < 0:
-        raise ValueError("g1 must be >= 0")
+    independently bisected numerical root; g1 < 0 is refused (``critical_g2_numeric``)."""
     below, degenerate, above = phase_boundary_cases(params, g1)
     # Self-consistency picks the case: the "below" form is valid only where
     # it lands below sqrt(2) g1, the "above" form only above it.

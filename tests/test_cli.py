@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import signal
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -469,6 +470,48 @@ def test_cli_two_site_open_lattice_too_small(tmp_path, capsys):
     assert "side >= 5" in capsys.readouterr().err
 
 
+# the smallest side each subcommand runs: its pairs (center, center + offset)
+# reach 2 sites for two-site and 1 for derivative-scan; an open lattice holds
+# them from side 2 r + 1, a periodic one keeps them from wrapping from 2 r, and
+# no periodic lattice is below side 3
+LEAST_SIDE = {("two-site", "open"): 5, ("two-site", "periodic"): 4,
+              ("derivative-scan", "open"): 3, ("derivative-scan", "periodic"): 3}
+
+
+@pytest.mark.parametrize("side", range(2, 13))
+@pytest.mark.parametrize("subcommand, boundary", list(LEAST_SIDE))
+def test_cli_pair_commands_refuse_exactly_the_lattices_too_small(tmp_path, capsys, subcommand,
+                                                                 boundary, side):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"boundary = {boundary}\nside = {side}\ng_min = 1.0\ng_samples = 1\n")
+    least = LEAST_SIDE[subcommand, boundary]
+    code = main([subcommand, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if side >= least:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.startswith("config error: ")
+        # below side 3 the periodic lattice itself is refused
+        least = 3 if boundary == "periodic" and side < 3 else least
+        assert f"side >= {least}" in err
+        assert "'side'" in err or least == 3 and boundary == "periodic"
+
+
+@pytest.mark.parametrize("subcommand, text, extent", [
+    ("covariance", "max_displacement = 3000000000", 3000000000),
+    ("entropy-scan", "block_sizes = 3000000000", 2999999999),
+])
+def test_cli_unrepresentable_infinite_table_is_refusal(tmp_path, capsys, subcommand, text,
+                                                       extent):
+    # the extent's (extent + 1)^2 entries overflow an array index; the size is
+    # checked before any allocation
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"infinite = true\n{text}\n")
+    assert main([subcommand, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"extent {extent} " in err and "too large" in err
+
+
 def test_cli_two_site_keeps_bugs_out_of_rows(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("programming error")
@@ -675,6 +718,38 @@ def _check_table(path: Path, fmt: str) -> None:
 PHASE_UNDERFLOW = ("phase-diagram", {"omega": 1e-170, "kappa": 1e-170, "phase_g1_samples": 2})
 
 
+# The slowest of 1500 draws took 0.07 s on a 2-vCPU Xeon; a draw still running
+# after CALL_LIMIT_S fails instead of hanging the job.  The alarm lands between
+# Python bytecodes, so a long C call (one eigh, say) is stopped when it returns.
+CALL_LIMIT_S = 5.0
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def overrun(signum, frame):
+        # pytest's Failed is no Exception: no handler in main() can swallow it
+        pytest.fail(f"subcommand still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_time_limit_fails_a_hung_call(monkeypatch):
+    def hang(*args, **kwargs):
+        while True:
+            pass
+
+    monkeypatch.setattr("spinwave.cli.critical_g2", hang)
+    with pytest.raises(pytest.fail.Exception, match="still running after 0.05 s"):
+        with _time_limit(0.05):
+            main(["phase-diagram"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(cli_runs())
 @example(PHASE_UNDERFLOW)  # omega (omega + 4 kappa N) rounds to 0
@@ -686,7 +761,7 @@ def test_every_subcommand_exits_0_1_or_2(run):
         out = tmp / "out"
         out.mkdir()
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stderr(stderr), _time_limit(CALL_LIMIT_S):
             code = main([subcommand, "--config", str(tmp / "run.cfg"),
                          "--output", str(out / "table"), "--out-dir", str(out)])
         assert code in (0, 1, 2)

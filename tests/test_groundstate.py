@@ -103,6 +103,39 @@ def test_dst_engine_matches_dense_oracle(case):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _open_block_mpmath(mp, p, M, sites):
+    """(Q, P) on the sites of the open M x M lattice as 40-digit DST-I sums over
+    its modes k = pi j / (M + 1): Q = sum_k phi_k(a) phi_k(b) v(k)^(-1/2) / 2 with
+    phi_k(x, y) = S[x, jx] S[y, jy], S[x, j] = sqrt(2 / (M + 1)) sin(pi j (x + 1) / (M + 1))."""
+    with mp.workdps(40):
+        omega, kappa, N, g1, g2 = (mp.mpf(x) for x in (p.omega, p.kappa, p.n_atoms, p.g1, p.g2))
+        k = [mp.pi * j / (M + 1) for j in range(1, M + 1)]
+        S = [[mp.sqrt(mp.mpf(2) / (M + 1)) * mp.sin(kj * (x + 1)) for kj in k] for x in range(M)]
+        v = [omega * (omega + 4 * kappa * N) + 2 * N * omega * (
+            g1 * mp.cos(kx) + g2 * mp.cos(ky) + g2 / mp.sqrt(8) * (mp.cos(kx + ky) + mp.cos(kx - ky)))
+            for kx in k for ky in k]
+        phi = [[S[x][jx] * S[y][jy] for jx in range(M) for jy in range(M)] for x, y in sites]
+        return [np.array([[float(mp.fsum(a * b * w ** power for a, b, w in zip(pa, pb, v)) / 2)
+                           for pb in phi] for pa in phi]) for power in (-0.5, 0.5)]
+
+
+# Between 0.8 and 0.98 of the way from the infinite lattice's critical scale to
+# the open lattice's own, beyond what the dense oracle resolves to 1e-13
+@pytest.mark.parametrize("fraction", [0.8, 0.9, 0.98])
+@pytest.mark.parametrize("g1, g2", [(1.0, 1.0), (1.0, 0.0), (0.3, 1.0)],
+                         ids=["equal", "g2 = 0", "g2 > sqrt(2) g1"])
+@pytest.mark.parametrize("M", range(2, 7))
+def test_open_tables_match_mpmath_near_the_open_criticality(M, g1, g2, fraction):
+    mp = pytest.importorskip("mpmath")
+    spec, t_inf = LatticeSpec.open_boundary(M), _critical_scale(g1, g2)
+    t = t_inf + fraction * (_critical_scale(g1, g2, spec) - t_inf)
+    p = params_at(t * g1, g2=t * g2)
+    sites = list(dict.fromkeys([(0, 0), (M - 1, 0), (0, M - 1), (M - 1, M - 1),
+                                (M // 2, M // 2), (1, M // 2)]))
+    for want, got in zip(_open_block_mpmath(mp, p, M, sites), covariances_for(p, spec).block(sites)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(open_lattice_cases(), st.data())
 def test_cross_blocks_match_dense_oracle(case, data):

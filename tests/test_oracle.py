@@ -5,7 +5,7 @@ from spinwave import (LatticeSpec, SpinSystemSpec, StabilityError, covariance_pb
                       eof_fock_series, exact_two_site, harmonic_two_site_prediction,
                       symplectic_bruteforce, symplectic_spectrum,
                       validation_battery, BlockRegion)
-from spinwave.oracle import angular_momentum_ops
+from spinwave.oracle import BOND_FACTOR, angular_momentum_ops
 
 from conftest import params_at
 
@@ -29,18 +29,6 @@ def test_harmonic_decoupled_gap():
     spec = SpinSystemSpec(n_atoms=60, omega=500.0, kappa=1.0, g=0.0)
     assert harmonic_two_site_prediction(spec).gap == pytest.approx(
         np.sqrt(500.0 * (500.0 + 240.0)), rel=1e-14)
-
-
-def test_pair_conventions_differ():
-    full = SpinSystemSpec(n_atoms=50, omega=50.0, kappa=1.0, g=1.0, pair_coefficient="full")
-    half = SpinSystemSpec(n_atoms=50, omega=50.0, kappa=1.0, g=1.0, pair_coefficient="half")
-    gap_full = harmonic_two_site_prediction(full).gap
-    gap_half = harmonic_two_site_prediction(half).gap
-    assert gap_full < gap_half  # the doubled bond softens the lower mode more
-    exact_full = exact_two_site(SpinSystemSpec(n_atoms=12, omega=12.0, kappa=1.0, g=1.0)).gap
-    exact_half = exact_two_site(SpinSystemSpec(n_atoms=12, omega=12.0, kappa=1.0, g=1.0,
-                                               pair_coefficient="half")).gap
-    assert exact_full != pytest.approx(exact_half, rel=1e-6)
 
 
 def test_harmonic_unstable_beyond_two_site_critical():
@@ -76,7 +64,7 @@ def test_spectrum_invariant_under_coupling_sign_flip():
     def spectrum(spec):
         H = (spec.omega * (np.kron(Jz, eye) + np.kron(eye, Jz))
              + 4.0 * spec.kappa * (np.kron(Jx @ Jx, eye) + np.kron(eye, Jx @ Jx))
-             + spec.bond_factor * spec.g * np.kron(Jx, Jx))
+             + BOND_FACTOR * spec.g * np.kron(Jx, Jx))
         return np.linalg.eigvalsh(H)
 
     assert np.allclose(spectrum(a), spectrum(b), atol=1e-8)

@@ -41,6 +41,19 @@ def test_area_law_fit_refuses_a_zero_entropy():
         area_law_fit([(1, 0.0), (2, 0.0), (3, 0.0)])
 
 
+@pytest.mark.parametrize("spec", [LatticeSpec.periodic(8), LatticeSpec.infinite_lattice(),
+                                  LatticeSpec.open_boundary(9)], ids=lambda spec: spec.engine)
+def test_area_law_fit_refuses_roundoff_entropies(spec):
+    # at g = 1e-9 a block's true entropy is near 1e-18 bits; the computed one is
+    # roundoff, 6e-15 to 1.2e-14 bits and nonzero at L = 1, 3 and 5
+    curve = entropy_vs_L(params_at(1e-9), spec, [1, 3, 5])
+    assert all(E > 0 for _, E in curve)
+    with pytest.raises(ValueError, match=r"entropy 5\.88e-15 bits at L = 1 is roundoff"):
+        area_law_fit(curve)
+    # at g = 1e-3 the entropies are 1e6 times the roundoff level and are fitted
+    assert area_law_fit(entropy_vs_L(params_at(1e-3), spec, [1, 3, 5])).n_samples == 3
+
+
 def test_derivative_negative_below_minimum():
     est = derivative_zeta(params_at(0.0), LatticeSpec.infinite_lattice(), 1.3)
     assert est.raw < 0 and est.richardson < 0

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, config_digest, format_value, parse_config
 from .groundstate import QuadratureConvergenceError, covariances_for
 from .entanglement import entropy_vs_L, two_site_sweep
-from .model import CouplingParams, StabilityError
+from .model import CouplingParams, LatticeSpec, StabilityError
 from .oracle import validation_battery
-from .scan import ZETA1_OFFSET, derivative_sweep, finite_size_peak, stencil
+from .scan import ZETA1_OFFSET, derivative_sweep, finite_size_peak, finite_sizes, stencil
 from .spectrum import critical_g2, critical_g_equal, energy_gap
 
 NEAR_CRITICAL_OFFSET = 1e-11
@@ -190,10 +191,15 @@ def cmd_derivative_scan(cfg: RunConfig) -> int:
     return 0
 
 
+def _m_list_error(exc: ValueError) -> ConfigError:
+    return ConfigError(f"invalid value for 'm_list': {exc}")
+
+
 def cmd_finite_size(cfg: RunConfig) -> int:
-    if any(M < 5 or M % 2 == 0 for M in cfg.m_list):
-        raise ConfigError(f"'m_list' entries must be odd and >= 5, got "
-                          f"{','.join(map(str, cfg.m_list))}")
+    try:
+        finite_sizes(cfg.m_list)
+    except ValueError as exc:
+        raise _m_list_error(exc) from None
     peaks = finite_size_peak(_params(cfg), cfg.m_list, _stencil_grid(cfg), h=cfg.derivative_step)
     rows = [[p.side, p.peak_abs_derivative, p.g_at_peak] for p in peaks]
     _write(cfg, "finite-size", ["M", "peak_abs_derivative", "g_at_peak"], rows)
@@ -227,9 +233,11 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce_fig3(cfg: RunConfig) -> int:
-    if cfg.m_list[0] < 3:
-        raise ConfigError(f"'m_list' entries must be >= 3 (periodic lattices), got "
-                          f"{','.join(map(str, cfg.m_list))}")
+    try:
+        for M in cfg.m_list:
+            LatticeSpec.periodic(M)
+    except ValueError as exc:
+        raise _m_list_error(exc) from None
     cfg = _paper_config(cfg)
     cmd_derivative_scan(replace(cfg, infinite=True, output=_artifact_path(cfg, "fig3_infinite")))
     for M in cfg.m_list:
@@ -251,6 +259,7 @@ _HANDLERS = {
 }
 
 
+@cache  # built on the first call, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinwave",

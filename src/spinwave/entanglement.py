@@ -15,7 +15,8 @@ A block that commutes with both reflections of the square (any square block
 of a periodic or the infinite lattice, whose quadrant table is even in dx and
 dy; an open lattice's centred one, 2 x0 = M - L) splits into four parity sectors
 (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)): sector (sy, sx) is
-G0 + sy Gy + sx Gx + sy sx Gxy over the block's lower-left quadrant.
+G0 + sy Gy + sx Gx + sy sx Gxy over the block's lower-left quadrant, which a
+table's ``sectors`` gathers one axis at a time.
 
 For a symmetric pair of sites, n = 2 sqrt(<q_i^2><p_i^2>) and
 c = 2 sqrt(-<q_i q_j><p_i p_j>) define zeta = n - c; zeta < 1 certifies
@@ -90,22 +91,25 @@ class SymplecticSpectrum:
 def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
     """nu_i = sqrt(eig(4 Q_L P_L)) from the symmetric congruent form 4 C^T Q_L C,
     P_L = C C^T; by Sylvester's law of inertia its smallest eigenvalue is
-    positive exactly when Q_L is positive-definite."""
+    positive exactly when Q_L is positive-definite.  Blocks stacked (..., n, n)
+    give the spectrum of their direct sum, each block checked and solved as if
+    alone."""
     Q_L = np.atleast_2d(np.asarray(Q_L, dtype=float))
     P_L = np.atleast_2d(np.asarray(P_L, dtype=float))
     for name, A in (("Q", Q_L), ("P", P_L)):
         # written so that a NaN anywhere fails the comparison
-        if not np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A)):
+        if not np.all(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1))
+                      <= 1e-12 * np.max(np.abs(A), axis=(-2, -1))):
             raise ValueError(f"{name} block is not symmetric")
     try:
         C = np.linalg.cholesky(P_L)
     except np.linalg.LinAlgError:
         raise ValueError("P block is not positive-definite") from None
-    prod = 4.0 * C.T @ Q_L @ C
-    ev = np.linalg.eigvalsh(0.5 * (prod + prod.T))
-    if ev[0] <= 0:
+    prod = 4.0 * np.swapaxes(C, -1, -2) @ Q_L @ C
+    ev = np.linalg.eigvalsh(0.5 * (prod + np.swapaxes(prod, -1, -2)))
+    if np.any(ev[..., 0] <= 0):
         raise ValueError("Q block is not positive-definite")
-    return SymplecticSpectrum.from_values(np.sqrt(ev))
+    return SymplecticSpectrum.from_values(np.sqrt(ev).ravel())
 
 
 def _entropy_terms(nu: np.ndarray) -> np.ndarray:
@@ -139,35 +143,30 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
 
 @lru_cache(maxsize=64)
 def _parity_sectors(L: int):
-    """The lower-left quadrant (x, y) of an L x L block, sides ceil(L/2), stacked
-    with its images in y, in x and in both (cross-blocks G0, Gy, Gx, Gxy); per parity
-    sector (sy, sx), the quadrant sites it keeps and their weights: an odd side's
-    middle row or column is dropped from odd sectors, weighted 1/sqrt(2) in even ones."""
+    """Per parity sector of an odd side L, in ``CorrelationTable.sectors``' order, the
+    quadrant sites it keeps and their weights: the middle row or column is dropped
+    from odd sectors and weighted 1/sqrt(2) in even ones."""
     h = (L + 1) // 2
     y, x = np.divmod(np.arange(h * h), h)
-    images = np.stack([np.stack(xy, axis=1) for xy in ((x, y), (x, L - 1 - y), (L - 1 - x, y),
-                                                       (L - 1 - x, L - 1 - y))])
-    mid_x, mid_y = (L % 2 == 1) & (x == h - 1), (L % 2 == 1) & (y == h - 1)
+    mid_x, mid_y = x == h - 1, y == h - 1
     weight = np.where(mid_x, np.sqrt(0.5), 1.0) * np.where(mid_y, np.sqrt(0.5), 1.0)
-    return images, [(sy, sx, k, weight[k]) for sy in (1, -1) for sx in (1, -1)
-                    for k in [np.flatnonzero(~((sy < 0) & mid_y | (sx < 0) & mid_x))]]
+    return [(k, weight[k]) for sy in (1, -1) for sx in (1, -1)
+            for k in [np.flatnonzero(~((sy < 0) & mid_y | (sx < 0) & mid_x))]]
 
 
 def block_spectrum(cov, spec: LatticeSpec, region: BlockRegion) -> SymplecticSpectrum:
     """Symplectic spectrum of the region's block of ``cov`` on ``spec``: its four
-    parity sectors' merged when mirror symmetric (module notes), else the whole's."""
+    parity sectors' merged when mirror symmetric (module notes), else the whole's.
+    An even side's sectors go through one stacked ``symplectic_spectrum`` call."""
     L = region.side_length
-    if spec.boundary == "periodic" or 2 * region.x0 == spec.side - L == 2 * region.y0:
-        images, sectors = _parity_sectors(L)
-        anchor = np.array([region.x0, region.y0])
-        G = cov.cross(anchor + images[0], anchor + images)  # (Q, P), each G0, Gy, Gx, Gxy
-        pieces = [[w[:, None] * (g0 + sx * gx + sy * (gy + sx * gxy))[np.ix_(keep, keep)] * w
-                   for g0, gy, gx, gxy in G]
-                  for sy, sx, keep, w in sectors if keep.size]
-    else:
-        pieces = [cov.block(region.sites())]
-    return SymplecticSpectrum.from_values(
-        np.concatenate([symplectic_spectrum(Q, P).values for Q, P in pieces]))
+    if not (spec.boundary == "periodic" or 2 * region.x0 == spec.side - L == 2 * region.y0):
+        return symplectic_spectrum(*cov.block(region.sites()))
+    Q, P = cov.sectors(region.x0, region.y0, L)
+    if L % 2 == 0:
+        return symplectic_spectrum(Q, P)
+    return SymplecticSpectrum.from_values(np.concatenate([
+        symplectic_spectrum(*(w[:, None] * A[np.ix_(keep, keep)] * w for A in (Qs, Ps))).values
+        for Qs, Ps, (keep, w) in zip(Q, P, _parity_sectors(L)) if keep.size]))
 
 
 def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,

@@ -95,8 +95,10 @@ class CorrelationTable:
         return dx, dy
 
     def _read(self, a, b):
-        """``cross(a, b)`` and, for a = b, the count of sites named twice (index (0, 0) off
-        a list's diagonal); open tables refuse off-lattice sites, add mirror images."""
+        """(Q, P) with rows at the sites a and columns at the sites b, (x, y), in one
+        gather (batches of lists (..., n, 2) broadcast, after the table's stack axes),
+        and for a = b the count of sites named twice (index (0, 0) off a list's
+        diagonal); open tables refuse off-lattice sites, add mirror images."""
         a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
         a, b = a[..., :, None, :], b[..., None, :, :]
         dx, dy = self.displacement_index(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
@@ -117,17 +119,51 @@ class CorrelationTable:
         return Q, P, repeats
 
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
-        """Principal submatrices (Q_L, P_L) on each list of sites (x, y), read as
-        ``cross`` reads them; no list may name one lattice site twice."""
+        """Principal submatrices (Q_L, P_L) on each list of sites (x, y), batches of
+        lists (..., n, 2) in one gather; no list may name one lattice site twice."""
         Q, P, repeats = self._read(sites, sites)
         if repeats:
             raise ValueError("block names one lattice site twice")
         return Q, P
 
-    def cross(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, P) with rows at the sites a and columns at the sites b, (x, y), in one
-        gather: batches of lists (..., n, 2) broadcast, after the table's stack axes."""
-        return self._read(a, b)[:2]
+    def sectors(self, x0: int, y0: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """Parity sectors (Q, P) of the L x L block anchored at (x0, y0) of a table of
+        one coupling, each (4, h^2, h^2) with h = ceil(L/2): sector (sy, sx), in the
+        order (+, +), (+, -), (-, +), (-, -), is G0 + sx Gx + sy (Gy + sx Gxy) over the
+        block's lower-left quadrant (sites y-major), the cross-blocks of the quadrant
+        against itself and its mirror images in x, y and both.  They are gathered one
+        axis at a time: per axis, the quadrant's (h, h) folded displacements to its
+        direct and its mirrored image (an open table subtracts the mirror terms
+        s = a + b + 2), first along x, then along y.  The block's sectors when it
+        commutes with both reflections (entanglement module notes); refusals as
+        ``block``'s, an open table's naming a corner of the block."""
+        if self.open:
+            for x, y in ((x0, y0), (x0 + L - 1, y0 + L - 1)):
+                LatticeSpec.open_boundary(self.period // 2 - 1).site_index(x, y)  # raises
+        i = np.arange((L + 1) // 2)
+
+        def axis(c):
+            # rows a = c + i against the columns b = c + i' and their mirror c + L - 1 - i'
+            a, b = c + i[:, None], c + np.stack([i, L - 1 - i])[:, None, :]
+            return np.stack([a - b, a + b + 2] if self.open else [a - b])
+
+        ix, iy = self.displacement_index(axis(x0), axis(y0))  # (term, image, h, h)
+
+        def fold(G, out):
+            # G (term, image, ...) into out (sign, ...): the direct image plus, then
+            # minus, the mirrored one, an open table's terms d - s first
+            G = G[0] - G[1] if self.open else G[0]
+            np.add(G[0], G[1], out=out[0])
+            np.subtract(G[0], G[1], out=out[1])
+
+        h, out = i.size, []
+        for T in (self.qq, self.pp):
+            U = np.empty((T.shape[1], 2, h, h))  # (dy, sx, i, i')
+            fold(T[ix], U.transpose(1, 2, 3, 0))
+            S = np.empty((2, 2, h, h, h, h))  # (sy, sx, j, i, j', i')
+            fold(U[iy], S.transpose(0, 2, 4, 1, 3, 5))
+            out.append(S.reshape(4, h * h, h * h))
+        return tuple(out)
 
 
 def _guard_softness(vmins: np.ndarray, on_site: float) -> dict:

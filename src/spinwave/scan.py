@@ -117,15 +117,22 @@ class PeakResult:
     g_at_peak: float
 
 
+def finite_sizes(M_list) -> list[int]:
+    """The lattice sizes of ``finite_size_peak`` as ints; a size that is not odd
+    and >= 5 is refused."""
+    M_list = [int(M) for M in M_list]
+    for M in M_list:
+        if M < 5 or M % 2 == 0:
+            raise ValueError(f"lattice sizes must be odd and >= 5, got {M}")
+    return M_list
+
+
 def finite_size_peak(params: CouplingParams, M_list, g_grid,
                      h: float = 1e-4) -> list[PeakResult]:
     """Peak |d zeta_1 / d g| over the grid for each odd lattice size (a unique
     center site), by one ``derivative_sweep`` per size; the first failing g's
     error is raised."""
-    M_list = [int(M) for M in M_list]
-    for M in M_list:
-        if M < 5 or M % 2 == 0:
-            raise ValueError(f"lattice sizes must be odd and >= 5, got {M}")
+    M_list = finite_sizes(M_list)
     g_grid = [float(g) for g in g_grid]
     peaks = []
     for M in M_list:

@@ -48,3 +48,20 @@ def sweep_each(couplings, spec, dmax=0):
             out[int(i)] = replace(cov, qq=cov.qq[j], pp=cov.pp[j])
     assert sorted(out) == list(range(len(couplings)))
     return [out[i] for i in range(len(couplings))]
+
+
+def four_image_sectors(Q, P, L):
+    """Parity sectors of an L x L block's (Q, P), sites y-major, by the four-image
+    route: the cross-blocks (G0, Gy, Gx, Gxy) of the block's lower-left quadrant,
+    sides ceil(L/2), against itself and its mirror images in y, in x and in both,
+    summed G0 + sx Gx + sy (Gy + sx Gxy) per sector (sy, sx), in the order (+, +),
+    (+, -), (-, +), (-, -).  The tests' oracle for ``CorrelationTable.sectors``."""
+    h = (L + 1) // 2
+    y, x = np.divmod(np.arange(h * h), h)
+    images = [b * L + a for a, b in ((x, y), (x, L - 1 - y), (L - 1 - x, y), (L - 1 - x, L - 1 - y))]
+    out = []
+    for A in (Q, P):
+        g0, gy, gx, gxy = (A[np.ix_(images[0], cols)] for cols in images)
+        out.append(np.stack([g0 + sx * gx + sy * (gy + sx * gxy)
+                             for sy in (1, -1) for sx in (1, -1)]))
+    return tuple(out)

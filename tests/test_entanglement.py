@@ -14,7 +14,7 @@ from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, Lattic
 from spinwave import entanglement, groundstate
 from spinwave.entanglement import block_spectrum
 
-from conftest import full_matrices, pair_params, params_at
+from conftest import four_image_sectors, full_matrices, pair_params, params_at
 
 
 def spectrum_of(values):
@@ -79,6 +79,44 @@ def test_spectrum_rejects_bad_inputs():
                  (np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))):
         with pytest.raises(ValueError, match="symmetric"):
             symplectic_spectrum(Q, P)
+
+
+# blocks the size of fig2's and the open-dense scan's, g1 != g2 on the finite lattices
+@pytest.mark.parametrize("spec, g1, g2, L", [(LatticeSpec.periodic(80), 1.3, 1.1, 20),
+                                             (LatticeSpec.infinite_lattice(), 1.5, 1.5, 12),
+                                             (LatticeSpec.open_boundary(30), 1.2, 1.6, 10)])
+def test_stacked_spectrum_matches_batch_of_blocks_alone(spec, g1, g2, L):
+    # a block's four parity sectors in one call, bit for bit the merged spectra of
+    # one call per sector, and a stack of unrelated blocks alike
+    cov = covariances_for(params_at(g1, g2=g2), spec, L - 1)
+    region = BlockRegion.centered(L, L if spec.infinite else spec.side)
+    Q, P = cov.sectors(region.x0, region.y0, L)
+    alone = np.concatenate([symplectic_spectrum(q, p).values for q, p in zip(Q, P)])
+    assert np.array_equal(symplectic_spectrum(Q, P).values, np.sort(alone)[::-1])
+    Qs, Ps = np.stack([Q, Q[::-1]]), np.stack([P, P[::-1]])
+    assert np.array_equal(symplectic_spectrum(Qs, Ps).values, np.repeat(np.sort(alone)[::-1], 2))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2)), "Q block is not positive-definite"),
+    ((np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)), "Q block is not symmetric"),
+    ((np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])), "P block is not symmetric"),
+    ((np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])), "P block is not positive-definite"),
+    ((np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)), "Q block is not symmetric"),
+    ((np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])), "P block is not symmetric"),
+    # nu = 2 sqrt(0.2 * 1) < 1
+    ((0.2 * np.eye(2), np.eye(2)), "uncertainty violation"),
+])
+@pytest.mark.parametrize("k", [0, 2])
+def test_stacked_spectrum_raises_its_bad_blocks_error(bad, message, k):
+    # one bad block among four, first or third: its own error, as alone
+    good = (np.diag([1.0, 2.0]), np.diag([1.0, 0.5]))
+    with pytest.raises(ValueError, match=message):
+        symplectic_spectrum(*bad)
+    Q, P = (np.stack([g] * 4) for g in good)
+    Q[k], P[k] = bad
+    with pytest.raises(ValueError, match=message):
+        symplectic_spectrum(Q, P)
 
 
 @pytest.mark.parametrize("spec, g, L", [
@@ -534,6 +572,24 @@ def sector_case(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(sector_case())
+def test_sectors_match_the_four_image_route(case):
+    # one axis at a time, the same additions in the same order as the four images'
+    # signed sums on periodic and infinite tables; an open table's mirror terms
+    # are summed in another order
+    p, spec, region = case
+    L = region.side_length
+    cov = covariances_for(p, spec, L - 1)
+    wants = four_image_sectors(*cov.block(region.sites()), L)
+    for want, got in zip(wants, cov.sectors(region.x0, region.y0, L)):
+        assert got.shape == want.shape
+        if spec.boundary == "open":
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sector_case())
 def test_sector_spectra_match_whole_block(case):
     p, spec, region = case
     cov = covariances_for(p, spec, region.side_length - 1)
@@ -568,7 +624,8 @@ def test_open_block_off_the_mirror_axis_is_never_split(spectrum_calls, M, L):
     # one site more, M - L is even and the block splits
     spectrum_calls.clear()
     block_spectrum(cov, spec, BlockRegion.centered(L + 1, M))
-    assert len(spectrum_calls) == 4
+    # four sectors: stacked in one call for an even side, one call each for an odd one
+    assert sum(shape[0] if len(shape) == 3 else 1 for shape in spectrum_calls) == 4
 
 
 def test_large_infinite_block_spectrum():

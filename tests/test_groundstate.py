@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinwave import (LatticeSpec, QuadratureConvergenceError,
+from spinwave import (BlockRegion, LatticeSpec, QuadratureConvergenceError,
                       StabilityError, build_potential, covariance_dense,
                       covariance_infinite, covariance_pbc_fft, covariances_for,
                       covariances_for_each, critical_g_equal,
@@ -14,7 +14,7 @@ from spinwave import (LatticeSpec, QuadratureConvergenceError,
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q
 
-from conftest import full_matrices, full_symbol, params_at, sweep_each
+from conftest import four_image_sectors, full_matrices, full_symbol, params_at, sweep_each
 from zone_grid import _zone_tables, grid_oracle
 
 
@@ -139,20 +139,23 @@ def test_open_tables_match_mpmath_near_the_open_criticality(M, g1, g2, fraction)
 @settings(max_examples=60, deadline=None)
 @given(open_lattice_cases(), st.data())
 def test_cross_blocks_match_dense_oracle(case, data):
-    # rows at one list of sites, columns at another; the lists may share sites.
-    # A periodic lattice runs the cases below 0.98 of the infinite lattice's
-    # critical scale, which keep v above 0.02 of the on-site term on the zone.
-    spec, p, sites = case
-    k = data.draw(st.integers(1, len(sites)))
-    rows, cols = sites[:k], sites[data.draw(st.integers(0, k - 1)):]
+    # the parity sectors of an L x L block, signed sums of its quadrant's cross-blocks
+    # against its mirror images, anywhere on the lattice.  A periodic lattice runs the
+    # cases below 0.98 of the infinite lattice's critical scale, which keep v above
+    # 0.02 of the on-site term on the zone.
+    spec, p, _ = case
+    L = data.draw(st.integers(1, spec.side))
     stable = zone_minimum(p)[0] > 0.01 * p.on_site
     lattices = [spec] + [LatticeSpec.periodic(max(spec.side, 3))] * stable
     for lattice in lattices:
         cov = covariances_for(p, lattice)
         dense = covariance_dense(lattice, p)
-        i, j = ([lattice.site_index(x, y) for x, y in s] for s in (rows, cols))
-        for want, got in zip((dense.Q[np.ix_(i, j)], dense.P[np.ix_(i, j)]), cov.cross(rows, cols)):
-            assert got.shape == want.shape
+        top = lattice.side - L if lattice.boundary == "open" else lattice.side - 1
+        x0, y0 = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
+        idx = [lattice.site_index(x, y) for x, y in BlockRegion(x0, y0, L).sites()]
+        wants = four_image_sectors(dense.Q[np.ix_(idx, idx)], dense.P[np.ix_(idx, idx)], L)
+        for want, got in zip(wants, cov.sectors(x0, y0, L)):
+            assert got.shape == want.shape == (4, ((L + 1) // 2) ** 2, ((L + 1) // 2) ** 2)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -166,6 +169,19 @@ def test_dst_block_refuses_what_dense_refuses(sites):
             cov.block(sites)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("spec, region, message", [
+    (LatticeSpec.infinite_lattice(), BlockRegion(0, 0, 5), r"not in table \(extent 3\)"),
+    (LatticeSpec.open_boundary(4), BlockRegion(-1, 0, 2), r"site \(-1, 0\) outside open 4x4"),
+    (LatticeSpec.open_boundary(4), BlockRegion(1, 1, 4), "outside open 4x4 lattice"),
+])
+def test_sectors_refuse_what_block_refuses(spec, region, message):
+    cov = covariances_for(params_at(1.2, g2=0.8), spec, 3)
+    for read in (lambda: cov.block(region.sites()),
+                 lambda: cov.sectors(region.x0, region.y0, region.side_length)):
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 @pytest.mark.parametrize("M", [2, 3, 7, 12])

@@ -7,40 +7,45 @@ package computes the dispersion and phase boundary of the model, the
 Gaussian ground-state covariances by three engines, block entropies and
 their area-law scaling, and two-site entanglement with its critical
 behavior.
+
+The public names below load their module on first use (PEP 562), so
+``import spinwave`` alone loads no numpy: ``spinwave.cli`` can then choose
+the BLAS thread count before numpy starts its thread pool.
 """
 
-from .model import CouplingParams, LatticeSpec, StabilityError, build_potential
-from .spectrum import (GapScalingFit, PhasePoint, critical_g2, critical_g2_numeric,
-                       critical_g_equal, dispersion_value, energy_gap, gap_scaling_exponent,
-                       phase_boundary_cases, zone_minimum)
-from .groundstate import (CorrelationTable, CovariancePair, QuadratureConvergenceError,
-                          covariance_dense, covariance_infinite, covariance_pbc_fft,
-                          covariances_for, covariances_for_each, excitation_density)
-from .entanglement import (AsymmetricPairError, BlockRegion, SymplecticSpectrum,
-                           TwoSiteParams, block_entropy, entropy_vs_L, eof_symmetric,
-                           symplectic_spectrum, two_site_params, two_site_sweep)
-from .oracle import (SpinSystemSpec, TwoSiteSolution, eof_fock_series, exact_two_site,
-                     harmonic_two_site_prediction, symplectic_bruteforce, validation_battery)
-from .scan import (DerivativeEstimate, FitResult, PeakResult, area_law_fit, derivative_zeta,
-                   finite_size_peak)
-from .config import ConfigError, RunConfig, config_digest, parse_config, serialize_config
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CouplingParams", "LatticeSpec", "StabilityError", "build_potential",
-    "GapScalingFit", "PhasePoint", "critical_g2", "critical_g2_numeric", "critical_g_equal",
-    "dispersion_value", "energy_gap", "gap_scaling_exponent", "phase_boundary_cases",
-    "zone_minimum",
-    "CorrelationTable", "CovariancePair", "QuadratureConvergenceError",
-    "excitation_density", "covariance_dense", "covariance_infinite", "covariance_pbc_fft",
-    "covariances_for", "covariances_for_each",
-    "AsymmetricPairError", "BlockRegion", "SymplecticSpectrum", "TwoSiteParams",
-    "block_entropy", "entropy_vs_L", "eof_symmetric", "symplectic_spectrum",
-    "two_site_params", "two_site_sweep",
-    "SpinSystemSpec", "TwoSiteSolution", "eof_fock_series", "exact_two_site",
-    "harmonic_two_site_prediction", "symplectic_bruteforce", "validation_battery",
-    "DerivativeEstimate", "FitResult", "PeakResult", "area_law_fit", "derivative_zeta",
-    "finite_size_peak",
-    "ConfigError", "RunConfig", "config_digest", "parse_config", "serialize_config",
-]
+_MODULES = {
+    "model": "CouplingParams LatticeSpec StabilityError build_potential",
+    "spectrum": "GapScalingFit PhasePoint critical_g2 critical_g2_numeric critical_g_equal "
+                "dispersion_value energy_gap gap_scaling_exponent phase_boundary_cases "
+                "zone_minimum",
+    "groundstate": "CorrelationTable CovariancePair QuadratureConvergenceError "
+                   "covariance_dense covariance_infinite covariance_pbc_fft covariances_for "
+                   "covariances_for_each excitation_density",
+    "entanglement": "AsymmetricPairError BlockRegion SymplecticSpectrum TwoSiteParams "
+                    "block_entropy entropy_vs_L eof_symmetric symplectic_spectrum "
+                    "two_site_params two_site_sweep",
+    "oracle": "SpinSystemSpec TwoSiteSolution eof_fock_series exact_two_site "
+              "harmonic_two_site_prediction symplectic_bruteforce validation_battery",
+    "scan": "DerivativeEstimate FitResult PeakResult area_law_fit derivative_zeta "
+            "finite_size_peak",
+    "config": "ConfigError RunConfig config_digest parse_config serialize_config",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

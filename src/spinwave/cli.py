@@ -5,14 +5,28 @@ non-convergence or running out of memory), 2 configuration or usage error,
 unreadable paths and overflowing parameters included.  Every table records
 its subcommand and config (CSV in a digest line, JSON whole); each recipe
 artifact is ``entropy-scan`` (fig2) or ``derivative-scan`` (fig3) on that config.
+
+With no thread count in the environment (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS``), importing this module sets
+``OMP_NUM_THREADS=1`` before numpy loads: the recipes' eigenproblems (at most
+100 x 100) gain no speed from a second BLAS thread and spend twice the CPU.
+A count set in the environment wins (``OMP_NUM_THREADS=2 spinwave ...``); in a
+process that loaded numpy before ``spinwave.cli`` the default does nothing.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+# numpy reads the thread count when it loads; see the module docstring
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OMP_NUM_THREADS"] = "1"
+
 import argparse
 import json
 import math
-import sys
 from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path

@@ -1,8 +1,12 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -774,3 +778,66 @@ def test_every_subcommand_exits_0_1_or_2(run):
             assert written
             for path in written:
                 _check_table(path, cfg.get("format", "csv"))
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# in a fresh interpreter: import the package, then the CLI, and report what each wrote
+THREAD_PROBE = """\
+import json, os, sys
+before = dict(os.environ)
+import spinwave
+package = {"numpy": "numpy" in sys.modules, "env_unchanged": dict(os.environ) == before}
+before = dict(os.environ)
+from spinwave import cli
+written = {k: v for k, v in os.environ.items() if before.get(k) != v}
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"package": package, "written": written, "tasks": tasks}))
+"""
+
+
+def _thread_probe(preamble, **threads):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(threads, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [e for e in [os.environ.get("PYTHONPATH")] if e]))
+    out = subprocess.run([sys.executable, "-c", preamble + "\n" + THREAD_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def _openblas_loaded():
+    with open("/proc/self/maps") as fh:
+        return any("openblas" in line.lower() for line in fh)
+
+
+@pytest.mark.parametrize("preamble, threads, written, tasks", [
+    ("", {}, {"OMP_NUM_THREADS": "1"}, 1),
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, {}, 2),
+    ("", {"OMP_NUM_THREADS": "3"}, {}, None),
+    ("import numpy", {}, {}, None),
+])
+def test_cli_runs_one_blas_thread_unless_the_environment_names_a_count(preamble, threads,
+                                                                       written, tasks):
+    # importing the package loads no numpy and writes nothing; the CLI sets one
+    # thread before numpy loads, a count the user set wins, and a process that
+    # loaded numpy first is left as it is
+    probe = _thread_probe(preamble, **threads)
+    assert probe["package"] == {"numpy": bool(preamble), "env_unchanged": True}
+    assert probe["written"] == written
+    if (tasks is not None and probe["tasks"] is not None and len(os.sched_getaffinity(0)) >= 2
+            and _openblas_loaded()):
+        assert probe["tasks"] == tasks  # OpenBLAS starts its pool when numpy loads
+
+
+def test_lazy_package_keeps_its_public_surface():
+    import spinwave
+
+    assert len(set(spinwave.__all__)) == len(spinwave.__all__)
+    assert set(spinwave.__all__) <= set(dir(spinwave))
+    for name in spinwave.__all__:
+        obj = getattr(spinwave, name)
+        assert obj.__module__.startswith("spinwave.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert not hasattr(spinwave, "no_such_name")
+    from spinwave import groundstate
+    assert groundstate is sys.modules["spinwave.groundstate"]

@@ -66,6 +66,8 @@ def _g_grid(cfg: RunConfig) -> list[float]:
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):  # format_value's repr, which never holds , " or a newline
+        return repr(value)
     text = "" if value is None else format_value(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
@@ -130,8 +132,10 @@ def cmd_covariance(cfg: RunConfig) -> int:
     if lattice.engine == "dense":
         raise ConfigError("a displacement table needs translation invariance; "
                           "use a periodic lattice or infinite = true")
-    table = covariances_for(_params(cfg), lattice, cfg.max_displacement)
-    d = np.arange(cfg.max_displacement + 1 if lattice.infinite else lattice.side)
+    # a periodic table reaches every displacement at M//2
+    reach = cfg.max_displacement if lattice.infinite else lattice.side // 2
+    table = covariances_for(_params(cfg), lattice, reach)
+    d = np.arange(reach + 1 if lattice.infinite else lattice.side)
     dx, dy = (a.ravel() for a in np.meshgrid(d, d, indexing="ij"))
     index = table.displacement_index(dx, dy)
     rows = list(zip(dx.tolist(), dy.tolist(), table.qq[index].tolist(), table.pp[index].tolist()))

@@ -78,14 +78,21 @@ class SymplecticSpectrum:
         return cls(values=np.sort(np.maximum(raw, 1.0))[::-1])
 
     def grouped(self, rel_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[float, int]]:
-        """(value, multiplicity) with values merged at relative tolerance."""
-        groups: list[list[float]] = []
-        for v in self.values:
-            if groups and abs(v - groups[-1][0]) <= rel_tol * abs(groups[-1][0]):
-                groups[-1].append(v)
-            else:
-                groups.append([v])
-        return [(g[0], len(g)) for g in groups]
+        """(value, multiplicity) with values merged at relative tolerance: a value
+        joins its group when within rel_tol of the group's first value, else starts
+        the next.  The values descend, so one not within rel_tol of its predecessor
+        is not within it of that value's group's first either: only runs of near
+        ties are walked one by one."""
+        v = self.values
+        start = np.ones(v.size, dtype=bool)
+        start[1:] = ~(np.abs(v[1:] - v[:-1]) <= rel_tol * np.abs(v[:-1]))  # NaN starts one
+        head = 0
+        for i in np.flatnonzero(~start).tolist():
+            if start[i - 1]:
+                head = i - 1
+            start[i] = not abs(v[i] - v[head]) <= rel_tol * abs(v[head])
+        first = np.flatnonzero(start)
+        return list(zip(v[first], np.diff(first, append=v.size).tolist()))
 
 
 def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:

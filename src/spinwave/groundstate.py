@@ -16,7 +16,10 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 
 Each returns a ``CorrelationTable``, correlations by displacement in one
 (|dx|, |dy|) quadrant layout, whose ``block(sites)`` gives the principal
-submatrices (Q_L, P_L) on a list of sites.  An open M x M lattice's DST-I modes
+submatrices (Q_L, P_L) on a list of sites.  A periodic or infinite table holds
+|d| <= r per component, r the reach its reader asks for (at most M//2, the
+whole table, when periodic: the transform keeps only those rows), and refuses
+a displacement beyond it.  An open M x M lattice's DST-I modes
 k = pi j / (M + 1), j = 1..M, are interior modes of period 2 (M + 1), and
 sin a sin b is a difference of cosines (Strang, SIAM Rev. 41, 135 (1999)): with
 T the period's table of those modes alone and s = a + b + 2 per axis,
@@ -67,10 +70,12 @@ class CorrelationTable:
     (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|) -- the dispersion is
     even in each wavevector component separately, so correlations are too.
     A periodic table (``period`` M) folds each component modulo M onto
-    0..D = M//2; an infinite one (``period`` None) holds |d| <= D; an ``open``
-    one, made by the engine only, is the period 2 (M + 1) table of an open M x M
-    lattice's modes, read by mirror images (module notes).  A sweep's block
-    stacks its couplings' tables along leading axes, read alike."""
+    0..M//2 and holds the folded |d| <= D, D <= M//2 being the reader's reach;
+    an infinite one (``period`` None) holds |d| <= D; an ``open`` one, made by
+    the engine only, is the whole period 2 (M + 1) table of an open M x M
+    lattice's modes, read by mirror images (module notes).  Each refuses a
+    displacement beyond D.  A sweep's block stacks its couplings' tables along
+    leading axes, read alike."""
 
     qq: np.ndarray = field(repr=False)
     pp: np.ndarray = field(repr=False)
@@ -80,13 +85,16 @@ class CorrelationTable:
     def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
         """Table indices of the displacements (dx, dy), integers or integer
         arrays of one shape: min(d mod M, M - d mod M) for periodic tables,
-        (|dx|, |dy|) for infinite ones, which refuse displacements beyond
-        their extent."""
+        (|dx|, |dy|) for infinite ones; an index beyond the table's extent
+        is refused."""
         extent, M = self.qq.shape[-1], self.period
         if M is not None:
             dx, dy = np.mod(dx, M), np.mod(dy, M)
-            return np.minimum(dx, M - dx), np.minimum(dy, M - dy)
-        dx, dy = np.abs(dx), np.abs(dy)
+            dx, dy = np.minimum(dx, M - dx), np.minimum(dy, M - dy)
+            if extent > M // 2:  # a whole table holds every folded index
+                return dx, dy
+        else:
+            dx, dy = np.abs(dx), np.abs(dy)
         outside = np.ravel((dx >= extent) | (dy >= extent))
         if outside.any():
             first = int(np.argmax(outside))
@@ -194,10 +202,11 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     """Periodic-lattice correlations <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
     on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta:
     ``covariances_for``'s batch of one.  v is even in kx and in ky, so this is a real
-    cosine transform along each axis, folded onto the quadrant 0..M//2 (module notes)."""
+    cosine transform along each axis, folded onto the quadrant 0..M//2 (module notes),
+    whole: it reaches every displacement."""
     if spec.engine != "fft":
         raise ValueError("FFT engine requires a finite periodic lattice")
-    return covariances_for(params, spec)
+    return covariances_for(params, spec, spec.side // 2)
 
 
 @lru_cache(maxsize=64)
@@ -250,6 +259,9 @@ TANH_SINH_T = 3.5
 TANH_SINH_H0 = 0.5
 # couplings x nodes per block of a batch's level: a working set near one coupling's
 LEVEL_BLOCK_POINTS = 2 ** 12
+# couplings x grid points per block of a finite sweep: its fixed numpy calls
+# per block, not its arithmetic, dominated blocks of 2^12
+FINITE_BLOCK_POINTS = 2 ** 14
 # the forward Legendre recurrence amplifies roundoff by about exp(2 m eta);
 # it runs where 2 max(m_top, 4) eta stays below log(100) (the floor of 4
 # also keeps z k K - 2 E / k, the start Q_{1/2}, clear of cancellation)
@@ -268,7 +280,9 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     recurrence (m + 1/2) Q_{m+1/2} = 2 m z Q_{m-1/2} - (m - 1/2) Q_{m-3/2}:
     forward where eta = arccosh z is small, elsewhere as backward ratios for
     the minimal solution (Gil, Segura & Temme, J. Comput. Phys. 161, 204
-    (2000)), normalised by Q_{-1/2}.
+    (2000)), normalised by Q_{-1/2}.  Each node's float operations do not depend
+    on the others': nodes of one kind run on z's own shape when every node is of
+    that kind, else gathered, and the updates run in place.
     """
     z = 1.0 + zm1
     k = np.sqrt(2.0 / (z + 1.0))
@@ -276,8 +290,15 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     csum, weight = 0.5 * k * k, 1.0  # sum of 2^(n-1) c_n^2 (DLMF 19.8.6)
     while (running := np.any(a - g > 1e-15 * a, axis=-1, keepdims=True)).any():
         c = 0.5 * (a - g)
-        a, g, csum = (np.where(running, 0.5 * (a + g), a), np.where(running, np.sqrt(a * g), g),
-                      np.where(running, csum + weight * c * c, csum))
+        if running.all():
+            ag = a * g
+            a += g
+            a *= 0.5
+            np.sqrt(ag, out=g)
+            csum += weight * c * c
+        else:
+            a, g, csum = (np.where(running, 0.5 * (a + g), a), np.where(running, np.sqrt(a * g), g),
+                          np.where(running, csum + weight * c * c, csum))
         weight *= 2.0
     K = np.pi / (2.0 * a)
     E = K * (1.0 - csum)
@@ -285,27 +306,47 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     q[0] = k * K
     eta = np.log1p(zm1 + np.sqrt(zm1 * (zm1 + 2.0)))
     forward = 2.0 * max(top, 4) * eta <= FORWARD_GROWTH
-    zf = z[forward]
-    qf = np.empty((top + 1, zf.size))
-    qf[0] = q[0, forward]
-    qf[1] = zf * qf[0] - 2.0 * E[forward] / k[forward]
-    for m in range(1, top):
-        qf[m + 1] = (2.0 * m * zf * qf[m] - (m - 0.5) * qf[m - 1]) / (m + 0.5)
-    q[:, forward] = qf
-    back = ~forward
-    if back.any():
-        zb, eb = z[back], eta[back]
+    if forward.any():
+        # every node forward: q itself, else the forward nodes gathered
+        f = ... if forward.all() else forward
+        zf = z[f]
+        qf = q[:, f] if f is ... else np.empty((top + 1, zf.size))
+        qf[0] = q[0, f]
+        qf[1] = zf * qf[0] - 2.0 * E[f] / k[f]
+        for m in range(1, top):
+            qf[m + 1] = (2.0 * m * zf * qf[m] - (m - 0.5) * qf[m - 1]) / (m + 0.5)
+        if f is not ...:
+            q[:, f] = qf
+    if not forward.all():
+        b = ... if not forward.any() else ~forward
+        zb, eb = z[b], eta[b]
         # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
         # far enough above top that the start error has decayed below 1e-17
-        eta_min = np.min(np.where(back, eta, np.inf), axis=-1, keepdims=True)
-        start = np.broadcast_to(top + np.ceil(39.0 / (2.0 * eta_min)), eta.shape)[back]
-        r = np.exp(-eb)
-        ratios = np.empty((top, zb.size))
+        eta_min = np.min(np.where(forward, np.inf, eta), axis=-1, keepdims=True)
+        start = top + np.ceil(39.0 / (2.0 * eta_min))
+        if b is not ...:
+            start = np.broadcast_to(start, eta.shape)[b]
+        ratios = q[1:] if b is ... else np.empty((top, zb.size))
+        r, t, u = np.exp(-eb), np.empty_like(zb), np.empty_like(zb)
+        lowest = np.min(start)
+        # every start lies above top: steps above it update the nodes started
+        # so far, those from top down every node, straight into its ratio row
         for m in range(int(np.max(start)), 0, -1):
-            r = np.where(m <= start, (m - 0.5) / (2.0 * m * zb - (m + 0.5) * r), r)
+            step = ratios[m - 1] if m <= top else t
+            np.multiply(2.0 * m, zb, out=step)
+            np.multiply(m + 0.5, r, out=u)
+            np.subtract(step, u, out=step)
+            np.divide(m - 0.5, step, out=step)
             if m <= top:
-                ratios[m - 1] = r
-        q[1:, back] = q[0, back] * np.cumprod(ratios, axis=0)
+                r = step
+            elif m > lowest:
+                np.copyto(r, step, where=m <= start)
+            else:
+                r, t = t, r
+        np.cumprod(ratios, axis=0, out=ratios)
+        ratios *= q[0, b]
+        if b is not ...:
+            q[1:, b] = ratios
     return q, k, E
 
 
@@ -363,20 +404,28 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray
     x = np.where(pipi[:, None], rest, kx)
     v_pi = delta[:, None] + slope[:, None] * 2.0 * np.sin(0.5 * x) ** 2
     d = np.arange(dmax + 1)
-    jm = np.zeros((dmax + 1,) + v_pi.shape)
-    jp = np.zeros_like(jm)
     # b / a below 2e-17 (g2 = 0 makes it exact): v = a = v(kx, pi)
     flat = bscale <= 1e-17 * delta
-    jm[0, flat], jp[0, flat] = v_pi[flat] ** -0.5, v_pi[flat] ** 0.5
-    curved = ~flat
-    if curved.any():
+    # every coupling curved: the curved sums are the block's, with no scatter
+    curved = ...
+    if flat.any():
+        jm = np.zeros((dmax + 1,) + v_pi.shape)
+        jp = np.zeros_like(jm)
+        jm[0, flat], jp[0, flat] = v_pi[flat] ** -0.5, v_pi[flat] ** 0.5
+        curved = ~flat
+    if curved is ... or curved.any():
         b = bscale[curved, None] * (1.0 + np.cos(kx) / np.sqrt(2.0))
         q, k, E = _legendre_q(v_pi[curved] / b, dmax + 1)
         sign = np.where(d % 2, -1.0, 1.0)[:, None, None]
         c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
-        jm[:, curved] = sign * c * q[:-1]
-        jp[0, curved] = c * b * 2.0 * E / k
-        jp[1:, curved] = sign[1:] * c * b * (q[2:] - q[:-2]) / (4.0 * d[1:, None, None])
+        jm_c = sign * c * q[:-1]
+        jp_c = np.empty_like(jm_c)
+        jp_c[0] = c * b * 2.0 * E / k
+        jp_c[1:] = sign[1:] * c * b * (q[2:] - q[:-2]) / (4.0 * d[1:, None, None])
+        if curved is ...:
+            jm, jp = jm_c, jp_c
+        else:
+            jm[:, curved], jp[:, curved] = jm_c, jp_c
     return np.stack([cx @ np.ascontiguousarray(np.moveaxis(j, 0, 1)).transpose(0, 2, 1)
                      for j in (jm, jp)], axis=1)
 
@@ -428,8 +477,8 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
 
 
 def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
-    """The CorrelationTable of ``spec`` (up to ``max_displacement`` per component
-    when infinite): ``covariances_for_each``'s sweep of one."""
+    """The CorrelationTable of ``spec`` up to ``max_displacement`` per component (whole
+    when open): ``covariances_for_each``'s sweep of one."""
     ((_, cov, refused),) = covariances_for_each(params, [params.g1], [params.g2], spec,
                                                 max_displacement)
     if refused:
@@ -444,16 +493,22 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     ValueError.  Each block yields (index, cov, refused): its stable couplings' sweep
     indices, one CorrelationTable stacking their tables along a leading axis (an empty
     stack when all are refused) and each refused coupling's StabilityError or
-    QuadratureConvergenceError by sweep index.  A finite lattice runs blocks of at most
-    LEVEL_BLOCK_POINTS table points, the infinite one a single batch, each guarded
-    on its min v at once."""
+    QuadratureConvergenceError by sweep index.  Tables hold the displacements up to
+    ``max_displacement`` per component (a periodic one at most M//2, the whole table),
+    except an open lattice's, whose mirror images reach across the whole period.  A
+    finite lattice runs blocks of at most FINITE_BLOCK_POINTS grid points, the
+    infinite one a single batch, each guarded on its min v at once."""
     g1, g2 = params.strength_arrays(g1, g2)
-    if spec.infinite and max_displacement < 0:
+    if spec.boundary != "open" and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
     M, is_open = spec.side, spec.boundary == "open"
     # an open lattice's modes are the interior modes 1..M of period 2 (M + 1)
     period, modes = (2 * (M + 1), slice(1, M + 1)) if is_open else (M, slice(None))
-    size = max(1, g1.size if spec.infinite else LEVEL_BLOCK_POINTS // (period // 2 + 1) ** 2)
+    if not spec.infinite:
+        # a periodic table's rows end at the reach; an open one's mirror images reach far
+        reach = period // 2 if is_open else min(max_displacement, M // 2)
+        C = _cosine_matrix(period)[:reach + 1, modes]
+    size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)
     for start in range(0, g1.size, size):
         block = slice(start, start + size)
         v = (zone_branch(params, g1[block], g2[block]) if spec.infinite
@@ -467,7 +522,6 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
             stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
         else:
             x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
-            C = _cosine_matrix(period)[:, modes]
             # x's first mode goes in exactly: a constant v (g = 0) gets exact
             # off-site zeros (on an open lattice once its images cancel)
             tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / period ** 2)

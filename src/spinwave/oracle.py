@@ -178,7 +178,7 @@ def validation_battery() -> dict:
             params = CouplingParams(omega=500.0, kappa=1.0, n_atoms=1000, g1=g1, g2=g2)
             if np.min(dispersion_grid(params, spec)) > 1e-3 * params.on_site:
                 break
-        table = covariances_for(params, spec)
+        table = covariances_for(params, spec, M // 2)
         n_sub = int(rng.integers(2, 7))
         flat = rng.choice(M * M, size=n_sub, replace=False)
         sites = [(int(s % M), int(s // M)) for s in flat]

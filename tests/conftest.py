@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinwave import CouplingParams, covariances_for_each, dispersion_value, two_site_params
+from spinwave import groundstate
 
 
 @pytest.fixture
@@ -65,3 +66,47 @@ def four_image_sectors(Q, P, L):
         out.append(np.stack([g0 + sx * gx + sy * (gy + sx * gxy)
                              for sy in (1, -1) for sx in (1, -1)]))
     return tuple(out)
+
+
+def masked_legendre_q(zm1, top):
+    """``groundstate._legendre_q`` as written with masked copies: the AGM and the
+    backward ratios step through ``np.where`` over every node, and the forward and
+    backward nodes are gathered and scattered back by boolean masks.  The tests'
+    oracle for the in-place kernel, which must match it bit for bit."""
+    z = 1.0 + zm1
+    k = np.sqrt(2.0 / (z + 1.0))
+    a, g = np.ones_like(zm1), np.sqrt(zm1 / (z + 1.0))
+    csum, weight = 0.5 * k * k, 1.0  # sum of 2^(n-1) c_n^2 (DLMF 19.8.6)
+    while (running := np.any(a - g > 1e-15 * a, axis=-1, keepdims=True)).any():
+        c = 0.5 * (a - g)
+        a, g, csum = (np.where(running, 0.5 * (a + g), a), np.where(running, np.sqrt(a * g), g),
+                      np.where(running, csum + weight * c * c, csum))
+        weight *= 2.0
+    K = np.pi / (2.0 * a)
+    E = K * (1.0 - csum)
+    q = np.empty((top + 1,) + zm1.shape)
+    q[0] = k * K
+    eta = np.log1p(zm1 + np.sqrt(zm1 * (zm1 + 2.0)))
+    forward = 2.0 * max(top, 4) * eta <= groundstate.FORWARD_GROWTH
+    zf = z[forward]
+    qf = np.empty((top + 1, zf.size))
+    qf[0] = q[0, forward]
+    qf[1] = zf * qf[0] - 2.0 * E[forward] / k[forward]
+    for m in range(1, top):
+        qf[m + 1] = (2.0 * m * zf * qf[m] - (m - 0.5) * qf[m - 1]) / (m + 0.5)
+    q[:, forward] = qf
+    back = ~forward
+    if back.any():
+        zb, eb = z[back], eta[back]
+        # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
+        # far enough above top that the start error has decayed below 1e-17
+        eta_min = np.min(np.where(back, eta, np.inf), axis=-1, keepdims=True)
+        start = np.broadcast_to(top + np.ceil(39.0 / (2.0 * eta_min)), eta.shape)[back]
+        r = np.exp(-eb)
+        ratios = np.empty((top, zb.size))
+        for m in range(int(np.max(start)), 0, -1):
+            r = np.where(m <= start, (m - 0.5) / (2.0 * m * zb - (m + 0.5) * r), r)
+            if m <= top:
+                ratios[m - 1] = r
+        q[1:, back] = q[0, back] * np.cumprod(ratios, axis=0)
+    return q, k, E

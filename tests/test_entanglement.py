@@ -144,6 +144,53 @@ def test_spectrum_grouping():
     assert nu.grouped(1e-8) == [(3.0, 2), (2.0, 1), (1.0, 3)]
 
 
+def grouped_by_loop(values, rel_tol):
+    """``SymplecticSpectrum.grouped`` as a loop over every value: the oracle for
+    its vectorised merge."""
+    groups = []
+    for v in values:
+        if groups and abs(v - groups[-1][0]) <= rel_tol * abs(groups[-1][0]):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return [(g[0], len(g)) for g in groups]
+
+
+@st.composite
+def near_tie_spectra(draw):
+    """(raw values >= 1, rel_tol): a chain of values from 16 up, each a multiple 0,
+    1/2, 1, 3/2 or 2 of rel_tol below the one before, relative to it, or 7/8 of it,
+    drawn with repeats.  With rel_tol a power of two and values of 30-bit mantissa
+    the steps are exact, so a step of 1 plants a tie at exactly rel_tol; 1e-8 and
+    free floats add rounded ones."""
+    rel_tol = draw(st.sampled_from([2.0 ** -20, 2.0 ** -27, 1e-8, 1e-3]))
+    chain = [np.ldexp(float(draw(st.integers(2 ** 29, 2 ** 30 - 1))), -25 + draw(st.integers(0, 8)))]
+    for m in draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, None]), max_size=12)):
+        chain.append(0.875 * chain[-1] if m is None else chain[-1] - m * rel_tol * chain[-1])
+    chain += draw(st.lists(st.floats(1.0, 10.0), max_size=4))
+    return draw(st.lists(st.sampled_from(chain), min_size=1, max_size=30)), rel_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_spectra())
+# test_grouped_tie_at_exactly_rel_tol_joins_the_head's spectrum
+@example(([2.0, 2.0 - 2.0 ** -20, 2.0 - 2.0 ** -19, 2.0 - 3.0 * 2.0 ** -20], 2.0 ** -20))
+def test_grouped_merge_matches_the_loop(case):
+    raw, rel_tol = case
+    spectrum = SymplecticSpectrum.from_values(np.array(raw))
+    got, want = spectrum.grouped(rel_tol), grouped_by_loop(spectrum.values, rel_tol)
+    assert [(v.tobytes(), n) for v, n in got] == [(v.tobytes(), n) for v, n in want]
+    entropy = block_entropy(spectrum, pairing_tol=rel_tol)
+    assert entropy == float(np.sum(entanglement._entropy_terms(np.array([v for v, _ in want]))))
+
+
+def test_grouped_tie_at_exactly_rel_tol_joins_the_head():
+    # steps of 2^-20 down from 2 at rel_tol 2^-20: the third value is exactly
+    # rel_tol from the head and joins it; the fourth, near its predecessor, is not
+    values = [2.0, 2.0 - 2.0 ** -20, 2.0 - 2.0 ** -19, 2.0 - 3.0 * 2.0 ** -20]
+    assert spectrum_of(values).grouped(2.0 ** -20) == [(2.0, 3), (values[3], 1)]
+
+
 def test_entropy_closed_values():
     assert block_entropy(spectrum_of([1.0, 1.0, 1.0])) == 0.0
     # single nu = 3: 2 log2 2 - 1 log2 1 = 2 bits
@@ -298,6 +345,7 @@ def test_two_site_sweep_matches_each_coupling_alone(spec, gs, reach, block_point
     x, y = spec.center
     pairs = [[(x, y), (x + dx, y + dy)] for dx, dy in PAIR_OFFSETS[reach]]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "FINITE_BLOCK_POINTS", block_points)
         mp.setattr(groundstate, "LEVEL_BLOCK_POINTS", block_points)
         two = two_site_sweep(params, gs, gs, spec, pairs)
     assert two.zeta.shape == two.separable.shape == (len(gs), len(pairs))

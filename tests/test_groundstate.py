@@ -14,7 +14,8 @@ from spinwave import (BlockRegion, LatticeSpec, QuadratureConvergenceError,
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q
 
-from conftest import four_image_sectors, full_matrices, full_symbol, params_at, sweep_each
+from conftest import (four_image_sectors, full_matrices, full_symbol, masked_legendre_q,
+                      params_at, sweep_each)
 from zone_grid import _zone_tables, grid_oracle
 
 
@@ -148,7 +149,7 @@ def test_cross_blocks_match_dense_oracle(case, data):
     stable = zone_minimum(p)[0] > 0.01 * p.on_site
     lattices = [spec] + [LatticeSpec.periodic(max(spec.side, 3))] * stable
     for lattice in lattices:
-        cov = covariances_for(p, lattice)
+        cov = covariances_for(p, lattice, L - 1)  # the block's reach
         dense = covariance_dense(lattice, p)
         top = lattice.side - L if lattice.boundary == "open" else lattice.side - 1
         x0, y0 = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
@@ -277,6 +278,33 @@ def test_legendre_q_matches_mpmath():
             for m in range(22):
                 ref = mp.re(mp.legenq(m - mp.mpf(1) / 2, 0, 1 + mp.mpf(x), type=3))
                 assert abs(q[m, i] / ref - 1) < 2e-13, (x, m)
+
+
+@st.composite
+def legendre_kernel_cases(draw):
+    """(zm1, top): rows whose nodes all run forward, all run backward or mix both
+    (each row's kind drawn), as a 2-D array or its first row alone."""
+    top = draw(st.integers(1, 40))
+    edge = np.cosh(groundstate.FORWARD_GROWTH / (2.0 * max(top, 4))) - 1.0  # forward at or below
+    ranges = {"forward": (-12.0, np.log10(0.9 * edge)), "backward": (np.log10(1.1 * edge), 3.0),
+              "mixed": (-12.0, 3.0)}
+    kinds = draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    zm1 = np.array([[10.0 ** draw(st.floats(*ranges[kind])) for _ in range(n)] for kind in kinds])
+    return (zm1[0] if draw(st.booleans()) else zm1), top
+
+
+@settings(max_examples=200, deadline=None)
+@given(legendre_kernel_cases())
+@example((np.array([1e-10, 1e-6, 1e-4]), 21))  # every node forward, 1-D
+@example((np.array([[0.5, 3.0, 1e3], [2.0, 7.0, 40.0]]), 21))  # every node backward
+@example((np.array([[1e-14, 1e-8, 1e-3, 0.5, 3.0, 1e3], [1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]]), 21))
+def test_legendre_q_matches_the_masked_kernel_bit_for_bit(case):
+    # the in-place kernel does each node's float operations in the masked one's
+    # order, so q, k and E agree in every bit
+    zm1, top = case
+    for got, want in zip(_legendre_q(zm1, top), masked_legendre_q(zm1, top)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _assert_matches_heine(p, table, entries):
@@ -411,22 +439,23 @@ def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
 
 
 def test_finite_batch_runs_each_coupling(monkeypatch):
-    # M = 40 blocks hold 4096 // 21^2 = 9 couplings, one 21 x 21 quadrant grid
+    # M = 80 blocks hold 2^14 // 41^2 = 9 couplings, one 41 x 41 quadrant grid
     # each: the sweep spans three blocks, and each of the first two refuses a
     # coupling in mid-block, one beyond criticality and one within the guard
-    # of it at k = (pi, pi)
+    # of it at k = (pi, pi); the tables are whole, as covariance_pbc_fft's
     sizes = []
     grid = groundstate.dispersion_grid
     monkeypatch.setattr(groundstate, "dispersion_grid",
                         lambda params, spec, g1, g2: sizes.append(len(g1))
                         or grid(params, spec, g1, g2))
-    spec, gc = LatticeSpec.periodic(40), critical_g_equal(params_at(0.0))
+    assert groundstate.FINITE_BLOCK_POINTS // 41 ** 2 == 9
+    spec, gc = LatticeSpec.periodic(80), critical_g_equal(params_at(0.0))
     couplings = [params_at(g) for g in np.linspace(0.0, 1.7, 23)]
     couplings[4], couplings[13] = params_at(2.0), params_at(gc * (1.0 - 1e-13))
     couplings[7] = params_at(gc * (1.0 - 1e-11))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        batch = sweep_each(couplings, spec)
+        batch = sweep_each(couplings, spec, 40)
     assert sizes == [9, 9, 5]
     assert [i for i, got in enumerate(batch) if isinstance(got, StabilityError)] == [4, 13]
     assert "beyond" in str(batch[4]) and "within" in str(batch[13])
@@ -467,9 +496,11 @@ REFUSED = [(2.6, 2.6), (2.6, 0.0), (2.0, 2.0), (2.6, 1.0)]  # beyond g_c on open
 @example(spec=LatticeSpec.infinite_lattice(), strengths=REFUSED, dmax=2, block_points=4096)
 def test_heterogeneous_batch_matches_each_sweep_of_one(spec, strengths, dmax, block_points):
     # block_points = 100 splits a side-15 sweep into blocks of one coupling
-    # and a side-3 sweep into blocks of 25
+    # and a side-3 sweep into blocks of 25, and an infinite one's levels into
+    # blocks of one coupling
     couplings = [params_at(a, b) for a, b in strengths]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "FINITE_BLOCK_POINTS", block_points)
         mp.setattr(groundstate, "LEVEL_BLOCK_POINTS", block_points)
         batch = sweep_each(couplings, spec, dmax)
         two = two_site_sweep(couplings[0], *zip(*strengths), spec, PAIRS)
@@ -635,6 +666,49 @@ def test_table_missing_displacement_named():
     table = covariance_infinite(params_at(1.0), 2)
     with pytest.raises(ValueError, match=r"\(5, 0\)"):
         table.displacement_index(5, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(3, 40), reach=st.integers(0, 25), t=st.floats(0.0, 0.95),
+       g2=st.floats(0.0, 2.0))
+def test_periodic_reach_table_is_the_leading_block_of_the_whole(M, reach, t, g2):
+    # a periodic table cut at r = min(reach, M // 2) is the whole table's leading
+    # (r + 1)^2 block: bit for bit unless BLAS sums the shorter transform in
+    # another order, and then within 1e-15 of the largest entry
+    scale = t * _critical_scale(1.0, g2)
+    p = params_at(scale, g2=scale * g2)
+    spec = LatticeSpec.periodic(M)
+    whole, cut = covariance_pbc_fft(spec, p), covariances_for(p, spec, reach)
+    r = min(reach, M // 2)
+    assert cut.qq.shape == cut.pp.shape == (r + 1, r + 1)
+    for got, want in ((cut.qq, whole.qq), (cut.pp, whole.pp)):
+        lead = want[:r + 1, :r + 1]
+        assert np.max(np.abs(got - lead)) <= 1e-15 * np.max(np.abs(want))
+        if r == M // 2:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sites", [[(0, 0), (3, 0)], [(1, 1), (1, 4)], [(3, 1), (0, 0)]])
+def test_periodic_read_beyond_the_reach_is_refused_as_infinite_tables_refuse(sites):
+    # M = 9 at reach 2: folded displacements 3 and 4 are not in the table; the
+    # infinite table of the same reach refuses the same pair with the same words
+    p = params_at(1.2, g2=0.8)
+    periodic = covariances_for(p, LatticeSpec.periodic(9), 2)
+    infinite = covariances_for(p, LatticeSpec.infinite_lattice(), 2)
+    messages = []
+    for table in (periodic, infinite):
+        with pytest.raises(ValueError, match=r"not in table \(extent 2\)") as err:
+            table.block(sites)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(ValueError, match=r"not in table \(extent 2\)"):
+        periodic.sectors(0, 0, 4)
+    # a periodic table names the displacement as folded onto the quadrant: 5 is -4
+    with pytest.raises(ValueError, match=r"displacement \(4, 0\) not in table"):
+        periodic.block([(0, 0), (5, 0)])
+    # a displacement that wraps to one within the reach is read
+    Q, _ = periodic.block([(0, 0), (8, 7)])
+    assert Q[0, 1] == periodic.qq[1, 2]
 
 
 def test_infinite_refuses_negative_extent():

@@ -30,8 +30,8 @@ _MODULES = {
                     "two_site_params two_site_sweep",
     "oracle": "SpinSystemSpec TwoSiteSolution eof_fock_series exact_two_site "
               "harmonic_two_site_prediction symplectic_bruteforce validation_battery",
-    "scan": "DerivativeEstimate FitResult PeakResult area_law_fit derivative_zeta "
-            "finite_size_peak",
+    "scan": "DerivativeEstimate FitResult PeakResult area_law_fit derivative_sweep "
+            "derivative_zeta finite_size_peak",
     "config": "ConfigError RunConfig config_digest parse_config serialize_config",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}

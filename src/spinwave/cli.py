@@ -37,7 +37,6 @@ from .config import ConfigError, RunConfig, config_digest, format_value, parse_c
 from .groundstate import QuadratureConvergenceError, covariances_for
 from .entanglement import entropy_vs_L, two_site_sweep
 from .model import CouplingParams, LatticeSpec, StabilityError
-from .oracle import validation_battery
 from .scan import ZETA1_OFFSET, derivative_sweep, finite_size_peak, finite_sizes, stencil
 from .spectrum import critical_g2, critical_g_equal, energy_gap
 
@@ -225,6 +224,8 @@ def cmd_finite_size(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
+    from .oracle import validation_battery  # no other subcommand needs it
+
     report = validation_battery()
     _emit(json.dumps(report, indent=1) + "\n", cfg.output)
     return 0 if report["all_passed"] else 1

@@ -8,11 +8,20 @@ with ``repr`` (shortest form that parses back to the same value).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 
 from .model import LatticeSpec
+
+# CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib would map
+# OpenSSL's libcrypto (3.5 MB resident) into every process for one short digest
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build without the built-in SHA-2
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -195,4 +204,4 @@ _NON_PHYSICS_FIELDS = {"output", "out_dir", "format"}
 def config_digest(cfg: RunConfig) -> str:
     # the physics fields' lines, hashed without the last newline
     text = serialize_config(cfg, _NON_PHYSICS_FIELDS)[:-1]
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]

@@ -103,17 +103,23 @@ def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
     alone."""
     Q_L = np.atleast_2d(np.asarray(Q_L, dtype=float))
     P_L = np.atleast_2d(np.asarray(P_L, dtype=float))
+    # each temporary is reused in place where the next step allows, which keeps
+    # every float operation and its order and spares the heap a block or two
     for name, A in (("Q", Q_L), ("P", P_L)):
+        d = A - np.swapaxes(A, -1, -2)
+        np.abs(d, out=d)
         # written so that a NaN anywhere fails the comparison
-        if not np.all(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1))
-                      <= 1e-12 * np.max(np.abs(A), axis=(-2, -1))):
+        if not np.all(np.max(d, axis=(-2, -1)) <= 1e-12 * np.max(np.abs(A), axis=(-2, -1))):
             raise ValueError(f"{name} block is not symmetric")
     try:
         C = np.linalg.cholesky(P_L)
     except np.linalg.LinAlgError:
         raise ValueError("P block is not positive-definite") from None
-    prod = 4.0 * np.swapaxes(C, -1, -2) @ Q_L @ C
-    ev = np.linalg.eigvalsh(0.5 * (prod + np.swapaxes(prod, -1, -2)))
+    t = 4.0 * np.swapaxes(C, -1, -2) @ Q_L
+    prod = t @ C
+    np.add(prod, np.swapaxes(prod, -1, -2), out=t)  # t is free once prod is formed
+    t *= 0.5
+    ev = np.linalg.eigvalsh(t)
     if np.any(ev[..., 0] <= 0):
         raise ValueError("Q block is not positive-definite")
     return SymplecticSpectrum.from_values(np.sqrt(ev).ravel())

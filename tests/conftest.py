@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinwave import CouplingParams, covariances_for_each, dispersion_value, two_site_params
-from spinwave import groundstate
+from spinwave import entanglement, groundstate
 
 
 @pytest.fixture
@@ -110,3 +110,24 @@ def masked_legendre_q(zm1, top):
                 ratios[m - 1] = r
         q[1:, back] = q[0, back] * np.cumprod(ratios, axis=0)
     return q, k, E
+
+
+def expression_symplectic_spectrum(Q_L, P_L):
+    """``entanglement.symplectic_spectrum`` as written with a fresh temporary for
+    every step of the symmetry check and the congruence.  The tests' oracle for
+    the buffer-reusing routine, which must match it bit for bit."""
+    Q_L = np.atleast_2d(np.asarray(Q_L, dtype=float))
+    P_L = np.atleast_2d(np.asarray(P_L, dtype=float))
+    for name, A in (("Q", Q_L), ("P", P_L)):
+        if not np.all(np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-2, -1))
+                      <= 1e-12 * np.max(np.abs(A), axis=(-2, -1))):
+            raise ValueError(f"{name} block is not symmetric")
+    try:
+        C = np.linalg.cholesky(P_L)
+    except np.linalg.LinAlgError:
+        raise ValueError("P block is not positive-definite") from None
+    prod = 4.0 * np.swapaxes(C, -1, -2) @ Q_L @ C
+    ev = np.linalg.eigvalsh(0.5 * (prod + np.swapaxes(prod, -1, -2)))
+    if np.any(ev[..., 0] <= 0):
+        raise ValueError("Q block is not positive-definite")
+    return entanglement.SymplecticSpectrum.from_values(np.sqrt(ev).ravel())

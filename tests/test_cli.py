@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -119,6 +120,16 @@ def test_digest_tracks_content():
     assert config_digest(a) == config_digest(parse_config("omega = 500\n"))
     # output destination does not change what was computed
     assert config_digest(a) == config_digest(parse_config("omega = 500\noutput = x.csv\n"))
+    # pinned: a new hash or serialization would move every table's digest line
+    assert config_digest(RunConfig()) == "46a0d3e0579c"
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_digest_is_the_sha256_of_the_physics_lines(cfg):
+    # the built-in SHA-256 gives hashlib's digest of the same text
+    text = serialize_config(cfg, ("output", "out_dir", "format"))[:-1]
+    assert config_digest(cfg) == hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def small_cfg(tmp_path, extra=""):
@@ -841,3 +852,40 @@ def test_lazy_package_keeps_its_public_surface():
     assert not hasattr(spinwave, "no_such_name")
     from spinwave import groundstate
     assert groundstate is sys.modules["spinwave.groundstate"]
+
+
+# in a fresh interpreter: run a small reproduce-fig3 and an open two-site from the
+# configs in the directory argv[1], then report their exit codes, which of
+# OpenSSL's hash module and the oracle loaded, and the maps that name libcrypto
+FOOTPRINT_PROBE = """\
+import json, os, sys
+from spinwave.cli import main
+out = sys.argv[1]
+codes = [main(["reproduce-fig3", "--config", os.path.join(out, "small.cfg"), "--out-dir", out]),
+         main(["two-site", "--config", os.path.join(out, "open.cfg"),
+               "--output", os.path.join(out, "open-two-site.csv")])]
+maps = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        maps = [line.strip() for line in fh if "libcrypto" in line]
+print(json.dumps({"codes": codes, "libcrypto": maps,
+                  "loaded": [m for m in ("_hashlib", "spinwave.oracle") if m in sys.modules]}))
+"""
+
+
+def test_cli_run_loads_neither_openssl_nor_the_oracle(tmp_path):
+    # the digest takes CPython's built-in SHA-256, and only oracle-check imports
+    # the oracle: a recipe run maps no libcrypto and compiles no oracle.py
+    (tmp_path / "small.cfg").write_text("g_samples = 2\nm_list = 5\n")
+    (tmp_path / "open.cfg").write_text("boundary = open\nside = 9\ng_min = 1.0\n"
+                                       "g_max = 1.5\ng_samples = 3\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [e for e in [os.environ.get("PYTHONPATH")] if e]))
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    probe = json.loads(out.stdout)
+    assert probe["codes"] == [0, 0]
+    assert probe["loaded"] == []
+    if sys.platform.startswith("linux"):
+        assert probe["libcrypto"] == []

@@ -14,7 +14,8 @@ from spinwave import (AsymmetricPairError, BlockRegion, CorrelationTable, Lattic
 from spinwave import entanglement, groundstate
 from spinwave.entanglement import block_spectrum
 
-from conftest import four_image_sectors, full_matrices, pair_params, params_at
+from conftest import (expression_symplectic_spectrum, four_image_sectors, full_matrices,
+                      pair_params, params_at)
 
 
 def spectrum_of(values):
@@ -117,6 +118,46 @@ def test_stacked_spectrum_raises_its_bad_blocks_error(bad, message, k):
     Q[k], P[k] = bad
     with pytest.raises(ValueError, match=message):
         symplectic_spectrum(Q, P)
+
+
+@st.composite
+def spectrum_inputs(draw):
+    """(Q, P): one block or a stack of them, n up to 12, Q and P each a random
+    Gram matrix plus the identity scaled by s and 1/s (so nu >= 2), or spoilt in
+    one of the ways the routine refuses, in C or Fortran layout."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)])) + (n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    X, Y = rng.normal(size=shape), rng.normal(size=shape)
+    Q = s * (X @ np.swapaxes(X, -1, -2) + np.eye(n))
+    P = (Y @ np.swapaxes(Y, -1, -2) + np.eye(n)) / s
+    A = draw(st.sampled_from([Q, P]))
+    spoil = draw(st.sampled_from(["none", "asymmetric", "indefinite", "nan", "uncertain"]))
+    if spoil == "asymmetric" and n > 1:
+        A[..., 0, n - 1] *= 1.0 + 1e-9
+    elif spoil == "indefinite":
+        A -= 2.0 * np.max(np.linalg.eigvalsh(A)) * np.eye(n)
+    elif spoil == "nan":
+        A[..., n - 1, 0] = np.nan
+    elif spoil == "uncertain":
+        Q *= 0.01 / (np.max(np.linalg.eigvalsh(Q)) * np.max(np.linalg.eigvalsh(P)))  # nu < 1
+    order = draw(st.sampled_from([np.ascontiguousarray, np.asfortranarray]))
+    return order(Q), order(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum_inputs())
+def test_symplectic_spectrum_matches_the_expression_bit_for_bit(case):
+    # the routine reuses its temporaries but does the expression's float
+    # operations in its order: the same values in every bit, the same refusals
+    def outcome(f):
+        try:
+            return f(*case).values.tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(symplectic_spectrum) == outcome(expression_symplectic_spectrum)
 
 
 @pytest.mark.parametrize("spec, g, L", [

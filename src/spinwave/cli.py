@@ -128,7 +128,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
 
 def cmd_covariance(cfg: RunConfig) -> int:
     lattice = cfg.lattice
-    if lattice.engine == "dense":
+    if lattice.boundary == "open":
         raise ConfigError("a displacement table needs translation invariance; "
                           "use a periodic lattice or infinite = true")
     # a periodic table reaches every displacement at M//2

@@ -167,11 +167,11 @@ def _parity_sectors(L: int):
             for k in [np.flatnonzero(~((sy < 0) & mid_y | (sx < 0) & mid_x))]]
 
 
-def block_spectrum(cov, spec: LatticeSpec, region: BlockRegion) -> SymplecticSpectrum:
-    """Symplectic spectrum of the region's block of ``cov`` on ``spec``: its four
+def block_spectrum(cov, region: BlockRegion) -> SymplecticSpectrum:
+    """Symplectic spectrum of the region's block of ``cov`` on its lattice: its four
     parity sectors' merged when mirror symmetric (module notes), else the whole's.
     An even side's sectors go through one stacked ``symplectic_spectrum`` call."""
-    L = region.side_length
+    L, spec = region.side_length, cov.spec
     if not (spec.boundary == "periodic" or 2 * region.x0 == spec.side - L == 2 * region.y0):
         return symplectic_spectrum(*cov.block(region.sites()))
     Q, P = cov.sectors(region.x0, region.y0, L)
@@ -193,7 +193,7 @@ def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
         raise ValueError("largest block exceeds the lattice")
     cov = covariances_for(params, spec, L_list[-1] - 1)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
-    return [(L, block_entropy(block_spectrum(cov, spec, BlockRegion.centered(L, lattice_side)),
+    return [(L, block_entropy(block_spectrum(cov, BlockRegion.centered(L, lattice_side)),
                               mode, pairing_tol)) for L in L_list]
 
 

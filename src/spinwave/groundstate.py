@@ -14,24 +14,20 @@ v(k) of ``dispersion_value`` (Audenaert, Eisert, Plenio & Werner, PRA 66,
 * ``covariance_infinite``  -- zone quadrature in the M -> oo limit, ky in
                               closed form and kx by tanh-sinh
 
-Each returns a ``CorrelationTable``, correlations by displacement in one
-(|dx|, |dy|) quadrant layout, whose ``block(sites)`` gives the principal
-submatrices (Q_L, P_L) on a list of sites.  A periodic or infinite table holds
-|d| <= r per component, r the reach its reader asks for (at most M//2, the
-whole table, when periodic: the transform keeps only those rows), and refuses
-a displacement beyond it.  An open M x M lattice's DST-I modes
-k = pi j / (M + 1), j = 1..M, are interior modes of period 2 (M + 1), and
-sin a sin b is a difference of cosines (Strang, SIAM Rev. 41, 135 (1999)): with
-T the period's table of those modes alone and s = a + b + 2 per axis,
+Each returns a ``CorrelationTable`` on its lattice, correlations by displacement
+in one (|dx|, |dy|) quadrant layout, whose ``block(sites)`` gives the principal
+submatrices (Q_L, P_L) on a list of sites.  An open M x M lattice's DST-I modes
+are interior modes of its period 2 (M + 1) (``LatticeSpec.period``), and v is
+evaluated on them alone: the period's others, (pi, pi) among them, may be unstable
+where the open lattice is not.  As sin a sin b is a difference of cosines (Strang,
+SIAM Rev. 41, 135 (1999)), with T the period's table and s = a + b + 2 per axis,
 
     Q(a, b) = T(a - b) - T(sx, dy) - T(dx, sy) + T(sx, sy),  P alike.
 
-v is evaluated on the open modes only; the period's others, (pi, pi) among
-them, may be unstable where the open lattice is not.  ``covariances_for_each``
-is the one dispatch point: it runs a lattice's engine over a sweep, one set of
-constants with arrays of strengths g1 and g2, and yields it block by block,
-each block's couplings stacked in one table.  ``covariances_for`` is its sweep
-of one, as are ``covariance_pbc_fft`` and ``covariance_infinite`` on their
+``covariances_for_each`` is the one dispatch point: it runs a lattice's engine
+over a sweep, one set of constants with arrays of strengths g1 and g2, block by
+block, each block's couplings stacked in one table.  ``covariances_for`` is its
+sweep of one, as are ``covariance_pbc_fft`` and ``covariance_infinite`` on their
 lattices.  ``covariance_dense``, the symmetric eigendecomposition of the full V
 on any finite lattice, is the tests' oracle.
 """
@@ -64,37 +60,39 @@ class CovariancePair:
         return self.Q[np.ix_(idx, idx)], self.P[np.ix_(idx, idx)]
 
 
+def _displacement(a, b, mirrored):
+    """Per axis, a term's displacement a - b, or an open table's mirror term (module notes)."""
+    return a + b + 2 if mirrored else a - b
+
+
+# an open table's mirror terms after the direct one: (join, x mirrored, y mirrored)
+MIRROR_TERMS = ((np.subtract, True, False), (np.subtract, False, True), (np.add, True, True))
+
+
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Translation-invariant correlations keyed by displacement: qq/pp are
-    (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|) -- the dispersion is
-    even in each wavevector component separately, so correlations are too.
-    A periodic table (``period`` M) folds each component modulo M onto
-    0..M//2 and holds the folded |d| <= D, D <= M//2 being the reader's reach;
-    an infinite one (``period`` None) holds |d| <= D; an ``open`` one, made by
-    the engine only, is the whole period 2 (M + 1) table of an open M x M
-    lattice's modes, read by mirror images (module notes).  Each refuses a
-    displacement beyond D.  A sweep's block stacks its couplings' tables along
-    leading axes, read alike."""
+    """Translation-invariant correlations on the lattice ``spec``, keyed by displacement:
+    qq/pp are (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|), the dispersion
+    being even in each wavevector component.  A finite table folds each component
+    modulo the lattice's ``period`` P onto 0..P//2.  D is the reader's reach, at most
+    P//2 (the whole table, always when open: its mirror images reach far); a
+    displacement beyond it is refused.  A sweep's block stacks its couplings' tables
+    along leading axes, read alike."""
 
     qq: np.ndarray = field(repr=False)
     pp: np.ndarray = field(repr=False)
-    period: int | None
-    open: bool = False
+    spec: LatticeSpec
 
     def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
-        """Table indices of the displacements (dx, dy), integers or integer
-        arrays of one shape: min(d mod M, M - d mod M) for periodic tables,
-        (|dx|, |dy|) for infinite ones; an index beyond the table's extent
-        is refused."""
-        extent, M = self.qq.shape[-1], self.period
-        if M is not None:
+        """Table indices of the displacements (dx, dy), integers or integer arrays of one
+        shape: min(d mod P, P - d mod P) for a finite table of period P, (|dx|, |dy|)
+        for an infinite one; an index beyond the table's extent is refused."""
+        extent, M = self.qq.shape[-1], self.spec.period
+        if M is None:
+            dx, dy = np.abs(dx), np.abs(dy)
+        else:
             dx, dy = np.mod(dx, M), np.mod(dy, M)
             dx, dy = np.minimum(dx, M - dx), np.minimum(dy, M - dy)
-            if extent > M // 2:  # a whole table holds every folded index
-                return dx, dy
-        else:
-            dx, dy = np.abs(dx), np.abs(dy)
         outside = np.ravel((dx >= extent) | (dy >= extent))
         if outside.any():
             first = int(np.argmax(outside))
@@ -102,36 +100,29 @@ class CorrelationTable:
                              f"not in table (extent {extent - 1})")
         return dx, dy
 
-    def _read(self, a, b):
-        """(Q, P) with rows at the sites a and columns at the sites b, (x, y), in one
-        gather (batches of lists (..., n, 2) broadcast, after the table's stack axes),
-        and for a = b the count of sites named twice (index (0, 0) off a list's
-        diagonal); open tables refuse off-lattice sites, add mirror images."""
-        a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
-        a, b = a[..., :, None, :], b[..., None, :, :]
-        dx, dy = self.displacement_index(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
-        Q, P = self.qq[..., dx, dy], self.pp[..., dx, dy]
-        repeats = dx.size - (dx.size and dx.size // dx.shape[-1]) - np.count_nonzero(dx | dy)
-        del dx, dy  # a batch holds one set of index arrays at a time
-        if self.open:
-            M, ab = self.period // 2 - 1, np.concatenate([a.reshape(-1, 2), b.reshape(-1, 2)])
-            if (off := np.flatnonzero(np.any((ab < 0) | (ab >= M), axis=-1))).size:
-                LatticeSpec.open_boundary(M).site_index(*ab[off[0]].tolist())  # raises
-            # per axis s = a + b + 2 (u = 1) or d = a - b (u = -1)
-            for add, u, v in ((np.subtract, 1, -1), (np.subtract, -1, 1), (np.add, 1, 1)):
-                ix, iy = self.displacement_index(a[..., 0] + u * b[..., 0] + (u + 1),
-                                                 a[..., 1] + v * b[..., 1] + (v + 1))
-                add(Q, self.qq[..., ix, iy], out=Q)
-                add(P, self.pp[..., ix, iy], out=P)
-                del ix, iy
-        return Q, P, repeats
-
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
         """Principal submatrices (Q_L, P_L) on each list of sites (x, y), batches of
-        lists (..., n, 2) in one gather; no list may name one lattice site twice."""
-        Q, P, repeats = self._read(sites, sites)
-        if repeats:
+        lists (..., n, 2) in one gather after the table's stack axes; no list may
+        name one lattice site twice, and an open table refuses a site off its
+        lattice and adds the mirror terms (module notes)."""
+        sites = np.asarray(sites, dtype=int)
+        if sites.ndim < 2 or sites.shape[-1] != 2:
+            raise ValueError(f"sites must be (x, y) pairs, shape (..., n, 2), not {sites.shape}")
+        is_open = self.spec.boundary == "open"
+        if is_open:
+            self.spec.site_index(sites[..., 0], sites[..., 1])  # refuses a site off the lattice
+        a, b = sites[..., :, None, :], sites[..., None, :, :]
+        dx, dy = self.displacement_index(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+        Q, P = self.qq[..., dx, dy], self.pp[..., dx, dy]
+        if dx.size - (dx.size and dx.size // dx.shape[-1]) - np.count_nonzero(dx | dy):
             raise ValueError("block names one lattice site twice")
+        del dx, dy  # a batch holds one set of index arrays at a time
+        for add, mx, my in MIRROR_TERMS if is_open else ():
+            ix, iy = self.displacement_index(_displacement(a[..., 0], b[..., 0], mx),
+                                             _displacement(a[..., 1], b[..., 1], my))
+            add(Q, self.qq[..., ix, iy], out=Q)
+            add(P, self.pp[..., ix, iy], out=P)
+            del ix, iy
         return Q, P
 
     def sectors(self, x0: int, y0: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,26 +132,26 @@ class CorrelationTable:
         block's lower-left quadrant (sites y-major), the cross-blocks of the quadrant
         against itself and its mirror images in x, y and both.  They are gathered one
         axis at a time: per axis, the quadrant's (h, h) folded displacements to its
-        direct and its mirrored image (an open table subtracts the mirror terms
-        s = a + b + 2), first along x, then along y.  The block's sectors when it
-        commutes with both reflections (entanglement module notes); refusals as
-        ``block``'s, an open table's naming a corner of the block."""
-        if self.open:
-            for x, y in ((x0, y0), (x0 + L - 1, y0 + L - 1)):
-                LatticeSpec.open_boundary(self.period // 2 - 1).site_index(x, y)  # raises
+        direct and its mirrored image (an open table subtracts the mirror terms),
+        first along x, then along y.  The block's sectors when it commutes with both
+        reflections (entanglement module notes); refusals as ``block``'s, an open
+        table's naming a corner of the block."""
+        is_open = self.spec.boundary == "open"
+        if is_open:  # refuses a corner off the lattice
+            self.spec.site_index(np.array([x0, x0 + L - 1]), np.array([y0, y0 + L - 1]))
         i = np.arange((L + 1) // 2)
 
         def axis(c):
             # rows a = c + i against the columns b = c + i' and their mirror c + L - 1 - i'
             a, b = c + i[:, None], c + np.stack([i, L - 1 - i])[:, None, :]
-            return np.stack([a - b, a + b + 2] if self.open else [a - b])
+            return np.stack([_displacement(a, b, m) for m in (False, True)[:1 + is_open]])
 
         ix, iy = self.displacement_index(axis(x0), axis(y0))  # (term, image, h, h)
 
         def fold(G, out):
             # G (term, image, ...) into out (sign, ...): the direct image plus, then
             # minus, the mirrored one, an open table's terms d - s first
-            G = G[0] - G[1] if self.open else G[0]
+            G = G[0] - G[1] if is_open else G[0]
             np.add(G[0], G[1], out=out[0])
             np.subtract(G[0], G[1], out=out[1])
 
@@ -200,11 +191,9 @@ def covariance_dense(spec: LatticeSpec, params: CouplingParams) -> CovariancePai
 
 def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> CorrelationTable:
     """Periodic-lattice correlations <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
-    on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta:
-    ``covariances_for``'s batch of one.  v is even in kx and in ky, so this is a real
-    cosine transform along each axis, folded onto the quadrant 0..M//2 (module notes),
-    whole: it reaches every displacement."""
-    if spec.engine != "fft":
+    on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta: the whole
+    table, ``covariances_for``'s batch of one, by a real cosine transform per axis."""
+    if spec.infinite or spec.boundary == "open":
         raise ValueError("FFT engine requires a finite periodic lattice")
     return covariances_for(params, spec, spec.side // 2)
 
@@ -494,20 +483,18 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     indices, one CorrelationTable stacking their tables along a leading axis (an empty
     stack when all are refused) and each refused coupling's StabilityError or
     QuadratureConvergenceError by sweep index.  Tables hold the displacements up to
-    ``max_displacement`` per component (a periodic one at most M//2, the whole table),
-    except an open lattice's, whose mirror images reach across the whole period.  A
-    finite lattice runs blocks of at most FINITE_BLOCK_POINTS grid points, the
-    infinite one a single batch, each guarded on its min v at once."""
+    ``max_displacement`` per component, at most the whole table of the lattice's modes
+    (``LatticeSpec.period``), which an open one always is.  A finite lattice runs blocks
+    of at most FINITE_BLOCK_POINTS grid points, the infinite one a single batch, each
+    guarded on its min v at once."""
     g1, g2 = params.strength_arrays(g1, g2)
     if spec.boundary != "open" and max_displacement < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
-    M, is_open = spec.side, spec.boundary == "open"
-    # an open lattice's modes are the interior modes 1..M of period 2 (M + 1)
-    period, modes = (2 * (M + 1), slice(1, M + 1)) if is_open else (M, slice(None))
+    period = spec.period
     if not spec.infinite:
         # a periodic table's rows end at the reach; an open one's mirror images reach far
-        reach = period // 2 if is_open else min(max_displacement, M // 2)
-        C = _cosine_matrix(period)[:reach + 1, modes]
+        reach = period // 2 if spec.boundary == "open" else min(max_displacement, period // 2)
+        C = _cosine_matrix(period)[:reach + 1, spec.modes]
     size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)
     for start in range(0, g1.size, size):
         block = slice(start, start + size)
@@ -527,8 +514,7 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
             tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / period ** 2)
             tables[..., 0, 0] += 0.5 * x[..., 0, 0]
         tables.flags.writeable = False
-        yield (start + stable, CorrelationTable(tables[:, 0], tables[:, 1],
-                                                None if spec.infinite else period, is_open),
+        yield (start + stable, CorrelationTable(tables[:, 0], tables[:, 1], spec),
                {start + i: exc for i, exc in refused.items()})
 
 

@@ -138,11 +138,22 @@ class LatticeSpec:
 
     @property
     def engine(self) -> str:
-        """The lattice's ground-state engine: zone quadrature when infinite, the
-        circulant cosine transform when periodic ("fft") and on the open
-        lattice's modes, read by mirror images, when open ("dense"), as configs
-        (``engine = dense``) and the CLI's ``engine`` column name them."""
+        """The lattice's engine as configs and the CLI's ``engine`` column name it: zone
+        quadrature ("infinite") or its modes' cosine transform ("fft"; "dense" when open)."""
         return "infinite" if self.infinite else "fft" if self.boundary == "periodic" else "dense"
+
+    @property
+    def period(self) -> int | None:
+        """Period P of a finite lattice's modes k = 2 pi m / P among m = 0..P//2: M when
+        periodic, 2 (M + 1) when open, whose DST-I modes are that period's interior ones
+        (``modes``; Strang, SIAM Rev. 41, 135 (1999)); None when infinite."""
+        return (None if self.infinite else
+                self.side if self.boundary == "periodic" else 2 * (self.side + 1))
+
+    @property
+    def modes(self) -> slice:
+        """A finite lattice's modes among m = 0..period//2: the interior ones when open."""
+        return slice(1, -1) if self.boundary == "open" else slice(None)
 
     @property
     def center(self) -> tuple[int, int]:
@@ -150,11 +161,15 @@ class LatticeSpec:
         infinite lattice, (M // 2, M // 2) on a finite one."""
         return (0, 0) if self.infinite else (self.side // 2, self.side // 2)
 
-    def site_index(self, x: int, y: int) -> int:
+    def site_index(self, x, y):
+        """Row-major index of the sites (x, y), ints or int arrays; refused off an open lattice."""
+        if self.infinite:
+            raise ValueError("the infinite lattice has no site index")
         M = self.side
         if self.boundary == "periodic":
             return (y % M) * M + (x % M)
-        if not (0 <= x < M and 0 <= y < M):
+        if (off := np.ravel((x < 0) | (x >= M) | (y < 0) | (y >= M))).any():
+            x, y = np.ravel(x)[off][0], np.ravel(y)[off][0]
             raise ValueError(f"site ({x}, {y}) outside open {M}x{M} lattice")
         return y * M + x
 

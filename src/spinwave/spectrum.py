@@ -38,14 +38,12 @@ def dispersion_value(params: CouplingParams, kx, ky, g1=None, g2=None):
 
 
 def dispersion_grid(params: CouplingParams, spec: LatticeSpec, g1=None, g2=None) -> np.ndarray:
-    """v(k) on the normal-mode grid of a finite lattice, indexed [kx, ky]:
-    k = 2 pi m / M, m = 0..M//2, when periodic (the DFT modes folded onto
-    the quadrant, v being even in kx and in ky) and k = pi j / (M + 1),
-    j = 1..M, when open (the DST-I modes).  Strength arrays g1, g2 of shape
-    (n, 1, 1) give a sweep's grids [coupling, kx, ky] from one symbol call."""
-    M = spec.side
-    k = (2.0 * np.pi * np.arange(M // 2 + 1) / M if spec.boundary == "periodic"
-         else np.pi * np.arange(1, M + 1) / (M + 1))
+    """v(k) on a finite lattice's normal modes k = 2 pi m / P, P its period, indexed
+    [kx, ky] (``LatticeSpec.period`` and ``modes``: the DFT modes folded onto the
+    quadrant).  Strength arrays g1, g2 of shape (n, 1, 1) give a sweep's grids
+    [coupling, kx, ky] from one symbol call."""
+    period = spec.period
+    k = (2.0 * np.pi * np.arange(period // 2 + 1) / period)[spec.modes]
     return dispersion_value(params, k[:, None], k[None, :], g1, g2)
 
 

@@ -425,7 +425,7 @@ def test_two_site_decoupled_boundary(spec):
 def test_two_site_refuses_uncertainty_violation():
     # on-site moments with <q^2><p^2> = (1 - 1e-6) / 4, below the slack
     table = CorrelationTable(qq=np.diag([0.5, 0.0]), pp=np.diag([0.5 * (1.0 - 1e-6), 0.0]),
-                             period=2)
+                             spec=LatticeSpec.periodic(3))
     with pytest.raises(ValueError, match="uncertainty violation"):
         pair_params(table, (0, 0), (1, 1))
 
@@ -552,7 +552,7 @@ def test_table_blocks_match_dense_submatrices(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(extent=st.integers(1, 5), period=st.none() | st.integers(1, 10),
+@given(extent=st.integers(1, 5), period=st.none() | st.integers(3, 10),
        seed=st.integers(0, 2 ** 32 - 1),
        sites=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
                       min_size=1, max_size=12, unique=True))
@@ -560,11 +560,12 @@ def test_quadrant_table_blocks_match_lookups(extent, period, seed, sites):
     # an infinite table (period None) reads (|dx|, |dy|) within its extent; a
     # periodic one folds each component to min(d mod M, M - d mod M) <= M // 2
     # and refuses two sites that wrap onto one
+    spec = LatticeSpec.periodic(period) if period else LatticeSpec.infinite_lattice()
     if period:
         extent = period // 2 + 1
     rng = np.random.default_rng(seed)
     table = CorrelationTable(qq=rng.standard_normal((extent, extent)),
-                             pp=rng.standard_normal((extent, extent)), period=period)
+                             pp=rng.standard_normal((extent, extent)), spec=spec)
 
     def fold(d):
         return min(d % period, -d % period) if period else abs(d)
@@ -683,7 +684,7 @@ def test_sector_spectra_match_whole_block(case):
     p, spec, region = case
     cov = covariances_for(p, spec, region.side_length - 1)
     whole = symplectic_spectrum(*cov.block(region.sites())).values
-    split = block_spectrum(cov, spec, region).values
+    split = block_spectrum(cov, region).values
     assert split.shape == whole.shape
     assert np.all(np.abs(split - whole) <= 1e-12 * whole)
 
@@ -708,11 +709,11 @@ def test_open_block_off_the_mirror_axis_is_never_split(spectrum_calls, M, L):
     spec, region = LatticeSpec.open_boundary(M), BlockRegion.centered(L, M)
     cov = covariances_for(params_at(1.4, g2=0.9), spec)
     whole = symplectic_spectrum(*cov.block(region.sites())).values
-    assert np.array_equal(block_spectrum(cov, spec, region).values, whole)
+    assert np.array_equal(block_spectrum(cov, region).values, whole)
     assert spectrum_calls == [(L * L, L * L)]
     # one site more, M - L is even and the block splits
     spectrum_calls.clear()
-    block_spectrum(cov, spec, BlockRegion.centered(L + 1, M))
+    block_spectrum(cov, BlockRegion.centered(L + 1, M))
     # four sectors: stacked in one call for an even side, one call each for an odd one
     assert sum(shape[0] if len(shape) == 3 else 1 for shape in spectrum_calls) == 4
 
@@ -724,7 +725,7 @@ def test_large_infinite_block_spectrum():
     spec, region = LatticeSpec.infinite_lattice(), BlockRegion(0, 0, 60)
     for _ in range(2):  # a second try absorbs one slow moment of a shared machine
         start = time.perf_counter()
-        spectrum = block_spectrum(covariances_for(params_at(1.5), spec, 59), spec, region)
+        spectrum = block_spectrum(covariances_for(params_at(1.5), spec, 59), region)
         elapsed = time.perf_counter() - start
         if elapsed < 2.0:
             break

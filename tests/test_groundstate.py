@@ -160,6 +160,18 @@ def test_cross_blocks_match_dense_oracle(case, data):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("spec", [LatticeSpec.periodic(5), LatticeSpec.open_boundary(5),
+                                  LatticeSpec.infinite_lattice()], ids=lambda spec: spec.engine)
+def test_block_refuses_sites_that_are_not_xy_pairs(spec):
+    cov = covariances_for(params_at(1.2), spec, 3)
+    for sites in ([], [1, 2], 7, [(1, 2, 3)], [[(0, 0, 0)]]):
+        with pytest.raises(ValueError, match=r"sites must be \(x, y\) pairs"):
+            cov.block(sites)
+    # an empty list of pairs is well formed: empty blocks
+    for Q in cov.block(np.empty((0, 2), dtype=int)):
+        assert Q.shape == (0, 0)
+
+
 @pytest.mark.parametrize("sites", [[(0, 0), (0, 0)], [(1, 2), (3, 1), (1, 2)], [(4, 0)],
                                    [(-1, 0)], [(2, 2), (0, 4)]])
 def test_dst_block_refuses_what_dense_refuses(sites):

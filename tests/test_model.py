@@ -103,6 +103,17 @@ def test_lattice_accepts_integer_side(side):
         assert make(side).site_index(4, 4) == 24
 
 
+def test_site_index_reads_arrays_and_refuses_the_infinite_lattice():
+    x, y = np.array([[0, 3], [4, 2]]), np.array([[1, 3], [0, 5]])
+    assert np.array_equal(LatticeSpec.periodic(4).site_index(x, y), [[4, 15], [0, 6]])
+    assert np.array_equal(LatticeSpec.open_boundary(6).site_index(x, y), [[6, 21], [4, 32]])
+    # the first site off the lattice, in row-major order of the arrays, is named
+    with pytest.raises(ValueError, match=r"site \(4, 0\) outside open 4x4 lattice"):
+        LatticeSpec.open_boundary(4).site_index(x, y)
+    with pytest.raises(ValueError, match="the infinite lattice has no site index"):
+        LatticeSpec.infinite_lattice().site_index(0, 0)
+
+
 def test_potential_decoupled_is_scaled_identity():
     V = build_potential(LatticeSpec.open_boundary(3), params_at(0.0))
     assert np.array_equal(V, 2.25e6 * np.eye(9))

@@ -10,11 +10,33 @@ from hypothesis import assume, given, settings, strategies as st
 from spinwave import (CouplingParams, LatticeSpec, StabilityError, build_potential, critical_g2,
                       critical_g2_numeric, critical_g_equal, dispersion_value,
                       energy_gap, gap_scaling_exponent, phase_boundary_cases, zone_minimum)
+from spinwave import spectrum
+from spinwave.spectrum import dispersion_grid
 
 from conftest import params_at
 
 SQRT2 = np.sqrt(2.0)
 ON_SITE = 2.25e6  # omega (omega + 4 kappa N) at the reference parameters
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(2, 400), boundary=st.sampled_from(["periodic", "open"]))
+def test_mode_grid_is_bitwise_the_dft_and_dst_modes(M, boundary):
+    # the two k expressions as they stood before LatticeSpec.period held the
+    # geometry: the DFT modes folded onto the quadrant, and the DST-I modes
+    assume(boundary == "open" or M >= 3)
+    spec = LatticeSpec(M, boundary)
+    if boundary == "periodic":
+        want, period = 2.0 * np.pi * np.arange(M // 2 + 1) / M, M
+    else:
+        want, period = np.pi * np.arange(1, M + 1) / (M + 1), 2 * (M + 1)
+    assert spec.period == period and LatticeSpec.infinite_lattice().period is None
+    # the symbol's arguments are the grid
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "dispersion_value", lambda params, kx, ky, g1, g2: (kx, ky))
+        kx, ky = dispersion_grid(params_at(1.0), spec)
+    assert kx.shape == (want.size, 1) and ky.shape == (1, want.size)
+    assert kx.tobytes() == ky.tobytes() == want.tobytes()
 
 
 def test_dispersion_decoupled_flat():

@@ -130,7 +130,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
     lattice = cfg.lattice
     if lattice.boundary == "open":
         raise ConfigError("a displacement table needs translation invariance; "
-                          "use a periodic lattice or infinite = true")
+                          "use boundary = periodic or infinite")
     # a periodic table reaches every displacement at M//2
     reach = cfg.max_displacement if lattice.infinite else lattice.side // 2
     table = covariances_for(_params(cfg), lattice, reach)
@@ -234,7 +234,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
 def _paper_config(cfg: RunConfig) -> RunConfig:
     # the paper's parameters are RunConfig's defaults, engine = auto among them
     return replace(cfg, **{name: getattr(RunConfig, name) for name in (
-        "omega", "kappa", "n_atoms", "side", "boundary", "infinite", "engine")})
+        "omega", "kappa", "n_atoms", "side", "boundary", "engine")})
 
 
 # The first subcommand run of a recipe meets every check the later ones
@@ -245,8 +245,8 @@ def cmd_reproduce_fig2(cfg: RunConfig) -> int:
     gc = critical_g_equal(_params(cfg))
     for label, g in (("g1.25", 1.25), ("g1.5", 1.5),
                      ("near_critical", gc * (1.0 - NEAR_CRITICAL_OFFSET))):
-        for infinite, name in ((False, "m80"), (True, "infinite")):
-            cmd_entropy_scan(replace(cfg, g1=g, g2=g, infinite=infinite,
+        for boundary, name in (("periodic", "m80"), ("infinite", "infinite")):
+            cmd_entropy_scan(replace(cfg, g1=g, g2=g, boundary=boundary,
                                      output=_artifact_path(cfg, f"fig2_{name}_{label}")))
     return 0
 
@@ -258,7 +258,8 @@ def cmd_reproduce_fig3(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise _m_list_error(exc) from None
     cfg = _paper_config(cfg)
-    cmd_derivative_scan(replace(cfg, infinite=True, output=_artifact_path(cfg, "fig3_infinite")))
+    cmd_derivative_scan(replace(cfg, boundary="infinite",
+                                output=_artifact_path(cfg, "fig3_infinite")))
     for M in cfg.m_list:
         cmd_derivative_scan(replace(cfg, side=M, output=_artifact_path(cfg, f"fig3_m{M}")))
     return 0

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .entanglement import DEFAULT_PAIRING_TOL
 from .model import LatticeSpec
+from .scan import DEFAULT_STEP
 
 # CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib would map
 # OpenSSL's libcrypto (3.5 MB resident) into every process for one short digest
@@ -39,17 +41,16 @@ class RunConfig:
     # lattice
     side: int = 80
     boundary: str = "periodic"
-    infinite: bool = False
     # engine ("auto" or the lattice's own, LatticeSpec.engine) and entropy
     engine: str = "auto"
     entropy_mode: str = "degenerate_once"
-    pairing_tol: float = 1e-8
+    pairing_tol: float = DEFAULT_PAIRING_TOL
     block_sizes: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
     # sweep axis (g1 = g2 = g); g_max "auto" means g_c - 1e-4
     g_min: float = 1.0
     g_max: float | str = "auto"
     g_samples: int = 200
-    derivative_step: float = 1e-4
+    derivative_step: float = DEFAULT_STEP
     m_list: tuple[int, ...] = (21, 31, 41)
     # phase-diagram axis
     phase_g1_min: float = 0.0
@@ -64,15 +65,8 @@ class RunConfig:
 
     @property
     def lattice(self) -> LatticeSpec:
-        """The lattice these fields name; ``side`` and ``boundary`` are
-        ignored when ``infinite``."""
-        return LatticeSpec.infinite_lattice() if self.infinite else LatticeSpec(self.side, self.boundary)
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw not in ("true", "false"):
-        raise ValueError("expected 'true' or 'false'")
-    return raw == "true"
+        """The lattice these fields name; ``side`` is ignored when infinite."""
+        return LatticeSpec(None if self.boundary == "infinite" else self.side, self.boundary)
 
 
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
@@ -94,14 +88,13 @@ def _parse_float_or_auto(raw: str):
 
 
 _CHOICES = {
-    "boundary": ("periodic", "open"),
+    "boundary": ("periodic", "open", "infinite"),
     "engine": ("auto", "dense", "fft", "infinite"),
     "entropy_mode": ("degenerate_once", "count_all"),
     "format": ("csv", "json"),
 }
 
-_PARSERS = {"tuple[int, ...]": _parse_int_tuple, "float": _parse_float, "int": int,
-            "bool": _parse_bool}
+_PARSERS = {"tuple[int, ...]": _parse_int_tuple, "float": _parse_float, "int": int}
 
 
 def _field_parser(f):

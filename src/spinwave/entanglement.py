@@ -172,7 +172,7 @@ def block_spectrum(cov, region: BlockRegion) -> SymplecticSpectrum:
     parity sectors' merged when mirror symmetric (module notes), else the whole's.
     An even side's sectors go through one stacked ``symplectic_spectrum`` call."""
     L, spec = region.side_length, cov.spec
-    if not (spec.boundary == "periodic" or 2 * region.x0 == spec.side - L == 2 * region.y0):
+    if spec.boundary == "open" and not 2 * region.x0 == spec.side - L == 2 * region.y0:
         return symplectic_spectrum(*cov.block(region.sites()))
     Q, P = cov.sectors(region.x0, region.y0, L)
     if L % 2 == 0:

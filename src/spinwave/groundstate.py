@@ -193,7 +193,7 @@ def covariance_pbc_fft(spec: LatticeSpec, params: CouplingParams) -> Correlation
     """Periodic-lattice correlations <q_0 q_r> = (1 / 2 M^2) sum_k v(k)^(-1/2) cos(k.r)
     on the circulant eigenvalue grid, and the same with v^(+1/2) for momenta: the whole
     table, ``covariances_for``'s batch of one, by a real cosine transform per axis."""
-    if spec.infinite or spec.boundary == "open":
+    if spec.boundary != "periodic":
         raise ValueError("FFT engine requires a finite periodic lattice")
     return covariances_for(params, spec, spec.side // 2)
 

@@ -90,29 +90,28 @@ class CouplingParams:
         return self.n_atoms * self.omega
 
 
+# each boundary's engine, as LatticeSpec.engine names it
+_ENGINES = {"periodic": "fft", "open": "dense", "infinite": "infinite"}
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """M x M square lattice geometry.
+    """M x M square lattice geometry: ``boundary`` periodic, open or infinite.
 
     Site indexing is row-major: ``site = y * side + x`` with x, y in [0, M).
-    ``infinite`` selects the continuum Brillouin-zone treatment; ``side`` is
-    ignored in that mode, and ``boundary`` must be periodic.
+    The infinite lattice, the periodic one's M -> infinity limit, takes the
+    continuum Brillouin-zone treatment and has ``side`` None.
     """
 
     side: int | None
     boundary: str = "periodic"
-    infinite: bool = False
 
     def __post_init__(self):
-        if self.boundary not in ("periodic", "open"):
-            raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
+        if self.boundary not in _ENGINES:
+            raise ValueError(f"boundary must be one of {', '.join(_ENGINES)}, "
+                             f"got {self.boundary!r}")
         if self.infinite:
-            if self.boundary != "periodic":
-                raise ValueError(f"an infinite lattice has no edge: boundary must be 'periodic', "
-                                 f"got {self.boundary!r}")
             return
-        if self.side is None:
-            raise ValueError("finite lattice needs a side length")
         try:
             side = operator.index(self.side)
         except TypeError:
@@ -134,13 +133,17 @@ class LatticeSpec:
 
     @classmethod
     def infinite_lattice(cls) -> "LatticeSpec":
-        return cls(side=None, boundary="periodic", infinite=True)
+        return cls(side=None, boundary="infinite")
+
+    @property
+    def infinite(self) -> bool:
+        return self.boundary == "infinite"
 
     @property
     def engine(self) -> str:
         """The lattice's engine as configs and the CLI's ``engine`` column name it: zone
         quadrature ("infinite") or its modes' cosine transform ("fft"; "dense" when open)."""
-        return "infinite" if self.infinite else "fft" if self.boundary == "periodic" else "dense"
+        return _ENGINES[self.boundary]
 
     @property
     def period(self) -> int | None:

@@ -16,6 +16,8 @@ import numpy as np
 from .entanglement import _entropy_terms, two_site_sweep
 from .model import CouplingParams, LatticeSpec, StabilityError
 
+# the derivative stencil's default step h, the config's derivative_step
+DEFAULT_STEP = 1e-4
 # zeta_1's pair: the lattice center and its horizontal neighbour this far away
 ZETA1_OFFSET = (1, 0)
 # a symplectic eigenvalue is resolved to a few ulps; one at 1 + 4 eps adds this
@@ -76,7 +78,7 @@ def stencil(gs, h: float) -> np.ndarray:
 
 
 def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
-                     h: float = 1e-4) -> list:
+                     h: float = DEFAULT_STEP) -> list:
     """``derivative_zeta`` at each g of the sequence ``gs``, or the StabilityError,
     QuadratureConvergenceError or pair refusal (``two_site_params``) of its
     first refused stencil point.  All 4 len(gs) stencil couplings go through
@@ -101,7 +103,7 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
 
 
 def derivative_zeta(params: CouplingParams, spec: LatticeSpec, g: float,
-                    h: float = 1e-4) -> DerivativeEstimate:
+                    h: float = DEFAULT_STEP) -> DerivativeEstimate:
     """d zeta_1 / d g by central differences with one Richardson step; all
     four stencil points must be stable, and an error names the one that is not."""
     (est,) = derivative_sweep(params, spec, [g], h)
@@ -128,7 +130,7 @@ def finite_sizes(M_list) -> list[int]:
 
 
 def finite_size_peak(params: CouplingParams, M_list, g_grid,
-                     h: float = 1e-4) -> list[PeakResult]:
+                     h: float = DEFAULT_STEP) -> list[PeakResult]:
     """Peak |d zeta_1 / d g| over the grid for each odd lattice size (a unique
     center site), by one ``derivative_sweep`` per size; the first failing g's
     error is raised."""

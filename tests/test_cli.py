@@ -68,7 +68,7 @@ def test_cross_field_validation():
 
 
 def test_round_trip_identity():
-    text = ("omega = 321.5\ng1 = 0.0001\ng2 = 1.7\ninfinite = true\n"
+    text = ("omega = 321.5\ng1 = 0.0001\ng2 = 1.7\nboundary = infinite\n"
             "block_sizes = 2,3,5\ng_max = 1.6180339887498949\nformat = json\n")
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
@@ -86,16 +86,15 @@ PATHS = st.text(alphabet="abcxyz019._/-", min_size=1, max_size=12)
 def run_configs(draw):
     """Every field drawn from its valid range, consistent across fields: the
     engine is "auto" or the drawn lattice's own."""
-    infinite = draw(st.booleans())
-    boundary = draw(st.sampled_from(["periodic", "open"]))
-    own = "infinite" if infinite else "fft" if boundary == "periodic" else "dense"
+    boundary = draw(st.sampled_from(["periodic", "open", "infinite"]))
+    own = {"periodic": "fft", "open": "dense", "infinite": "infinite"}[boundary]
     g_min = draw(NON_NEGATIVE)
     phase_g1_min = draw(NON_NEGATIVE)
     return RunConfig(
         omega=draw(POSITIVE), kappa=draw(POSITIVE), n_atoms=draw(st.integers(1, 10 ** 6)),
         g1=draw(NON_NEGATIVE), g2=draw(NON_NEGATIVE),
         side=draw(st.integers(3 if boundary == "periodic" else 2, 1000)), boundary=boundary,
-        infinite=infinite, engine=draw(st.sampled_from(["auto", own])),
+        engine=draw(st.sampled_from(["auto", own])),
         entropy_mode=draw(st.sampled_from(["degenerate_once", "count_all"])),
         pairing_tol=draw(POSITIVE), block_sizes=draw(INCREASING), g_min=g_min,
         g_max=draw(st.just("auto") | st.floats(min_value=g_min, allow_infinity=False)),
@@ -121,7 +120,7 @@ def test_digest_tracks_content():
     # output destination does not change what was computed
     assert config_digest(a) == config_digest(parse_config("omega = 500\noutput = x.csv\n"))
     # pinned: a new hash or serialization would move every table's digest line
-    assert config_digest(RunConfig()) == "46a0d3e0579c"
+    assert config_digest(RunConfig()) == "d0f6677ec9e6"
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,10 +180,59 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["no-such-command"])
 
 
+def test_cli_infinite_key_is_unknown(tmp_path, capsys):
+    # boundary = infinite names the infinite lattice; the former flag has no alias
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("boundary = open\ninfinite = true\nside = 9\n")
+    out = tmp_path / "scan.csv"
+    assert main(["entropy-scan", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown key 'infinite' (line 2)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["entropy-scan", "two-site", "derivative-scan",
+                                        "gap-scan", "covariance"])
+def test_cli_infinite_boundary_ignores_side(tmp_path, capsys, subcommand):
+    # side = 2 would refuse every block, pair and periodic lattice were it read
+    tables = []
+    for side in ("", "side = 2\n"):
+        cfg = tmp_path / "infinite.cfg"
+        cfg.write_text(f"boundary = infinite\n{side}block_sizes = 2,4\nmax_displacement = 2\n"
+                       "g_min = 1.2\ng_max = 1.4\ng_samples = 2\n")
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    # only the digest line differs: side is part of the digest
+    assert tables[0][1:] == tables[1][1:] and len(tables[0]) > 2
+    if subcommand == "entropy-scan":
+        assert [row.split(",")[-1] for row in tables[0][2:]] == ["infinite", "infinite"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("block_sizes = ,", "bad value for 'block_sizes' (line 2): expected a comma-separated "
+                        "list of integers"),
+    ("omega = 0", "invalid value for 'omega' (line 2): must be positive"),
+    ("derivative_step = -1e-4", "invalid value for 'derivative_step' (line 2): must be positive"),
+    ("g_samples = 0", "invalid value for 'g_samples' (line 2): must be >= 1"),
+    ("g1 = -0.5", "invalid value for 'g1' (line 2): must be >= 0"),
+    ("side = 1", "invalid value for 'side' (line 2): must be >= 2"),
+    ("m_list = 0,5", "invalid value for 'm_list' (line 2): entries must be >= 1"),
+    ("omega 500", "expected 'key = value' (line 2): 'omega 500'"),
+    ("phase_g1_min = 2\nphase_g1_max = 1", "phase_g1_max must be >= phase_g1_min"),
+])
+def test_cli_config_refusals_name_key_and_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    # each refusal on line 2, after a valid first line
+    cfg.write_text(f"kappa = 1.0\n{text}\n")
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_cli_entropy_scan_near_critical_infinite(tmp_path, capsys):
     # g = g_c (1 - 1.5e-10), where a uniform 2-D zone grid does not converge by n = 16384
     cfg = tmp_path / "near.cfg"
-    cfg.write_text("infinite = true\ng1 = 1.7402829305\ng2 = 1.7402829305\n")
+    cfg.write_text("boundary = infinite\ng1 = 1.7402829305\ng2 = 1.7402829305\n")
     assert main(["entropy-scan", "--config", str(cfg)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[2:]
     entropies = [float(row.split(",")[1]) for row in rows]
@@ -209,7 +257,7 @@ def _reject_constant(token):
 def test_cli_json_failed_rows_are_strict_json(tmp_path):
     # the g = 1.8 row is beyond criticality; its gap cell is null, not NaN
     cfg = tmp_path / "hot.cfg"
-    cfg.write_text("infinite = true\ng_min = 1.7\ng_max = 1.8\ng_samples = 2\n")
+    cfg.write_text("boundary = infinite\ng_min = 1.7\ng_max = 1.8\ng_samples = 2\n")
     out = tmp_path / "gap.json"
     assert main(["gap-scan", "--config", str(cfg), "--output", str(out), "--format", "json"]) == 0
     doc = json.loads(out.read_text(), parse_constant=_reject_constant)
@@ -239,7 +287,7 @@ def test_cli_gap_scan_and_phase_diagram(tmp_path, capsys):
 
 
 def test_cli_covariance_engines(tmp_path, capsys):
-    cfg = small_cfg(tmp_path, extra="max_displacement = 2\ninfinite = true\n")
+    cfg = small_cfg(tmp_path, extra="max_displacement = 2\nboundary = infinite\n")
     assert main(["covariance", "--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "dx,dy,qq,pp"
@@ -249,7 +297,7 @@ def test_cli_covariance_engines(tmp_path, capsys):
     open_cfg.write_text("side = 6\nboundary = open\nengine = dense\n")
     assert main(["covariance", "--config", str(open_cfg)]) == 2
     err = capsys.readouterr().err
-    assert "translation invariance" in err and "infinite = true" in err
+    assert "translation invariance" in err and "boundary = periodic or infinite" in err
 
 
 def test_cli_periodic_covariance_is_mirror_even(tmp_path, capsys):
@@ -276,7 +324,7 @@ def test_cli_out_of_memory_is_refusal(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("spinwave.cli.covariances_for", exhausted)
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("infinite = true\nmax_displacement = 200000\n")
+    cfg.write_text("boundary = infinite\nmax_displacement = 200000\n")
     assert main(["covariance", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 298. GiB\n"
 
@@ -329,8 +377,8 @@ def test_cli_non_finite_is_config_error(tmp_path, capsys, line, key):
 @pytest.mark.parametrize("subcommand", ["entropy-scan", "two-site", "derivative-scan",
                                         "gap-scan", "finite-size"])
 @pytest.mark.parametrize("text", ["engine = fft\nboundary = open\nside = 6\n",
-                                  "engine = fft\ninfinite = true\n",
-                                  "engine = dense\ninfinite = true\n",
+                                  "engine = fft\nboundary = infinite\n",
+                                  "engine = dense\nboundary = infinite\n",
                                   "engine = dense\nside = 6\n",
                                   "engine = infinite\nside = 6\n",
                                   "engine = infinite\nboundary = open\nside = 6\n"])
@@ -344,7 +392,7 @@ def test_cli_engine_lattice_mismatch_is_config_error(tmp_path, capsys, subcomman
 @pytest.mark.parametrize("subcommand, engine, lattice", [
     ("two-site", "dense", "boundary = open\nside = 7\n"),
     ("entropy-scan", "fft", "side = 8\n"),
-    ("covariance", "infinite", "infinite = true\nmax_displacement = 2\n"),
+    ("covariance", "infinite", "boundary = infinite\nmax_displacement = 2\n"),
 ])
 def test_cli_own_engine_matches_auto(tmp_path, capsys, subcommand, engine, lattice):
     tables = []
@@ -521,7 +569,7 @@ def test_cli_unrepresentable_infinite_table_is_refusal(tmp_path, capsys, subcomm
     # the extent's (extent + 1)^2 entries overflow an array index; the size is
     # checked before any allocation
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(f"infinite = true\n{text}\n")
+    cfg.write_text(f"boundary = infinite\n{text}\n")
     assert main([subcommand, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"extent {extent} " in err and "too large" in err
@@ -558,7 +606,7 @@ def test_cli_scans_record_failures_in_row(tmp_path, capsys):
 def test_cli_infinite_derivative_scan_fails_the_critical_stencil_row(tmp_path, capsys, g_max,
                                                                      error):
     cfg = tmp_path / "edge.cfg"
-    cfg.write_text(f"infinite = true\ng_min = 1.74\ng_max = {g_max}\ng_samples = 3\n")
+    cfg.write_text(f"boundary = infinite\ng_min = 1.74\ng_max = {g_max}\ng_samples = 3\n")
     assert main(["derivative-scan", "--config", str(cfg)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[2:]
     assert len(rows) == 3 and rows[0].endswith(",") and rows[1].endswith(",")
@@ -568,12 +616,12 @@ def test_cli_infinite_derivative_scan_fails_the_critical_stencil_row(tmp_path, c
 def test_cli_infinite_two_site_batch_rows_match_single_coupling_runs(tmp_path, capsys):
     # the sweep runs as one quadrature batch; 1.75 is beyond g_c
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("infinite = true\ng_min = 1.5\ng_max = 1.75\ng_samples = 6\n")
+    cfg.write_text("boundary = infinite\ng_min = 1.5\ng_max = 1.75\ng_samples = 6\n")
     assert main(["two-site", "--config", str(cfg)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[2:]
     assert len(rows) == 18 and "critical" in rows[-1]
     for i in range(0, 18, 3):
-        cfg.write_text(f"infinite = true\ng_min = {rows[i].split(',')[0]}\ng_samples = 1\n")
+        cfg.write_text(f"boundary = infinite\ng_min = {rows[i].split(',')[0]}\ng_samples = 1\n")
         assert main(["two-site", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.strip().splitlines()[2:] == rows[i:i + 3]
 
@@ -701,8 +749,8 @@ def cli_runs(draw):
     cfg = {
         "omega": omega, "kappa": kappa, "n_atoms": n_atoms,
         "g1": draw(FRACTIONS) * gc, "g2": draw(FRACTIONS) * gc,
-        "side": draw(st.integers(2, 16)), "boundary": draw(st.sampled_from(["periodic", "open"])),
-        "infinite": draw(st.booleans()),
+        "side": draw(st.integers(2, 16)),
+        "boundary": draw(st.sampled_from(["periodic", "open", "infinite"])),
         "engine": draw(st.sampled_from(["auto"] * 6 + ["dense", "fft", "infinite"])),
         "entropy_mode": draw(st.sampled_from(["degenerate_once", "count_all"])),
         "pairing_tol": draw(st.sampled_from([1e-8, 1e-3, 1e-15])),

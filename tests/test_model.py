@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,12 +78,23 @@ def test_potential_refuses_infinite_lattice():
         build_potential(LatticeSpec.infinite_lattice(), params_at(1.0))
 
 
-def test_infinite_lattice_refuses_an_open_boundary():
-    # an infinite lattice has no edge; an open one would reach the finite
-    # engines' side arithmetic with side = None
-    with pytest.raises(ValueError, match="boundary must be 'periodic', got 'open'"):
-        LatticeSpec(side=None, boundary="open", infinite=True)
-    assert LatticeSpec(side=None, boundary="periodic", infinite=True).engine == "infinite"
+@pytest.mark.parametrize("spec, engine", [(LatticeSpec.periodic(5), "fft"),
+                                          (LatticeSpec.open_boundary(5), "dense"),
+                                          (LatticeSpec.infinite_lattice(), "infinite")])
+def test_boundary_names_the_lattice_and_its_engine(spec, engine):
+    # one field carries the choice: the infinite lattice is boundary = infinite, side None
+    assert spec.engine == engine
+    assert spec.infinite == (spec.boundary == "infinite") == (spec.side is None)
+    assert spec == LatticeSpec(spec.side, spec.boundary)
+
+
+@pytest.mark.parametrize("side, boundary, message", [
+    (None, "periodic", "side must be an integer, got None"),
+    (None, "open", "side must be an integer, got None"),
+    (5, "closed", "boundary must be one of periodic, open, infinite, got 'closed'")])
+def test_lattice_refuses_a_finite_boundary_without_side_or_an_unknown_one(side, boundary, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LatticeSpec(side, boundary)
 
 
 def test_periodic_side_two_rejected():

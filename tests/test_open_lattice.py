@@ -52,7 +52,7 @@ def test_open_side_200_two_site_matches_infinite(no_dense_potential, capsys, tmp
     # far beyond the correlation length at g = 1.5
     scan = "g_min = 1.5\ng_samples = 1\n"
     open_rows = _table(capsys, tmp_path, "boundary = open\nside = 200\n" + scan, "two-site")
-    infinite_rows = _table(capsys, tmp_path, "infinite = true\n" + scan, "two-site")
+    infinite_rows = _table(capsys, tmp_path, "boundary = infinite\n" + scan, "two-site")
     assert len(open_rows) == len(infinite_rows) == 3
     for got, want in zip(open_rows, infinite_rows):
         assert got[:2] == want[:2] and got[6:] == want[6:]
@@ -63,5 +63,5 @@ def test_open_side_200_gap_scan(no_dense_potential, capsys, tmp_path):
     # the DST-I grid lies inside the zone, so the open gap sits just above the infinite one
     scan = "g_min = 1.5\ng_samples = 1\n"
     (_, open_gap, _), = _table(capsys, tmp_path, "boundary = open\nside = 200\n" + scan, "gap-scan")
-    (_, infinite_gap, _), = _table(capsys, tmp_path, "infinite = true\n" + scan, "gap-scan")
+    (_, infinite_gap, _), = _table(capsys, tmp_path, "boundary = infinite\n" + scan, "gap-scan")
     assert 0 < float(open_gap) - float(infinite_gap) < 1e-3 * float(infinite_gap)

@@ -72,6 +72,22 @@ def test_derivative_magnitude_grows_toward_critical():
     assert abs(near.richardson) > abs(far.richardson)
 
 
+def test_derivative_critical_exponent_tends_to_one_half():
+    # near g_c, v ~ Delta + alpha |k - K|^2 with Delta ~ delta = g_c - g, so the zone
+    # integral gives d zeta_1 / dg ~ delta^(-1/2) and the local exponent between
+    # neighbouring deltas rises towards -1/2 as delta shrinks. A uniform scale of the
+    # qq tables scales zeta_1 and its derivative alike, which this cannot catch: the
+    # prefactor needs its own closed form.
+    params = params_at(0.0)
+    deltas = np.array([1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3.2e-6])
+    estimates = derivative_sweep(params, LatticeSpec.infinite_lattice(),
+                                 critical_g_equal(params) - deltas, h=2e-7)
+    slopes = np.abs([est.richardson for est in estimates])
+    exponents = np.diff(np.log(slopes)) / np.diff(np.log(deltas))
+    assert np.all(np.diff(exponents) > 0)
+    assert -0.53 < exponents[-1] < -0.49
+
+
 def test_derivative_finite_lattice():
     est = derivative_zeta(params_at(0.0), LatticeSpec.periodic(9), 1.3)
     assert est.raw < 0

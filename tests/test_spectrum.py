@@ -154,6 +154,20 @@ def test_critical_g2_selects_consistent_case():
     assert critical_g2(p, 2.5).branch == "below"
 
 
+def test_critical_g2_degenerate_branch_where_the_cases_meet():
+    # at g1 = (4 kappa + omega/N) / (2 sqrt 2) all three closed forms give sqrt(2) g1,
+    # so neither the "below" nor the "above" form is strictly self-consistent
+    p = params_at(0.0)
+    g1 = (4.0 * p.kappa + p.omega / p.n_atoms) / (2.0 * SQRT2)
+    target = SQRT2 * g1
+    assert all(abs(case - target) <= 4 * np.spacing(target)
+               for case in phase_boundary_cases(p, g1))
+    point = critical_g2(p, g1)
+    assert point.branch == "degenerate"
+    assert point.g2_closed_form == phase_boundary_cases(p, g1)[1]
+    assert abs(point.g2_numeric - target) <= spectrum.BISECTION_TOL * p.kappa
+
+
 def test_closed_form_matches_bisection_on_grid():
     p = params_at(0.0)
     for g1 in [*np.linspace(0.0, 3.0, 7), 100.0]:

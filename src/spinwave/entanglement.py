@@ -244,11 +244,11 @@ def two_site_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, pairs) -> 
     ``covariances_for_each`` runs, shaped (couplings, pairs) in sweep order: one
     ``block`` read per engine block gathers every pair, (stable, pairs, 2, 2), the
     stable couplings' pairs go through one ``two_site_params`` call, and a coupling
-    the engine refused reads NaN, not separable and its refusal on every pair.  An
-    infinite table reaches the pairs' largest |dx| or |dy|."""
+    the engine refused reads NaN, not separable and its refusal on every pair.  The
+    tables reach the pairs' largest |dx| and largest |dy|, (1, 0) for zeta_1's pair."""
     reads, stable, refused = [(np.empty((0, len(pairs), 2, 2)),) * 2], [np.empty(0, int)], {}
-    for index, cov, block_refused in covariances_for_each(
-            params, g1, g2, spec, int(np.max(np.abs(np.diff(pairs, axis=1))))):
+    reach = np.max(np.abs(np.diff(pairs, axis=1)), axis=(0, 1)).tolist()
+    for index, cov, block_refused in covariances_for_each(params, g1, g2, spec, reach):
         reads.append(cov.block(pairs))
         stable.append(index)
         refused.update(block_refused)

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import CRITICAL_GUARD, CouplingParams, LatticeSpec, StabilityError, build_potential
-from .spectrum import dispersion_grid, zone_branch
+from .spectrum import dispersion_grid, veltkamp_split, zone_branch
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,13 @@ MIRROR_TERMS = ((np.subtract, True, False), (np.subtract, False, True), (np.add,
 @dataclass(frozen=True)
 class CorrelationTable:
     """Translation-invariant correlations on the lattice ``spec``, keyed by displacement:
-    qq/pp are (D+1) x (D+1) quadrant arrays indexed by (|dx|, |dy|), the dispersion
+    qq/pp are (Dx+1) x (Dy+1) quadrant arrays indexed by (|dx|, |dy|), the dispersion
     being even in each wavevector component.  A finite table folds each component
-    modulo the lattice's ``period`` P onto 0..P//2.  D is the reader's reach, at most
-    P//2 (the whole table, always when open: its mirror images reach far); a
-    displacement beyond it is refused.  A sweep's block stacks its couplings' tables
-    along leading axes, read alike."""
+    modulo the lattice's ``period`` P onto 0..P//2.  (Dx, Dy) is the reader's reach per
+    axis; a finite table is square, cut at the larger of the two and at most P//2 (the
+    whole table, always when open: its mirror images reach far).  A displacement
+    beyond either axis's extent is refused.  A sweep's block stacks its couplings'
+    tables along leading axes, read alike."""
 
     qq: np.ndarray = field(repr=False)
     pp: np.ndarray = field(repr=False)
@@ -86,18 +87,19 @@ class CorrelationTable:
     def displacement_index(self, dx, dy) -> tuple[np.ndarray, np.ndarray]:
         """Table indices of the displacements (dx, dy), integers or integer arrays of one
         shape: min(d mod P, P - d mod P) for a finite table of period P, (|dx|, |dy|)
-        for an infinite one; an index beyond the table's extent is refused."""
-        extent, M = self.qq.shape[-1], self.spec.period
+        for an infinite one; an index beyond the table's extent on either axis is refused."""
+        (ex, ey), M = self.qq.shape[-2:], self.spec.period
         if M is None:
             dx, dy = np.abs(dx), np.abs(dy)
         else:
             dx, dy = np.mod(dx, M), np.mod(dy, M)
             dx, dy = np.minimum(dx, M - dx), np.minimum(dy, M - dy)
-        outside = np.ravel((dx >= extent) | (dy >= extent))
+        outside = np.ravel((dx >= ex) | (dy >= ey))
         if outside.any():
             first = int(np.argmax(outside))
+            extent = f"{ex - 1}" if ex == ey else f"{ex - 1} x {ey - 1}"
             raise ValueError(f"displacement ({np.ravel(dx)[first]}, {np.ravel(dy)[first]}) "
-                             f"not in table (extent {extent - 1})")
+                             f"not in table (extent {extent})")
         return dx, dy
 
     def block(self, sites) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +260,16 @@ FORWARD_GROWTH = np.log(100.0)
 
 
 def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Toroidal functions Q_{m-1/2}(z) for m = 0..top (top >= 1) at z = 1 + zm1 > 1, as
+    """Toroidal functions Q_{m-1/2}(z) for m = 0..top (top >= 0) at z = 1 + zm1 > 1, as
     a (top + 1, *zm1.shape) array, plus the modulus k = sqrt(2 / (z + 1))
     and the complete elliptic integral E(k) of each z.  A row of 2-D zm1 is
     computed as if alone: AGM and backward-ratio start depend on its nodes only.
 
     Q_{-1/2} = k K(k) and Q_{1/2} = z k K(k) - (2 / k) E(k), with K and E from
     the AGM on the complementary modulus sqrt(zm1 / (z + 1)) (DLMF 19.8), so
-    nothing is lost to 1 - k near z = 1.  Higher orders follow the three-term
-    recurrence (m + 1/2) Q_{m+1/2} = 2 m z Q_{m-1/2} - (m - 1/2) Q_{m-3/2}:
+    nothing is lost to 1 - k near z = 1; top = 0 stops there.  Higher orders
+    follow the three-term recurrence
+    (m + 1/2) Q_{m+1/2} = 2 m z Q_{m-1/2} - (m - 1/2) Q_{m-3/2}:
     forward where eta = arccosh z is small, elsewhere as backward ratios for
     the minimal solution (Gil, Segura & Temme, J. Comput. Phys. 161, 204
     (2000)), normalised by Q_{-1/2}.  Each node's float operations do not depend
@@ -293,6 +296,8 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     E = K * (1.0 - csum)
     q = np.empty((top + 1,) + zm1.shape)
     q[0] = k * K
+    if not top:
+        return q, k, E
     eta = np.log1p(zm1 + np.sqrt(zm1 * (zm1 + 2.0)))
     forward = 2.0 * max(top, 4) * eta <= FORWARD_GROWTH
     if forward.any():
@@ -361,15 +366,16 @@ def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     the rounding error of the product d * x: x splits into two 26-bit
     halves (Veltkamp), whose products with d are exact, and the angle sum
     is expanded."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    a, b = np.outer(d, hi), np.outer(d, x - hi)
+    hi, lo = veltkamp_split(x)
+    a, b = np.outer(d, hi), np.outer(d, lo)
     return np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
 
 
-def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray:
-    """Unscaled tanh-sinh sums, shape (block, 2, dmax + 1, dmax + 1) with qq then pp,
-    for couplings given by ``zone_branch`` rows, at nodes kx, rest = pi - kx and cx = w cos(d kx).
+def _legendre_block(branches: np.ndarray, kx, rest, cx, ry: int) -> np.ndarray:
+    """Unscaled tanh-sinh sums, shape (block, 2, rx + 1, ry + 1) with qq then pp, for
+    couplings given by ``zone_branch`` rows, at nodes kx, rest = pi - kx and the rows
+    cx = w cos(dx kx), dx = 0..rx.  The orders dy = 0..ry need Q_{m-1/2} up to m = ry + 1,
+    and Q_{-1/2} alone when ry = 0 (J+_0 reads E).
 
     At fixed kx, v = a + b cos ky with b = bscale (1 + cos kx / sqrt 2) and
     z = a / b >= 1, and Heine's integral (DLMF 14.19) gives the ky integrals
@@ -392,25 +398,25 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray
     delta, slope, pipi, bscale = branches.T
     x = np.where(pipi[:, None], rest, kx)
     v_pi = delta[:, None] + slope[:, None] * 2.0 * np.sin(0.5 * x) ** 2
-    d = np.arange(dmax + 1)
+    d = np.arange(ry + 1)
     # b / a below 2e-17 (g2 = 0 makes it exact): v = a = v(kx, pi)
     flat = bscale <= 1e-17 * delta
     # every coupling curved: the curved sums are the block's, with no scatter
     curved = ...
     if flat.any():
-        jm = np.zeros((dmax + 1,) + v_pi.shape)
+        jm = np.zeros((ry + 1,) + v_pi.shape)
         jp = np.zeros_like(jm)
         jm[0, flat], jp[0, flat] = v_pi[flat] ** -0.5, v_pi[flat] ** 0.5
         curved = ~flat
     if curved is ... or curved.any():
         b = bscale[curved, None] * (1.0 + np.cos(kx) / np.sqrt(2.0))
-        q, k, E = _legendre_q(v_pi[curved] / b, dmax + 1)
+        q, k, E = _legendre_q(v_pi[curved] / b, ry + 1 if ry else 0)
         sign = np.where(d % 2, -1.0, 1.0)[:, None, None]
         c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
-        jm_c = sign * c * q[:-1]
+        jm_c = sign * c * q[:ry + 1]
         jp_c = np.empty_like(jm_c)
         jp_c[0] = c * b * 2.0 * E / k
-        jp_c[1:] = sign[1:] * c * b * (q[2:] - q[:-2]) / (4.0 * d[1:, None, None])
+        jp_c[1:] = sign[1:] * c * b * (q[2:] - q[:ry]) / (4.0 * d[1:, None, None])
         if curved is ...:
             jm, jp = jm_c, jp_c
         else:
@@ -419,24 +425,24 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, dmax: int) -> np.ndarray
                      for j in (jm, jp)], axis=1)
 
 
-def _refine(branches: np.ndarray, dmax: int) -> tuple[np.ndarray, dict]:
-    """(batch, 2, dmax + 1, dmax + 1) tables, qq then pp, of couplings
+def _refine(branches: np.ndarray, rx: int, ry: int) -> tuple[np.ndarray, dict]:
+    """(batch, 2, rx + 1, ry + 1) tables, qq then pp, of couplings
     given by ``zone_branch`` rows, and a QuadratureConvergenceError by batch index
     for each that does not converge.  The tanh-sinh step halves from level to
     level; each coupling leaves the batch at its own first pair of levels that
     agree to QUAD_REL_TOL per entry, so its tables are what it gets alone."""
-    if 16 * max(1, len(branches)) * (dmax + 1) ** 2 > np.iinfo(np.intp).max:
-        raise MemoryError(f"infinite-lattice tables of extent {dmax} are too large to "
-                          f"represent: {(dmax + 1) ** 2} entries each")
-    sums = np.zeros((len(branches), 2, dmax + 1, dmax + 1))
+    if 16 * max(1, len(branches)) * (rx + 1) * (ry + 1) > np.iinfo(np.intp).max:
+        raise MemoryError(f"infinite-lattice tables of extent {rx} x {ry} are too large to "
+                          f"represent: {(rx + 1) * (ry + 1)} entries each")
+    sums = np.zeros((len(branches), 2, rx + 1, ry + 1))
     tables, failed = np.zeros_like(sums), {}
     live = np.arange(len(branches))
     for level in range(QUAD_MAX_REFINEMENTS + 1):
         kx, rest, w = _tanh_sinh_level(level)
-        cx = w * _cos_multiples(np.arange(dmax + 1), kx)
+        cx = w * _cos_multiples(np.arange(rx + 1), kx)
         step = max(1, LEVEL_BLOCK_POINTS // kx.size)
         for block in np.split(live, range(step, live.size, step)):
-            sums[block] += _legendre_block(branches[block], kx, rest, cx, dmax)
+            sums[block] += _legendre_block(branches[block], kx, rest, cx, ry)
         h = TANH_SINH_H0 / 2 ** level
         cur = sums[live] * (h / (2.0 * np.pi))
         if level:
@@ -465,9 +471,9 @@ def covariance_infinite(params: CouplingParams, dmax: int) -> CorrelationTable:
     return covariances_for(params, LatticeSpec.infinite_lattice(), dmax)
 
 
-def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement: int = 0):
-    """The CorrelationTable of ``spec`` up to ``max_displacement`` per component (whole
-    when open): ``covariances_for_each``'s sweep of one."""
+def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement=0):
+    """The CorrelationTable of ``spec`` up to ``max_displacement``, an int d or a pair
+    (rx, ry) as ``covariances_for_each`` reads it: that function's sweep of one."""
     ((_, cov, refused),) = covariances_for_each(params, [params.g1], [params.g2], spec,
                                                 max_displacement)
     if refused:
@@ -476,24 +482,30 @@ def covariances_for(params: CouplingParams, spec: LatticeSpec, max_displacement:
 
 
 def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
-                         max_displacement: int = 0):
+                         max_displacement=0):
     """``spec``'s engine (``spec.engine``, picked here only) over the couplings ``params``
     with dipolar strengths (g1[i], g2[i]), whose refusal by CouplingParams raises its
     ValueError.  Each block yields (index, cov, refused): its stable couplings' sweep
     indices, one CorrelationTable stacking their tables along a leading axis (an empty
     stack when all are refused) and each refused coupling's StabilityError or
     QuadratureConvergenceError by sweep index.  Tables hold the displacements up to
-    ``max_displacement`` per component, at most the whole table of the lattice's modes
-    (``LatticeSpec.period``), which an open one always is.  A finite lattice runs blocks
-    of at most FINITE_BLOCK_POINTS grid points, the infinite one a single batch, each
-    guarded on its min v at once."""
+    ``max_displacement``: a pair (rx, ry) bounds |dx| and |dy| apart, an int d means
+    (d, d).  The infinite table is (rx + 1) x (ry + 1); a finite one is square, at most
+    the whole table of the lattice's modes (``LatticeSpec.period``), which an open one
+    always is.  A finite lattice runs blocks of at most FINITE_BLOCK_POINTS grid points,
+    the infinite one a single batch, each guarded on its min v at once."""
     g1, g2 = params.strength_arrays(g1, g2)
-    if spec.boundary != "open" and max_displacement < 0:
+    rx, ry = (max_displacement,) * 2 if np.ndim(max_displacement) == 0 else max_displacement
+    if spec.boundary != "open" and min(rx, ry) < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
     period = spec.period
     if not spec.infinite:
-        # a periodic table's rows end at the reach; an open one's mirror images reach far
-        reach = period // 2 if spec.boundary == "open" else min(max_displacement, period // 2)
+        # a periodic table's rows end at the reach; an open one's mirror images reach
+        # far.  The cut stays square: a one-row C[:1] makes the second transform a
+        # matrix-vector product, whose BLAS kernel moved the column by 2e-16 to 4e-16
+        # of the largest entry (M = 21 to 80) where every cut of two or more rows is
+        # bitwise the whole table's, and that P x (r + 1) transform costs little
+        reach = period // 2 if spec.boundary == "open" else min(max(rx, ry), period // 2)
         C = _cosine_matrix(period)[:reach + 1, spec.modes]
     size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)
     for start in range(0, g1.size, size):
@@ -504,7 +516,7 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
         refused = _guard_softness(vmins, params.on_site)
         stable = np.delete(np.arange(vmins.size), list(refused))
         if spec.infinite:
-            tables, failed = _refine(v[stable], max_displacement)
+            tables, failed = _refine(v[stable], rx, ry)
             refused.update((int(stable[j]), exc) for j, exc in failed.items())
             stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
         else:

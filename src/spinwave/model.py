@@ -111,6 +111,8 @@ class LatticeSpec:
             raise ValueError(f"boundary must be one of {', '.join(_ENGINES)}, "
                              f"got {self.boundary!r}")
         if self.infinite:
+            if self.side is not None:
+                raise ValueError(f"the infinite lattice has no side, got {self.side!r}")
             return
         try:
             side = operator.index(self.side)

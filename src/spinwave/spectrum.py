@@ -8,9 +8,23 @@ Fourier transforming the translation-invariant potential gives the symbol
 
 whose square root is the normal-mode frequency.  The gap closes where
 min_k v(k) = 0, at k = (pi, pi) or (0, pi) depending on the ratio g2 / g1.
-That corner value Delta comes from ``zone_branch`` in 40-digit arithmetic, for
-the stability guard, the gap and the zone quadrature alike;
-``critical_g2_numeric`` stays float, as an independent check.
+That corner value Delta comes from ``zone_branch``, bit for bit what 40-digit
+decimal arithmetic gives from the float inputs, for the stability guard, the
+gap and the zone quadrature alike; ``critical_g2_numeric`` stays float, as an
+independent check.
+
+``zone_branch`` works in double-double arithmetic, a float pair hi + lo
+carrying about 106 bits: Knuth's TwoSum and Dekker's product on Veltkamp's
+split (Dekker, Numer. Math. 18, 224 (1971)) give each sum and product with
+its rounding error.  Tallying the roundings bounds the error of the tilt
+g1 - g2 / sqrt 2, the slope and Delta by 18 u^2 (u = 2^-53) of the sum of
+their terms' magnitudes.  DD_ERROR = 2^-98 = 256 u^2 of that sum bounds both
+the double-double value's distance from the exact one and the 40-digit
+route's (about 1e-39 of it).  Where every value within that bound has one
+sign (the branch) and rounds to one float, the row is certified: both routes
+give that float.  Other rows (|Delta| below about 2^-45 of the on-site term,
+the coupling at g_c itself) are recomputed in decimal, as in Ziv's correctly
+rounded functions (ACM TOMS 17, 410 (1991)).
 """
 
 from __future__ import annotations
@@ -22,6 +36,13 @@ import numpy as np
 from .model import DIAGONAL_FACTOR, CouplingParams, LatticeSpec, StabilityError
 
 SQRT2 = np.sqrt(2.0)
+# 2^(-1/2) as a double-double: SQRT_HALF + SQRT_HALF_LO is within 3e-33 relative
+SQRT_HALF, SQRT_HALF_LO = 2.0 ** -0.5, -4.833646656726457e-17
+# error bound of the double-double corner per unit of its terms' magnitude (module notes)
+DD_ERROR = 2.0 ** -98
+# inputs of magnitude 0 or within [1 / DD_RANGE, DD_RANGE] keep every product of
+# three of them, and its rounding error, clear of overflow and underflow
+DD_RANGE = 2.0 ** 300
 # absolute bisection tolerance of the numerical phase boundary, in units of kappa
 BISECTION_TOL = 1e-10
 
@@ -47,15 +68,58 @@ def dispersion_grid(params: CouplingParams, spec: LatticeSpec, g1=None, g2=None)
     return dispersion_value(params, k[:, None], k[None, :], g1, g2)
 
 
-def zone_branch(params: CouplingParams, g1, g2) -> np.ndarray:
-    """Rows (Delta, slope, pipi, bscale), one per coupling of ``params`` with
-    dipolar strengths (g1[i], g2[i]) (1-D arrays): v(kx, pi) = Delta + slope X
-    with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
-    (pipi = 1), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); Delta and the
-    slope come from the float inputs in 40-digit decimal arithmetic, the
-    coupling-independent terms once, and bscale = 2 N omega g2."""
-    # imported here, not at module level: importing decimal costs every CLI
-    # start a few milliseconds, and only the infinite lattice needs it
+def veltkamp_split(x):
+    """Veltkamp's split of x into two 26-bit halves (hi, lo), hi + lo == x, whose
+    products with one another and with integers below 2^26 are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: (s, e) with s = fl(a + b) and s + e == a + b exactly."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    """Dekker's product: (p, e) with p = fl(a b) and p + e == a b exactly."""
+    p = a * b
+    (ah, al), (bh, bl) = veltkamp_split(a), veltkamp_split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    """Sum of double-doubles x = (hi, lo) and y, renormalised so hi = fl(hi + lo)."""
+    s, e = _two_sum(x[0], y[0])
+    return _two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_mul(x, y):
+    """Product of double-doubles x = (hi, lo) and y, renormalised as ``_dd_add``'s."""
+    p, e = _two_prod(x[0], y[0])
+    return _two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _rounds_to_hi(x, err):
+    """Whether every value within err of the double-double x = (hi, lo) rounds to hi,
+    strictly inside hi's rounding interval (ties excluded), or x is an exact zero."""
+    hi, lo = x
+    up, down = np.nextafter(hi, np.inf) - hi, hi - np.nextafter(hi, -np.inf)
+    return (lo + err < 0.5 * up) & (err - lo < 0.5 * down) | (hi == 0) & (lo == 0) & (err == 0)
+
+
+def _in_range(x):
+    """Whether each x is 0 or of magnitude within [1 / DD_RANGE, DD_RANGE]."""
+    return (x == 0) | (1.0 / DD_RANGE <= np.abs(x)) & (np.abs(x) <= DD_RANGE)
+
+
+def _decimal_corners(params: CouplingParams, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Rows (Delta, slope, pipi) of ``zone_branch`` in 40-digit decimal arithmetic,
+    for the rows whose double-double bound does not certify them."""
+    # imported here, not at module level: importing decimal costs a CLI start a
+    # millisecond, and a run whose corners are all certified never needs it
     from decimal import Decimal, localcontext
 
     rows = []
@@ -64,11 +128,49 @@ def zone_branch(params: CouplingParams, g1, g2) -> np.ndarray:
         omega, kappa, n_atoms = (Decimal(x) for x in (params.omega, params.kappa, params.n_atoms))
         on_site, scale = omega * (omega + 4 * kappa * n_atoms), 2 * n_atoms * omega
         root2 = Decimal(2).sqrt()
-        for a, b in zip(map(Decimal, np.ravel(g1).tolist()), map(Decimal, np.ravel(g2).tolist())):
+        for a, b in zip(map(Decimal, g1.tolist()), map(Decimal, g2.tolist())):
             tilt = a - b / root2
             corner = -a - b + b / root2 if tilt >= 0 else a - b - b / root2
             rows.append((float(on_site + scale * corner), float(scale * abs(tilt)), tilt >= 0))
-    return np.column_stack([np.reshape(rows, (-1, 3)), 2.0 * params.coupling_scale * np.ravel(g2)])
+    return np.reshape(rows, (-1, 3))
+
+
+def zone_branch(params: CouplingParams, g1, g2) -> np.ndarray:
+    """Rows (Delta, slope, pipi, bscale), one per coupling of ``params`` with
+    dipolar strengths (g1[i], g2[i]) (1-D float arrays): v(kx, pi) = Delta + slope X
+    with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
+    (pipi = 1), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); bscale = 2 N omega g2.
+    Delta and the slope are, bit for bit, what 40-digit decimal arithmetic gives from
+    the float inputs: computed in double-double where its error bound certifies the
+    branch sign and both roundings, and in decimal elsewhere (module notes).
+
+    With the tilt t = g1 - g2 / sqrt 2, the slope is 2 N omega |t| and
+    Delta = omega (omega + 4 kappa N) - 2 N omega (|t| + g2) on either branch."""
+    a, b = (np.ravel(np.asarray(g, dtype=float)) for g in (g1, g2))
+    constants = (params.omega, params.kappa, params.n_atoms)
+    omega, kappa, n_atoms = (float(x) for x in constants)
+    with np.errstate(over="ignore", invalid="ignore"):  # an out-of-range row is not certified
+        b_root = _dd_mul((b, 0.0), (SQRT_HALF, SQRT_HALF_LO))
+        tilt = _dd_add((a, 0.0), (-b_root[0], -b_root[1]))
+        pipi = tilt[0] >= 0
+        sign = np.where(pipi, 1.0, -1.0)
+        abs_tilt = (sign * tilt[0], sign * tilt[1])
+        scale = _two_prod(2.0 * n_atoms, omega)
+        on_site = _dd_mul((omega, 0.0), _dd_add((omega, 0.0), _two_prod(4.0 * kappa, n_atoms)))
+        slope = _dd_mul(scale, abs_tilt)
+        width = _dd_mul(scale, _dd_add(abs_tilt, (b, 0.0)))
+        delta = _dd_add(on_site, (-width[0], -width[1]))
+        # the sums of the terms' magnitudes that DD_ERROR scales
+        size = a + SQRT_HALF * b
+        certified = (_in_range(a) & _in_range(b)
+                     & ((np.abs(tilt[0]) > 2.0 * DD_ERROR * size) | (size == 0))
+                     & _rounds_to_hi(slope, DD_ERROR * scale[0] * size)
+                     & _rounds_to_hi(delta, DD_ERROR * (on_site[0] + scale[0] * (size + b))))
+    certified &= all(float(x) == x for x in constants) and _in_range(np.array(constants)).all()
+    rows = np.column_stack([delta[0], slope[0], pipi, 2.0 * params.coupling_scale * b])
+    if not certified.all():
+        rows[~certified, :3] = _decimal_corners(params, a[~certified], b[~certified])
+    return rows
 
 
 def zone_minimum(params: CouplingParams) -> tuple[float, tuple[float, float]]:

@@ -112,6 +112,25 @@ def masked_legendre_q(zm1, top):
     return q, k, E
 
 
+def decimal_zone_branch(params, g1, g2):
+    """``spectrum.zone_branch`` as written in 40-digit decimal arithmetic for every
+    row.  The tests' oracle for the double-double route, which must match it bit
+    for bit."""
+    from decimal import Decimal, localcontext
+
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        omega, kappa, n_atoms = (Decimal(x) for x in (params.omega, params.kappa, params.n_atoms))
+        on_site, scale = omega * (omega + 4 * kappa * n_atoms), 2 * n_atoms * omega
+        root2 = Decimal(2).sqrt()
+        for a, b in zip(map(Decimal, np.ravel(g1).tolist()), map(Decimal, np.ravel(g2).tolist())):
+            tilt = a - b / root2
+            corner = -a - b + b / root2 if tilt >= 0 else a - b - b / root2
+            rows.append((float(on_site + scale * corner), float(scale * abs(tilt)), tilt >= 0))
+    return np.column_stack([np.reshape(rows, (-1, 3)), 2.0 * params.coupling_scale * np.ravel(g2)])
+
+
 def expression_symplectic_spectrum(Q_L, P_L):
     """``entanglement.symplectic_spectrum`` as written with a fresh temporary for
     every step of the symmetry check and the congruence.  The tests' oracle for

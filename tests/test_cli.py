@@ -902,6 +902,20 @@ def test_lazy_package_keeps_its_public_surface():
     assert groundstate is sys.modules["spinwave.groundstate"]
 
 
+def test_reproduce_fig2_imports_no_decimal(tmp_path):
+    # every zone corner of fig2's infinite curves, g_c (1 - 1e-11) among them, is
+    # certified in double-double, so the recipe never needs the decimal route
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [e for e in [os.environ.get("PYTHONPATH")] if e]))
+    code = ("import sys\nfrom spinwave.cli import main\n"
+            "print(main(['reproduce-fig2', '--out-dir', sys.argv[1]]), 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert len(list(tmp_path.glob("fig2_infinite_*.csv"))) == 3
+
+
 # in a fresh interpreter: run a small reproduce-fig3 and an open two-site from the
 # configs in the directory argv[1], then report their exit codes, which of
 # OpenSSL's hash module and the oracle loaded, and the maps that name libcrypto

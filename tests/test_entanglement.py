@@ -393,7 +393,9 @@ def test_two_site_sweep_matches_each_coupling_alone(spec, gs, reach, block_point
     want_refusals = {}
     for i, g in enumerate(gs):
         try:
-            cov = covariances_for(replace(params, g1=g, g2=g), spec, reach)
+            # alone at the sweep's per-axis reach: the pairs' largest |dx| and |dy|
+            cov = covariances_for(replace(params, g1=g, g2=g), spec,
+                                  np.max(np.abs(PAIR_OFFSETS[reach]), axis=0).tolist())
         except StabilityError as exc:
             want_refusals.update({(i, k): str(exc) for k in range(len(pairs))})
             assert np.isnan(two.zeta[i]).all() and not two.separable[i].any()

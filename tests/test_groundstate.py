@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -295,8 +296,9 @@ def test_legendre_q_matches_mpmath():
 @st.composite
 def legendre_kernel_cases(draw):
     """(zm1, top): rows whose nodes all run forward, all run backward or mix both
-    (each row's kind drawn), as a 2-D array or its first row alone."""
-    top = draw(st.integers(1, 40))
+    (each row's kind drawn), as a 2-D array or its first row alone; top 0 stops
+    after the AGM."""
+    top = draw(st.integers(0, 40))
     edge = np.cosh(groundstate.FORWARD_GROWTH / (2.0 * max(top, 4))) - 1.0  # forward at or below
     ranges = {"forward": (-12.0, np.log10(0.9 * edge)), "backward": (np.log10(1.1 * edge), 3.0),
               "mixed": (-12.0, 3.0)}
@@ -311,11 +313,14 @@ def legendre_kernel_cases(draw):
 @example((np.array([1e-10, 1e-6, 1e-4]), 21))  # every node forward, 1-D
 @example((np.array([[0.5, 3.0, 1e3], [2.0, 7.0, 40.0]]), 21))  # every node backward
 @example((np.array([[1e-14, 1e-8, 1e-3, 0.5, 3.0, 1e3], [1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]]), 21))
+@example((np.array([[1e-14, 1e-8, 1e-3, 0.5, 3.0, 1e3], [1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]]), 0))
 def test_legendre_q_matches_the_masked_kernel_bit_for_bit(case):
     # the in-place kernel does each node's float operations in the masked one's
-    # order, so q, k and E agree in every bit
+    # order, so q, k and E agree in every bit; at top 0 it returns q[0] = k K, k
+    # and E from the AGM, which the masked kernel computes before any recurrence
     zm1, top = case
-    for got, want in zip(_legendre_q(zm1, top), masked_legendre_q(zm1, top)):
+    q, k, E = masked_legendre_q(zm1, max(top, 1))
+    for got, want in zip(_legendre_q(zm1, top), (q[:top + 1], k, E)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -413,7 +418,7 @@ def _batch_cases():
             params_at(1.01 * gc), params_at(1.25)]
 
 
-@pytest.mark.parametrize("dmax", [0, 3])
+@pytest.mark.parametrize("dmax", [0, 3, (1, 0), (0, 2)])
 def test_batch_equals_each_coupling_alone(monkeypatch, dmax):
     # the near-critical coupling needs levels the others do not, and the
     # unstable one is refused in place without touching the rest
@@ -672,6 +677,30 @@ def test_finite_size_error_shrinks_with_m():
     p = params_at(1.25)
     ref = covariance_infinite(p, 1).qq[1, 0]
     assert abs(covariance_pbc_fft(LatticeSpec.periodic(40), p).qq[1, 0] - ref) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(rx=st.integers(0, 5), ry=st.integers(0, 5), g1=UNIT, g2=st.just(0.0) | UNIT,
+       t=st.floats(0.0, 0.95) | st.floats(3.0, 10.0).map(lambda u: 1.0 - 10.0 ** -u))
+@example(rx=1, ry=0, g1=1.0, g2=1.0, t=0.9)  # zeta_1's pair
+@example(rx=0, ry=3, g1=1.0, g2=0.0, t=1.0 - 1e-9)  # flat (g2 = 0), near-critical
+def test_rectangular_reach_infinite_table_is_the_square_tables_leading_block(rx, ry, g1, g2, t):
+    # an (rx, ry) infinite table is the leading block of the square table at
+    # max(rx, ry): the same nodes and Legendre orders up to ry + 1 (none past the
+    # AGM when ry = 0), summed by a narrower matmul, within 1e-15 of the largest
+    # entry; a read beyond either axis's extent is refused with the one message
+    scale = t * _critical_scale(g1, g2)
+    p = params_at(scale * g1, g2=scale * g2)
+    spec = LatticeSpec.infinite_lattice()
+    square, cut = covariances_for(p, spec, max(rx, ry)), covariances_for(p, spec, (rx, ry))
+    assert cut.qq.shape == cut.pp.shape == (rx + 1, ry + 1)
+    for got, want in ((cut.qq, square.qq), (cut.pp, square.pp)):
+        assert np.max(np.abs(got - want[:rx + 1, :ry + 1])) <= 1e-15 * np.max(np.abs(want))
+    extent = f"{rx}" if rx == ry else f"{rx} x {ry}"
+    for far in ((rx + 1, 0), (0, ry + 1), (-rx - 1, -ry - 1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"displacement ({abs(far[0])}, {abs(far[1])}) not in table (extent {extent})")):
+            cut.block([(0, 0), far])
 
 
 def test_table_missing_displacement_named():

@@ -97,6 +97,16 @@ def test_lattice_refuses_a_finite_boundary_without_side_or_an_unknown_one(side, 
         LatticeSpec(side, boundary)
 
 
+@pytest.mark.parametrize("side", [9, 2.5, 0, "9"])
+def test_infinite_lattice_refuses_a_side(side):
+    # the infinite lattice has side None; any side would name it twice over,
+    # and LatticeSpec(9, "infinite") would compare unequal to infinite_lattice()
+    with pytest.raises(ValueError, match=re.escape(f"the infinite lattice has no side, "
+                                                   f"got {side!r}")):
+        LatticeSpec(side, "infinite")
+    assert LatticeSpec(None, "infinite") == LatticeSpec.infinite_lattice()
+
+
 def test_periodic_side_two_rejected():
     with pytest.raises(ValueError, match="side >= 3"):
         LatticeSpec.periodic(2)

@@ -10,6 +10,7 @@ from spinwave import (LatticeSpec, StabilityError, area_law_fit, covariances_for
                       critical_g_equal, derivative_zeta, entropy_vs_L, finite_size_peak,
                       two_site_params,
                       two_site_sweep)
+from spinwave import groundstate
 from spinwave.scan import derivative_sweep, stencil
 
 from conftest import full_symbol, params_at
@@ -173,6 +174,18 @@ def test_refused_stencil_point_leaves_no_reference_cycle():
     assert texts[1].startswith(f"stencil point g = {gs[1] + 1e-4!r} unstable: ")
 
 
+def test_infinite_derivative_sweep_runs_no_legendre_recurrence(monkeypatch):
+    # zeta_1's pair reads dy = 0 alone, so every kernel call of the infinite
+    # sweep asks for top 0 and stops after the AGM: no forward or backward steps
+    tops, kernel = [], groundstate._legendre_q
+    monkeypatch.setattr(groundstate, "_legendre_q",
+                        lambda zm1, top: (tops.append(top), kernel(zm1, top))[1])
+    gc_ = critical_g_equal(params_at(0.0))
+    derivative_sweep(params_at(0.0), LatticeSpec.infinite_lattice(),
+                     np.linspace(1.0, gc_ - 1e-4, 12))
+    assert tops and set(tops) == {0}
+
+
 def _per_coupling_row(params, spec, g, h):
     """One row of a derivative sweep the way a run of single couplings gives
     it: each stencil table computed alone and its pair read alone, refusals in
@@ -182,7 +195,8 @@ def _per_coupling_row(params, spec, g, h):
     for s in (h, -h, h / 2, -h / 2):
         point = g + s
         try:
-            cov = covariances_for(replace(params, g1=point, g2=point), spec, 1)
+            # alone at the sweep's per-axis reach, (1, 0) for zeta_1's pair
+            cov = covariances_for(replace(params, g1=point, g2=point), spec, (1, 0))
         except StabilityError as exc:
             return f"stencil point g = {point!r} unstable: {exc}"
         two = two_site_params(*cov.block([(x, y), (x + 1, y)]))

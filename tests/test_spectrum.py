@@ -5,15 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinwave import (CouplingParams, LatticeSpec, StabilityError, build_potential, critical_g2,
                       critical_g2_numeric, critical_g_equal, dispersion_value,
                       energy_gap, gap_scaling_exponent, phase_boundary_cases, zone_minimum)
 from spinwave import spectrum
+from spinwave.scan import DEFAULT_STEP, stencil
 from spinwave.spectrum import dispersion_grid
 
-from conftest import params_at
+from conftest import decimal_zone_branch, params_at
 
 SQRT2 = np.sqrt(2.0)
 ON_SITE = 2.25e6  # omega (omega + 4 kappa N) at the reference parameters
@@ -275,6 +276,79 @@ def test_gap_scaling_window_validation():
         gap_scaling_exponent(params_at(0.0), (0.9 * gc, 1.01 * gc), 5)
     with pytest.raises(ValueError, match="2 samples"):
         gap_scaling_exponent(params_at(0.0), (0.5 * gc, 0.9 * gc), 1)
+
+
+@st.composite
+def zone_branch_cases(draw):
+    """(params, g1, g2): constants over seven decades, with strengths anywhere
+    below 2 g_c, planted near g_c on either corner's branch (1e-2 down to 1e-16
+    below), exactly at the float g_c and its neighbours, on the branch switch
+    g1 = g2 / sqrt 2, and at zero."""
+    p = CouplingParams(omega=10.0 ** draw(st.floats(-3.0, 4.0)), n_atoms=draw(st.integers(1, 10 ** 6)),
+                       kappa=10.0 ** draw(st.floats(-2.0, 2.0)), g1=0.0, g2=0.0)
+    gc = critical_g_equal(p)
+    fraction = st.floats(0.0, 1.0)
+    below = st.floats(2.0, 16.0).map(lambda u: 1.0 - 10.0 ** -u)
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(["any", "equal", "other", "critical", "switch", "zero"]),
+                              min_size=1, max_size=12)):
+        if kind == "any":
+            pairs.append((2.0 * gc * draw(fraction), 2.0 * gc * draw(fraction)))
+        elif kind == "equal":
+            pairs.append((gc * draw(below),) * 2)
+        elif kind == "other":  # the (0, pi) corner closes first
+            g1 = 0.5 * gc * draw(fraction)
+            pairs.append((g1, critical_g2(p, g1).g2_closed_form * draw(below)))
+        elif kind == "critical":
+            g = gc
+            for _ in range(draw(st.integers(-2, 2))):
+                g = np.nextafter(g, np.inf)
+            pairs.append((g, g))
+        elif kind == "switch":
+            g2 = 2.0 * gc * draw(fraction)
+            pairs.append((g2 * 2.0 ** -0.5, g2))
+        else:
+            pairs.append((0.0, 0.0))
+    g1, g2 = np.array(pairs).T
+    return p, g1, g2
+
+
+@settings(max_examples=300, deadline=None)
+@given(zone_branch_cases())
+# Delta exactly 0 on the g2 = 0 axis: omega (omega + 4 kappa N) = 2 N omega g1
+@example((CouplingParams(omega=2.0, n_atoms=1, kappa=1.0, g1=0.0, g2=0.0),
+          np.array([3.0, 0.0, 1.5]), np.array([0.0, 0.0, 0.0])))
+# fig3's stencil point at g_c itself: Delta / on_site = 2.3e-17
+@example((params_at(0.0), np.array([critical_g_equal(params_at(0.0))] * 2),
+          np.array([critical_g_equal(params_at(0.0)), 1.0])))
+def test_zone_branch_matches_the_decimal_route_bit_for_bit(case):
+    # each row is the correctly rounded value, certified in double-double or
+    # recomputed in decimal, so every bit (zero signs included) is the 40-digit route's
+    p, g1, g2 = case
+    got, want = spectrum.zone_branch(p, g1, g2), decimal_zone_branch(p, g1, g2)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_zone_branch_certifies_fig3_rows_and_recomputes_the_critical_one(monkeypatch):
+    # fig3's 800 stencil couplings: only the one at g_c goes to decimal
+    redone = []
+    corners = spectrum._decimal_corners
+    monkeypatch.setattr(spectrum, "_decimal_corners",
+                        lambda p, g1, g2: (redone.extend(g1.tolist()), corners(p, g1, g2))[1])
+    gc = critical_g_equal(params_at(0.0))
+    gs = stencil(np.linspace(1.0, gc - 1e-4, 200), DEFAULT_STEP)
+    got = spectrum.zone_branch(params_at(0.0), gs, gs)
+    assert got.tobytes() == decimal_zone_branch(params_at(0.0), gs, gs).tobytes()
+    assert redone == [g for g in gs.tolist() if g == gc]
+
+
+def test_sqrt_half_is_a_double_double():
+    # SQRT_HALF + SQRT_HALF_LO holds 2^(-1/2) to 3e-33 relative, below u^2 = 2^-106
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        err = mpmath.mpf(spectrum.SQRT_HALF) + mpmath.mpf(spectrum.SQRT_HALF_LO) - mpmath.sqrt(0.5)
+        assert abs(err) < 3e-33 * mpmath.sqrt(0.5)
+    assert spectrum.SQRT_HALF == np.sqrt(0.5) and abs(spectrum.SQRT_HALF_LO) < 2.0 ** -53
 
 
 def test_zone_minimum_needs_no_scipy():

@@ -26,7 +26,7 @@ _MODULES = {
                    "covariance_dense covariance_infinite covariance_pbc_fft covariances_for "
                    "covariances_for_each excitation_density",
     "entanglement": "AsymmetricPairError BlockRegion SymplecticSpectrum TwoSiteParams "
-                    "block_entropy entropy_vs_L eof_symmetric symplectic_spectrum "
+                    "block_entropy entropy_sweep entropy_vs_L eof_symmetric symplectic_spectrum "
                     "two_site_params two_site_sweep",
     "oracle": "SpinSystemSpec TwoSiteSolution eof_fock_series exact_two_site "
               "harmonic_two_site_prediction symplectic_bruteforce validation_battery",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_digest, format_value, parse_config
 from .groundstate import QuadratureConvergenceError, covariances_for
-from .entanglement import entropy_vs_L, two_site_sweep
+from .entanglement import entropy_sweep, entropy_vs_L, two_site_sweep
 from .model import CouplingParams, LatticeSpec, StabilityError
 from .scan import ZETA1_OFFSET, derivative_sweep, finite_size_peak, finite_sizes, stencil
 from .spectrum import critical_g2, critical_g_equal, energy_gap
@@ -142,15 +142,21 @@ def cmd_covariance(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_entropy_scan(cfg: RunConfig) -> int:
-    lattice = cfg.lattice
-    if not lattice.infinite and cfg.block_sizes[-1] > lattice.side:
+def _check_block_sizes(cfg: RunConfig) -> None:
+    if not cfg.lattice.infinite and cfg.block_sizes[-1] > cfg.lattice.side:
         raise ConfigError(f"'block_sizes' entry {cfg.block_sizes[-1]} exceeds the "
-                          f"lattice side {lattice.side}")
-    curve = entropy_vs_L(_params(cfg), lattice, cfg.block_sizes, mode=cfg.entropy_mode,
-                         pairing_tol=cfg.pairing_tol)
-    rows = [[L, E, cfg.entropy_mode, lattice.engine] for L, E in curve]
+                          f"lattice side {cfg.lattice.side}")
+
+
+def _write_entropy_scan(cfg: RunConfig, curve) -> None:
+    rows = [[L, E, cfg.entropy_mode, cfg.lattice.engine] for L, E in curve]
     _write(cfg, "entropy-scan", ["L", "entropy_bits", "mode", "engine"], rows)
+
+
+def cmd_entropy_scan(cfg: RunConfig) -> int:
+    _check_block_sizes(cfg)
+    _write_entropy_scan(cfg, entropy_vs_L(_params(cfg), cfg.lattice, cfg.block_sizes,
+                                          mode=cfg.entropy_mode, pairing_tol=cfg.pairing_tol))
     return 0
 
 
@@ -242,12 +248,18 @@ def _paper_config(cfg: RunConfig) -> RunConfig:
 
 def cmd_reproduce_fig2(cfg: RunConfig) -> int:
     cfg = _paper_config(cfg)
-    gc = critical_g_equal(_params(cfg))
-    for label, g in (("g1.25", 1.25), ("g1.5", 1.5),
-                     ("near_critical", gc * (1.0 - NEAR_CRITICAL_OFFSET))):
-        for boundary, name in (("periodic", "m80"), ("infinite", "infinite")):
-            cmd_entropy_scan(replace(cfg, g1=g, g2=g, boundary=boundary,
-                                     output=_artifact_path(cfg, f"fig2_{name}_{label}")))
+    _check_block_sizes(cfg)
+    gs = [1.25, 1.5, critical_g_equal(_params(cfg)) * (1.0 - NEAR_CRITICAL_OFFSET)]
+    runs = {"m80": replace(cfg, boundary="periodic"), "infinite": replace(cfg, boundary="infinite")}
+    # one sweep per lattice, written as six entropy-scan runs would, up to the first refusal
+    sweeps = {name: entropy_sweep(_params(cfg), gs, gs, run.lattice, cfg.block_sizes,
+                                  cfg.entropy_mode, cfg.pairing_tol) for name, run in runs.items()}
+    for i, (label, g) in enumerate(zip(("g1.25", "g1.5", "near_critical"), gs)):
+        for name, run in runs.items():
+            if isinstance(curve := sweeps[name][i], Exception):
+                raise curve
+            output = _artifact_path(cfg, f"fig2_{name}_{label}")
+            _write_entropy_scan(replace(run, g1=g, g2=g, output=output), curve)
     return 0
 
 

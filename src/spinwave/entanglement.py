@@ -9,7 +9,8 @@ decoupled vacuum give nu = 1, the purity bound.  The block entropy in bits is
     E = sum_i [ (nu_i+1)/2 log2 (nu_i+1)/2 - (nu_i-1)/2 log2 (nu_i-1)/2 ]
 
 summed either over every eigenvalue (``count_all``) or with degenerate
-values merged (``degenerate_once``, the default).
+values merged (``degenerate_once``, the default).  ``entropy_sweep`` takes the
+curves of a whole coupling sweep from one engine run, one block at a time.
 
 A block that commutes with both reflections of the square (any square block
 of a periodic or the infinite lattice, whose quadrant table is even in dx and
@@ -25,12 +26,12 @@ entanglement and fixes the entanglement of formation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .groundstate import covariances_for, covariances_for_each
+from .groundstate import covariances_for_each
 from .model import CouplingParams, LatticeSpec
 
 UNCERTAINTY_SLACK = 1e-9
@@ -80,17 +81,18 @@ class SymplecticSpectrum:
     def grouped(self, rel_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[float, int]]:
         """(value, multiplicity) with values merged at relative tolerance: a value
         joins its group when within rel_tol of the group's first value, else starts
-        the next.  The values descend, so one not within rel_tol of its predecessor
-        is not within it of that value's group's first either: only runs of near
-        ties are walked one by one."""
+        the next.  The values descend, so only runs of near ties to the predecessor can
+        merge; one whose last value is within rel_tol of its first is one group (float
+        subtraction is monotone), and only the others (NaN fails) are walked value by value."""
         v = self.values
         start = np.ones(v.size, dtype=bool)
         start[1:] = ~(np.abs(v[1:] - v[:-1]) <= rel_tol * np.abs(v[:-1]))  # NaN starts one
-        head = 0
-        for i in np.flatnonzero(~start).tolist():
-            if start[i - 1]:
-                head = i - 1
-            start[i] = not abs(v[i] - v[head]) <= rel_tol * abs(v[head])
+        heads, ends = np.flatnonzero(start), np.flatnonzero(np.append(start, True)[1:])
+        walk = (ends - heads >= 2) & ~(np.abs(v[ends] - v[heads]) <= rel_tol * np.abs(v[heads]))
+        for head, end in zip(heads[walk].tolist(), ends[walk].tolist()):
+            for i in range(head + 1, end + 1):
+                if not abs(v[i] - v[head]) <= rel_tol * abs(v[head]):
+                    start[i], head = True, i
         first = np.flatnonzero(start)
         return list(zip(v[first], np.diff(first, append=v.size).tolist()))
 
@@ -182,19 +184,35 @@ def block_spectrum(cov, region: BlockRegion) -> SymplecticSpectrum:
         for Qs, Ps, (keep, w) in zip(Q, P, _parity_sectors(L)) if keep.size]))
 
 
-def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
-                 mode: str = "degenerate_once",
-                 pairing_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[int, float]]:
-    """Entropy of centered L x L blocks for each L, on the lattice's own engine."""
+def entropy_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, L_list,
+                  mode: str = "degenerate_once", pairing_tol: float = DEFAULT_PAIRING_TOL) -> list:
+    """Entropy of centered L x L blocks for each L over the sweep ``covariances_for_each``
+    runs on the lattice's own engine, in sweep order: each coupling's curve [(L, E)], its
+    blocks solved on its own table once the engine has run and freed its grids, or its refusal."""
     L_list = [int(L) for L in L_list]
     if not L_list or any(b <= a for a, b in zip(L_list, L_list[1:])):
         raise ValueError("L_list must be non-empty and strictly increasing")
     if not spec.infinite and L_list[-1] > spec.side:
         raise ValueError("largest block exceeds the lattice")
-    cov = covariances_for(params, spec, L_list[-1] - 1)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
-    return [(L, block_entropy(block_spectrum(cov, BlockRegion.centered(L, lattice_side)),
-                              mode, pairing_tol)) for L in L_list]
+    regions, curves = [BlockRegion.centered(L, lattice_side) for L in L_list], {}
+    for index, cov, refused in list(covariances_for_each(params, g1, g2, spec, L_list[-1] - 1)):
+        curves.update(refused)
+        for j, i in enumerate(index.tolist()):
+            cov_j = replace(cov, qq=cov.qq[j], pp=cov.pp[j])
+            curves[i] = [(L, block_entropy(block_spectrum(cov_j, region), mode, pairing_tol))
+                         for L, region in zip(L_list, regions)]
+    return [curves[i] for i in range(len(curves))]
+
+
+def entropy_vs_L(params: CouplingParams, spec: LatticeSpec, L_list,
+                 mode: str = "degenerate_once",
+                 pairing_tol: float = DEFAULT_PAIRING_TOL) -> list[tuple[int, float]]:
+    """``entropy_sweep`` of the one coupling ``params``, raising its refusal."""
+    (curve,) = entropy_sweep(params, [params.g1], [params.g2], spec, L_list, mode, pairing_tol)
+    if isinstance(curve, Exception):
+        raise curve
+    return curve
 
 
 class AsymmetricPairError(ValueError):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinwave import (ConfigError, LatticeSpec, RunConfig, config_digest, parse_config,
                       serialize_config)
+from spinwave import cli
 from spinwave.cli import _paper_config, main
 
 
@@ -362,6 +363,15 @@ def test_cli_oracle_check(tmp_path):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert len(report["checks"]) == 4
+
+
+def test_cli_failing_oracle_battery_exits_1_and_writes_its_report(tmp_path, monkeypatch):
+    from spinwave import oracle
+    report = {"all_passed": False, "checks": [{"name": "planted", "passed": False}]}
+    monkeypatch.setattr(oracle, "validation_battery", lambda: report)
+    out = tmp_path / "report.json"
+    assert main(["oracle-check", "--output", str(out)]) == 1
+    assert json.loads(out.read_text()) == report
 
 
 @pytest.mark.parametrize("line, key", [("g1 = nan", "g1"), ("omega = inf", "omega"),
@@ -900,6 +910,25 @@ def test_lazy_package_keeps_its_public_surface():
     assert not hasattr(spinwave, "no_such_name")
     from spinwave import groundstate
     assert groundstate is sys.modules["spinwave.groundstate"]
+
+
+def test_refused_reproduce_fig2_writes_the_curves_before_its_refusal(tmp_path, monkeypatch,
+                                                                     capsys):
+    # both lattices' curves come from one sweep each; a refused third coupling (here
+    # beyond g_c) still leaves the four files six entropy-scan runs write before it,
+    # each as an unrefused run writes it, with the refusal's exit code and message
+    (tmp_path / "full").mkdir()
+    assert main(["reproduce-fig2", "--out-dir", str(tmp_path / "full")]) == 0
+    monkeypatch.setattr(cli, "NEAR_CRITICAL_OFFSET", -1e-3)
+    (tmp_path / "refused").mkdir()
+    capsys.readouterr()
+    assert main(["reproduce-fig2", "--out-dir", str(tmp_path / "refused")]) == 1
+    assert capsys.readouterr().err == "error: beyond critical coupling (min v = -2250)\n"
+    written = sorted(path.name for path in (tmp_path / "refused").iterdir())
+    assert written == [f"fig2_{name}_{g}.csv" for name in ("infinite", "m80")
+                       for g in ("g1.25", "g1.5")]
+    for name in written:
+        assert (tmp_path / "refused" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_reproduce_fig2_imports_no_decimal(tmp_path):

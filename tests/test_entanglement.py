@@ -212,13 +212,48 @@ def near_tie_spectra(draw):
     return draw(st.lists(st.sampled_from(chain), min_size=1, max_size=30)), rel_tol
 
 
+@st.composite
+def long_tie_runs(draw):
+    """(descending values, rel_tol): one to three runs of 3-50 values, each from a head
+    h down to h - s with s below, at or above rel_tol h and the values between drawn
+    at random, the next run's head 7/8 of the last one's end; a NaN may sit inside one.
+    With rel_tol a power of two and a 30-bit head, a span at rel_tol is exact."""
+    rel_tol = draw(st.sampled_from([2.0 ** -20, 2.0 ** -27, 1e-8, 1e-3]))
+    head = np.ldexp(float(draw(st.integers(2 ** 29, 2 ** 30 - 1))), -25 + draw(st.integers(0, 8)))
+    values = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0),
+                               st.sampled_from([1.0 + 2.0 ** -20, 1.5, 2.0, 3.0])))
+        span = scale * rel_tol * head
+        inner = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48))
+        values += sorted([head, head - span] + [head - t * span for t in inner], reverse=True)
+        head = 0.875 * values[-1]
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(1, len(values) - 1)), float("nan"))
+    return np.array(values), rel_tol
+
+
+TIE_STEP = 2.0 ** -24  # a 2^-25 relative step from 2: rel_tol 2^-20 spans 32 of them
+
+
 @settings(max_examples=300, deadline=None)
-@given(near_tie_spectra())
+@given(st.one_of(near_tie_spectra(), long_tie_runs()))
 # test_grouped_tie_at_exactly_rel_tol_joins_the_head's spectrum
 @example(([2.0, 2.0 - 2.0 ** -20, 2.0 - 2.0 ** -19, 2.0 - 3.0 * 2.0 ** -20], 2.0 ** -20))
+# runs of 30 and 33 ties, spanning below and exactly rel_tol: one group each
+@example((np.array([2.0 - k * TIE_STEP for k in range(30)]), 2.0 ** -20))
+@example((np.array([2.0 - k * TIE_STEP for k in range(33)]), 2.0 ** -20))
+# a run of 50 spanning above rel_tol, walked into groups of 33 and 17
+@example((np.array([2.0 - k * TIE_STEP for k in range(50)]), 2.0 ** -20))
+# the same run holding a NaN
+@example((np.array([2.0 - k * TIE_STEP for k in range(20)] + [float("nan")]
+                   + [2.0 - k * TIE_STEP for k in range(20, 50)]), 2.0 ** -20))
 def test_grouped_merge_matches_the_loop(case):
     raw, rel_tol = case
-    spectrum = SymplecticSpectrum.from_values(np.array(raw))
+    # a list goes through from_values; an array (long_tie_runs) is a spectrum as drawn,
+    # descending with any NaN kept in place
+    spectrum = (SymplecticSpectrum(values=raw) if isinstance(raw, np.ndarray)
+                else SymplecticSpectrum.from_values(np.array(raw)))
     got, want = spectrum.grouped(rel_tol), grouped_by_loop(spectrum.values, rel_tol)
     assert [(v.tobytes(), n) for v, n in got] == [(v.tobytes(), n) for v, n in want]
     entropy = block_entropy(spectrum, pairing_tol=rel_tol)
@@ -265,6 +300,45 @@ def test_entropy_vs_L_validation(paper_params):
 def test_entropy_vs_L_refuses_an_empty_list(paper_params):
     with pytest.raises(ValueError, match="non-empty"):
         entropy_vs_L(paper_params, LatticeSpec.periodic(8), [])
+
+
+# Open lattices: side 9 reads L = 3 and 5 centred (by parity sectors) and L = 2 and 4
+# off-centre (whole); side 8 the other way round.  g = 2.3 is beyond g_c on all of them
+@settings(max_examples=25, deadline=None)
+@given(spec=st.one_of(st.sampled_from([6, 7, 9, 10]).map(LatticeSpec.periodic),
+                      st.just(LatticeSpec.infinite_lattice()),
+                      st.sampled_from([8, 9]).map(LatticeSpec.open_boundary)),
+       gs=st.lists(st.floats(1.0, 2.3), min_size=1, max_size=4),
+       ratio=st.sampled_from([1.0, 0.5]), L_list=st.sampled_from([[2, 3, 4, 5], [1, 4], [3]]),
+       block_points=st.sampled_from([4096, 100]))
+# a coupling beyond g_c in the middle of each lattice's sweep
+@example(spec=LatticeSpec.periodic(6), gs=[1.25, 2.3, 1.5], ratio=1.0, L_list=[2, 3, 4, 5],
+         block_points=100)
+@example(spec=LatticeSpec.periodic(7), gs=[1.25, 2.3, 1.5], ratio=1.0, L_list=[2, 3, 4, 5],
+         block_points=4096)
+@example(spec=LatticeSpec.open_boundary(9), gs=[1.25, 2.3, 1.5], ratio=1.0, L_list=[2, 3, 4, 5],
+         block_points=4096)
+@example(spec=LatticeSpec.open_boundary(8), gs=[1.25, 2.3, 1.5], ratio=0.5, L_list=[2, 3, 4, 5],
+         block_points=100)
+@example(spec=LatticeSpec.infinite_lattice(), gs=[1.25, 2.3, 1.5], ratio=1.0, L_list=[2, 3, 4, 5],
+         block_points=4096)
+def test_entropy_sweep_matches_each_coupling_alone(spec, gs, ratio, L_list, block_points):
+    params = params_at(0.0)
+    g2 = [ratio * g for g in gs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "FINITE_BLOCK_POINTS", block_points)
+        curves = entanglement.entropy_sweep(params, gs, g2, spec, L_list)
+    assert len(curves) == len(gs)
+    for curve, g, h in zip(curves, gs, g2):
+        try:
+            want = entropy_vs_L(replace(params, g1=g, g2=h), spec, L_list)
+        except StabilityError as exc:
+            assert type(curve) is StabilityError and str(curve) == str(exc)
+            continue
+        # repr tells every float apart, 0.0 from -0.0 included
+        assert [(L, repr(E)) for L, E in curve] == [(L, repr(E)) for L, E in want]
+    if gs == [1.25, 2.3, 1.5]:  # the examples' planted refusal, between two stable curves
+        assert [type(c) for c in curves] == [list, StabilityError, list]
 
 
 def test_complement_duality_small(paper_params):

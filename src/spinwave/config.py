@@ -21,7 +21,7 @@ try:
     from _sha2 import sha256  # 3.12 and later
 except ImportError:
     try:
-        from _sha256 import sha256  # 3.10 and 3.11
+        from _sha256 import sha256  # 3.11
     except ImportError:  # a build without the built-in SHA-2
         from hashlib import sha256
 

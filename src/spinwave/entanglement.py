@@ -17,7 +17,11 @@ of a periodic or the infinite lattice, whose quadrant table is even in dx and
 dy; an open lattice's centred one, 2 x0 = M - L) splits into four parity sectors
 (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)): sector (sy, sx) is
 G0 + sy Gy + sx Gx + sy sx Gxy over the block's lower-left quadrant, which a
-table's ``sectors`` gathers one axis at a time.
+table's ``sectors`` gathers one axis at a time.  On g1 = g2 the block commutes
+with the diagonal reflection x <-> y too, its group being C4v (Faessler & Stiefel,
+Group Theoretical Methods and Their Applications (1992)); that reflection maps
+(+, -) onto (-, +), so the two share one spectrum, and ``entropy_sweep`` has
+(-, +) counted as the mirror of (+, -), neither gathered nor solved.
 
 For a symmetric pair of sites, n = 2 sqrt(<q_i^2><p_i^2>) and
 c = 2 sqrt(-<q_i q_j><p_i p_j>) define zeta = n - c; zeta < 1 certifies
@@ -97,12 +101,12 @@ class SymplecticSpectrum:
         return list(zip(v[first], np.diff(first, append=v.size).tolist()))
 
 
-def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
+def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray, counts=1) -> SymplecticSpectrum:
     """nu_i = sqrt(eig(4 Q_L P_L)) from the symmetric congruent form 4 C^T Q_L C,
     P_L = C C^T; by Sylvester's law of inertia its smallest eigenvalue is
     positive exactly when Q_L is positive-definite.  Blocks stacked (..., n, n)
     give the spectrum of their direct sum, each block checked and solved as if
-    alone."""
+    alone, and block k's values count ``counts[k]`` times (an int counts all alike)."""
     Q_L = np.atleast_2d(np.asarray(Q_L, dtype=float))
     P_L = np.atleast_2d(np.asarray(P_L, dtype=float))
     # each temporary is reused in place where the next step allows, which keeps
@@ -124,7 +128,8 @@ def symplectic_spectrum(Q_L: np.ndarray, P_L: np.ndarray) -> SymplecticSpectrum:
     ev = np.linalg.eigvalsh(t)
     if np.any(ev[..., 0] <= 0):
         raise ValueError("Q block is not positive-definite")
-    return SymplecticSpectrum.from_values(np.sqrt(ev).ravel())
+    nu = np.sqrt(ev).reshape(-1, ev.shape[-1])
+    return SymplecticSpectrum.from_values(np.repeat(nu, counts, axis=0).ravel())
 
 
 def _entropy_terms(nu: np.ndarray) -> np.ndarray:
@@ -156,32 +161,42 @@ def block_entropy(spectrum: SymplecticSpectrum, mode: str = "degenerate_once",
     raise ValueError(f"unknown entropy mode {mode!r}")
 
 
+# the parity sectors (sy, sx) ``CorrelationTable.sectors`` gathers, in its order, and
+# how many times each one's values count: with ``diagonal``, (+, -) counts for its
+# mirror (-, +) too
+SECTORS = {False: {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1},
+           True: {(1, 1): 1, (1, -1): 2, (-1, -1): 1}}
+
+
 @lru_cache(maxsize=64)
-def _parity_sectors(L: int):
+def _parity_sectors(L: int, diagonal: bool):
     """Per parity sector of an odd side L, in ``CorrelationTable.sectors``' order, the
-    quadrant sites it keeps and their weights: the middle row or column is dropped
-    from odd sectors and weighted 1/sqrt(2) in even ones."""
+    quadrant sites it keeps, their weights and the sector's count: the middle row or
+    column is dropped from odd sectors and weighted 1/sqrt(2) in even ones."""
     h = (L + 1) // 2
     y, x = np.divmod(np.arange(h * h), h)
     mid_x, mid_y = x == h - 1, y == h - 1
     weight = np.where(mid_x, np.sqrt(0.5), 1.0) * np.where(mid_y, np.sqrt(0.5), 1.0)
-    return [(k, weight[k]) for sy in (1, -1) for sx in (1, -1)
+    return [(k, weight[k], count) for (sy, sx), count in SECTORS[diagonal].items()
             for k in [np.flatnonzero(~((sy < 0) & mid_y | (sx < 0) & mid_x))]]
 
 
-def block_spectrum(cov, region: BlockRegion) -> SymplecticSpectrum:
-    """Symplectic spectrum of the region's block of ``cov`` on its lattice: its four
-    parity sectors' merged when mirror symmetric (module notes), else the whole's.
-    An even side's sectors go through one stacked ``symplectic_spectrum`` call."""
+def block_spectrum(cov, region: BlockRegion, diagonal: bool = False) -> SymplecticSpectrum:
+    """Symplectic spectrum of the region's block of ``cov`` on its lattice: its parity
+    sectors' merged when mirror symmetric (module notes), else the whole's.  An even
+    side's sectors go through one stacked ``symplectic_spectrum`` call.  ``diagonal``
+    says the table is even under dx <-> dy too (g1 == g2): then (-, +) is the
+    mirror of (+, -), so it is not gathered or solved and (+, -) counts twice."""
     L, spec = region.side_length, cov.spec
     if spec.boundary == "open" and not 2 * region.x0 == spec.side - L == 2 * region.y0:
         return symplectic_spectrum(*cov.block(region.sites()))
-    Q, P = cov.sectors(region.x0, region.y0, L)
+    Q, P = cov.sectors(region.x0, region.y0, L, diagonal)
     if L % 2 == 0:
-        return symplectic_spectrum(Q, P)
+        return symplectic_spectrum(Q, P, list(SECTORS[diagonal].values()))
     return SymplecticSpectrum.from_values(np.concatenate([
-        symplectic_spectrum(*(w[:, None] * A[np.ix_(keep, keep)] * w for A in (Qs, Ps))).values
-        for Qs, Ps, (keep, w) in zip(Q, P, _parity_sectors(L)) if keep.size]))
+        symplectic_spectrum(*(w[:, None] * A[np.ix_(keep, keep)] * w for A in (Qs, Ps)),
+                            count).values
+        for Qs, Ps, (keep, w, count) in zip(Q, P, _parity_sectors(L, diagonal)) if keep.size]))
 
 
 def entropy_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, L_list,
@@ -194,13 +209,15 @@ def entropy_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, L_list,
         raise ValueError("L_list must be non-empty and strictly increasing")
     if not spec.infinite and L_list[-1] > spec.side:
         raise ValueError("largest block exceeds the lattice")
+    g1, g2 = params.strength_arrays(g1, g2)
     lattice_side = spec.side if not spec.infinite else L_list[-1]
     regions, curves = [BlockRegion.centered(L, lattice_side) for L in L_list], {}
     for index, cov, refused in list(covariances_for_each(params, g1, g2, spec, L_list[-1] - 1)):
         curves.update(refused)
         for j, i in enumerate(index.tolist()):
-            cov_j = replace(cov, qq=cov.qq[j], pp=cov.pp[j])
-            curves[i] = [(L, block_entropy(block_spectrum(cov_j, region), mode, pairing_tol))
+            cov_j, diagonal = replace(cov, qq=cov.qq[j], pp=cov.pp[j]), bool(g1[i] == g2[i])
+            curves[i] = [(L, block_entropy(block_spectrum(cov_j, region, diagonal), mode,
+                                           pairing_tol))
                          for L, region in zip(L_list, regions)]
     return [curves[i] for i in range(len(curves))]
 
@@ -271,6 +288,8 @@ def two_site_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, pairs) -> 
         stable.append(index)
         refused.update(block_refused)
     two = two_site_params(*(np.concatenate([r[qp] for r in reads]) for qp in (0, 1)))
+    if not refused:
+        return two
     stable = np.concatenate(stable)
     # the j-th refused coupling i goes before the (i - j)-th stable one
     gaps = [i - j for j, i in enumerate(sorted(refused))]

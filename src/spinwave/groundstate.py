@@ -127,7 +127,8 @@ class CorrelationTable:
             del ix, iy
         return Q, P
 
-    def sectors(self, x0: int, y0: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    def sectors(self, x0: int, y0: int, L: int,
+                diagonal: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Parity sectors (Q, P) of the L x L block anchored at (x0, y0) of a table of
         one coupling, each (4, h^2, h^2) with h = ceil(L/2): sector (sy, sx), in the
         order (+, +), (+, -), (-, +), (-, -), is G0 + sx Gx + sy (Gy + sx Gxy) over the
@@ -137,7 +138,9 @@ class CorrelationTable:
         direct and its mirrored image (an open table subtracts the mirror terms),
         first along x, then along y.  The block's sectors when it commutes with both
         reflections (entanglement module notes); refusals as ``block``'s, an open
-        table's naming a corner of the block."""
+        table's naming a corner of the block.  ``diagonal`` says the table is also
+        even under dx <-> dy, so (-, +) is (+, -)'s mirror: it is not folded, and
+        the three others come as (3, h^2, h^2) in the order (+, +), (+, -), (-, -)."""
         is_open = self.spec.boundary == "open"
         if is_open:  # refuses a corner off the lattice
             self.spec.site_index(np.array([x0, x0 + L - 1]), np.array([y0, y0 + L - 1]))
@@ -150,20 +153,24 @@ class CorrelationTable:
 
         ix, iy = self.displacement_index(axis(x0), axis(y0))  # (term, image, h, h)
 
-        def fold(G, out):
-            # G (term, image, ...) into out (sign, ...): the direct image plus, then
-            # minus, the mirrored one, an open table's terms d - s first
+        def fold(G, plus, minus, sx=slice(None)):
+            # G (term, image, ...) into plus and minus: the direct image plus, then
+            # minus, the mirrored one, an open table's terms d - s first.  In the y
+            # pass minus may fold only the x signs sx of G's trailing (sx, i, i')
             G = G[0] - G[1] if is_open else G[0]
-            np.add(G[0], G[1], out=out[0])
-            np.subtract(G[0], G[1], out=out[1])
+            np.add(G[0], G[1], out=plus)
+            np.subtract(G[0][..., sx, :, :], G[1][..., sx, :, :], out=minus)
 
         h, out = i.size, []
         for T in (self.qq, self.pp):
             U = np.empty((T.shape[1], 2, h, h))  # (dy, sx, i, i')
-            fold(T[ix], U.transpose(1, 2, 3, 0))
-            S = np.empty((2, 2, h, h, h, h))  # (sy, sx, j, i, j', i')
-            fold(U[iy], S.transpose(0, 2, 4, 1, 3, 5))
-            out.append(S.reshape(4, h * h, h * h))
+            U_ = U.transpose(1, 2, 3, 0)
+            fold(T[ix], U_[0], U_[1])
+            S = np.empty((3 if diagonal else 4, h, h, h, h))  # (sector, j, i, j', i')
+            S_ = S.transpose(1, 3, 0, 2, 4)  # (j, j', sector, i, i')
+            # with diagonal, sy = - folds sx = - alone: (-, +) is skipped
+            fold(U[iy], S_[..., :2, :, :], S_[..., 2:, :, :], slice(1 if diagonal else 0, None))
+            out.append(S.reshape(-1, h * h, h * h))
         return tuple(out)
 
 

@@ -765,14 +765,63 @@ def test_sector_spectra_match_whole_block(case):
     assert np.all(np.abs(split - whole) <= 1e-12 * whole)
 
 
+@st.composite
+def diagonal_case(draw):
+    """Equal couplings g1 = g2 = g, from 0 up to g_c (1 - 1e-11), and a block that
+    splits into parity sectors, side L even or odd: anywhere on a periodic lattice,
+    at the origin of the infinite one, or centred on an open M x M lattice with
+    M - L even.  Returns the coupling's distance to g_c (relative) too."""
+    g_c = critical_g_equal(params_at(0.0))
+    offset = draw(st.sampled_from([None, 1e-3, 1e-7, 1e-9, 1e-11]))
+    g = draw(st.floats(0.0, 1.7)) if offset is None else g_c * (1.0 - offset)
+    kind = draw(st.sampled_from(["periodic", "infinite", "open"]))
+    M = draw(st.integers(3 if kind == "periodic" else 2, 12))
+    L = draw(st.integers(1, M))
+    if kind == "periodic":
+        spec = LatticeSpec.periodic(M)
+        region = BlockRegion(draw(st.integers(0, M - 1)), draw(st.integers(0, M - 1)), L)
+    elif kind == "infinite":
+        spec, region = LatticeSpec.infinite_lattice(), BlockRegion(0, 0, L)
+    else:
+        L -= (M - L) % 2
+        assume(L >= 1)
+        spec, region = LatticeSpec.open_boundary(M), BlockRegion.centered(L, M)
+    return params_at(g), spec, region, offset
+
+
+@settings(max_examples=120, deadline=None)
+@given(diagonal_case())
+@example((params_at(critical_g_equal(params_at(0.0)) * (1.0 - 1e-11)), LatticeSpec.periodic(6),
+          BlockRegion(0, 0, 4), 1e-11))
+@example((params_at(1.5), LatticeSpec.infinite_lattice(), BlockRegion(0, 0, 7), None))
+@example((params_at(1.5), LatticeSpec.open_boundary(9), BlockRegion.centered(5, 9), None))
+@example((params_at(1.5), LatticeSpec.periodic(5), BlockRegion(2, 1, 1), None))
+def test_three_sectors_match_all_four_per_nu(case):
+    # on g1 = g2 the block commutes with x <-> y too, so (-, +) is the mirror of
+    # (+, -) and shares its spectrum: counting (+, -) twice matches solving all four
+    # sectors per nu to 1e-12, and to the sector route's own 2e-12 within 1e-9 of g_c
+    # (a lattice whose grid holds the critical mode puts nu_max near 2e2 there)
+    p, spec, region, offset = case
+    cov = covariances_for(p, spec, region.side_length - 1)
+    # the three sectors gathered are bit for bit those of the four-sector gather
+    corner = (region.x0, region.y0, region.side_length)
+    for three, four in zip(cov.sectors(*corner, diagonal=True), cov.sectors(*corner)):
+        assert np.array_equal(three, four[[0, 1, 3]])
+    four = block_spectrum(cov, region).values
+    three = block_spectrum(cov, region, diagonal=True).values
+    assert three.shape == four.shape
+    tol = 2e-12 if offset is not None and offset <= 1e-9 else 1e-12
+    assert np.all(np.abs(three - four) <= tol * four)
+
+
 @pytest.fixture
 def spectrum_calls(monkeypatch):
     """The shapes of the blocks ``block_spectrum`` hands to ``symplectic_spectrum``."""
     calls = []
 
-    def counted(Q, P):
+    def counted(Q, P, counts=1):
         calls.append(Q.shape)
-        return symplectic_spectrum(Q, P)
+        return symplectic_spectrum(Q, P, counts)
 
     monkeypatch.setattr(entanglement, "symplectic_spectrum", counted)
     return calls
@@ -792,6 +841,39 @@ def test_open_block_off_the_mirror_axis_is_never_split(spectrum_calls, M, L):
     block_spectrum(cov, BlockRegion.centered(L + 1, M))
     # four sectors: stacked in one call for an even side, one call each for an odd one
     assert sum(shape[0] if len(shape) == 3 else 1 for shape in spectrum_calls) == 4
+
+
+@pytest.mark.parametrize("spec, L", [(LatticeSpec.infinite_lattice(), 6),
+                                     (LatticeSpec.infinite_lattice(), 5),
+                                     (LatticeSpec.open_boundary(9), 3),
+                                     (LatticeSpec.periodic(8), 4)])
+def test_equal_couplings_solve_three_sectors_and_others_four(spectrum_calls, monkeypatch,
+                                                             spec, L):
+    # a sweep decides per coupling: g1 == g2 solves (+, +), (+, -) and (-, -), an
+    # even side in one stacked call; g1 != g2, by one ulp too, solves all four and
+    # gets exactly block_spectrum's default, four-sector spectrum
+    region = BlockRegion.centered(L, spec.side or L)
+    g1 = [1.5, 1.4, 1.5]
+    g2 = [1.5, 0.9, float(np.nextafter(1.5, 2.0))]
+    seen = []
+
+    def spy(cov, region, diagonal=False):
+        seen.append(diagonal)
+        return block_spectrum(cov, region, diagonal)
+
+    monkeypatch.setattr(entanglement, "block_spectrum", spy)
+    curves = entanglement.entropy_sweep(params_at(0.0), g1, g2, spec, [L])
+    assert seen == [True, False, False]
+    h = (L + 1) // 2
+    if L % 2 == 0:
+        assert spectrum_calls == [(3, h * h, h * h)] + [(4, h * h, h * h)] * 2
+    else:
+        sizes = [h * h, h * (h - 1), h * (h - 1), (h - 1) ** 2]
+        assert spectrum_calls == [(n, n) for n in sizes[:2] + sizes[3:]] + [
+            (n, n) for n in sizes] * 2
+    for curve, a, b in zip(curves[1:], g1[1:], g2[1:]):
+        cov = covariances_for(params_at(a, g2=b), spec, L - 1)
+        assert curve == [(L, block_entropy(block_spectrum(cov, region)))]
 
 
 def test_large_infinite_block_spectrum():

@@ -174,13 +174,19 @@ class CorrelationTable:
         return tuple(out)
 
 
+def _refusal(vmin: float, on_site: float) -> str | None:
+    """The guard's message for a min v that is not positive or lies within CRITICAL_GUARD
+    of zero relative to on_site, else None; its tests and digits are monotone in min v."""
+    return (None if vmin > 0 and vmin >= CRITICAL_GUARD * on_site else
+            f"beyond critical coupling (min v = {vmin:.6g})" if vmin <= 0 else
+            f"within {CRITICAL_GUARD:g} of criticality (min v / on-site = "
+            f"{vmin / on_site:.3g}); matrix square roots are unreliable here")
+
+
 def _guard_softness(vmins: np.ndarray, on_site: float) -> dict:
-    """A StabilityError by index for each min v among ``vmins`` (1-D) that is
-    not positive or lies within CRITICAL_GUARD of zero relative to on_site."""
+    """A StabilityError by index for each min v among ``vmins`` (1-D) that ``_refusal`` refuses."""
     soft = (vmins <= 0) | (vmins < CRITICAL_GUARD * on_site)
-    return {i: StabilityError(f"beyond critical coupling (min v = {vmin:.6g})" if vmin <= 0 else
-                              f"within {CRITICAL_GUARD:g} of criticality (min v / on-site = "
-                              f"{vmin / on_site:.3g}); matrix square roots are unreliable here")
+    return {i: StabilityError(_refusal(vmin, on_site))
             for i, vmin in zip(np.flatnonzero(soft).tolist(), vmins[soft].tolist())}
 
 
@@ -284,17 +290,18 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     that kind, else gathered, and the updates run in place.
     """
     z = 1.0 + zm1
-    k = np.sqrt(2.0 / (z + 1.0))
-    a, g = np.ones_like(zm1), np.sqrt(zm1 / (z + 1.0))
+    k = np.sqrt(2.0 / (zp1 := z + 1.0))
+    a, g = np.ones_like(zm1), np.sqrt(zm1 / zp1)
     csum, weight = 0.5 * k * k, 1.0  # sum of 2^(n-1) c_n^2 (DLMF 19.8.6)
-    while (running := np.any(a - g > 1e-15 * a, axis=-1, keepdims=True)).any():
-        c = 0.5 * (a - g)
+    c, t = np.empty_like(zm1), np.empty_like(zm1)  # c = a - g, halved, and a temporary
+    while (running := np.any(np.subtract(a, g, out=c) > 1e-15 * a, axis=-1, keepdims=True)).any():
+        c *= 0.5
         if running.all():
-            ag = a * g
+            np.multiply(a, g, out=t)
             a += g
             a *= 0.5
-            np.sqrt(ag, out=g)
-            csum += weight * c * c
+            np.sqrt(t, out=g)
+            csum += np.multiply(weight, c, out=t) * c
         else:
             a, g, csum = (np.where(running, 0.5 * (a + g), a), np.where(running, np.sqrt(a * g), g),
                           np.where(running, csum + weight * c * c, csum))
@@ -351,9 +358,10 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     return q, k, E
 
 
-def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of tanh-sinh level ``level`` on [0, pi]: kx, pi - kx (each
-    computed directly, so neither end loses digits) and the weights.  Level
+def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Nodes of tanh-sinh level ``level`` on [0, pi]: kx, the weights and the terms
+    ``_legendre_block`` reads of each node, sin^2(kx / 2), sin^2((pi - kx) / 2) (pi - kx
+    computed directly, so neither end loses digits) and 1 + cos kx / sqrt 2.  Level
     0 has step TANH_SINH_H0; each later level holds only the new odd nodes
     of the halved step, so the levels nest."""
     h = TANH_SINH_H0 / 2 ** level
@@ -365,7 +373,7 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kx = np.pi / (1.0 + np.exp(-2.0 * u))
     rest = np.pi / (1.0 + np.exp(2.0 * u))
     w = 0.25 * np.pi ** 2 * np.cosh(t) / np.cosh(u) ** 2
-    return kx, rest, w
+    return kx, w, (np.sin(0.5 * kx) ** 2, np.sin(0.5 * rest) ** 2, 1.0 + np.cos(kx) / np.sqrt(2.0))
 
 
 def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -378,11 +386,11 @@ def _cos_multiples(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
 
 
-def _legendre_block(branches: np.ndarray, kx, rest, cx, ry: int) -> np.ndarray:
+def _legendre_block(branches: np.ndarray, nodes, cx, ry: int) -> np.ndarray:
     """Unscaled tanh-sinh sums, shape (block, 2, rx + 1, ry + 1) with qq then pp, for
-    couplings given by ``zone_branch`` rows, at nodes kx, rest = pi - kx and the rows
-    cx = w cos(dx kx), dx = 0..rx.  The orders dy = 0..ry need Q_{m-1/2} up to m = ry + 1,
-    and Q_{-1/2} alone when ry = 0 (J+_0 reads E).
+    couplings given by ``zone_branch`` rows, at nodes kx given by their ``_tanh_sinh_level``
+    terms ``nodes`` and the rows cx = w cos(dx kx), dx = 0..rx.  The orders dy = 0..ry need
+    Q_{m-1/2} up to m = ry + 1, and Q_{-1/2} alone when ry = 0 (J+_0 reads E).
 
     At fixed kx, v = a + b cos ky with b = bscale (1 + cos kx / sqrt 2) and
     z = a / b >= 1, and Heine's integral (DLMF 14.19) gives the ky integrals
@@ -403,8 +411,8 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, ry: int) -> np.ndarray:
     so a coupling's sums do not depend on the rest of the block.
     """
     delta, slope, pipi, bscale = branches.T
-    x = np.where(pipi[:, None], rest, kx)
-    v_pi = delta[:, None] + slope[:, None] * 2.0 * np.sin(0.5 * x) ** 2
+    half_kx, half_rest, tilt = nodes  # each coupling gathers its branch's X / 2 per node
+    v_pi = delta[:, None] + slope[:, None] * 2.0 * np.where(pipi[:, None], half_rest, half_kx)
     d = np.arange(ry + 1)
     # b / a below 2e-17 (g2 = 0 makes it exact): v = a = v(kx, pi)
     flat = bscale <= 1e-17 * delta
@@ -416,7 +424,7 @@ def _legendre_block(branches: np.ndarray, kx, rest, cx, ry: int) -> np.ndarray:
         jm[0, flat], jp[0, flat] = v_pi[flat] ** -0.5, v_pi[flat] ** 0.5
         curved = ~flat
     if curved is ... or curved.any():
-        b = bscale[curved, None] * (1.0 + np.cos(kx) / np.sqrt(2.0))
+        b = bscale[curved, None] * tilt
         q, k, E = _legendre_q(v_pi[curved] / b, ry + 1 if ry else 0)
         sign = np.where(d % 2, -1.0, 1.0)[:, None, None]
         c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
@@ -445,11 +453,11 @@ def _refine(branches: np.ndarray, rx: int, ry: int) -> tuple[np.ndarray, dict]:
     tables, failed = np.zeros_like(sums), {}
     live = np.arange(len(branches))
     for level in range(QUAD_MAX_REFINEMENTS + 1):
-        kx, rest, w = _tanh_sinh_level(level)
+        kx, w, nodes = _tanh_sinh_level(level)
         cx = w * _cos_multiples(np.arange(rx + 1), kx)
         step = max(1, LEVEL_BLOCK_POINTS // kx.size)
         for block in np.split(live, range(step, live.size, step)):
-            sums[block] += _legendre_block(branches[block], kx, rest, cx, ry)
+            sums[block] += _legendre_block(branches[block], nodes, cx, ry)
         h = TANH_SINH_H0 / 2 ** level
         cur = sums[live] * (h / (2.0 * np.pi))
         if level:
@@ -506,6 +514,7 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     if spec.boundary != "open" and min(rx, ry) < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
     period = spec.period
+    size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)
     if not spec.infinite:
         # a periodic table's rows end at the reach; an open one's mirror images reach
         # far.  The cut stays square: a one-row C[:1] makes the second transform a
@@ -514,11 +523,14 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
         # bitwise the whole table's, and that P x (r + 1) transform costs little
         reach = period // 2 if spec.boundary == "open" else min(max(rx, ry), period // 2)
         C = _cosine_matrix(period)[:reach + 1, spec.modes]
-    size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)
+        # a block's symbol and its powers, reused from block to block
+        v_all = np.empty((min(size, g1.size), C.shape[1], C.shape[1]))
+        x_all = np.empty((v_all.shape[0], 2) + v_all.shape[1:])
     for start in range(0, g1.size, size):
         block = slice(start, start + size)
-        v = (zone_branch(params, g1[block], g2[block]) if spec.infinite
-             else dispersion_grid(params, spec, g1[block, None, None], g2[block, None, None]))
+        v = (zone_branch(params, g1[block], g2[block], lambda d: _refusal(d, params.on_site))
+             if spec.infinite else dispersion_grid(params, spec, g1[block, None, None],
+                                                   g2[block, None, None], v_all[:g1[block].size]))
         vmins = v[:, 0] if spec.infinite else np.min(v, axis=(1, 2))
         refused = _guard_softness(vmins, params.on_site)
         stable = np.delete(np.arange(vmins.size), list(refused))
@@ -527,11 +539,14 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
             refused.update((int(stable[j]), exc) for j, exc in failed.items())
             stable, tables = np.delete(stable, list(failed)), np.delete(tables, list(failed), 0)
         else:
-            x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
+            x, v = x_all[:stable.size], v if stable.size == len(v) else v[stable]
+            np.power(v, -0.5, out=x[:, 0])
+            np.sqrt(v, out=x[:, 1])
             # x's first mode goes in exactly: a constant v (g = 0) gets exact
             # off-site zeros (on an open lattice once its images cancel)
-            tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / period ** 2)
-            tables[..., 0, 0] += 0.5 * x[..., 0, 0]
+            x -= (first := x[..., :1, :1].copy())
+            tables = C @ x @ C.T * (0.5 / period ** 2)
+            tables[..., 0, 0] += 0.5 * first[..., 0, 0]
         tables.flags.writeable = False
         yield (start + stable, CorrelationTable(tables[:, 0], tables[:, 1], spec),
                {start + i: exc for i, exc in refused.items()})

@@ -9,9 +9,9 @@ Fourier transforming the translation-invariant potential gives the symbol
 whose square root is the normal-mode frequency.  The gap closes where
 min_k v(k) = 0, at k = (pi, pi) or (0, pi) depending on the ratio g2 / g1.
 That corner value Delta comes from ``zone_branch``, bit for bit what 40-digit
-decimal arithmetic gives from the float inputs, for the stability guard, the
-gap and the zone quadrature alike; ``critical_g2_numeric`` stays float, as an
-independent check.
+decimal arithmetic gives from the float inputs, for the gap and the zone
+quadrature alike, and for the stability guard wherever it does not refuse;
+``critical_g2_numeric`` stays float, as an independent check.
 
 ``zone_branch`` works in double-double arithmetic, a float pair hi + lo
 carrying about 106 bits: Knuth's TwoSum and Dekker's product on Veltkamp's
@@ -24,12 +24,14 @@ route's (about 1e-39 of it).  Where every value within that bound has one
 sign (the branch) and rounds to one float, the row is certified: both routes
 give that float.  Other rows (|Delta| below about 2^-45 of the on-site term,
 the coupling at g_c itself) are recomputed in decimal, as in Ziv's correctly
-rounded functions (ACM TOMS 17, 410 (1991)).
+rounded functions (ACM TOMS 17, 410 (1991)), unless the bound already fixes
+the guard's refusal text, which is monotone in Delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,25 +49,44 @@ DD_RANGE = 2.0 ** 300
 BISECTION_TOL = 1e-10
 
 
-def dispersion_value(params: CouplingParams, kx, ky, g1=None, g2=None):
-    """Fourier symbol v(k) of the potential matrix at the dipolar strengths
-    g1, g2 (by default those of ``params``; any sign); broadcasts over arrays."""
+def symbol_cosines(kx, ky) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos kx, cos ky and cos(kx + ky) + cos(kx - ky): all ``dispersion_value`` reads of k."""
+    kx, ky = np.asarray(kx, dtype=float), np.asarray(ky, dtype=float)
+    return np.cos(kx), np.cos(ky), np.cos(kx + ky) + np.cos(kx - ky)
+
+
+def dispersion_value(params: CouplingParams, kx, ky, g1=None, g2=None, cosines=None, out=None):
+    """Fourier symbol v(k) of the potential matrix at the dipolar strengths g1, g2 (by
+    default those of ``params``; any sign); broadcasts over arrays, into ``out`` if given,
+    from ``cosines = symbol_cosines(kx, ky)`` if the caller holds them."""
     g1, g2 = params.g1 if g1 is None else g1, params.g2 if g2 is None else g2
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    bracket = (g1 * np.cos(kx) + g2 * np.cos(ky)
-               + DIAGONAL_FACTOR * g2 * (np.cos(kx + ky) + np.cos(kx - ky)))
-    return params.on_site + 2.0 * params.coupling_scale * bracket
+    cx, cy, diagonal = symbol_cosines(kx, ky) if cosines is None else cosines
+    v = np.add(g1 * cx, g2 * cy, out=out)
+    v += DIAGONAL_FACTOR * g2 * diagonal
+    v *= 2.0 * params.coupling_scale
+    v += params.on_site
+    return v
 
 
-def dispersion_grid(params: CouplingParams, spec: LatticeSpec, g1=None, g2=None) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _mode_grid(spec: LatticeSpec) -> tuple:
+    """A finite lattice's modes k (``dispersion_grid``) and their read-only grid cosines."""
+    k = (2.0 * np.pi * np.arange(spec.period // 2 + 1) / spec.period)[spec.modes]
+    grid = (k, *symbol_cosines(k[:, None], k[None, :]))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def dispersion_grid(params: CouplingParams, spec: LatticeSpec, g1=None, g2=None,
+                    out=None) -> np.ndarray:
     """v(k) on a finite lattice's normal modes k = 2 pi m / P, P its period, indexed
     [kx, ky] (``LatticeSpec.period`` and ``modes``: the DFT modes folded onto the
-    quadrant).  Strength arrays g1, g2 of shape (n, 1, 1) give a sweep's grids
-    [coupling, kx, ky] from one symbol call."""
-    period = spec.period
-    k = (2.0 * np.pi * np.arange(period // 2 + 1) / period)[spec.modes]
-    return dispersion_value(params, k[:, None], k[None, :], g1, g2)
+    quadrant), from the lattice's cached grid cosines.  Strength arrays g1, g2 of shape
+    (n, 1, 1) give a sweep's grids [coupling, kx, ky] from one symbol call, into ``out``
+    if given."""
+    k, *cosines = _mode_grid(spec)
+    return dispersion_value(params, k[:, None], k[None, :], g1, g2, cosines, out)
 
 
 def veltkamp_split(x):
@@ -135,14 +156,16 @@ def _decimal_corners(params: CouplingParams, g1: np.ndarray, g2: np.ndarray) -> 
     return np.reshape(rows, (-1, 3))
 
 
-def zone_branch(params: CouplingParams, g1, g2) -> np.ndarray:
+def zone_branch(params: CouplingParams, g1, g2, refusal=None) -> np.ndarray:
     """Rows (Delta, slope, pipi, bscale), one per coupling of ``params`` with
     dipolar strengths (g1[i], g2[i]) (1-D float arrays): v(kx, pi) = Delta + slope X
     with X = 2 sin^2((pi - kx) / 2) and Delta = v(pi, pi) if g1 >= g2 / sqrt 2
     (pipi = 1), else X = 2 sin^2(kx / 2) and Delta = v(0, pi); bscale = 2 N omega g2.
     Delta and the slope are, bit for bit, what 40-digit decimal arithmetic gives from
     the float inputs: computed in double-double where its error bound certifies the
-    branch sign and both roundings, and in decimal elsewhere (module notes).
+    branch sign and both roundings, and in decimal elsewhere (module notes), except a
+    row kept in double-double because ``refusal``, the caller's text for a Delta it
+    refuses (None else; monotone in Delta), gives one text at both ends of its bound.
 
     With the tilt t = g1 - g2 / sqrt 2, the slope is 2 N omega |t| and
     Delta = omega (omega + 4 kappa N) - 2 N omega (|t| + g2) on either branch."""
@@ -162,12 +185,21 @@ def zone_branch(params: CouplingParams, g1, g2) -> np.ndarray:
         delta = _dd_add(on_site, (-width[0], -width[1]))
         # the sums of the terms' magnitudes that DD_ERROR scales
         size = a + SQRT_HALF * b
-        certified = (_in_range(a) & _in_range(b)
-                     & ((np.abs(tilt[0]) > 2.0 * DD_ERROR * size) | (size == 0))
+        error = DD_ERROR * (on_site[0] + scale[0] * (size + b))  # Delta's
+        bounded = (_in_range(a) & _in_range(b) & _in_range(np.array(constants)).all()
+                   & all(float(x) == x for x in constants))
+        certified = (bounded & ((np.abs(tilt[0]) > 2.0 * DD_ERROR * size) | (size == 0))
                      & _rounds_to_hi(slope, DD_ERROR * scale[0] * size)
-                     & _rounds_to_hi(delta, DD_ERROR * (on_site[0] + scale[0] * (size + b))))
-    certified &= all(float(x) == x for x in constants) and _in_range(np.array(constants)).all()
+                     & _rounds_to_hi(delta, error))
     rows = np.column_stack([delta[0], slope[0], pipi, 2.0 * params.coupling_scale * b])
+    if refusal is not None and (open_ := np.flatnonzero(bounded & ~certified)).size:
+        # both routes' floats lie within |lo| + error + an ulp of hi; twice that, and a
+        # step out, covers this arithmetic's roundings
+        hi = delta[0][open_]
+        pad = 2.0 * (np.abs(delta[1][open_]) + error[open_] + np.spacing(np.abs(hi)))
+        lower, upper = (np.nextafter(hi + s * pad, s * np.inf).tolist() for s in (-1.0, 1.0))
+        certified[open_] = [(text := refusal(x)) is not None and text == refusal(y)
+                            for x, y in zip(lower, upper)]
     if not certified.all():
         rows[~certified, :3] = _decimal_corners(params, a[~certified], b[~certified])
     return rows

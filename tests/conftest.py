@@ -112,6 +112,90 @@ def masked_legendre_q(zm1, top):
     return q, k, E
 
 
+def expression_symbol(params, kx, ky, g1, g2):
+    """``spectrum.dispersion_value`` as written with a fresh temporary for every term and
+    its cosines taken per call.  The tests' oracle for the symbol on cached cosines
+    written in place, which must match it bit for bit."""
+    kx = np.asarray(kx, dtype=float)
+    ky = np.asarray(ky, dtype=float)
+    bracket = (g1 * np.cos(kx) + g2 * np.cos(ky)
+               + 2.0 ** -1.5 * g2 * (np.cos(kx + ky) + np.cos(kx - ky)))
+    return params.on_site + 2.0 * params.coupling_scale * bracket
+
+
+def expression_finite_sweep(params, g1, g2, spec, reach, block_points):
+    """A finite lattice's sweep in ``covariances_for_each`` as written with the symbol
+    and its grid cosines evaluated per block, the powers stacked by ``np.stack`` and
+    the k = 0 mode taken out of a copy: (sweep indices, tables (stable, 2, r, r),
+    refusal text by sweep index) per block of ``block_points`` grid points.  The
+    tests' oracle for the engine that reuses its buffers, which must match it bit
+    for bit."""
+    period = spec.period
+    k = (2.0 * np.pi * np.arange(period // 2 + 1) / period)[spec.modes]
+    reach = period // 2 if spec.boundary == "open" else min(reach, period // 2)
+    C = groundstate._cosine_matrix(period)[:reach + 1, spec.modes]
+    size = max(1, block_points // (period // 2 + 1) ** 2)
+    for start in range(0, len(g1), size):
+        v = expression_symbol(params, k[:, None], k[None, :], g1[start:start + size, None, None],
+                              g2[start:start + size, None, None])
+        refused = {}
+        for i, vmin in enumerate(np.min(v, axis=(1, 2)).tolist()):
+            if vmin <= 0:
+                refused[start + i] = f"beyond critical coupling (min v = {vmin:.6g})"
+            elif vmin < 1e-12 * params.on_site:
+                refused[start + i] = (f"within 1e-12 of criticality (min v / on-site = "
+                                      f"{vmin / params.on_site:.3g}); matrix square roots "
+                                      "are unreliable here")
+        stable = np.array([i for i in range(len(v)) if start + i not in refused], dtype=int)
+        x = np.stack([v[stable] ** -0.5, v[stable] ** 0.5], axis=1)
+        tables = C @ (x - x[..., :1, :1]) @ C.T * (0.5 / period ** 2)
+        tables[..., 0, 0] += 0.5 * x[..., 0, 0]
+        yield start + stable, tables, refused
+
+
+def expression_tanh_sinh_level(level):
+    """Nodes kx, pi - kx and weights of ``groundstate._tanh_sinh_level`` as written
+    before it returned each node's kernel terms."""
+    h = groundstate.TANH_SINH_H0 / 2 ** level
+    j = np.arange(-int(groundstate.TANH_SINH_T / h), int(groundstate.TANH_SINH_T / h) + 1)
+    if level:
+        j = j[j % 2 == 1]
+    t = j * h
+    u = 0.5 * np.pi * np.sinh(t)
+    kx = np.pi / (1.0 + np.exp(-2.0 * u))
+    rest = np.pi / (1.0 + np.exp(2.0 * u))
+    w = 0.25 * np.pi ** 2 * np.cosh(t) / np.cosh(u) ** 2
+    return kx, rest, w
+
+
+def expression_legendre_block(branches, kx, rest, cx, ry):
+    """``groundstate._legendre_block`` as written with sin^2 and cos kx taken over each
+    block's (coupling, node) array and the masked Legendre kernel.  The tests' oracle
+    for the block that reads each node's terms once, which must match it bit for bit."""
+    delta, slope, pipi, bscale = branches.T
+    x = np.where(pipi[:, None], rest, kx)
+    v_pi = delta[:, None] + slope[:, None] * 2.0 * np.sin(0.5 * x) ** 2
+    d = np.arange(ry + 1)
+    flat = bscale <= 1e-17 * delta
+    jm = np.zeros((ry + 1,) + v_pi.shape)
+    jp = np.zeros_like(jm)
+    jm[0, flat], jp[0, flat] = v_pi[flat] ** -0.5, v_pi[flat] ** 0.5
+    curved = ~flat
+    if curved.any():
+        b = bscale[curved, None] * (1.0 + np.cos(kx) / np.sqrt(2.0))
+        top = ry + 1 if ry else 0
+        q, k, E = masked_legendre_q(v_pi[curved] / b, max(top, 1))
+        sign = np.where(d % 2, -1.0, 1.0)[:, None, None]
+        c = np.sqrt(2.0) / (np.pi * np.sqrt(b))
+        jm_c = sign * c * q[:ry + 1]
+        jp_c = np.empty_like(jm_c)
+        jp_c[0] = c * b * 2.0 * E / k
+        jp_c[1:] = sign[1:] * c * b * (q[2:top + 1] - q[:ry]) / (4.0 * d[1:, None, None])
+        jm[:, curved], jp[:, curved] = jm_c, jp_c
+    return np.stack([cx @ np.ascontiguousarray(np.moveaxis(j, 0, 1)).transpose(0, 2, 1)
+                     for j in (jm, jp)], axis=1)
+
+
 def decimal_zone_branch(params, g1, g2):
     """``spectrum.zone_branch`` as written in 40-digit decimal arithmetic for every
     row.  The tests' oracle for the double-double route, which must match it bit

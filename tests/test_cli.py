@@ -945,6 +945,24 @@ def test_reproduce_fig2_imports_no_decimal(tmp_path):
     assert len(list(tmp_path.glob("fig2_infinite_*.csv"))) == 3
 
 
+def test_reproduce_fig3_imports_no_decimal(tmp_path):
+    # the one zone corner no double-double bound rounds, the stencil point at g_c,
+    # is refused by the guard with its message certified from the bound, so the
+    # recipe never needs the decimal route
+    (tmp_path / "small.cfg").write_text("g_samples = 2\nm_list = 5\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [e for e in [os.environ.get("PYTHONPATH")] if e]))
+    code = ("import sys\nfrom spinwave.cli import main\n"
+            "print(main(['reproduce-fig3', '--config', sys.argv[1] + '/small.cfg', '--out-dir', "
+            "sys.argv[1]]), 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert ("within 1e-12 of criticality (min v / on-site = 2.32e-17)"
+            in (tmp_path / "fig3_infinite.csv").read_text())
+
+
 # in a fresh interpreter: run a small reproduce-fig3 and an open two-site from the
 # configs in the directory argv[1], then report their exit codes, which of
 # OpenSSL's hash module and the oracle loaded, and the maps that name libcrypto

@@ -15,8 +15,11 @@ from spinwave import (BlockRegion, LatticeSpec, QuadratureConvergenceError,
 from spinwave import groundstate
 from spinwave.groundstate import _legendre_q
 
-from conftest import (four_image_sectors, full_matrices, full_symbol, masked_legendre_q,
-                      params_at, sweep_each)
+from spinwave.spectrum import zone_branch
+
+from conftest import (expression_finite_sweep, expression_legendre_block, expression_symbol,
+                      expression_tanh_sinh_level, four_image_sectors, full_matrices,
+                      full_symbol, masked_legendre_q, params_at, sweep_each)
 from zone_grid import _zone_tables, grid_oracle
 
 
@@ -401,6 +404,95 @@ def test_legendre_route_matches_grid_oracle(case):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
 
+@st.composite
+def legendre_block_cases(draw):
+    """(rows, level, rx, ry): ``zone_branch`` rows of stable couplings mixing the
+    (pi, pi) branch, the (0, pi) one and flat rows (g2 = 0), at softness min v /
+    on-site from 0.9 down to 1e-11, a tanh-sinh level and a reach with ry = 0 or not."""
+    strengths = []
+    for shape in draw(st.lists(st.sampled_from(["equal", "g2 = 0", "(0, pi)", "any"]),
+                               min_size=1, max_size=6)):
+        g1 = draw(UNIT)
+        g2 = {"equal": g1, "g2 = 0": 0.0,
+              "(0, pi)": np.sqrt(2.0) * g1 / draw(st.floats(0.05, 0.95))}.get(shape)
+        g2 = draw(UNIT) if g2 is None else g2
+        t = (1.0 - 10.0 ** draw(st.floats(-11.0, np.log10(0.9)))) * _critical_scale(g1, g2)
+        strengths.append((t * g1, t * g2))
+    g1, g2 = np.array(strengths).T
+    rows = zone_branch(params_at(0.0), g1, g2)
+    return rows, draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(legendre_block_cases())
+@example((zone_branch(params_at(0.0), np.array([1.5, 1.2, 0.3]), np.array([1.5, 0.0, 1.2])),
+          0, 1, 0))  # fig3's reach (1, 0): a (pi, pi) row, a flat row and a (0, pi) row
+@example((zone_branch(params_at(0.0), np.array([1.2, 0.5]), np.array([0.0, 0.0])), 2, 2, 3))
+def test_legendre_block_matches_the_expression_oracle_bit_for_bit(case):
+    # each node's sin^2 terms and 1 + cos kx / sqrt 2, taken once per level and
+    # gathered per coupling, and the AGM's reused temporaries give the sums the
+    # per-block expression gives, in every bit
+    rows, level, rx, ry = case
+    kx, w, nodes = groundstate._tanh_sinh_level(level)
+    kx_, rest, w_ = expression_tanh_sinh_level(level)
+    assert kx.tobytes() == kx_.tobytes() and w.tobytes() == w_.tobytes()
+    cx = w * groundstate._cos_multiples(np.arange(rx + 1), kx)
+    got = groundstate._legendre_block(rows, nodes, cx, ry)
+    want = expression_legendre_block(rows, kx, rest, cx, ry)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# (g1, g2) drawn equal or apart, across the critical couplings of small lattices (a
+# periodic side 4's g_c is 1.73 on the diagonal) so refusals land mid-block
+FINITE_STRENGTHS = st.lists(st.one_of(st.floats(0.0, 2.6).map(lambda g: (g, g)),
+                                      st.tuples(st.floats(0.0, 2.6), st.floats(0.0, 2.6))),
+                            min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(st.integers(3, 24).map(LatticeSpec.periodic),
+                      st.integers(2, 20).map(LatticeSpec.open_boundary)),
+       strengths=FINITE_STRENGTHS, reach=st.integers(0, 3),
+       block_points=st.sampled_from([50, 200, 1000, 2 ** 14]))
+# periodic side 8 at 200 points, blocks of eight: one coupling beyond g_c and one
+# within the guard of it in mid-block, the last block short
+@example(spec=LatticeSpec.periodic(8), strengths=[(1.0, 1.0), (2.0, 2.0), (0.5, 1.2), (1.2, 0.5),
+                                                  (critical_g_equal(params_at(0.0)) * (1 - 1e-13),) * 2,
+                                                  (1.5, 1.5), (0.0, 0.0), (1.7, 0.2), (0.3, 0.3)],
+         reach=1, block_points=200)
+@example(spec=LatticeSpec.open_boundary(5), strengths=[(1.0, 1.2), (2.0, 2.0), (0.3, 0.0), (2.6, 2.6)],
+         reach=0, block_points=100)
+def test_finite_sweep_matches_the_expression_oracle_bit_for_bit(spec, strengths, reach,
+                                                                block_points):
+    # the symbol on the lattice's cached cosines in one buffer, the powers written
+    # into the reused stack and the k = 0 mode taken out in place give every table
+    # and refusal the per-block expressions give, in every bit
+    p, (g1, g2) = params_at(0.0), np.array(strengths).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "FINITE_BLOCK_POINTS", block_points)
+        got = list(covariances_for_each(p, g1, g2, spec, reach))
+    want = list(expression_finite_sweep(p, g1, g2, spec, reach, block_points))
+    assert len(got) == len(want)
+    for (index, cov, refused), (index_, tables, refused_) in zip(got, want):
+        assert index.tolist() == index_.tolist()
+        assert {i: str(exc) for i, exc in refused.items()} == refused_
+        assert np.array_equal(cov.qq, tables[:, 0]) and np.array_equal(cov.pp, tables[:, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g1=st.one_of(st.floats(0.0, 3.0), st.just(np.linspace(0.0, 2.0, 3)[:, None, None])),
+       g2=st.floats(0.0, 3.0), n=st.integers(1, 9),
+       shape=st.sampled_from(["grid", "line", "scalar"]))
+def test_symbol_matches_the_expression_oracle_bit_for_bit(g1, g2, n, shape):
+    # the symbol on its cosines, in place, is the per-term expression bit for bit,
+    # from a scalar k to a sweep's [coupling, kx, ky] grids
+    p = params_at(0.0)
+    k = np.linspace(-np.pi, np.pi, n)
+    kx, ky = {"grid": (k[:, None], k[None, :]), "line": (k, 0.3), "scalar": (k[0], np.pi)}[shape]
+    got, want = dispersion_value(p, kx, ky, g1, g2), expression_symbol(p, kx, ky, g1, g2)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 def _softness_cases(softness):
     p0 = params_at(0.0)
     scale, gc = 2.0 * p0.coupling_scale, critical_g_equal(p0)
@@ -463,8 +555,8 @@ def test_finite_batch_runs_each_coupling(monkeypatch):
     sizes = []
     grid = groundstate.dispersion_grid
     monkeypatch.setattr(groundstate, "dispersion_grid",
-                        lambda params, spec, g1, g2: sizes.append(len(g1))
-                        or grid(params, spec, g1, g2))
+                        lambda params, spec, g1, g2, out: sizes.append(len(g1))
+                        or grid(params, spec, g1, g2, out))
     assert groundstate.FINITE_BLOCK_POINTS // 41 ** 2 == 9
     spec, gc = LatticeSpec.periodic(80), critical_g_equal(params_at(0.0))
     couplings = [params_at(g) for g in np.linspace(0.0, 1.7, 23)]
@@ -609,6 +701,21 @@ def test_periodic_tables_match_exact_cosine_sums(M, softness):
                              for b in range(M)] for a in range(M)])
             got = getattr(table, name)[index]
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+def test_guard_text_is_monotone_in_min_v():
+    # zone_branch keeps a row whose bounds get one refusal text: the guard's text
+    # is None at and above the guard, "beyond" with six digits of a min v <= 0 and
+    # "within" with three digits of min v / on-site between
+    on_site = params_at(0.0).on_site
+    values = [-3.0, -2.0000001, -2.0, -1.99, -1e-30, 0.0, 1e-30, 1.234e-18 * on_site,
+              1.2341e-18 * on_site, 1.236e-18 * on_site, 0.9999e-12 * on_site, 1e-12 * on_site]
+    texts = [groundstate._refusal(v, on_site) for v in values]
+    assert texts[-1] is None and all(t is not None for t in texts[:-1])
+    assert [t.split(" (")[1].split(")")[0] for t in texts[:-1]] == [
+        "min v = -3", "min v = -2", "min v = -2", "min v = -1.99", "min v = -1e-30", "min v = 0",
+        "min v / on-site = 4.44e-37", "min v / on-site = 1.23e-18", "min v / on-site = 1.23e-18",
+        "min v / on-site = 1.24e-18", "min v / on-site = 1e-12"]
 
 
 def test_near_critical_guard_refuses():

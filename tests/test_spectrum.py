@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from spinwave import (CouplingParams, LatticeSpec, StabilityError, build_potential, critical_g2,
                       critical_g2_numeric, critical_g_equal, dispersion_value,
                       energy_gap, gap_scaling_exponent, phase_boundary_cases, zone_minimum)
-from spinwave import spectrum
+from spinwave import groundstate, spectrum
 from spinwave.scan import DEFAULT_STEP, stencil
 from spinwave.spectrum import dispersion_grid
 
@@ -34,7 +34,7 @@ def test_mode_grid_is_bitwise_the_dft_and_dst_modes(M, boundary):
     assert spec.period == period and LatticeSpec.infinite_lattice().period is None
     # the symbol's arguments are the grid
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectrum, "dispersion_value", lambda params, kx, ky, g1, g2: (kx, ky))
+        patch.setattr(spectrum, "dispersion_value", lambda params, kx, ky, g1, g2, *_: (kx, ky))
         kx, ky = dispersion_grid(params_at(1.0), spec)
     assert kx.shape == (want.size, 1) and ky.shape == (1, want.size)
     assert kx.tobytes() == ky.tobytes() == want.tobytes()
@@ -340,6 +340,63 @@ def test_zone_branch_certifies_fig3_rows_and_recomputes_the_critical_one(monkeyp
     got = spectrum.zone_branch(params_at(0.0), gs, gs)
     assert got.tobytes() == decimal_zone_branch(params_at(0.0), gs, gs).tobytes()
     assert redone == [g for g in gs.tolist() if g == gc]
+
+
+@settings(max_examples=300, deadline=None)
+@given(zone_branch_cases())
+@example((params_at(0.0), np.array([critical_g_equal(params_at(0.0))] * 2),
+          np.array([critical_g_equal(params_at(0.0)), 1.0])))
+def test_guarded_zone_branch_is_the_decimal_route_but_where_the_guard_refuses(case):
+    # with the guard's refusal text, a row the guard refuses may keep its
+    # double-double Delta, but it is refused with the decimal route's message;
+    # every other row is still the decimal route's bit for bit
+    p, g1, g2 = case
+    got = spectrum.zone_branch(p, g1, g2, lambda d: groundstate._refusal(d, p.on_site))
+    for row, want in zip(got, decimal_zone_branch(p, g1, g2)):
+        text = groundstate._refusal(float(want[0]), p.on_site)
+        if text is None:
+            assert row.tobytes() == want.tobytes()
+        else:
+            assert groundstate._refusal(float(row[0]), p.on_site) == text
+
+
+def test_guarded_zone_branch_settles_fig3s_critical_row_without_decimal(monkeypatch):
+    # fig3's stencil point at g_c (Delta / on_site = 2.3e-17): its bound certifies
+    # the guard's refusal and the message's three digits, so no row goes to decimal
+    monkeypatch.setattr(spectrum, "_decimal_corners",
+                        lambda *args: pytest.fail("a row took the decimal route"))
+    p, gc = params_at(0.0), critical_g_equal(params_at(0.0))
+    gs = stencil(np.linspace(1.0, gc - 1e-4, 200), DEFAULT_STEP)
+    got = spectrum.zone_branch(p, gs, gs, lambda d: groundstate._refusal(d, p.on_site))
+    want = decimal_zone_branch(p, gs, gs)
+    critical = gs == gc
+    assert critical.sum() == 1 and got[~critical].tobytes() == want[~critical].tobytes()
+    texts = {groundstate._refusal(rows[critical, 0].item(), p.on_site) for rows in (got, want)}
+    assert texts == {"within 1e-12 of criticality (min v / on-site = 2.32e-17); "
+                     "matrix square roots are unreliable here"}
+
+
+def test_zone_branch_keeps_a_row_only_where_both_bounds_get_one_refusal_text(monkeypatch):
+    # the g_c row's bounds straddle its double-double Delta by its error bound: a
+    # text that changes within them, or one that is None at either bound, sends the
+    # row to decimal; one text at both bounds keeps the double-double row
+    p, gc = params_at(0.0), critical_g_equal(params_at(0.0))
+    hi = spectrum.zone_branch(p, [gc], [gc], lambda d: "refused")[0, 0]
+    redone = []
+    corners = spectrum._decimal_corners
+    monkeypatch.setattr(spectrum, "_decimal_corners",
+                        lambda p, g1, g2: (redone.append(g1.size), corners(p, g1, g2))[1])
+    # the bounds (4e-23 either side here) span many ulps of Delta (6e-27): "near" changes
+    # within it, ten ulps above
+    near = hi + 10.0 * np.spacing(hi)
+    texts = {"one": lambda d: "refused", "split": lambda d: "below" if d < hi else "above",
+             "near": lambda d: "below" if d < near else "above",
+             "lower": lambda d: "refused" if d < hi else None,
+             "upper": lambda d: None if d < hi else "refused", "none": lambda d: None}
+    for name, text in texts.items():
+        redone.clear()
+        spectrum.zone_branch(p, [gc, 1.0], [gc, 1.0], text)
+        assert redone == ([] if name == "one" else [1]), name
 
 
 def test_sqrt_half_is_a_double_double():

@@ -288,8 +288,6 @@ def two_site_sweep(params: CouplingParams, g1, g2, spec: LatticeSpec, pairs) -> 
         stable.append(index)
         refused.update(block_refused)
     two = two_site_params(*(np.concatenate([r[qp] for r in reads]) for qp in (0, 1)))
-    if not refused:
-        return two
     stable = np.concatenate(stable)
     # the j-th refused coupling i goes before the (i - j)-th stable one
     gaps = [i - j for j, i in enumerate(sorted(refused))]

@@ -286,8 +286,7 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     forward where eta = arccosh z is small, elsewhere as backward ratios for
     the minimal solution (Gil, Segura & Temme, J. Comput. Phys. 161, 204
     (2000)), normalised by Q_{-1/2}.  Each node's float operations do not depend
-    on the others': nodes of one kind run on z's own shape when every node is of
-    that kind, else gathered, and the updates run in place.
+    on the others': the nodes of each kind run gathered, and the updates run in place.
     """
     z = 1.0 + zm1
     k = np.sqrt(2.0 / (zp1 := z + 1.0))
@@ -315,28 +314,22 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
     eta = np.log1p(zm1 + np.sqrt(zm1 * (zm1 + 2.0)))
     forward = 2.0 * max(top, 4) * eta <= FORWARD_GROWTH
     if forward.any():
-        # every node forward: q itself, else the forward nodes gathered
-        f = ... if forward.all() else forward
-        zf = z[f]
-        qf = q[:, f] if f is ... else np.empty((top + 1, zf.size))
-        qf[0] = q[0, f]
-        qf[1] = zf * qf[0] - 2.0 * E[f] / k[f]
+        zf = z[forward]
+        qf = np.empty((top + 1, zf.size))
+        qf[0] = q[0, forward]
+        qf[1] = zf * qf[0] - 2.0 * E[forward] / k[forward]
         for m in range(1, top):
             qf[m + 1] = (2.0 * m * zf * qf[m] - (m - 0.5) * qf[m - 1]) / (m + 0.5)
-        if f is not ...:
-            q[:, f] = qf
+        q[:, forward] = qf
     if not forward.all():
-        b = ... if not forward.any() else ~forward
-        zb, eb = z[b], eta[b]
+        back = ~forward
+        zb, eb = z[back], eta[back]
         # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
         # far enough above top that the start error has decayed below 1e-17
         eta_min = np.min(np.where(forward, np.inf, eta), axis=-1, keepdims=True)
-        start = top + np.ceil(39.0 / (2.0 * eta_min))
-        if b is not ...:
-            start = np.broadcast_to(start, eta.shape)[b]
-        ratios = q[1:] if b is ... else np.empty((top, zb.size))
+        start = np.broadcast_to(top + np.ceil(39.0 / (2.0 * eta_min)), eta.shape)[back]
+        ratios = np.empty((top, zb.size))
         r, t, u = np.exp(-eb), np.empty_like(zb), np.empty_like(zb)
-        lowest = np.min(start)
         # every start lies above top: steps above it update the nodes started
         # so far, those from top down every node, straight into its ratio row
         for m in range(int(np.max(start)), 0, -1):
@@ -347,14 +340,11 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
             np.divide(m - 0.5, step, out=step)
             if m <= top:
                 r = step
-            elif m > lowest:
-                np.copyto(r, step, where=m <= start)
             else:
-                r, t = t, r
+                np.copyto(r, step, where=m <= start)
         np.cumprod(ratios, axis=0, out=ratios)
-        ratios *= q[0, b]
-        if b is not ...:
-            q[1:, b] = ratios
+        ratios *= q[0, back]
+        q[1:, back] = ratios
     return q, k, E
 
 
@@ -511,7 +501,7 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     the infinite one a single batch, each guarded on its min v at once."""
     g1, g2 = params.strength_arrays(g1, g2)
     rx, ry = (max_displacement,) * 2 if np.ndim(max_displacement) == 0 else max_displacement
-    if spec.boundary != "open" and min(rx, ry) < 0:
+    if min(rx, ry) < 0:
         raise ValueError(f"dmax must be >= 0, got {max_displacement}")
     period = spec.period
     size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)

@@ -83,6 +83,7 @@ def test_spectrum_rejects_bad_inputs():
 
 
 # blocks the size of fig2's and the open-dense scan's, g1 != g2 on the finite lattices
+@pytest.mark.one_thread
 @pytest.mark.parametrize("spec, g1, g2, L", [(LatticeSpec.periodic(80), 1.3, 1.1, 20),
                                              (LatticeSpec.infinite_lattice(), 1.5, 1.5, 12),
                                              (LatticeSpec.open_boundary(30), 1.2, 1.6, 10)])
@@ -98,6 +99,7 @@ def test_stacked_spectrum_matches_batch_of_blocks_alone(spec, g1, g2, L):
     assert np.array_equal(symplectic_spectrum(Qs, Ps).values, np.repeat(np.sort(alone)[::-1], 2))
 
 
+@pytest.mark.one_thread
 @pytest.mark.parametrize("bad, message", [
     ((np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2)), "Q block is not positive-definite"),
     ((np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)), "Q block is not symmetric"),
@@ -304,6 +306,7 @@ def test_entropy_vs_L_refuses_an_empty_list(paper_params):
 
 # Open lattices: side 9 reads L = 3 and 5 centred (by parity sectors) and L = 2 and 4
 # off-centre (whole); side 8 the other way round.  g = 2.3 is beyond g_c on all of them
+@pytest.mark.one_thread
 @settings(max_examples=25, deadline=None)
 @given(spec=st.one_of(st.sampled_from([6, 7, 9, 10]).map(LatticeSpec.periodic),
                       st.just(LatticeSpec.infinite_lattice()),
@@ -403,6 +406,7 @@ def _scalar_pair_params(Q, P):
             bool(prod > 0))
 
 
+@pytest.mark.one_thread
 def test_batched_pair_arithmetic_equals_scalar_bitwise():
     # numpy's vectorised x ** 0.25 differs from the scalar (libm) one in the
     # last bit on about 5 % of inputs, so a vectorised quarter power fails here
@@ -443,6 +447,7 @@ PAIR_OFFSETS = {1: [(1, 0)], 2: [(1, 0), (1, 1), (2, 0)]}
 
 # g from 1 to 2.3 crosses g_c (1.7403 on the infinite lattice, higher on finite
 # ones), in any order; open lattices of even side refuse off-centre pairs on their own
+@pytest.mark.one_thread
 @settings(max_examples=30, deadline=None)
 @given(spec=st.one_of(st.integers(4, 15).map(LatticeSpec.periodic),
                       st.just(LatticeSpec.infinite_lattice()),
@@ -736,6 +741,7 @@ def sector_case(draw):
     return params_at(g1, g2=g2), spec, region
 
 
+@pytest.mark.one_thread
 @settings(max_examples=80, deadline=None)
 @given(sector_case())
 def test_sectors_match_the_four_image_route(case):
@@ -754,6 +760,7 @@ def test_sectors_match_the_four_image_route(case):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.one_thread
 @settings(max_examples=80, deadline=None)
 @given(sector_case())
 def test_sector_spectra_match_whole_block(case):
@@ -789,6 +796,7 @@ def diagonal_case(draw):
     return params_at(g), spec, region, offset
 
 
+@pytest.mark.one_thread
 @settings(max_examples=120, deadline=None)
 @given(diagonal_case())
 @example((params_at(critical_g_equal(params_at(0.0)) * (1.0 - 1e-11)), LatticeSpec.periodic(6),
@@ -843,6 +851,7 @@ def test_open_block_off_the_mirror_axis_is_never_split(spectrum_calls, M, L):
     assert sum(shape[0] if len(shape) == 3 else 1 for shape in spectrum_calls) == 4
 
 
+@pytest.mark.one_thread
 @pytest.mark.parametrize("spec, L", [(LatticeSpec.infinite_lattice(), 6),
                                      (LatticeSpec.infinite_lattice(), 5),
                                      (LatticeSpec.open_boundary(9), 3),

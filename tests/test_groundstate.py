@@ -311,10 +311,15 @@ def legendre_kernel_cases(draw):
     return (zm1[0] if draw(st.booleans()) else zm1), top
 
 
+@pytest.mark.one_thread
 @settings(max_examples=200, deadline=None)
 @given(legendre_kernel_cases())
 @example((np.array([1e-10, 1e-6, 1e-4]), 21))  # every node forward, 1-D
-@example((np.array([[0.5, 3.0, 1e3], [2.0, 7.0, 40.0]]), 21))  # every node backward
+@example((np.array([[1e-10, 1e-6, 1e-4], [1e-8, 1e-5, 1e-3]]), 21))  # every node forward, 2-D
+# every node backward, the rows' ratios started at m = 42 and 33: steps 42..34 run
+# with the second row not yet started, 33..22 with both started
+@example((np.array([[0.5, 3.0, 1e3], [2.0, 7.0, 40.0]]), 21))
+# mixed, the rows' backward nodes started at m = 42 and 160
 @example((np.array([[1e-14, 1e-8, 1e-3, 0.5, 3.0, 1e3], [1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]]), 21))
 @example((np.array([[1e-14, 1e-8, 1e-3, 0.5, 3.0, 1e3], [1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]]), 0))
 def test_legendre_q_matches_the_masked_kernel_bit_for_bit(case):
@@ -423,6 +428,7 @@ def legendre_block_cases(draw):
     return rows, draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
 
 
+@pytest.mark.one_thread
 @settings(max_examples=60, deadline=None)
 @given(legendre_block_cases())
 @example((zone_branch(params_at(0.0), np.array([1.5, 1.2, 0.3]), np.array([1.5, 0.0, 1.2])),
@@ -449,6 +455,7 @@ FINITE_STRENGTHS = st.lists(st.one_of(st.floats(0.0, 2.6).map(lambda g: (g, g)),
                             min_size=1, max_size=12)
 
 
+@pytest.mark.one_thread
 @settings(max_examples=60, deadline=None)
 @given(spec=st.one_of(st.integers(3, 24).map(LatticeSpec.periodic),
                       st.integers(2, 20).map(LatticeSpec.open_boundary)),
@@ -479,6 +486,7 @@ def test_finite_sweep_matches_the_expression_oracle_bit_for_bit(spec, strengths,
         assert np.array_equal(cov.qq, tables[:, 0]) and np.array_equal(cov.pp, tables[:, 1])
 
 
+@pytest.mark.one_thread
 @settings(max_examples=60, deadline=None)
 @given(g1=st.one_of(st.floats(0.0, 3.0), st.just(np.linspace(0.0, 2.0, 3)[:, None, None])),
        g2=st.floats(0.0, 3.0), n=st.integers(1, 9),
@@ -510,6 +518,7 @@ def _batch_cases():
             params_at(1.01 * gc), params_at(1.25)]
 
 
+@pytest.mark.one_thread
 @pytest.mark.parametrize("dmax", [0, 3, (1, 0), (0, 2)])
 def test_batch_equals_each_coupling_alone(monkeypatch, dmax):
     # the near-critical coupling needs levels the others do not, and the
@@ -531,6 +540,7 @@ def test_batch_equals_each_coupling_alone(monkeypatch, dmax):
         assert not got.qq.flags.writeable and not got.pp.flags.writeable
 
 
+@pytest.mark.one_thread
 def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
     # with three halvings the near-critical coupling fails alone, the others converge
     monkeypatch.setattr(groundstate, "QUAD_MAX_REFINEMENTS", 3)
@@ -547,6 +557,7 @@ def test_batch_keeps_each_nonconvergence_to_its_coupling(monkeypatch):
         assert np.array_equal(got.qq, covariance_infinite(p, 2).qq)
 
 
+@pytest.mark.one_thread
 def test_finite_batch_runs_each_coupling(monkeypatch):
     # M = 80 blocks hold 2^14 // 41^2 = 9 couplings, one 41 x 41 quadrant grid
     # each: the sweep spans three blocks, and each of the first two refuses a
@@ -586,6 +597,7 @@ PAIRS = [[(0, 0), (1, 0)], [(1, 1), (0, 0)], [(0, 1), (1, 0)]]
 REFUSED = [(2.6, 2.6), (2.6, 0.0), (2.0, 2.0), (2.6, 1.0)]  # beyond g_c on open side >= 5
 
 
+@pytest.mark.one_thread
 @settings(max_examples=30, deadline=None)
 @given(spec=st.one_of(st.integers(3, 15).map(LatticeSpec.periodic),
                       st.integers(2, 15).map(LatticeSpec.open_boundary),
@@ -786,6 +798,7 @@ def test_finite_size_error_shrinks_with_m():
     assert abs(covariance_pbc_fft(LatticeSpec.periodic(40), p).qq[1, 0] - ref) < 1e-12
 
 
+@pytest.mark.one_thread
 @settings(max_examples=60, deadline=None)
 @given(rx=st.integers(0, 5), ry=st.integers(0, 5), g1=UNIT, g2=st.just(0.0) | UNIT,
        t=st.floats(0.0, 0.95) | st.floats(3.0, 10.0).map(lambda u: 1.0 - 10.0 ** -u))
@@ -816,6 +829,7 @@ def test_table_missing_displacement_named():
         table.displacement_index(5, 0)
 
 
+@pytest.mark.one_thread
 @settings(max_examples=60, deadline=None)
 @given(M=st.integers(3, 40), reach=st.integers(0, 25), t=st.floats(0.0, 0.95),
        g2=st.floats(0.0, 2.0))
@@ -836,6 +850,7 @@ def test_periodic_reach_table_is_the_leading_block_of_the_whole(M, reach, t, g2)
             assert np.array_equal(got, want)
 
 
+@pytest.mark.one_thread
 @pytest.mark.parametrize("sites", [[(0, 0), (3, 0)], [(1, 1), (1, 4)], [(3, 1), (0, 0)]])
 def test_periodic_read_beyond_the_reach_is_refused_as_infinite_tables_refuse(sites):
     # M = 9 at reach 2: folded displacements 3 and 4 are not in the table; the
@@ -862,6 +877,20 @@ def test_periodic_read_beyond_the_reach_is_refused_as_infinite_tables_refuse(sit
 def test_infinite_refuses_negative_extent():
     with pytest.raises(ValueError, match="dmax"):
         covariance_infinite(params_at(1.0), -1)
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec.periodic(6), LatticeSpec.open_boundary(6),
+                                  LatticeSpec.infinite_lattice()],
+                         ids=["periodic-6", "open-6", "infinite"])
+@pytest.mark.parametrize("reach", [-1, (0, -1)], ids=["d", "rx-ry"])
+def test_every_lattice_refuses_a_negative_reach(spec, reach):
+    # one rule on every lattice: an open table, though always whole, refuses it too
+    message = re.escape(f"dmax must be >= 0, got {reach}")
+    p = params_at(1.0)
+    with pytest.raises(ValueError, match=message):
+        covariances_for(p, spec, reach)
+    with pytest.raises(ValueError, match=message):
+        next(covariances_for_each(p, [1.0], [1.0], spec, reach))
 
 
 def test_excitation_density_values(paper_params):

@@ -313,6 +313,7 @@ def zone_branch_cases(draw):
     return p, g1, g2
 
 
+@pytest.mark.one_thread
 @settings(max_examples=300, deadline=None)
 @given(zone_branch_cases())
 # Delta exactly 0 on the g2 = 0 axis: omega (omega + 4 kappa N) = 2 N omega g1
@@ -342,6 +343,7 @@ def test_zone_branch_certifies_fig3_rows_and_recomputes_the_critical_one(monkeyp
     assert redone == [g for g in gs.tolist() if g == gc]
 
 
+@pytest.mark.one_thread
 @settings(max_examples=300, deadline=None)
 @given(zone_branch_cases())
 @example((params_at(0.0), np.array([critical_g_equal(params_at(0.0))] * 2),
@@ -360,6 +362,7 @@ def test_guarded_zone_branch_is_the_decimal_route_but_where_the_guard_refuses(ca
             assert groundstate._refusal(float(row[0]), p.on_site) == text
 
 
+@pytest.mark.one_thread
 def test_guarded_zone_branch_settles_fig3s_critical_row_without_decimal(monkeypatch):
     # fig3's stencil point at g_c (Delta / on_site = 2.3e-17): its bound certifies
     # the guard's refusal and the message's three digits, so no row goes to decimal

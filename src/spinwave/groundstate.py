@@ -275,8 +275,8 @@ FORWARD_GROWTH = np.log(100.0)
 def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Toroidal functions Q_{m-1/2}(z) for m = 0..top (top >= 0) at z = 1 + zm1 > 1, as
     a (top + 1, *zm1.shape) array, plus the modulus k = sqrt(2 / (z + 1))
-    and the complete elliptic integral E(k) of each z.  A row of 2-D zm1 is
-    computed as if alone: AGM and backward-ratio start depend on its nodes only.
+    and the complete elliptic integral E(k) of each z.  The AGM iterates per row
+    of 2-D zm1, and each backward node starts from its own eta.
 
     Q_{-1/2} = k K(k) and Q_{1/2} = z k K(k) - (2 / k) E(k), with K and E from
     the AGM on the complementary modulus sqrt(zm1 / (z + 1)) (DLMF 19.8), so
@@ -326,8 +326,7 @@ def _legendre_q(zm1: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.n
         zb, eb = z[back], eta[back]
         # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
         # far enough above top that the start error has decayed below 1e-17
-        eta_min = np.min(np.where(forward, np.inf, eta), axis=-1, keepdims=True)
-        start = np.broadcast_to(top + np.ceil(39.0 / (2.0 * eta_min)), eta.shape)[back]
+        start = top + np.ceil(39.0 / (2.0 * eb))
         ratios = np.empty((top, zb.size))
         r, t, u = np.exp(-eb), np.empty_like(zb), np.empty_like(zb)
         # every start lies above top: steps above it update the nodes started
@@ -507,10 +506,10 @@ def covariances_for_each(params: CouplingParams, g1, g2, spec: LatticeSpec,
     size = max(1, g1.size if spec.infinite else FINITE_BLOCK_POINTS // (period // 2 + 1) ** 2)
     if not spec.infinite:
         # a periodic table's rows end at the reach; an open one's mirror images reach
-        # far.  The cut stays square: a one-row C[:1] makes the second transform a
-        # matrix-vector product, whose BLAS kernel moved the column by 2e-16 to 4e-16
-        # of the largest entry (M = 21 to 80) where every cut of two or more rows is
-        # bitwise the whole table's, and that P x (r + 1) transform costs little
+        # far.  The cut stays square, which keeps fig3's finite tables' bits.  At one
+        # BLAS thread a cut of r + 1 >= 2 rows was bitwise the whole table's for
+        # M <= 60, and mostly not at M = 80 (last bit); reach 0's one-row cut runs a
+        # matrix-vector product that moved entries by up to 3e-16 of the largest
         reach = period // 2 if spec.boundary == "open" else min(max(rx, ry), period // 2)
         C = _cosine_matrix(period)[:reach + 1, spec.modes]
         # a block's symbol and its powers, reused from block to block

@@ -30,7 +30,6 @@ class FitResult:
     slope: float
     intercept: float
     max_rel_residual: float
-    n_samples: int
 
 
 def area_law_fit(curve) -> FitResult:
@@ -48,14 +47,11 @@ def area_law_fit(curve) -> FitResult:
                          f"(at most L^2 x {ROUNDOFF_BITS:.2g}): residuals are relative to E")
     slope, intercept = np.polyfit(Ls, Es, 1)
     residual = float(np.max(np.abs(slope * Ls + intercept - Es) / np.abs(Es)))
-    return FitResult(slope=float(slope), intercept=float(intercept),
-                     max_rel_residual=residual, n_samples=len(Ls))
+    return FitResult(slope=float(slope), intercept=float(intercept), max_rel_residual=residual)
 
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    g: float
-    h: float
     raw: float         # central difference at step h
     richardson: float  # one extrapolation step from h and h/2
 
@@ -91,8 +87,7 @@ def derivative_sweep(params: CouplingParams, spec: LatticeSpec, gs,
     zp, zm, zp2, zm2 = pair.zeta[:, 0].reshape(-1, 4).T
     raw = (zp - zm) / (2.0 * h)
     richardson = (4.0 * ((zp2 - zm2) / h) - raw) / 3.0
-    out = [DerivativeEstimate(g=float(g), h=float(h), raw=float(d), richardson=float(r))
-           for g, d, r in zip(gs, raw, richardson)]
+    out = [DerivativeEstimate(raw=float(d), richardson=float(r)) for d, r in zip(raw, richardson)]
     for (k, _), exc in sorted(pair.refusals.items(), reverse=True):  # a g's first refusal last
         if isinstance(exc, StabilityError):
             cause, exc = exc, StabilityError(

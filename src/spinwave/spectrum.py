@@ -309,7 +309,6 @@ def critical_g2(params: CouplingParams, g1: float) -> PhasePoint:
 class GapScalingFit:
     exponent: float
     prefactor: float
-    n_samples: int
 
 
 def gap_scaling_exponent(params: CouplingParams, g_window: tuple[float, float],
@@ -331,5 +330,4 @@ def gap_scaling_exponent(params: CouplingParams, g_window: tuple[float, float],
     x = np.log(gc - gs)
     y = np.log(np.sqrt(zone_branch(params, gs, gs)[:, 0]))  # the gap sqrt(min v), min v > 0
     slope, intercept = np.polyfit(x, y, 1)
-    return GapScalingFit(exponent=float(slope), prefactor=float(np.exp(intercept)),
-                         n_samples=n_samples)
+    return GapScalingFit(exponent=float(slope), prefactor=float(np.exp(intercept)))

@@ -100,8 +100,7 @@ def masked_legendre_q(zm1, top):
         zb, eb = z[back], eta[back]
         # ratios r_m = Q_{m-1/2} / Q_{m-3/2}, started from their limit exp(-eta)
         # far enough above top that the start error has decayed below 1e-17
-        eta_min = np.min(np.where(back, eta, np.inf), axis=-1, keepdims=True)
-        start = np.broadcast_to(top + np.ceil(39.0 / (2.0 * eta_min)), eta.shape)[back]
+        start = top + np.ceil(39.0 / (2.0 * eb))
         r = np.exp(-eb)
         ratios = np.empty((top, zb.size))
         for m in range(int(np.max(start)), 0, -1):

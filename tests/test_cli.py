@@ -357,6 +357,26 @@ def test_cli_derivative_and_finite_size(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_cli_finite_size_stencil_past_critical_is_refused(tmp_path, capsys):
+    # the side-5 lattice's last grid point g = 2.5 has its stencil point
+    # g + h beyond the critical coupling: the run exits 1 and writes no file
+    out = tmp_path / "finite-size.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"m_list = 5\ng_min = 1.0\ng_max = 2.5\ng_samples = 3\noutput = {out}\n")
+    assert main(["finite-size", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stencil point g = 2.5001 unstable: beyond critical coupling (min v = -638182)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["a, b", '"b" said', "a\nb", 'a,"b"\nc'])
+def test_cli_csv_text_cell_reads_back(text):
+    # no command's text cell holds these today; a CSV reader must still get it whole
+    rendered = cli._render(RunConfig(), "gap-scan", ["g", "gap", "error"], [[1.0, 2.0, text]])
+    rows = list(csv.reader(io.StringIO(rendered)))
+    assert rows[1:] == [["g", "gap", "error"], ["1.0", "2.0", text]]
+
+
 def test_cli_oracle_check(tmp_path):
     out = tmp_path / "report.json"
     assert main(["oracle-check", "--output", str(out)]) == 0
